@@ -210,15 +210,6 @@ def solve_critical_point(
     first = [H.partial(j) for j in range(ell)]
     second = [[first[j].partial(k) for k in range(ell)] for j in range(ell)]
 
-    def system(zv: np.ndarray) -> np.ndarray:
-        out = np.empty(ell)
-        partials = [evaluate(first[j], zv) for j in range(ell)]
-        out[0] = evaluate(H, zv)
-        last = zv[ell - 1] * partials[ell - 1]
-        for j in range(ell - 1):
-            out[j + 1] = rv[ell - 1] * zv[j] * partials[j] - rv[j] * last
-        return out
-
     def jacobian(zv: np.ndarray) -> np.ndarray:
         partials = [evaluate(first[j], zv) for j in range(ell)]
         hess = np.empty((ell, ell))
@@ -238,15 +229,11 @@ def solve_critical_point(
                 jac[j + 1, k] = term
         return jac
 
-    residual = system(z)
+    residual = critical_system_residual(H, rv, z)
     norm = float(np.max(np.abs(residual)))
     for _ in range(_MAX_NEWTON_ITER):
         if norm <= tol:
-            return CriticalPoint(
-                z=tuple(float(v) for v in z),
-                residual_norm=norm,
-                direction=tuple(float(v) for v in rv),
-            )
+            break
         try:
             step = np.linalg.solve(jacobian(z), -residual)
         except np.linalg.LinAlgError as exc:
@@ -257,7 +244,7 @@ def solve_critical_point(
         for _ in range(_MAX_STEP_HALVINGS):
             candidate = z + scale * step
             if np.all(candidate > 0.0):
-                cand_residual = system(candidate)
+                cand_residual = critical_system_residual(H, rv, candidate)
                 cand_norm = float(np.max(np.abs(cand_residual)))
                 if cand_norm < norm or cand_norm <= tol:
                     z, residual, norm = candidate, cand_residual, cand_norm
@@ -268,13 +255,13 @@ def solve_critical_point(
                 f"no residual-decreasing step found at iterate {z.tolist()} "
                 f"(residual norm {norm:.3e})"
             )
-    if norm <= tol:
-        return CriticalPoint(
-            z=tuple(float(v) for v in z),
-            residual_norm=norm,
-            direction=tuple(float(v) for v in rv),
+    if not norm <= tol:
+        raise NonConvergenceError(
+            f"Newton iteration did not reach tolerance {tol} "
+            f"(final residual norm {norm:.3e})"
         )
-    raise NonConvergenceError(
-        f"Newton iteration did not reach tolerance {tol} "
-        f"(final residual norm {norm:.3e})"
+    return CriticalPoint(
+        z=tuple(float(v) for v in z),
+        residual_norm=norm,
+        direction=tuple(float(v) for v in rv),
     )

@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     curve.add_argument("--beta-range", type=_parse_range, metavar="LO:HI:STEPS")
     curve.add_argument("--delta-range", type=_parse_range, metavar="LO:HI:STEPS")
-    curve.add_argument("--rho", type=float, help="(unused by curve; see point)")
     curve.add_argument("--tau", type=float, help="cycle density for synthesis curves")
     curve.add_argument("--format", default="csv", choices=("csv", "svg"))
     curve.add_argument("--output", required=True, metavar="PATH")
@@ -82,38 +81,25 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    if args.channel == "sticky":
-        if args.beta_range is None:
-            print("error: sticky curves need --beta-range lo:hi:steps", file=sys.stderr)
-            return 2
-        lo, hi, steps = args.beta_range
-        bounds = tuple((args.bounds or "gv,sp,lb").split(","))
-        spec = CurveSpec(
-            channel="sticky",
-            bounds=bounds,
-            sweep_param="beta",
-            lo=lo,
-            hi=hi,
-            steps=steps,
-        )
-    else:
-        if args.delta_range is None:
-            print("error: synthesis curves need --delta-range lo:hi:steps", file=sys.stderr)
-            return 2
-        if args.tau is None:
-            print("error: synthesis curves need --tau", file=sys.stderr)
-            return 2
-        lo, hi, steps = args.delta_range
-        bounds = tuple((args.bounds or "gv,lb").split(","))
-        spec = CurveSpec(
-            channel="synthesis",
-            bounds=bounds,
-            sweep_param="delta",
-            lo=lo,
-            hi=hi,
-            steps=steps,
-            fixed={"tau": args.tau},
-        )
+    is_sticky = args.channel == "sticky"
+    param = "beta" if is_sticky else "delta"
+    sweep = args.beta_range if is_sticky else args.delta_range
+    if sweep is None:
+        print(f"error: {args.channel} curves need --{param}-range lo:hi:steps", file=sys.stderr)
+        return 2
+    if not is_sticky and args.tau is None:
+        print("error: synthesis curves need --tau", file=sys.stderr)
+        return 2
+    lo, hi, steps = sweep
+    spec = CurveSpec(
+        channel=args.channel,
+        bounds=tuple((args.bounds or ("gv,sp,lb" if is_sticky else "gv,lb")).split(",")),
+        sweep_param=param,
+        lo=lo,
+        hi=hi,
+        steps=steps,
+        fixed={} if is_sticky else {"tau": args.tau},
+    )
     curves = build_curves(spec)
     if args.format == "csv":
         write_csv(args.output, spec, curves)
@@ -135,49 +121,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _print_kv(key: str, value) -> None:
-    if isinstance(value, float):
-        print(f"{key} = {_fmt(value)}")
-    else:
-        print(f"{key} = {value}")
+def _print_block(rows: list[tuple[str, object]], flags: tuple[tuple[str, bool], ...]) -> None:
+    rows = rows + [("flags", ";".join(name for name, on in flags if on))]
+    for key, value in rows:
+        print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
+
+
+def _critical_rows(cp, mark: str) -> list[tuple[str, object]]:
+    if cp is None:
+        return []
+    names = (f"x_{mark}", f"y_{mark}", f"z_{mark}", "residual_norm")
+    return list(zip(names, (cp.x, cp.y, cp.z, cp.residual_norm)))
 
 
 def _cmd_point_sticky(args: argparse.Namespace) -> int:
     if args.rho is None or args.beta is None:
         print("error: sticky points need --rho and --beta", file=sys.stderr)
         return 2
-    rho, beta = args.rho, args.beta
-    rows: list[tuple[str, object]] = [
-        ("channel", "sticky"),
-        ("rho", rho),
-        ("beta", beta),
-        ("capacity", sticky.capacity_runs(rho)),
-    ]
-    flags = []
-    saturated = beta >= sticky.beta_max(rho)
-    if 0.0 < beta and not saturated:
-        cp = sticky.critical_point_closed_form(rho, 2.0 * beta)
-        rows += [
-            ("x_star", cp.x),
-            ("y_star", cp.y),
-            ("z_star", cp.z),
-            ("residual_norm", cp.residual_norm),
-        ]
-    gv, rho_star = sticky.gv_rate(beta)
-    rows += [
-        ("ball_rate", sticky.ball_rate(rho, beta)),
-        ("gv_rate", gv),
-        ("gv_rho_star", rho_star),
-        ("sp_rate", sticky.sp_rate(beta)),
-        ("lb_rate", sticky.simple_lb_rate(beta)),
-    ]
-    if saturated:
-        flags.append("saturated")
-    if beta >= 0.25:
-        flags.append("lb-boundary")
-    rows.append(("flags", ";".join(flags)))
-    for key, value in rows:
-        _print_kv(key, value)
+    p = sticky.evaluate_point(args.beta, args.rho)
+    rows = [("channel", "sticky"), ("rho", p.rho), ("beta", p.beta), ("capacity", p.capacity)]
+    rows += _critical_rows(p.critical_point, "star")
+    rows += [("ball_rate", p.ball_rate), ("gv_rate", p.gv_rate), ("gv_rho_star", p.gv_rho_star)]
+    rows += [("sp_rate", p.sp_rate), ("lb_rate", p.lb_rate)]
+    _print_block(rows, (("saturated", p.saturated), ("lb-boundary", p.lb_boundary)))
     return 0
 
 
@@ -185,47 +151,19 @@ def _cmd_point_synthesis(args: argparse.Namespace) -> int:
     if args.tau is None:
         print("error: synthesis points need --tau", file=sys.stderr)
         return 2
-    tau = args.tau
-    rows: list[tuple[str, object]] = [
-        ("channel", "synthesis"),
-        ("tau", tau),
-        ("capacity", synthesis.capacity(tau)),
-    ]
-    if args.delta is None:
-        rows.append(("flags", ""))
-        for key, value in rows:
-            _print_kv(key, value)
+    p = synthesis.evaluate_point(args.tau, args.delta)
+    rows = [("channel", "synthesis"), ("tau", p.tau), ("capacity", p.capacity)]
+    if p.delta is None:
+        _print_block(rows, ())
         return 0
-    delta = args.delta
-    rows.append(("delta", delta))
-    flags = ["upper-bound"]
-    saturated = False
-    if tau < 2.5:
-        dm, _ = synthesis.delta_max(tau)
-        rows.append(("delta_max", dm))
-        saturated = delta >= dm
-        if 0.0 < delta < 1.0 and not saturated:
-            cp = synthesis.critical_point(tau, delta)
-            rows += [
-                ("x_hat", cp.x),
-                ("y_hat", cp.y),
-                ("z_hat", cp.z),
-                ("residual_norm", cp.residual_norm),
-            ]
-    ball = synthesis.ball_rate_upper(tau, delta)
-    raw_gv = 2.0 * synthesis.capacity(tau) - ball
-    rows += [
-        ("ball_rate_upper", ball),
-        ("gv_rate", synthesis.gv_rate(tau, delta)),
-        ("lb_rate", synthesis.simple_lb_rate(tau, delta)),
-    ]
-    if saturated:
-        flags.append("saturated")
-    if raw_gv < 0.0:
-        flags.append("floored")
-    rows.append(("flags", ";".join(flags)))
-    for key, value in rows:
-        _print_kv(key, value)
+    rows.append(("delta", p.delta))
+    if p.delta_max is not None:
+        rows.append(("delta_max", p.delta_max))
+    rows += _critical_rows(p.critical_point, "hat")
+    rows += [("ball_rate_upper", p.ball_rate_upper), ("gv_rate", p.gv_rate)]
+    rows += [("lb_rate", p.lb_rate)]
+    flags = (("upper-bound", True), ("saturated", p.saturated), ("floored", p.gv_floored))
+    _print_block(rows, flags)
     return 0
 
 
@@ -244,10 +182,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_point(args)
-    except GVBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GVBoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

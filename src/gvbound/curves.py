@@ -1,10 +1,10 @@
 """Bound-curve evaluation and CSV/SVG rendering.
 
 A CurveSpec names a channel, a set of bounds, fixed parameters, and a
-sweep over one parameter; build_curves evaluates every requested bound
-at every sweep point and returns one RateCurve per bound.  Sweep points
-are independent, so large grids are evaluated on a thread pool; output
-order is fixed by the grid regardless of completion order.
+sweep over one parameter; build_curves evaluates the channel's
+evaluate_point record at every sweep point, serially and in grid order,
+and returns one RateCurve per requested bound with the record's value
+and flags for that bound.
 
 The writers are deliberately plain: CSV with %.12g values and UNIX
 newlines, and a fixed-size self-contained SVG line chart, so repeated
@@ -14,16 +14,17 @@ runs of the same spec produce byte-identical files.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import sticky, synthesis
 from .errors import DomainError
-from .numeric import entropy
+from .sticky import StickyPoint
+from .synthesis import SynthesisPoint
 
 __all__ = [
     "CurveSpec",
     "RateCurve",
+    "MAX_STEPS",
     "STICKY_BOUNDS",
     "SYNTHESIS_BOUNDS",
     "build_curves",
@@ -35,16 +36,9 @@ __all__ = [
 
 STICKY_BOUNDS = ("gv", "sp", "lb", "capacity")
 SYNTHESIS_BOUNDS = ("gv", "lb", "capacity")
+MAX_STEPS = 100_000  # largest sweep, checked before the grid is allocated
 
-_PARALLEL_THRESHOLD = 64
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
-
-_LABELS = {
-    "gv": "gv",
-    "sp": "sp",
-    "lb": "lb",
-    "capacity": "capacity",
-}
 
 
 @dataclass(frozen=True)
@@ -71,32 +65,30 @@ class CurveSpec:
                     f"bound {b!r} not available for {self.channel} "
                     f"(choose from {', '.join(allowed)})"
                 )
-        if self.steps < 2:
-            raise DomainError(f"sweep needs steps >= 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise DomainError(
+                f"sweep needs 2 <= steps <= {MAX_STEPS}, got {self.steps}"
+            )
         if not self.lo < self.hi:
             raise DomainError(f"sweep range must satisfy lo < hi, got {self.lo}:{self.hi}")
-        if self.channel == "sticky":
-            if self.sweep_param != "beta":
-                raise DomainError("sticky curves sweep the beta parameter")
-            if self.lo < 0.0 or self.hi > 0.5:
-                raise DomainError(
-                    f"beta sweep must stay within [0, 0.5], got {self.lo}:{self.hi}"
-                )
-        else:
-            if self.sweep_param != "delta":
-                raise DomainError("synthesis curves sweep the delta parameter")
-            if "tau" not in self.fixed:
-                raise DomainError("synthesis curves need a fixed tau")
-            if self.fixed["tau"] <= 1.0:
-                raise DomainError(f"tau must be > 1, got {self.fixed['tau']}")
-            if self.lo < 0.0 or self.hi > 1.0:
-                raise DomainError(
-                    f"delta sweep must stay within [0, 1], got {self.lo}:{self.hi}"
-                )
+        param = "beta" if self.channel == "sticky" else "delta"
+        if self.sweep_param != param:
+            raise DomainError(f"{self.channel} curves sweep the {param} parameter")
+        if self.channel == "synthesis" and "tau" not in self.fixed:
+            raise DomainError("synthesis curves need a fixed tau")
+        # the channel rejects parameters outside its domain
+        self._evaluate(self.lo)
+        self._evaluate(self.hi)
 
     def grid(self) -> list[float]:
         step = (self.hi - self.lo) / (self.steps - 1)
         return [self.lo + k * step for k in range(self.steps)]
+
+    def _evaluate(self, x: float) -> StickyPoint | SynthesisPoint:
+        """The channel's evaluation record at sweep value x."""
+        if self.channel == "sticky":
+            return sticky.evaluate_point(x)
+        return synthesis.evaluate_point(self.fixed["tau"], x)
 
 
 @dataclass(frozen=True)
@@ -107,62 +99,40 @@ class RateCurve:
     rows: tuple[tuple[float, float, tuple[str, ...]], ...]
 
 
-def _eval_sticky(bound: str, beta: float) -> tuple[float, tuple[str, ...]]:
-    if bound == "gv":
-        rate, _ = sticky.gv_rate(beta)
-        flags = ("saturated",) if rate == 0.0 and beta > 0.0 else ()
-        return rate, flags
-    if bound == "sp":
-        return sticky.sp_rate(beta), ()
-    if bound == "lb":
-        value = sticky.simple_lb_rate(beta)
-        return value, ("boundary",) if beta >= 0.25 else ()
-    if bound == "capacity":
-        return 1.0, ()
-    raise DomainError(f"unknown sticky bound {bound!r}")
+def _flags(*named: tuple[str, bool]) -> tuple[str, ...]:
+    return tuple(name for name, on in named if on)
 
 
-def _eval_synthesis(bound: str, tau: float, delta: float) -> tuple[float, tuple[str, ...]]:
-    if bound == "gv":
-        raw = 2.0 * synthesis.capacity(tau) - synthesis.ball_rate_upper(tau, delta)
-        flags = ["upper-bound"]
-        if tau < 2.5 and delta >= synthesis.delta_max(tau)[0]:
-            flags.append("saturated")
-        if raw < 0.0:
-            flags.append("floored")
-        return max(raw, 0.0), tuple(flags)
-    if bound == "lb":
-        raw = synthesis.capacity(tau) - entropy(delta) - delta * math.log2(3.0)
-        return max(raw, 0.0), ("floored",) if raw < 0.0 else ()
-    if bound == "capacity":
-        return synthesis.capacity(tau), ()
-    raise DomainError(f"unknown synthesis bound {bound!r}")
+def _sticky_columns(p: StickyPoint) -> dict[str, tuple[float, tuple[str, ...]]]:
+    return {
+        "gv": (p.gv_rate, _flags(("saturated", p.gv_saturated))),
+        "sp": (p.sp_rate, ()),
+        "lb": (p.lb_rate, _flags(("boundary", p.lb_boundary))),
+        "capacity": (p.capacity, ()),
+    }
+
+
+def _synthesis_columns(p: SynthesisPoint) -> dict[str, tuple[float, tuple[str, ...]]]:
+    gv_flags = _flags(
+        ("upper-bound", True), ("saturated", p.saturated), ("floored", p.gv_floored)
+    )
+    return {
+        "gv": (p.gv_rate, gv_flags),
+        "lb": (p.lb_rate, _flags(("floored", p.lb_floored))),
+        "capacity": (p.capacity, ()),
+    }
 
 
 def build_curves(spec: CurveSpec) -> list[RateCurve]:
     """Evaluate every requested bound over the sweep grid."""
     spec.validate()
     grid = spec.grid()
-
-    def eval_point(x: float) -> list[tuple[float, tuple[str, ...]]]:
-        if spec.channel == "sticky":
-            return [_eval_sticky(b, x) for b in spec.bounds]
-        tau = spec.fixed["tau"]
-        return [_eval_synthesis(b, tau, x) for b in spec.bounds]
-
-    if len(grid) > _PARALLEL_THRESHOLD:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(eval_point, grid))
-    else:
-        results = [eval_point(x) for x in grid]
-
-    curves = []
-    for idx, bound in enumerate(spec.bounds):
-        rows = tuple(
-            (x, results[k][idx][0], results[k][idx][1]) for k, x in enumerate(grid)
-        )
-        curves.append(RateCurve(label=_LABELS[bound], rows=rows))
-    return curves
+    columns = _sticky_columns if spec.channel == "sticky" else _synthesis_columns
+    points = [columns(spec._evaluate(x)) for x in grid]
+    return [
+        RateCurve(label=bound, rows=tuple((x, *p[bound]) for x, p in zip(grid, points)))
+        for bound in spec.bounds
+    ]
 
 
 def _fmt(value: float) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,15 +20,19 @@ from .errors import DomainError, NoRootFoundError, NoSignChangeError, NonConverg
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
+    "NEG_INF",
     "BracketedRoot",
     "RealPolynomial",
     "entropy",
     "binomial_exact",
+    "check_sizes",
+    "mode_sum",
     "find_root_bisection",
     "smallest_positive_root",
 ]
 
 DEFAULT_ROOT_TOL = 1e-12
+NEG_INF = float("-inf")
 
 _BISECTION_MAX_ITER = 200
 _SCAN_INITIAL_CELLS = 1024
@@ -58,6 +63,26 @@ def binomial_exact(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         raise DomainError(f"binomial_exact requires 0 <= k <= n, got n={n}, k={k}")
     return math.comb(n, k)
+
+
+def check_sizes(**sizes) -> None:
+    """Raise DomainError unless every named size is an integer (3.0 is not)."""
+    for name, value in sizes.items():
+        if not isinstance(value, Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def mode_sum(values: np.ndarray, mode: str):
+    """Sum of pair-table entries: exact integers in "exact" mode; in "log2"
+    mode log2 counts with -inf for zero, summed relative to the largest.
+    """
+    if mode == "exact":
+        return sum(values.reshape(-1).tolist())
+    finite = values[values > NEG_INF]
+    if finite.size == 0:
+        return NEG_INF
+    m = float(finite.max())
+    return m + math.log2(np.exp2(finite - m).sum())
 
 
 @dataclass(frozen=True)

@@ -19,20 +19,19 @@ density delta = 2*beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, MemoryBudgetError, SizeLimitError
-from .numeric import binomial_exact, entropy
+from .numeric import NEG_INF, binomial_exact, check_sizes, entropy, mode_sum
 
 __all__ = [
     "Composition",
     "StickyCriticalPoint",
+    "StickyPoint",
     "PairCountTable",
     "compositions",
     "l1_distance",
@@ -51,14 +50,15 @@ __all__ = [
     "sp_rate",
     "simple_lb_rate",
     "capacity_runs",
+    "evaluate_point",
 ]
-
-NEG_INF = float("-inf")
 
 _BRUTEFORCE_PAIR_LIMIT = 10 ** 7
 _CONFUSABLE_ENUM_LIMIT = 10 ** 6
 _TABLE_CELL_BUDGET = 1 << 26
 _ARGMAX_GRID_POINTS = 512
+_ARGMAX_ZOOMS = 4
+_LB_BOUNDARY = 0.25  # insertion density from which the crude bound is zero
 
 
 @dataclass(frozen=True)
@@ -185,17 +185,11 @@ class PairCountTable:
     def total(self, n1: int, n2: int, s_cap: int):
         """Sum of entries over s <= s_cap at fixed (n1, n2)."""
         s_cap = min(s_cap, self.s_max)
-        row = self.entries[n1, n2, : s_cap + 1]
-        if self.mode == "exact":
-            return sum(row.tolist())
-        finite = row[row > NEG_INF]
-        if finite.size == 0:
-            return NEG_INF
-        m = float(finite.max())
-        return m + math.log2(np.exp2(finite - m).sum())
+        return mode_sum(self.entries[n1, n2, : s_cap + 1], self.mode)
 
 
 def _check_table_dims(n1_max: int, n2_max: int, r_max: int, s_max: int, mode: str) -> None:
+    check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
     if min(n1_max, n2_max, r_max, s_max) < 0:
         raise DomainError("table dimensions must be >= 0")
     if mode not in ("exact", "log2"):
@@ -270,6 +264,7 @@ def pair_count_table(
 
 def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
     """Number of ordered pairs in S(n1,r) x S(n2,r) at L1 distance s."""
+    check_sizes(n1=n1, n2=n2, r=r, s=s)
     if min(n1, n2, r, s) < 0:
         return 0 if mode == "exact" else NEG_INF
     if r == 0:
@@ -357,9 +352,9 @@ def critical_point_closed_form(rho: float, delta: float) -> StickyCriticalPoint:
     """
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must be in (0,1), got {rho}")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError(f"delta must be > 0, got {delta}")
-    if 2.0 - delta - 2.0 * rho <= 0.0:
+    if not 2.0 - delta - 2.0 * rho > 0.0:
         raise DomainError(
             f"point exists only for 2 - delta - 2*rho > 0, got rho={rho}, delta={delta}"
         )
@@ -382,6 +377,15 @@ def beta_max(rho: float) -> float:
     return (1.0 - rho) / (2.0 - rho)
 
 
+def _ball_branch(rho: float, beta: float) -> str:
+    """Piece of ball_rate that applies at (rho, beta)."""
+    if beta == 0.0:
+        return "diagonal"
+    if beta >= beta_max(rho):
+        return "saturated"
+    return "smooth"
+
+
 def ball_rate(rho: float, beta: float) -> float:
     """Asymptotic exponent of the total ball size at radius density 2*beta.
 
@@ -391,11 +395,12 @@ def ball_rate(rho: float, beta: float) -> float:
     """
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must be in (0,1), got {rho}")
-    if beta < 0.0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
-    if beta == 0.0:
+    if not 0.0 <= beta < math.inf:
+        raise DomainError(f"beta must be finite and >= 0, got {beta}")
+    branch = _ball_branch(rho, beta)
+    if branch == "diagonal":
         return entropy(rho)
-    if beta >= beta_max(rho):
+    if branch == "saturated":
         return 2.0 * entropy(rho)
     root = math.hypot(rho, 2.0 * beta)
     # conjugate forms keep the differences positive for extreme rho/beta ratios
@@ -418,6 +423,11 @@ def capacity_runs(rho: float) -> float:
     return entropy(rho)
 
 
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 0.5:
+        raise DomainError(f"beta must be in [0, 0.5], got {beta}")
+
+
 def _gv_objective(rho: float, beta: float) -> float:
     return 2.0 * entropy(rho) - ball_rate(rho, beta)
 
@@ -427,50 +437,37 @@ def _gv_closed_form_rho(beta: float) -> float:
 
 
 def _gv_numeric_argmax(beta: float) -> tuple[float, float]:
-    """Grid scan plus local refinement of the rate objective over rho."""
+    """(value, rho) of a numeric argmax of the rate objective, for checks.
+
+    Scans rho in (0,1), then rescans the two cells around the best point.
+    """
     lo, hi = 1e-9, 1.0 - 1e-9
-    grid = np.linspace(lo, hi, _ARGMAX_GRID_POINTS)
-    values = np.array([_gv_objective(float(g), beta) for g in grid])
-    k = int(values.argmax())
-    cell_lo = grid[max(k - 1, 0)]
-    cell_hi = grid[min(k + 1, grid.size - 1)]
-    result = minimize_scalar(
-        lambda rho: -_gv_objective(float(rho), beta),
-        bounds=(float(cell_lo), float(cell_hi)),
-        method="bounded",
-        options={"xatol": 1e-11},
-    )
-    best_rho = float(result.x)
-    best_val = _gv_objective(best_rho, beta)
-    if values[k] > best_val:
-        best_rho, best_val = float(grid[k]), float(values[k])
-    return best_val, best_rho
+    for _ in range(_ARGMAX_ZOOMS):
+        grid = np.linspace(lo, hi, _ARGMAX_GRID_POINTS)
+        values = [_gv_objective(float(g), beta) for g in grid]
+        k = int(np.argmax(values))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    return values[k], float(grid[k])
 
 
 def gv_rate(beta: float) -> tuple[float, float]:
     """Best Gilbert-Varshamov rate over the run density, with its argmax.
 
-    Evaluates the objective 2*H(rho) - ball_rate(rho, beta) both at the
-    closed-form candidate rho = (3(1-beta) - sqrt(9 beta^2 - 2 beta + 1))/4
-    and at a numeric argmax over rho in (0,1), and returns the larger
-    (the closed form on ties).  Returns (rate, rho_star).
+    Maximizes the objective 2*H(rho) - ball_rate(rho, beta) at the
+    closed-form argmax rho = (3(1-beta) - sqrt(9 beta^2 - 2 beta + 1))/4;
+    `gvbound verify sticky` checks it against a numeric argmax.  Returns
+    (rate, rho_star), the rate floored at zero.
     """
-    if not 0.0 <= beta <= 0.5:
-        raise DomainError(f"beta must be in [0, 0.5], got {beta}")
+    _check_beta(beta)
     if beta == 0.5:
         return 0.0, 0.0
-    rho_cf = _gv_closed_form_rho(beta)
-    val_cf = _gv_objective(rho_cf, beta) if 0.0 < rho_cf < 1.0 else NEG_INF
-    val_num, rho_num = _gv_numeric_argmax(beta)
-    if val_cf >= val_num - 1e-12:
-        return max(val_cf, 0.0), rho_cf
-    return max(val_num, 0.0), rho_num
+    rho = _gv_closed_form_rho(beta)
+    return max(_gv_objective(rho, beta), 0.0), rho
 
 
 def sp_rate(beta: float) -> float:
     """Sphere-packing upper bound on the rate at insertion density beta."""
-    if beta < 0.0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
+    _check_beta(beta)
     arg = (1.0 + beta) / (1.0 + 2.0 * beta)
     return (1.0 + 2.0 * beta) * (1.0 - entropy(arg))
 
@@ -482,15 +479,61 @@ def simple_lb_rate(beta: float) -> float:
     that density leaves the valid range at beta = 1/4, where the formula
     value reaches zero, so the bound is zero from there on.
     """
-    if beta < 0.0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
+    _check_beta(beta)
     if beta == 0.0:
         return math.log2(3.0) - 1.0
-    if beta >= 0.25:
+    if beta >= _LB_BOUNDARY:
         return 0.0
     return (
         2.0 * beta
         - 1.0
         - (1.0 + 2.0 * beta) * math.log2((1.0 + 2.0 * beta) / 3.0)
         + 2.0 * beta * math.log2(beta)
+    )
+
+
+@dataclass(frozen=True)
+class StickyPoint:
+    """One sticky-channel evaluation: every printed value, branch and flag.
+
+    The bounds depend on beta alone; capacity is H(rho), or its maximum 1
+    without a rho.  The ball fields are set only with a rho: branch is the
+    piece of ball_rate taken (diagonal, smooth or saturated), and
+    critical_point is set on the smooth piece.  gv_saturated (the GV rate
+    is 0 at beta > 0) and saturated (the ball covers all pairs at this
+    rho) are distinct facts; lb_boundary marks beta >= 1/4.
+    """
+
+    beta: float
+    capacity: float
+    gv_rate: float
+    gv_rho_star: float
+    sp_rate: float
+    lb_rate: float
+    gv_saturated: bool
+    lb_boundary: bool
+    rho: float | None = None
+    branch: str | None = None
+    ball_rate: float | None = None
+    critical_point: StickyCriticalPoint | None = None
+    saturated: bool = False
+
+
+def evaluate_point(beta: float, rho: float | None = None) -> StickyPoint:
+    """Evaluate every bound at insertion density beta, and the ball at rho."""
+    gv, rho_star = gv_rate(beta)
+    point = StickyPoint(
+        beta=beta, capacity=1.0, gv_rate=gv, gv_rho_star=rho_star,
+        sp_rate=sp_rate(beta), lb_rate=simple_lb_rate(beta),
+        gv_saturated=gv == 0.0 and beta > 0.0, lb_boundary=beta >= _LB_BOUNDARY,
+    )
+    if rho is None:
+        return point
+    capacity = capacity_runs(rho)
+    ball = ball_rate(rho, beta)
+    branch = _ball_branch(rho, beta)
+    cp = critical_point_closed_form(rho, 2.0 * beta) if branch == "smooth" else None
+    return replace(
+        point, capacity=capacity, rho=rho, branch=branch, ball_rate=ball,
+        critical_point=cp, saturated=branch == "saturated",
     )

@@ -30,13 +30,21 @@ import numpy as np
 
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, MemoryBudgetError, SizeLimitError
-from .numeric import RealPolynomial, entropy, smallest_positive_root
+from .numeric import (
+    NEG_INF,
+    RealPolynomial,
+    check_sizes,
+    entropy,
+    mode_sum,
+    smallest_positive_root,
+)
 
 __all__ = [
     "ALPHABET",
     "Strand",
     "SynthesisCriticalPoint",
     "SynthesisPairTable",
+    "SynthesisPoint",
     "synthesis_time",
     "hamming_distance",
     "count_words_by_time",
@@ -51,9 +59,8 @@ __all__ = [
     "ball_rate_upper",
     "gv_rate",
     "simple_lb_rate",
+    "evaluate_point",
 ]
-
-NEG_INF = float("-inf")
 
 ALPHABET = "ACGT"
 _RANK = {"A": 1, "C": 2, "G": 3, "T": 4}
@@ -63,6 +70,7 @@ LOG2_3 = math.log2(3.0)
 _BRUTEFORCE_WORD_LIMIT = 4096
 _TABLE_CELL_BUDGET = 1 << 26
 _ROOT_SCAN_MAX = 10.0
+_TAU_FREE = 2.5  # cycle density from which every strand is producible
 
 Strand = str
 
@@ -155,14 +163,7 @@ class SynthesisPairTable:
             return zero
         if t >= self.entries.shape[1] or s >= self.entries.shape[2]:
             return zero
-        col = self.entries[:, t, s]
-        if self.mode == "exact":
-            return sum(col.tolist())
-        finite = col[col > NEG_INF]
-        if finite.size == 0:
-            return NEG_INF
-        m = float(finite.max())
-        return m + math.log2(np.exp2(finite - m).sum())
+        return mode_sum(self.entries[:, t, s], self.mode)
 
     def total(self, t_cap: int, s_cap: int):
         """Pairs with combined time <= t_cap and distance <= s_cap."""
@@ -170,14 +171,7 @@ class SynthesisPairTable:
         s_cap = min(s_cap, self.entries.shape[2] - 1)
         if t_cap < 0 or s_cap < 0:
             return 0 if self.mode == "exact" else NEG_INF
-        block = self.entries[:, : t_cap + 1, : s_cap + 1]
-        if self.mode == "exact":
-            return sum(block.reshape(-1).tolist())
-        finite = block[block > NEG_INF]
-        if finite.size == 0:
-            return NEG_INF
-        m = float(finite.max())
-        return m + math.log2(np.exp2(finite - m).sum())
+        return mode_sum(self.entries[:, : t_cap + 1, : s_cap + 1], self.mode)
 
 
 def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
@@ -189,6 +183,7 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     matches exactly when the new difference is 0.  This is 16 constant
     transitions per state.
     """
+    check_sizes(n=n)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if mode not in ("exact", "log2"):
@@ -230,6 +225,7 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
 
 def count_pairs_exact(n: int, t: int, s: int, mode: str = "exact"):
     """Ordered strand pairs at combined time t and Hamming distance s."""
+    check_sizes(n=n, t=t, s=s)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     return pair_count_table(n, mode).count(t, s)
@@ -315,6 +311,11 @@ def _poly_eval(coeffs: list[float], y: float) -> float:
     return acc
 
 
+def _check_tau(tau: float) -> None:
+    if not 1.0 < tau < math.inf:
+        raise DomainError(f"tau must be > 1 and finite, got {tau}")
+
+
 @lru_cache(maxsize=None)
 def capacity(tau: float) -> float:
     """Exponent of the number of strands producible in tau cycles per symbol.
@@ -323,9 +324,8 @@ def capacity(tau: float) -> float:
     (4-tau) y^3 + (3-tau) y^2 + (2-tau) y + (1-tau); from 5/2 on every
     strand is producible and the rate is the full 2 bits.
     """
-    if tau <= 1.0:
-        raise DomainError(f"tau must be > 1, got {tau}")
-    if tau >= 2.5:
+    _check_tau(tau)
+    if tau >= _TAU_FREE:
         return 2.0
     cubic = RealPolynomial([1.0 - tau, 2.0 - tau, 3.0 - tau, 4.0 - tau])
     y = smallest_positive_root(cubic, _ROOT_SCAN_MAX).root
@@ -340,8 +340,7 @@ def critical_point(tau: float, delta: float) -> SynthesisCriticalPoint:
     equation cleared to a single polynomial; x and z follow in closed
     form.  Valid for 0 < delta < 1.
     """
-    if tau <= 1.0:
-        raise DomainError(f"tau must be > 1, got {tau}")
+    _check_tau(tau)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0,1), got {delta}")
     coeffs = [
@@ -368,7 +367,7 @@ def delta_max(tau: float) -> tuple[float, float]:
     delta = 2 y (1 + y + y^2) / ((1 + y^4) + 2 y (1 + y + y^2)).
     Returns (delta_max, y_min).
     """
-    if not 1.0 < tau < 2.5:
+    if not 1.0 < tau < _TAU_FREE:
         raise DomainError(f"tau must be in (1, 2.5), got {tau}")
     tg_minus_b = [tau * g - b for g, b in zip(_POLY_G, _POLY_B0)]
     lhs = _conv(_POLY_D, tg_minus_b)
@@ -379,43 +378,79 @@ def delta_max(tau: float) -> tuple[float, float]:
     return dm, y
 
 
-def ball_rate_upper(tau: float, delta: float) -> float:
-    """Upper bound on the exponent of the total ball size.
+@dataclass(frozen=True)
+class SynthesisPoint:
+    """One synthesis-channel evaluation: every printed value, branch and flag.
 
-    Piecewise in (tau, delta).  For tau >= 5/2 the space is unconstrained
-    and the bound is the quaternary Hamming-ball exponent 2 + H(delta) +
-    delta*log2(3), capped at 4 from delta = 3/4 on.  For tau < 5/2 the
-    bound follows the critical point until the saturating density
-    delta_max, where it reaches twice the capacity and stays there.  At
-    delta = 0 only the diagonal pairs remain and the value is the
-    capacity itself.
+    Without a delta only tau and capacity are set.  branch is the piece of
+    the ball rate bound taken (unconstrained, diagonal, saturated or
+    smooth); delta_max is set when tau < 5/2, critical_point on the smooth
+    piece.  gv_floored and lb_floored mark bounds floored at zero.
     """
-    if tau <= 1.0:
-        raise DomainError(f"tau must be > 1, got {tau}")
+
+    tau: float
+    capacity: float
+    delta: float | None = None
+    branch: str | None = None
+    delta_max: float | None = None
+    critical_point: SynthesisCriticalPoint | None = None
+    ball_rate_upper: float | None = None
+    gv_rate: float | None = None
+    lb_rate: float | None = None
+    saturated: bool = False
+    gv_floored: bool = False
+    lb_floored: bool = False
+
+
+def evaluate_point(tau: float, delta: float | None = None) -> SynthesisPoint:
+    """Evaluate the capacity at tau and, given delta, the ball and the bounds.
+
+    The ball rate bound is piecewise in (tau, delta).  For tau >= 5/2 the
+    space is unconstrained and the bound is the quaternary Hamming-ball
+    exponent 2 + H(delta) + delta*log2(3), capped at 4 from delta = 3/4
+    on.  For tau < 5/2 it is the capacity itself at delta = 0, where only
+    the diagonal pairs remain; it follows the critical point up to the
+    saturating density delta_max; and from there on it is twice the
+    capacity.
+    """
+    _check_tau(tau)
+    cap = capacity(tau)
+    if delta is None:
+        return SynthesisPoint(tau=tau, capacity=cap)
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must be in [0,1], got {delta}")
-    if tau >= 2.5:
-        if delta >= 0.75:
-            return 4.0
-        return 2.0 + entropy(delta) + delta * LOG2_3
-    if delta == 0.0:
-        return capacity(tau)
-    dm, _ = delta_max(tau)
-    if delta >= dm:
-        return 2.0 * capacity(tau)
-    cp = critical_point(tau, delta)
-    return (
-        -math.log2(cp.x) - 2.0 * tau * math.log2(cp.y) - delta * math.log2(cp.z)
+    dm = cp = None
+    if tau >= _TAU_FREE:
+        branch = "unconstrained"
+        ball = 4.0 if delta >= 0.75 else 2.0 + entropy(delta) + delta * LOG2_3
+    else:
+        dm, _ = delta_max(tau)
+        if delta == 0.0:
+            branch, ball = "diagonal", cap
+        elif delta >= dm:
+            branch, ball = "saturated", 2.0 * cap
+        else:
+            branch = "smooth"
+            cp = critical_point(tau, delta)
+            ball = -math.log2(cp.x) - 2.0 * tau * math.log2(cp.y) - delta * math.log2(cp.z)
+    gv = 2.0 * cap - ball
+    lb = cap - entropy(delta) - delta * LOG2_3
+    return SynthesisPoint(
+        tau=tau, capacity=cap, delta=delta, branch=branch, delta_max=dm,
+        critical_point=cp, ball_rate_upper=ball, gv_rate=max(gv, 0.0),
+        lb_rate=max(lb, 0.0), saturated=branch == "saturated",
+        gv_floored=gv < 0.0, lb_floored=lb < 0.0,
     )
+
+
+def ball_rate_upper(tau: float, delta: float) -> float:
+    """Upper bound on the exponent of the total ball size (see evaluate_point)."""
+    return evaluate_point(tau, delta).ball_rate_upper
 
 
 def gv_rate(tau: float, delta: float) -> float:
     """Gilbert-Varshamov lower bound 2*Cap - ball rate, floored at zero."""
-    if tau <= 1.0:
-        raise DomainError(f"tau must be > 1, got {tau}")
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must be in [0,1], got {delta}")
-    return max(2.0 * capacity(tau) - ball_rate_upper(tau, delta), 0.0)
+    return evaluate_point(tau, delta).gv_rate
 
 
 def simple_lb_rate(tau: float, delta: float) -> float:
@@ -424,8 +459,4 @@ def simple_lb_rate(tau: float, delta: float) -> float:
     Uses the coarse ball estimate C(n, d) * 3^d, which is meaningful for
     delta up to 3/4.
     """
-    if tau <= 1.0:
-        raise DomainError(f"tau must be > 1, got {tau}")
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must be in [0,1], got {delta}")
-    return max(capacity(tau) - entropy(delta) - delta * LOG2_3, 0.0)
+    return evaluate_point(tau, delta).lb_rate

@@ -203,6 +203,13 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
                 return False, f"ordering broken at beta={b:.2f}: {lb} / {gv} / {sp}"
         return True, "lb <= gv <= sp on beta in 0.01..0.24"
 
+    def gv_argmax() -> tuple[bool, str]:
+        worst = max(
+            abs(sticky._gv_numeric_argmax(b)[0] - sticky.gv_rate(b)[0])
+            for b in (0.01 * k for k in range(1, 50))
+        )
+        return worst <= 1e-12, f"max rate gap {worst:.2e} on beta in 0.01..0.49"
+
     return [
         ("pair-count oracle equivalence", oracle_equivalence),
         ("pair mass identity", mass_identity),
@@ -212,6 +219,7 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         ("explicit vs critical-point rate", dual_route),
         ("knee continuity", knee_continuity),
         ("bound ordering", bound_ordering),
+        ("closed-form GV argmax vs numeric argmax", gv_argmax),
     ]
 
 

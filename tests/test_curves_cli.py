@@ -3,11 +3,13 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gvbound import cli
 from gvbound.curves import (
+    MAX_STEPS,
     CurveSpec,
     build_curves,
     render_svg,
@@ -16,6 +18,8 @@ from gvbound.curves import (
     write_svg,
 )
 from gvbound.errors import DomainError
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 def parse_kv(out: str) -> dict[str, str]:
@@ -67,6 +71,13 @@ def test_curve_spec_rejects_bad_requests():
         ).validate()
 
 
+def test_curve_spec_caps_steps_before_allocating():
+    CurveSpec("sticky", ("gv",), "beta", 0.0, 0.4, MAX_STEPS).validate()
+    with pytest.raises(DomainError):
+        CurveSpec("sticky", ("gv",), "beta", 0.0, 0.4, 10 ** 9).validate()
+    assert MAX_STEPS >= 10 * 2000
+
+
 def test_grid_includes_both_endpoints():
     spec = sticky_spec(steps=8)
     grid = spec.grid()
@@ -103,8 +114,7 @@ def test_build_curves_synthesis_flags():
 
 
 def test_build_curves_parallel_path_matches_serial():
-    # ThreadPoolExecutor kicks in above 64 points; results must be
-    # identical to the sequential evaluation of the same grid
+    # gv rows must not depend on which other bounds are requested
     wide = build_curves(sticky_spec(steps=80))
     narrow = build_curves(sticky_spec(steps=80, bounds=("gv",)))
     wide_gv = next(c for c in wide if c.label == "gv")
@@ -285,3 +295,50 @@ def test_console_script_entry_point():
     assert "curve" in proc.stdout
     assert "verify" in proc.stdout
     assert "point" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("sticky_bounds.csv", ["curve", "--channel", "sticky", "--beta-range", "0:0.49:50"]),
+        (
+            "sticky_bounds.svg",
+            ["curve", "--channel", "sticky", "--beta-range", "0:0.49:50", "--format", "svg"],
+        ),
+        (
+            "synth_t15.csv",
+            ["curve", "--channel", "synthesis", "--tau", "1.5", "--delta-range", "0:0.75:76"],
+        ),
+        (
+            "synth_t20.csv",
+            ["curve", "--channel", "synthesis", "--tau", "2.0", "--delta-range", "0:0.75:76"],
+        ),
+        ("point_sticky.txt", ["point", "--channel", "sticky", "--rho", "0.5", "--beta", "0.125"]),
+        ("point_synthesis.txt", ["point", "--channel", "synthesis", "--tau", "2", "--delta", "0.3"]),
+        ("point_synthesis_capacity.txt", ["point", "--channel", "synthesis", "--tau", "2.5"]),
+    ],
+)
+def test_readme_outputs_match_reference_bytes(tmp_path, capsys, name, argv):
+    out = tmp_path / name
+    if argv[0] == "curve":
+        argv = argv + ["--output", str(out)]
+    code = cli.main(argv)
+    assert code == 0
+    if argv[0] == "point":
+        out.write_text(capsys.readouterr().out)
+    assert out.read_bytes() == (REFERENCE / name).read_bytes()
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, gvbound, gvbound.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,166 @@
+"""Tests for the per-point evaluation records and the input domains."""
+
+import dataclasses
+import math
+
+import pytest
+
+from gvbound import cli, sticky, synthesis
+from gvbound.errors import DomainError
+from gvbound.numeric import entropy
+
+# ------------------------------------------------------------- sticky records
+
+
+def test_sticky_point_diagonal_branch():
+    p = sticky.evaluate_point(0.0, 0.3)
+    assert p.branch == "diagonal"
+    assert p.ball_rate == pytest.approx(entropy(0.3), abs=1e-15)
+    assert p.capacity == pytest.approx(entropy(0.3), abs=1e-15)
+    assert p.critical_point is None
+    assert not (p.saturated or p.gv_saturated or p.lb_boundary)
+
+
+def test_sticky_point_smooth_branch():
+    p = sticky.evaluate_point(0.125, 0.5)
+    assert p.branch == "smooth"
+    assert p.ball_rate == pytest.approx(1.7298770110682415, abs=1e-12)
+    assert p.critical_point == sticky.critical_point_closed_form(0.5, 0.25)
+    assert p.critical_point.residual_norm <= 1e-9
+    assert (p.gv_rate, p.gv_rho_star) == sticky.gv_rate(0.125)
+    assert p.sp_rate == sticky.sp_rate(0.125)
+    assert p.lb_rate == sticky.simple_lb_rate(0.125)
+    assert not (p.saturated or p.gv_saturated or p.lb_boundary)
+
+
+def test_sticky_point_saturated_ball_is_not_a_saturated_gv_rate():
+    p = sticky.evaluate_point(0.4, 0.5)
+    assert p.branch == "saturated"
+    assert p.saturated
+    assert p.ball_rate == 2.0
+    assert p.critical_point is None
+    # the ball covers all pairs at rho = 1/2, yet the best rho keeps gv > 0
+    assert p.gv_rate > 0.0
+    assert not p.gv_saturated
+    assert p.lb_boundary
+
+
+def test_sticky_point_without_rho_has_no_ball():
+    p = sticky.evaluate_point(0.5)
+    assert p.capacity == 1.0
+    assert p.gv_rate == 0.0
+    assert p.gv_saturated
+    assert p.lb_boundary
+    assert (p.rho, p.branch, p.ball_rate, p.critical_point) == (None,) * 4
+    assert not p.saturated
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.gv_rate = 1.0
+
+
+# ---------------------------------------------------------- synthesis records
+
+
+def test_synthesis_point_capacity_only():
+    p = synthesis.evaluate_point(2.5)
+    assert p.capacity == 2.0
+    assert p.delta is None
+    assert p.branch is None
+    assert (p.ball_rate_upper, p.gv_rate, p.lb_rate) == (None, None, None)
+    assert not (p.saturated or p.gv_floored or p.lb_floored)
+
+
+def test_synthesis_point_unconstrained_branch():
+    p = synthesis.evaluate_point(3.0, 0.5)
+    assert p.branch == "unconstrained"
+    assert p.delta_max is None
+    assert p.critical_point is None
+    assert p.ball_rate_upper == pytest.approx(
+        2.0 + entropy(0.5) + 0.5 * math.log2(3.0), abs=1e-12
+    )
+    assert synthesis.evaluate_point(3.0, 0.9).ball_rate_upper == 4.0
+
+
+def test_synthesis_point_diagonal_branch():
+    p = synthesis.evaluate_point(2.0, 0.0)
+    assert p.branch == "diagonal"
+    assert p.ball_rate_upper == p.capacity
+    assert p.delta_max == synthesis.delta_max(2.0)[0]
+    assert p.critical_point is None
+    assert p.lb_rate == p.capacity
+
+
+def test_synthesis_point_smooth_branch():
+    p = synthesis.evaluate_point(2.0, 0.3)
+    assert p.branch == "smooth"
+    assert p.critical_point == synthesis.critical_point(2.0, 0.3)
+    assert p.gv_rate == pytest.approx(0.5343209657080084, abs=1e-10)
+    assert p.ball_rate_upper == synthesis.ball_rate_upper(2.0, 0.3)
+    assert p.gv_rate == synthesis.gv_rate(2.0, 0.3)
+    assert p.lb_rate == synthesis.simple_lb_rate(2.0, 0.3)
+    assert not (p.saturated or p.gv_floored or p.lb_floored)
+
+
+def test_synthesis_point_saturated_branch():
+    p = synthesis.evaluate_point(2.0, 0.73)
+    assert p.branch == "saturated"
+    assert p.saturated
+    assert p.ball_rate_upper == 2.0 * p.capacity
+    assert p.critical_point is None
+    assert p.gv_rate == 0.0
+    assert p.lb_rate == 0.0
+    assert p.lb_floored
+
+
+# -------------------------------------------------------------- input domains
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("sticky.ball_rate", (0.5, math.nan)),
+        ("sticky.ball_rate", (0.5, math.inf)),
+        ("sticky.ball_rate", (math.nan, 0.1)),
+        ("sticky.simple_lb_rate", (math.nan,)),
+        ("sticky.sp_rate", (0.7,)),
+        ("sticky.sp_rate", (math.nan,)),
+        ("sticky.gv_rate", (math.nan,)),
+        ("sticky.critical_point_closed_form", (0.5, math.nan)),
+        ("sticky.evaluate_point", (0.1, math.nan)),
+        ("sticky.evaluate_point", (math.inf,)),
+        ("synthesis.capacity", (math.nan,)),
+        ("synthesis.capacity", (math.inf,)),
+        ("synthesis.gv_rate", (math.nan, 0.1)),
+        ("synthesis.simple_lb_rate", (2.0, math.nan)),
+        ("synthesis.critical_point", (math.inf, 0.1)),
+        ("synthesis.evaluate_point", (2.0, math.nan)),
+        ("synthesis.evaluate_point", (-math.inf,)),
+    ],
+)
+def test_nan_and_inf_raise_domain_error(name, args):
+    module, fn = name.split(".")
+    with pytest.raises(DomainError):
+        getattr({"sticky": sticky, "synthesis": synthesis}[module], fn)(*args)
+
+
+def test_cli_point_rejects_nan_tau(capsys):
+    code = cli.main(["point", "--channel", "synthesis", "--tau", "nan"])
+    assert code == 2
+    assert "error: tau must be" in capsys.readouterr().err
+
+
+def test_sticky_count_pairs_rejects_non_integer_sizes():
+    with pytest.raises(DomainError):
+        sticky.count_pairs_exact(3.5, 3, 2, 1)
+    with pytest.raises(DomainError):
+        sticky.count_pairs_exact(3, 3, 2, 1.0, mode="log2")
+    with pytest.raises(DomainError):
+        sticky.pair_count_table(3, 3.5, 2, 1)
+
+
+def test_synthesis_count_pairs_rejects_non_integer_sizes():
+    with pytest.raises(DomainError):
+        synthesis.count_pairs_exact(3.5, 3, 1)
+    with pytest.raises(DomainError):
+        synthesis.count_pairs_exact(3, 3, 1.5, mode="log2")
+    with pytest.raises(DomainError):
+        synthesis.pair_count_table(2.0)
