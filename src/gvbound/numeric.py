@@ -1,7 +1,8 @@
-"""Shared numeric primitives: entropy, exact binomials, 1-D root finding.
+"""Shared numeric primitives: entropy, exact binomials, count modes, 1-D root finding.
 
 Probabilities and densities are plain floats validated at the boundary
-(a value in [0, 1]); counts are arbitrary-precision Python integers.
+(a value in [0, 1]); counts are arbitrary-precision Python integers, or
+their log2 in the "log2" count mode of the pair-count tables (CountMode).
 All logarithms are base 2, so every rate in the package is measured in
 bits per symbol.
 """
@@ -16,23 +17,28 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DomainError, NoRootFoundError, NoSignChangeError, NonConvergenceError
+from .errors import (
+    DomainError, MemoryBudgetError, NoRootFoundError, NoSignChangeError, NonConvergenceError,
+)
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
     "NEG_INF",
+    "TABLE_CELL_BUDGET",
     "BracketedRoot",
+    "CountMode",
     "RealPolynomial",
     "entropy",
     "binomial_exact",
     "check_sizes",
-    "mode_sum",
+    "count_mode",
     "find_root_bisection",
     "smallest_positive_root",
 ]
 
 DEFAULT_ROOT_TOL = 1e-12
 NEG_INF = float("-inf")
+TABLE_CELL_BUDGET = 1 << 26
 
 _BISECTION_MAX_ITER = 200
 _SCAN_INITIAL_CELLS = 1024
@@ -72,17 +78,51 @@ def check_sizes(**sizes) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-def mode_sum(values: np.ndarray, mode: str):
-    """Sum of pair-table entries: exact integers in "exact" mode; in "log2"
-    mode log2 counts with -inf for zero, summed relative to the largest.
+@dataclass(frozen=True)
+class CountMode:
+    """How a pair-count table stores counts: "exact" keeps Python integers
+    in an object array and adds them with np.add; "log2" keeps float64 log2
+    counts, -inf for zero, and adds them with np.logaddexp2.
     """
-    if mode == "exact":
-        return sum(values.reshape(-1).tolist())
-    finite = values[values > NEG_INF]
-    if finite.size == 0:
-        return NEG_INF
-    m = float(finite.max())
-    return m + math.log2(np.exp2(finite - m).sum())
+
+    name: str
+    zero: object
+    one: object
+    dtype: type
+    add: np.ufunc
+
+    def blank(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A table of zero counts; MemoryBudgetError above TABLE_CELL_BUDGET cells."""
+        cells = math.prod(shape)
+        if cells > TABLE_CELL_BUDGET:
+            raise MemoryBudgetError(
+                f"pair table needs {cells} cells per layer, budget is {TABLE_CELL_BUDGET}"
+            )
+        return np.full(shape, self.zero, dtype=self.dtype)
+
+    def sum(self, values: np.ndarray):
+        """Sum of table entries; log2 counts are summed relative to the largest."""
+        if self.name == "exact":
+            return sum(values.reshape(-1).tolist())
+        finite = values[values > NEG_INF]
+        if finite.size == 0:
+            return NEG_INF
+        m = float(finite.max())
+        return m + math.log2(np.exp2(finite - m).sum())
+
+
+_COUNT_MODES = (
+    CountMode("exact", 0, 1, object, np.add),
+    CountMode("log2", NEG_INF, 0.0, np.float64, np.logaddexp2),
+)
+
+
+def count_mode(mode: str) -> CountMode:
+    """The count mode named "exact" or "log2"; DomainError for any other name."""
+    for cm in _COUNT_MODES:
+        if cm.name == mode:
+            return cm
+    raise DomainError(f"mode must be 'exact' or 'log2', got {mode!r}")
 
 
 @dataclass(frozen=True)

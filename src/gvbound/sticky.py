@@ -27,8 +27,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import acsv
-from .errors import DimensionMismatchError, DomainError, MemoryBudgetError, SizeLimitError
-from .numeric import NEG_INF, binomial_exact, check_sizes, entropy, mode_sum
+from .errors import DimensionMismatchError, DomainError, SizeLimitError
+from .numeric import NEG_INF, CountMode, binomial_exact, check_sizes, count_mode, entropy
 
 __all__ = [
     "Composition",
@@ -59,7 +59,6 @@ __all__ = [
 
 _BRUTEFORCE_PAIR_LIMIT = 10 ** 7
 _CONFUSABLE_ENUM_LIMIT = 10 ** 6
-_TABLE_CELL_BUDGET = 1 << 26
 _ARGMAX_GRID_POINTS = 512
 _ARGMAX_ZOOMS = 4
 _LB_BOUNDARY = 0.25  # insertion density from which the crude bound is zero
@@ -90,8 +89,13 @@ class Composition:
 
 def compositions(n: int, r: int) -> Iterator[Composition]:
     """All compositions of n into exactly r positive parts."""
+    check_sizes(n=n, r=r)
     if n < 0 or r < 0:
         raise DomainError(f"n and r must be >= 0, got n={n}, r={r}")
+    return _compositions(n, r)
+
+
+def _compositions(n: int, r: int) -> Iterator[Composition]:
     if r == 0:
         return
     if r == 1:
@@ -99,7 +103,7 @@ def compositions(n: int, r: int) -> Iterator[Composition]:
             yield Composition((n,))
         return
     for first in range(1, n - r + 2):
-        for rest in compositions(n - first, r - 1):
+        for rest in _compositions(n - first, r - 1):
             yield Composition((first,) + rest.parts)
 
 
@@ -163,46 +167,27 @@ class PairCountTable:
 
     entries[n1, n2, s] is the number of ordered composition pairs
     (u, v) with u summing to n1, v summing to n2, both with exactly
-    `r` parts, at L1 distance exactly s.  In log2 mode entries hold
-    log2 counts with -inf marking zero.
+    `r` parts, at L1 distance exactly s, stored in the count mode `mode`.
     """
 
-    mode: str
+    mode: CountMode
     r: int
-    n1_max: int
-    n2_max: int
-    s_max: int
     entries: np.ndarray
 
     def count(self, n1: int, n2: int, s: int):
-        """Table entry, with out-of-range indices counting as zero."""
-        zero = 0 if self.mode == "exact" else NEG_INF
+        """Table entry; negative indices count as zero."""
         if min(n1, n2, s) < 0:
-            return zero
-        if n1 > self.n1_max or n2 > self.n2_max or s > self.s_max:
+            return self.mode.zero
+        n1_max, n2_max, s_max = (dim - 1 for dim in self.entries.shape)
+        if n1 > n1_max or n2 > n2_max or s > s_max:
             raise DomainError(
-                f"({n1},{n2},{s}) outside table dims "
-                f"({self.n1_max},{self.n2_max},{self.s_max})"
+                f"({n1},{n2},{s}) outside table dims ({n1_max},{n2_max},{s_max})"
             )
         return self.entries[n1, n2, s]
 
     def total(self, n1: int, n2: int, s_cap: int):
         """Sum of entries over s <= s_cap at fixed (n1, n2)."""
-        s_cap = min(s_cap, self.s_max)
-        return mode_sum(self.entries[n1, n2, : s_cap + 1], self.mode)
-
-
-def _check_table_dims(n1_max: int, n2_max: int, r_max: int, s_max: int, mode: str) -> None:
-    check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
-    if min(n1_max, n2_max, r_max, s_max) < 0:
-        raise DomainError("table dimensions must be >= 0")
-    if mode not in ("exact", "log2"):
-        raise DomainError(f"mode must be 'exact' or 'log2', got {mode!r}")
-    cells = (n1_max + 1) * (n2_max + 1) * (s_max + 1)
-    if cells > _TABLE_CELL_BUDGET:
-        raise MemoryBudgetError(
-            f"pair table needs {cells} cells per layer, budget is {_TABLE_CELL_BUDGET}"
-        )
+        return self.mode.sum(self.entries[n1, n2, : max(s_cap + 1, 0)])
 
 
 def iter_pair_layers(
@@ -222,35 +207,25 @@ def iter_pair_layers(
     state; the level r table is exactly A.  Only two levels are live at
     any time, so memory stays at a handful of (n1, n2, s) slabs.
     """
-    _check_table_dims(n1_max, n2_max, r_max, s_max, mode)
-    exact = mode == "exact"
-    shape = (n1_max + 1, n2_max + 1, s_max + 1)
-
-    def blank() -> np.ndarray:
-        if exact:
-            return np.zeros(shape, dtype=object)
-        return np.full(shape, NEG_INF)
-
-    def combine(a, b):
-        return a + b if exact else np.logaddexp2(a, b)
-
-    level = blank()
-    level[0, 0, 0] = 1 if exact else 0.0
+    check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
+    if min(n1_max, n2_max, r_max, s_max) < 0:
+        raise DomainError("table dimensions must be >= 0")
+    cm = count_mode(mode)
+    level = cm.blank((n1_max + 1, n2_max + 1, s_max + 1))
+    level[0, 0, 0] = cm.one
     for r in range(1, r_max + 1):
-        m1 = blank()
+        m1 = cm.blank(level.shape)
         for n2 in range(1, n2_max + 1):
-            m1[:, n2, 1:] = combine(level[:, n2 - 1, :-1], m1[:, n2 - 1, :-1])
-        m2 = blank()
+            cm.add(level[:, n2 - 1, :-1], m1[:, n2 - 1, :-1], out=m1[:, n2, 1:])
+        m2 = cm.blank(level.shape)
         for n1 in range(1, n1_max + 1):
-            m2[n1, :, 1:] = combine(level[n1 - 1, :, :-1], m2[n1 - 1, :, :-1])
-        p = combine(level, combine(m1, m2))
-        nxt = blank()
+            cm.add(level[n1 - 1, :, :-1], m2[n1 - 1, :, :-1], out=m2[n1, :, 1:])
+        p = cm.add(level, cm.add(m1, m2, out=m1), out=m1)
+        nxt = cm.blank(level.shape)
         for n1 in range(1, n1_max + 1):
-            nxt[n1, 1:, :] = combine(p[n1 - 1, :-1, :], nxt[n1 - 1, :-1, :])
+            cm.add(p[n1 - 1, :-1, :], nxt[n1 - 1, :-1, :], out=nxt[n1, 1:, :])
         level = nxt
-        yield PairCountTable(
-            mode=mode, r=r, n1_max=n1_max, n2_max=n2_max, s_max=s_max, entries=level
-        )
+        yield PairCountTable(mode=cm, r=r, entries=level)
 
 
 def pair_count_table(
@@ -269,18 +244,17 @@ def pair_count_table(
 def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
     """Number of ordered pairs in S(n1,r) x S(n2,r) at L1 distance s."""
     check_sizes(n1=n1, n2=n2, r=r, s=s)
+    cm = count_mode(mode)
     if min(n1, n2, r, s) < 0:
-        return 0 if mode == "exact" else NEG_INF
+        return cm.zero
     if r == 0:
-        hit = n1 == 0 and n2 == 0 and s == 0
-        if mode == "exact":
-            return 1 if hit else 0
-        return 0.0 if hit else NEG_INF
+        return cm.one if n1 == n2 == s == 0 else cm.zero
     return pair_count_table(n1, n2, r, s, mode).count(n1, n2, s)
 
 
 def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
     """Pair count by direct enumeration of both composition sets."""
+    check_sizes(n1=n1, n2=n2, r=r, s=s)
     if min(n1, n2, r, s) < 0:
         return 0
     if r == 0:
@@ -300,13 +274,11 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
 
 def total_ball_exact(n: int, r: int, d: int, mode: str = "exact"):
     """Ordered pairs in S(n,r) x S(n,r) at L1 distance at most d."""
+    cm = count_mode(mode)
     if min(n, r, d) < 0:
         raise DomainError(f"arguments must be >= 0, got ({n},{r},{d})")
     if r == 0:
-        hit = n == 0
-        if mode == "exact":
-            return 1 if hit else 0
-        return 0.0 if hit else NEG_INF
+        return cm.one if n == 0 else cm.zero
     s_cap = min(d, 2 * n)
     return pair_count_table(n, n, r, s_cap, mode).total(n, n, s_cap)
 
@@ -435,6 +407,12 @@ def _ball_branch(rho: float, beta: float) -> str:
     return "smooth"
 
 
+def _log2_square_over(a: float, b: float) -> float:
+    """log2(a^2 / b) for a, b > 0, also where the quotient underflows to 0."""
+    q = a * a / b
+    return math.log2(q) if q > 0.0 else 2.0 * math.log2(a) - math.log2(b)
+
+
 def ball_rate(rho: float, beta: float) -> float:
     """Asymptotic exponent of the total ball size at radius density 2*beta.
 
@@ -452,14 +430,13 @@ def ball_rate(rho: float, beta: float) -> float:
     if branch == "saturated":
         return 2.0 * entropy(rho)
     root = math.hypot(rho, 2.0 * beta)
-    # conjugate forms keep the differences positive for extreme rho/beta ratios
-    root_minus_2beta = rho * rho / (root + 2.0 * beta)
-    root_minus_rho = 4.0 * beta * beta / (root + rho)
+    # conjugate forms keep the differences root - 2 beta and root - rho
+    # positive for extreme rho/beta ratios
     return (
         -rho
         + 2.0 * beta * math.log2(2.0 * beta)
-        - rho * math.log2(root_minus_2beta)
-        - 2.0 * beta * math.log2(root_minus_rho)
+        - rho * _log2_square_over(rho, root + 2.0 * beta)
+        - 2.0 * beta * _log2_square_over(2.0 * beta, root + rho)
         + (-1.0 + rho + beta) * math.log2(2.0 - 2.0 * rho - 2.0 * beta)
         + (1.0 - beta) * math.log2(2.0 - 2.0 * beta)
     )

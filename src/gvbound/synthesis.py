@@ -29,13 +29,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import acsv
-from .errors import DimensionMismatchError, DomainError, MemoryBudgetError, SizeLimitError
+from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .numeric import (
-    NEG_INF,
+    CountMode,
     RealPolynomial,
     check_sizes,
+    count_mode,
     entropy,
-    mode_sum,
     smallest_positive_root,
 )
 
@@ -68,7 +68,6 @@ _RANK = {"A": 1, "C": 2, "G": 3, "T": 4}
 LOG2_3 = math.log2(3.0)
 
 _BRUTEFORCE_WORD_LIMIT = 4096
-_TABLE_CELL_BUDGET = 1 << 26
 _ROOT_SCAN_MAX = 10.0
 _TAU_FREE = 2.5  # cycle density from which every strand is producible
 
@@ -116,6 +115,7 @@ def count_words_by_time(n: int) -> list[int]:
     The step costs relative to the previous symbol are a bijection onto
     {1,2,3,4} per position, so the count only depends on the cost sums.
     """
+    check_sizes(n=n)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     counts = [1] + [0] * (4 * n)
@@ -133,6 +133,7 @@ def count_words_by_time(n: int) -> list[int]:
 
 def count_words_exact(n: int, t_max: int) -> int:
     """Number of length-n strands with synthesis time at most t_max."""
+    check_sizes(n=n, t_max=t_max)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     by_time = count_words_by_time(n)
@@ -149,29 +150,24 @@ class SynthesisPairTable:
     of the recursion: Hamming agreement at a position depends on the
     rank difference carried from the previous position, not only on the
     two step costs, so the counts split by it.  Public queries sum it
-    out.  In log2 mode entries hold log2 counts with -inf for zero.
+    out.  Entries are stored in the count mode `mode`.
     """
 
-    mode: str
+    mode: CountMode
     n: int
     entries: np.ndarray
 
     def count(self, t: int, s: int):
         """Pairs at combined time t and distance s (d summed out)."""
-        zero = 0 if self.mode == "exact" else NEG_INF
-        if t < 0 or s < 0:
-            return zero
-        if t >= self.entries.shape[1] or s >= self.entries.shape[2]:
-            return zero
-        return mode_sum(self.entries[:, t, s], self.mode)
+        if not (0 <= t < self.entries.shape[1] and 0 <= s < self.entries.shape[2]):
+            return self.mode.zero
+        return self.mode.sum(self.entries[:, t, s])
 
     def total(self, t_cap: int, s_cap: int):
         """Pairs with combined time <= t_cap and distance <= s_cap."""
-        t_cap = min(t_cap, self.entries.shape[1] - 1)
-        s_cap = min(s_cap, self.entries.shape[2] - 1)
         if t_cap < 0 or s_cap < 0:
-            return 0 if self.mode == "exact" else NEG_INF
-        return mode_sum(self.entries[:, : t_cap + 1, : s_cap + 1], self.mode)
+            return self.mode.zero
+        return self.mode.sum(self.entries[:, : t_cap + 1, : s_cap + 1])
 
 
 def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
@@ -186,24 +182,12 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     check_sizes(n=n)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    if mode not in ("exact", "log2"):
-        raise DomainError(f"mode must be 'exact' or 'log2', got {mode!r}")
-    t_dim, s_dim = 8 * n + 1, n + 1
-    if 4 * t_dim * s_dim > _TABLE_CELL_BUDGET:
-        raise MemoryBudgetError(
-            f"pair table needs {4 * t_dim * s_dim} cells per layer, "
-            f"budget is {_TABLE_CELL_BUDGET}"
-        )
-    exact = mode == "exact"
-    shape = (4, t_dim, s_dim)
-    if exact:
-        level = np.zeros(shape, dtype=object)
-        level[0, 0, 0] = 1
-    else:
-        level = np.full(shape, NEG_INF)
-        level[0, 0, 0] = 0.0
+    cm = count_mode(mode)
+    t_dim = 8 * n + 1
+    level = cm.blank((4, t_dim, n + 1))
+    level[0, 0, 0] = cm.one
     for _ in range(n):
-        nxt = np.zeros(shape, dtype=object) if exact else np.full(shape, NEG_INF)
+        nxt = cm.blank(level.shape)
         for a in range(1, 5):
             for b in range(1, 5):
                 w = a + b
@@ -215,12 +199,9 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
                     else:
                         src = level[d, : t_dim - w, :-1]
                         dst = nxt[nd, w:, 1:]
-                    if exact:
-                        dst += src
-                    else:
-                        np.logaddexp2(dst, src, out=dst)
+                    cm.add(dst, src, out=dst)
         level = nxt
-    return SynthesisPairTable(mode=mode, n=n, entries=level)
+    return SynthesisPairTable(mode=cm, n=n, entries=level)
 
 
 def count_pairs_exact(n: int, t: int, s: int, mode: str = "exact"):
@@ -233,6 +214,7 @@ def count_pairs_exact(n: int, t: int, s: int, mode: str = "exact"):
 
 def count_pairs_bruteforce(n: int, t: int, s: int) -> int:
     """Pair count by enumeration of all length-n strand pairs."""
+    check_sizes(n=n, t=t, s=s)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if 4 ** n > _BRUTEFORCE_WORD_LIMIT:

@@ -7,13 +7,16 @@ import pytest
 
 from gvbound.errors import (
     DomainError,
+    MemoryBudgetError,
     NoRootFoundError,
     NoSignChangeError,
 )
 from gvbound.numeric import (
+    TABLE_CELL_BUDGET,
     BracketedRoot,
     RealPolynomial,
     binomial_exact,
+    count_mode,
     entropy,
     find_root_bisection,
     smallest_positive_root,
@@ -64,6 +67,19 @@ def test_binomial_exact_rejects_bad_arguments():
         binomial_exact(3, 4)
     with pytest.raises(DomainError):
         binomial_exact(3, -1)
+
+
+def test_count_mode_tables_sums_and_cell_budget():
+    exact, log2 = count_mode("exact"), count_mode("log2")
+    table = exact.blank((2, 3))
+    assert table.dtype == object
+    assert table.tolist() == [[0, 0, 0], [0, 0, 0]]
+    assert log2.blank((2,)).tolist() == [-math.inf, -math.inf]
+    assert exact.sum(np.array([2**70, 3], dtype=object)) == 2**70 + 3
+    assert log2.sum(np.array([3.0, 3.0, -math.inf])) == pytest.approx(4.0, abs=1e-15)
+    assert log2.sum(log2.blank((4,))) == -math.inf
+    with pytest.raises(MemoryBudgetError, match=f"budget is {TABLE_CELL_BUDGET}"):
+        exact.blank((2, TABLE_CELL_BUDGET // 2 + 1))
 
 
 def test_bisection_finds_simple_root():

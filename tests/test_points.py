@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from gvbound import cli, sticky, synthesis
-from gvbound.errors import DomainError
+from gvbound import cli, numeric, sticky, synthesis
+from gvbound.errors import DomainError, MemoryBudgetError
 from gvbound.numeric import entropy
 
 # ------------------------------------------------------------- sticky records
@@ -155,6 +155,10 @@ def test_sticky_count_pairs_rejects_non_integer_sizes():
         sticky.count_pairs_exact(3, 3, 2, 1.0, mode="log2")
     with pytest.raises(DomainError):
         sticky.pair_count_table(3, 3.5, 2, 1)
+    with pytest.raises(DomainError):
+        sticky.count_pairs_bruteforce(3.5, 3, 2, 1)
+    with pytest.raises(DomainError):
+        sticky.compositions(3.5, 2)
 
 
 def test_synthesis_count_pairs_rejects_non_integer_sizes():
@@ -164,3 +168,42 @@ def test_synthesis_count_pairs_rejects_non_integer_sizes():
         synthesis.count_pairs_exact(3, 3, 1.5, mode="log2")
     with pytest.raises(DomainError):
         synthesis.pair_count_table(2.0)
+    for n in (3.5, math.nan):
+        with pytest.raises(DomainError):
+            synthesis.count_words_by_time(n)
+    with pytest.raises(DomainError):
+        synthesis.count_words_exact(3.5, 10)
+    with pytest.raises(DomainError):
+        synthesis.count_pairs_bruteforce(2.5, 4, 1)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("sticky.count_pairs_exact", (0, 0, 0, 0)),
+        ("sticky.count_pairs_exact", (-1, 0, 1, 0)),
+        ("sticky.count_pairs_exact", (3, 3, 2, 1)),
+        ("sticky.total_ball_exact", (0, 0, 0)),
+        ("sticky.total_ball_exact", (3, 2, 2)),
+        ("sticky.pair_count_table", (3, 3, 2, 1)),
+        ("sticky.iter_pair_layers", (3, 3, 2, 1)),
+        ("synthesis.pair_count_table", (0,)),
+        ("synthesis.count_pairs_exact", (2, 3, 1)),
+        ("numeric.count_mode", ()),
+    ],
+)
+def test_unknown_count_mode_raises_domain_error(name, args):
+    module, fn = name.split(".")
+    modules = {"numeric": numeric, "sticky": sticky, "synthesis": synthesis}
+    with pytest.raises(DomainError, match="mode must be 'exact' or 'log2'"):
+        result = getattr(modules[module], fn)(*args, mode="bogus")
+        if name == "sticky.iter_pair_layers":
+            next(result)  # a generator checks its arguments when first advanced
+
+
+def test_pair_tables_over_the_cell_budget_raise_before_allocating():
+    budget = f"budget is {numeric.TABLE_CELL_BUDGET}"
+    with pytest.raises(MemoryBudgetError, match=budget):
+        sticky.pair_count_table(1000, 1000, 1, 100)
+    with pytest.raises(MemoryBudgetError, match=budget):
+        synthesis.pair_count_table(3000, "log2")

@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gvbound import sticky
+from gvbound import cli, sticky
 from gvbound.errors import DimensionMismatchError, DomainError, SizeLimitError
 from gvbound.numeric import binomial_exact, entropy
 from gvbound.sticky import (
@@ -146,15 +148,28 @@ def test_pair_mass_identity_moderate_n():
             assert mass == binomial_exact(n - 1, r - 1) ** 2
 
 
-def test_log_mode_tracks_exact_counts():
-    exact = pair_count_table(10, 10, 4, 20, "exact")
-    logs = pair_count_table(10, 10, 4, 20, "log2")
-    for s in range(0, 21):
-        count = exact.count(10, 10, s)
-        if count == 0:
-            assert logs.count(10, 10, s) == -math.inf
-        else:
-            assert logs.count(10, 10, s) == pytest.approx(math.log2(count), abs=1e-10)
+@settings(max_examples=40, deadline=None)
+@given(
+    n1_max=st.integers(0, 8),
+    n2_max=st.integers(0, 8),
+    r_max=st.integers(1, 8),
+    s_max=st.integers(0, 8),
+)
+@example(n1_max=10, n2_max=10, r_max=4, s_max=20)
+@example(n1_max=7, n2_max=4, r_max=3, s_max=6)
+@example(n1_max=6, n2_max=6, r_max=4, s_max=0)
+@example(n1_max=3, n2_max=5, r_max=7, s_max=8)
+@example(n1_max=0, n2_max=0, r_max=1, s_max=0)
+def test_log_mode_tracks_exact_counts(n1_max, n2_max, r_max, s_max):
+    shape = (n1_max, n2_max, r_max, s_max)
+    for exact, logs in zip(iter_pair_layers(*shape, "exact"), iter_pair_layers(*shape, "log2")):
+        cells = zip(exact.entries.ravel().tolist(), logs.entries.ravel().tolist())
+        totals = (exact.total(n1_max, n2_max, s_max), logs.total(n1_max, n2_max, s_max))
+        for count, value in [*cells, totals]:
+            if count == 0:
+                assert value == -math.inf
+            else:
+                assert value == pytest.approx(math.log2(count), abs=1e-10)
 
 
 def test_total_ball_exact_values():
@@ -168,6 +183,7 @@ def test_total_ball_exact_values():
 def test_table_count_bounds():
     table = pair_count_table(5, 5, 2, 8)
     assert table.count(5, 5, -3) == 0
+    assert table.total(5, 5, -3) == 0
     with pytest.raises(DomainError):
         table.count(6, 5, 0)
     with pytest.raises(DomainError):
@@ -293,11 +309,17 @@ def test_ball_rate_monotone_in_beta():
         prev = value
 
 
-def test_ball_rate_survives_extreme_density_ratios():
+def test_ball_rate_survives_extreme_density_ratios(capsys):
     # tiny run density against moderate radius stresses the conjugate
     # forms used to evaluate the closed-form logarithms
     value = ball_rate(1e-9, 0.1)
     assert math.isfinite(value)
+    # rho^2 or (2 beta)^2 underflows to zero in the conjugate quotients
+    assert ball_rate(0.5, 1e-170) == pytest.approx(1.0, abs=1e-12)
+    assert ball_rate(0.5, 1e-300) == pytest.approx(1.0, abs=1e-12)
+    assert ball_rate(1e-200, 0.1) == pytest.approx(0.0, abs=1e-12)
+    assert cli.main(["point", "--channel", "sticky", "--rho", "0.5", "--beta", "1e-300"]) == 0
+    assert "ball_rate = 1\n" in capsys.readouterr().out
 
 
 def test_ball_rate_matches_critical_point_growth():

@@ -5,6 +5,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gvbound import synthesis
 from gvbound.errors import DimensionMismatchError, DomainError, SizeLimitError
@@ -116,17 +118,21 @@ def test_pair_mass_identity():
         assert table.total(8 * n, n) == 16**n
 
 
-def test_log_mode_tracks_exact_counts():
-    n = 6
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(0, 8))
+@example(n=0)
+@example(n=6)
+@example(n=8)
+def test_log_mode_tracks_exact_counts(n):
     exact = pair_count_table(n, "exact")
     logs = pair_count_table(n, "log2")
-    for t in range(0, 8 * n + 1):
-        for s in range(0, n + 1):
-            count = exact.count(t, s)
-            if count == 0:
-                assert logs.count(t, s) == -math.inf
-            else:
-                assert logs.count(t, s) == pytest.approx(math.log2(count), abs=1e-9)
+    cells = zip(exact.entries.ravel().tolist(), logs.entries.ravel().tolist())
+    sums = [(exact.count(t, s), logs.count(t, s)) for t in range(8 * n + 1) for s in range(n + 1)]
+    for count, value in [*cells, *sums]:
+        if count == 0:
+            assert value == -math.inf
+        else:
+            assert value == pytest.approx(math.log2(count), abs=1e-10)
 
 
 def test_table_count_bounds():
