@@ -16,12 +16,14 @@ coefficient equals up to a factor 1 + O(1/n).
 
 The denominator is held as a sparse term list, so partial derivatives
 are exact and the Newton iteration below needs no finite differences.
+Each polynomial builds its gradient and Hessian once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,6 +98,16 @@ class SparseMultivariatePolynomial:
             new_terms.append((lowered, coefficient * e))
         return SparseMultivariatePolynomial(self.num_vars, new_terms)
 
+    @cached_property
+    def gradient(self) -> tuple["SparseMultivariatePolynomial", ...]:
+        """First partials dH/dz_j, built once per polynomial."""
+        return tuple(self.partial(j) for j in range(self.num_vars))
+
+    @cached_property
+    def hessian(self) -> tuple[tuple["SparseMultivariatePolynomial", ...], ...]:
+        """Second partials, hessian[j][k] = d2H/dz_j dz_k, built once per polynomial."""
+        return tuple(g.gradient for g in self.gradient)
+
     def __call__(self, z: Sequence[float]) -> float:
         return evaluate(self, z)
 
@@ -121,6 +133,8 @@ def _check_point(H: SparseMultivariatePolynomial, z: Sequence[float]) -> np.ndar
         raise DimensionMismatchError(
             f"point has {zv.size} coordinates, polynomial has {H.num_vars} variables"
         )
+    if not np.all(np.isfinite(zv)):
+        raise DomainError(f"point coordinates must be finite, got {zv.tolist()}")
     return zv
 
 
@@ -130,14 +144,17 @@ def _check_direction(H: SparseMultivariatePolynomial, r: Sequence[float]) -> np.
         raise DimensionMismatchError(
             f"direction has {rv.size} components, polynomial has {H.num_vars} variables"
         )
-    if np.any(rv <= 0.0):
-        raise DomainError(f"direction components must be strictly positive, got {r}")
+    if not np.all((rv > 0.0) & (rv < math.inf)):
+        raise DomainError(f"direction components must be positive and finite, got {r}")
     return rv
 
 
 def evaluate(H: SparseMultivariatePolynomial, z: Sequence[float]) -> float:
     """Value of H at z by direct monomial summation."""
-    zv = _check_point(H, z)
+    return _evaluate(H, _check_point(H, z))
+
+
+def _evaluate(H: SparseMultivariatePolynomial, zv: np.ndarray) -> float:
     total = 0.0
     for exponents, coefficient in H.terms:
         term = coefficient
@@ -146,6 +163,13 @@ def evaluate(H: SparseMultivariatePolynomial, z: Sequence[float]) -> float:
                 term *= base ** e
         total += term
     return total
+
+
+def _derivatives(H: SparseMultivariatePolynomial, zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient vector and Hessian matrix of H at the checked point zv."""
+    grad = np.array([_evaluate(g, zv) for g in H.gradient])
+    hess = np.array([[_evaluate(h, zv) for h in row] for row in H.hessian])
+    return grad, hess
 
 
 def critical_system_residual(
@@ -161,9 +185,9 @@ def critical_system_residual(
     zv = _check_point(H, z)
     rv = _check_direction(H, r)
     ell = H.num_vars
-    partials = [evaluate(H.partial(j), zv) for j in range(ell)]
+    partials = [_evaluate(g, zv) for g in H.gradient]
     out = np.empty(ell)
-    out[0] = evaluate(H, zv)
+    out[0] = _evaluate(H, zv)
     last = zv[ell - 1] * partials[ell - 1]
     for j in range(ell - 1):
         out[j + 1] = rv[ell - 1] * zv[j] * partials[j] - rv[j] * last
@@ -230,13 +254,11 @@ def leading_term(
             f"point is not critical in direction {rv.tolist()} (residual {residual:.2e})"
         )
     d = H.num_vars
-    first = [H.partial(j) for j in range(d)]
-    scale = zv[-1] * evaluate(first[-1], zv)
+    grad, second = _derivatives(H, zv)
+    scale = zv[-1] * grad[-1]
     if scale == 0.0:
         raise DomainError("dH/dz_d vanishes at the point; choose another last variable")
-    u = np.array(
-        [[zv[i] * zv[j] * evaluate(first[i].partial(j), zv) for j in range(d)] for i in range(d)]
-    ) / scale
+    u = np.outer(zv, zv) * second / scale
     v = rv[:-1] / rv[-1]
     u_d = u[:-1, -1]
     hess = (
@@ -247,7 +269,7 @@ def leading_term(
         + np.diag(v)
     )
     det = float(np.linalg.det(hess))
-    constant = -evaluate(G, zv) / scale
+    constant = -_evaluate(G, zv) / scale
     if not (det > 0.0 and constant > 0.0):
         raise DomainError(
             f"no positive leading term at this point (det Hess {det:.3e}, constant {constant:.3e})"
@@ -278,38 +300,15 @@ def solve_critical_point(
     """
     rv = _check_direction(H, r)
     ell = H.num_vars
-    if initial is None:
-        z = np.full(ell, 0.5)
-    else:
-        z = np.array(initial, dtype=float)
-        if z.size != ell:
-            raise DimensionMismatchError(
-                f"initial point has {z.size} coordinates, expected {ell}"
-            )
-        if np.any(z <= 0.0):
-            raise DomainError("initial point must be strictly positive")
-
-    first = [H.partial(j) for j in range(ell)]
-    second = [[first[j].partial(k) for k in range(ell)] for j in range(ell)]
+    z = np.full(ell, 0.5) if initial is None else _check_point(H, initial)
+    if np.any(z <= 0.0):
+        raise DomainError("initial point must be strictly positive")
 
     def jacobian(zv: np.ndarray) -> np.ndarray:
-        partials = [evaluate(first[j], zv) for j in range(ell)]
-        hess = np.empty((ell, ell))
-        for j in range(ell):
-            for k in range(j, ell):
-                hess[j, k] = hess[k, j] = evaluate(second[j][k], zv)
-        jac = np.empty((ell, ell))
-        jac[0, :] = partials
-        for j in range(ell - 1):
-            for k in range(ell):
-                term = rv[ell - 1] * zv[j] * hess[j, k]
-                if k == j:
-                    term += rv[ell - 1] * partials[j]
-                term -= rv[j] * zv[ell - 1] * hess[ell - 1, k]
-                if k == ell - 1:
-                    term -= rv[j] * partials[ell - 1]
-                jac[j + 1, k] = term
-        return jac
+        # scaled[j, k] = d/dz_k (z_j dH/dz_j); row 0 is grad H, row j+1 the gradient of residual j+1
+        grad, hess = _derivatives(H, zv)
+        scaled = zv[:, None] * hess + np.diag(grad)
+        return np.vstack((grad, rv[-1] * scaled[:-1] - np.outer(rv[:-1], scaled[-1])))
 
     residual = critical_system_residual(H, rv, z)
     norm = float(np.max(np.abs(residual)))

@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", nargs="?", default="all", choices=("all", "acsv", "sticky", "synthesis")
     )
     verify.add_argument("--n-budget", type=int, default=8, metavar="N")
-    verify.add_argument("--tolerance", type=float, default=1e-9, metavar="T")
 
     point = sub.add_parser("point", help="print one evaluation as key-value lines")
     point.add_argument("--channel", required=True, choices=("sticky", "synthesis"))
@@ -110,7 +109,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite(args.suite, n_budget=args.n_budget, tol=args.tolerance)
+    results = run_suite(args.suite, n_budget=args.n_budget)
     width = max(len(f"{r.suite}: {r.name}") for r in results)
     failed = 0
     for r in results:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from . import sticky, synthesis
 from .errors import DomainError
+from .numeric import check_sizes
 from .sticky import StickyPoint
 from .synthesis import SynthesisPoint
 
@@ -65,6 +66,7 @@ class CurveSpec:
                     f"bound {b!r} not available for {self.channel} "
                     f"(choose from {', '.join(allowed)})"
                 )
+        check_sizes(steps=self.steps)
         if not 2 <= self.steps <= MAX_STEPS:
             raise DomainError(
                 f"sweep needs 2 <= steps <= {MAX_STEPS}, got {self.steps}"

@@ -64,8 +64,9 @@ def binomial_exact(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k) as an arbitrary-precision integer.
 
     Raises:
-        DomainError: if n < 0, k < 0, or k > n.
+        DomainError: if n or k is not an integer, n < 0, k < 0, or k > n.
     """
+    check_sizes(n=n, k=k)
     if n < 0 or k < 0 or k > n:
         raise DomainError(f"binomial_exact requires 0 <= k <= n, got n={n}, k={k}")
     return math.comb(n, k)
@@ -252,12 +253,12 @@ def smallest_positive_root(
     Raises:
         NoRootFoundError: if no sign change is detected at the finest
             grid level.
-        DomainError: for a zero polynomial or nonpositive scan_max.
+        DomainError: for a zero polynomial or a scan_max not positive and finite.
     """
     if p.is_zero():
         raise DomainError("smallest_positive_root requires a nonzero polynomial")
-    if scan_max <= 0.0:
-        raise DomainError(f"scan_max must be positive, got {scan_max}")
+    if not 0.0 < scan_max < math.inf:
+        raise DomainError(f"scan_max must be positive and finite, got {scan_max}")
     sign_left = _sign_at_zero_plus(p)
     cells = _SCAN_INITIAL_CELLS
     evaluations = 0

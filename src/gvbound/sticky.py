@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -71,6 +72,8 @@ class Composition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Sequence[int]):
+        for part in parts:
+            check_sizes(part=part)
         cleaned = tuple(int(p) for p in parts)
         if not cleaned:
             raise DomainError("a composition needs at least one part")
@@ -92,19 +95,19 @@ def compositions(n: int, r: int) -> Iterator[Composition]:
     check_sizes(n=n, r=r)
     if n < 0 or r < 0:
         raise DomainError(f"n and r must be >= 0, got n={n}, r={r}")
-    return _compositions(n, r)
+    return map(Composition, _compositions(n, r))
 
 
-def _compositions(n: int, r: int) -> Iterator[Composition]:
+def _compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
     if r == 0:
         return
     if r == 1:
         if n >= 1:
-            yield Composition((n,))
+            yield (n,)
         return
     for first in range(1, n - r + 2):
         for rest in _compositions(n - first, r - 1):
-            yield Composition((first,) + rest.parts)
+            yield (first,) + rest
 
 
 def l1_distance(u: Composition, v: Composition) -> int:
@@ -116,14 +119,19 @@ def l1_distance(u: Composition, v: Composition) -> int:
     return sum(abs(a - b) for a, b in zip(u.parts, v.parts))
 
 
-def is_confusable(u: Composition, v: Composition, b: int) -> bool:
-    """Whether b insertions per word can map u and v to a common word."""
+def _check_pair(u: Composition, v: Composition, b: int) -> None:
     if u.n != v.n or u.r != v.r:
         raise DimensionMismatchError(
             f"shape mismatch: ({u.n},{u.r}) vs ({v.n},{v.r})"
         )
+    check_sizes(b=b)
     if b < 0:
         raise DomainError(f"insertion budget must be >= 0, got {b}")
+
+
+def is_confusable(u: Composition, v: Composition, b: int) -> bool:
+    """Whether b insertions per word can map u and v to a common word."""
+    _check_pair(u, v, b)
     return l1_distance(u, v) <= 2 * b
 
 def _inflations(w: Composition, b: int) -> set[tuple[int, ...]]:
@@ -148,12 +156,7 @@ def confusable_bruteforce(u: Composition, v: Composition, b: int) -> bool:
     possible way and reports whether the two reachable sets intersect.
     Serves as the oracle for the L1 criterion of is_confusable.
     """
-    if u.n != v.n or u.r != v.r:
-        raise DimensionMismatchError(
-            f"shape mismatch: ({u.n},{u.r}) vs ({v.n},{v.r})"
-        )
-    if b < 0:
-        raise DomainError(f"insertion budget must be >= 0, got {b}")
+    _check_pair(u, v, b)
     if binomial_exact(b + u.r - 1, u.r - 1) > _CONFUSABLE_ENUM_LIMIT:
         raise SizeLimitError(
             f"enumerating {b} insertions over {u.r} runs is too large"
@@ -274,6 +277,7 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
 
 def total_ball_exact(n: int, r: int, d: int, mode: str = "exact"):
     """Ordered pairs in S(n,r) x S(n,r) at L1 distance at most d."""
+    check_sizes(n=n, r=r, d=d)
     cm = count_mode(mode)
     if min(n, r, d) < 0:
         raise DomainError(f"arguments must be >= 0, got ({n},{r},{d})")
@@ -298,6 +302,7 @@ class StickyCriticalPoint:
     residual_norm: float
 
 
+@cache
 def pair_generating_numerator() -> acsv.SparseMultivariatePolynomial:
     """Numerator of the pair generating function in (x1, x2, y, z).
 
@@ -318,6 +323,7 @@ def pair_generating_numerator() -> acsv.SparseMultivariatePolynomial:
     )
 
 
+@cache
 def pair_generating_denominator() -> acsv.SparseMultivariatePolynomial:
     """Denominator of the pair generating function in (x1, x2, y, z).
 

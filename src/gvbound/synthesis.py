@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -248,6 +248,7 @@ class SynthesisCriticalPoint:
     residual_norm: float
 
 
+@cache
 def pair_generating_denominator() -> acsv.SparseMultivariatePolynomial:
     """Denominator of the pair generating function in (x, y, z).
 
@@ -283,14 +284,7 @@ _POLY_A = _conv(_POLY_G, [1, 1, 1])                  # (1+y^2)(1+y^4)(1+y+y^2)
 _POLY_B = _conv([1, 1, 1], [1, 0, 2, 0, 3, 0, 4])    # (1+y+y^2)(1+2y^2+3y^4+4y^6)
 _POLY_B0 = [1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0]       # 1+2y^2+3y^4+4y^6
 _POLY_C = _conv([1, 0, 0, 0, -1], [1, 2, 4, 2, 1])   # (1-y^4)(1+2y+4y^2+2y^3+y^4)
-_POLY_D = [1.0, 2.0, 2.0, 2.0, 1.0]                  # (1+y^4)+2y(1+y+y^2)
-
-
-def _poly_eval(coeffs: list[float], y: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
+_POLY_D = RealPolynomial([1.0, 2.0, 2.0, 2.0, 1.0])  # (1+y^4)+2y(1+y+y^2)
 
 
 def _check_tau(tau: float) -> None:
@@ -352,11 +346,11 @@ def delta_max(tau: float) -> tuple[float, float]:
     if not 1.0 < tau < _TAU_FREE:
         raise DomainError(f"tau must be in (1, 2.5), got {tau}")
     tg_minus_b = [tau * g - b for g, b in zip(_POLY_G, _POLY_B0)]
-    lhs = _conv(_POLY_D, tg_minus_b)
+    lhs = _conv(_POLY_D.coefficients, tg_minus_b)
     rhs = [0.0] + _POLY_C
     coeffs = [l - r for l, r in zip(lhs, rhs + [0.0] * (len(lhs) - len(rhs)))]
     y = smallest_positive_root(RealPolynomial(coeffs), _ROOT_SCAN_MAX).root
-    dm = 2.0 * y * (1.0 + y + y ** 2) / _poly_eval(_POLY_D, y)
+    dm = 2.0 * y * (1.0 + y + y ** 2) / _POLY_D.evaluate(y)
     return dm, y
 
 

@@ -20,6 +20,9 @@ from .numeric import binomial_exact, entropy
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
+# Bound of the two residual checks; each suite factory takes it as `tol`.
+_RESIDUAL_TOL = 1e-9
+
 @dataclass(frozen=True)
 class CheckResult:
     suite: str
@@ -69,9 +72,7 @@ def _acsv_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
                 if 2.0 - delta - 2.0 * rho <= 0.0:
                     continue
                 cf = sticky.critical_point_closed_form(rho, delta)
-                cp = acsv.solve_critical_point(
-                    H, (1.0, 1.0, rho, delta), initial=(cf.x, cf.x, cf.y, cf.z)
-                )
+                cp = acsv.solve_critical_point(H, (1.0, 1.0, rho, delta))
                 worst = max(
                     worst,
                     abs(cp.z[0] - cf.x),
@@ -87,9 +88,7 @@ def _acsv_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         for tau in (1.5, 2.0):
             for delta in (0.1, 0.3):
                 cf = synthesis.critical_point(tau, delta)
-                cp = acsv.solve_critical_point(
-                    H, (1.0, 2.0 * tau, delta), initial=(cf.x, cf.y, cf.z)
-                )
+                cp = acsv.solve_critical_point(H, (1.0, 2.0 * tau, delta))
                 worst = max(
                     worst,
                     abs(cp.z[0] - cf.x),
@@ -354,15 +353,15 @@ SUITES = {
 }
 
 
-def run_suite(suite: str, n_budget: int = 8, tol: float = 1e-9) -> list[CheckResult]:
+def run_suite(suite: str, n_budget: int = 8) -> list[CheckResult]:
     """Run one named suite, or all of them, and collect the results."""
     if suite == "all":
         results = []
         for name in ("acsv", "sticky", "synthesis"):
-            results.extend(_run_checks(name, SUITES[name](n_budget, tol)))
+            results.extend(_run_checks(name, SUITES[name](n_budget, _RESIDUAL_TOL)))
         return results
     if suite not in SUITES:
         raise GVBoundError(
             f"unknown suite {suite!r}; choose from all, acsv, sticky, synthesis"
         )
-    return _run_checks(suite, SUITES[suite](n_budget, tol))
+    return _run_checks(suite, SUITES[suite](n_budget, _RESIDUAL_TOL))

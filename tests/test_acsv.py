@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gvbound import acsv
+from gvbound import acsv, sticky, synthesis
 from gvbound.acsv import (
     CriticalPoint,
     SparseMultivariatePolynomial,
@@ -54,6 +54,12 @@ def test_partial_derivatives():
     assert py((2.0, 5.0)) == pytest.approx(4.0)
     # differentiating away the last variable occurrence leaves a constant
     assert py((7.0, 11.0)) == pytest.approx(49.0)
+    # the cached derivative table holds the same polynomials, built once
+    assert p.gradient == (px, py)
+    assert p.gradient is p.gradient
+    assert p.hessian == ((px.partial(0), px.partial(1)), (py.partial(0), py.partial(1)))
+    assert p.hessian[1] is p.gradient[1].gradient
+    assert p.hessian[0][1]((2.0, 5.0)) == p.hessian[1][0]((2.0, 5.0)) == 4.0
 
 
 def test_evaluate_matches_call():
@@ -118,6 +124,24 @@ def test_solve_critical_point_validates_initial():
         solve_critical_point(H, (1.0, 1.0), initial=(0.5,))
     with pytest.raises(DomainError):
         solve_critical_point(H, (1.0, 1.0), initial=(0.5, -0.5))
+
+
+def test_solver_reaches_channel_closed_forms_from_default_start():
+    # the all-0.5 start is far from both closed forms, so Newton takes real steps
+    H = sticky.pair_generating_denominator()
+    assert H is sticky.pair_generating_denominator()
+    for rho in (0.2, 0.3, 0.5):
+        for delta in (0.1, 0.2, 0.3):
+            cf = sticky.critical_point_closed_form(rho, delta)
+            cp = solve_critical_point(H, (1.0, 1.0, rho, delta))
+            np.testing.assert_allclose(cp.z, (cf.x, cf.x, cf.y, cf.z), rtol=0.0, atol=1e-8)
+    H = synthesis.pair_generating_denominator()
+    assert H is synthesis.pair_generating_denominator()
+    for tau in (1.5, 2.0):
+        for delta in (0.1, 0.3):
+            cf = synthesis.critical_point(tau, delta)
+            cp = solve_critical_point(H, (1.0, 2.0 * tau, delta))
+            np.testing.assert_allclose(cp.z, (cf.x, cf.y, cf.z), rtol=0.0, atol=1e-8)
 
 
 def test_subexponential_note_mentions_decay_order():

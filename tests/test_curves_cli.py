@@ -60,6 +60,8 @@ def test_curve_spec_rejects_bad_requests():
     with pytest.raises(DomainError):
         CurveSpec("sticky", ("gv",), "beta", 0.0, 0.4, 1).validate()
     with pytest.raises(DomainError):
+        CurveSpec("sticky", ("gv",), "beta", 0.0, 0.4, 2.5).validate()
+    with pytest.raises(DomainError):
         CurveSpec("sticky", ("gv",), "beta", 0.4, 0.1, 5).validate()
     with pytest.raises(DomainError):
         CurveSpec("sticky", ("gv",), "beta", 0.0, 0.6, 5).validate()

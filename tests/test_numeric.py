@@ -67,6 +67,10 @@ def test_binomial_exact_rejects_bad_arguments():
         binomial_exact(3, 4)
     with pytest.raises(DomainError):
         binomial_exact(3, -1)
+    with pytest.raises(DomainError):
+        binomial_exact(3.5, 1)
+    with pytest.raises(DomainError):
+        binomial_exact(3, 1.0)
 
 
 def test_count_mode_tables_sums_and_cell_budget():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gvbound import cli, numeric, sticky, synthesis
+from gvbound import acsv, cli, numeric, sticky, synthesis
 from gvbound.errors import DomainError, MemoryBudgetError
 from gvbound.numeric import entropy
 
@@ -113,6 +113,10 @@ def test_synthesis_point_saturated_branch():
 
 # -------------------------------------------------------------- input domains
 
+# 1 - x - y, the central binomial denominator
+_H = acsv.SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((1, 0), -1.0), ((0, 1), -1.0)])
+_LINEAR = numeric.RealPolynomial([-0.5, 1.0])
+
 
 @pytest.mark.parametrize(
     "name, args",
@@ -134,12 +138,22 @@ def test_synthesis_point_saturated_branch():
         ("synthesis.critical_point", (math.inf, 0.1)),
         ("synthesis.evaluate_point", (2.0, math.nan)),
         ("synthesis.evaluate_point", (-math.inf,)),
+        ("acsv.critical_system_residual", (_H, (math.nan, 1.0), (0.4, 0.4))),
+        ("acsv.critical_system_residual", (_H, (math.inf, 1.0), (0.4, 0.4))),
+        ("acsv.critical_system_residual", (_H, (1.0, 1.0), (0.4, math.nan))),
+        ("acsv.solve_critical_point", (_H, (1.0, 1.0), (math.nan, 0.5))),
+        ("acsv.solve_critical_point", (_H, (math.nan, 1.0))),
+        ("acsv.evaluate", (_H, (math.inf, 0.5))),
+        ("acsv.leading_term", (_H, _H, (1.0, 1.0), (0.5, math.nan), 4)),
+        ("numeric.smallest_positive_root", (_LINEAR, math.nan)),
+        ("numeric.smallest_positive_root", (_LINEAR, math.inf)),
     ],
 )
 def test_nan_and_inf_raise_domain_error(name, args):
     module, fn = name.split(".")
+    modules = {"acsv": acsv, "numeric": numeric, "sticky": sticky, "synthesis": synthesis}
     with pytest.raises(DomainError):
-        getattr({"sticky": sticky, "synthesis": synthesis}[module], fn)(*args)
+        getattr(modules[module], fn)(*args)
 
 
 def test_cli_point_rejects_nan_tau(capsys):
@@ -159,6 +173,17 @@ def test_sticky_count_pairs_rejects_non_integer_sizes():
         sticky.count_pairs_bruteforce(3.5, 3, 2, 1)
     with pytest.raises(DomainError):
         sticky.compositions(3.5, 2)
+    for args in ((2.5, 0, 1), (0, 0, 0.5), (3, 2, 9.5)):
+        with pytest.raises(DomainError):
+            sticky.total_ball_exact(*args)
+    with pytest.raises(DomainError):
+        sticky.Composition((1.5, 2))
+    u, v = sticky.Composition((1, 2)), sticky.Composition((2, 1))
+    for b in (1.5, math.nan):
+        with pytest.raises(DomainError):
+            sticky.confusable_bruteforce(u, v, b)
+        with pytest.raises(DomainError):
+            sticky.is_confusable(u, v, b)
 
 
 def test_synthesis_count_pairs_rejects_non_integer_sizes():
