@@ -39,7 +39,6 @@ __all__ = [
     "solve_critical_point",
     "growth_exponent",
     "leading_term",
-    "subexponential_note",
 ]
 
 DEFAULT_SOLVE_TOL = 1e-12
@@ -64,10 +63,13 @@ class SparseMultivariatePolynomial:
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
     def __init__(self, num_vars: int, terms: Iterable[tuple[Sequence[int], float]]):
+        check_sizes(num_vars=num_vars)
         if num_vars < 1:
             raise DomainError(f"num_vars must be >= 1, got {num_vars}")
         merged: dict[tuple[int, ...], float] = {}
         for exponents, coefficient in terms:
+            for e in exponents:
+                check_sizes(exponent=e)
             key = tuple(int(e) for e in exponents)
             if len(key) != num_vars:
                 raise DimensionMismatchError(
@@ -120,11 +122,21 @@ class CriticalPoint:
         z: the critical point coordinates, all strictly positive.
         residual_norm: max-norm of the system residual at z.
         direction: the direction vector r the system was solved for.
+        iterations: Newton steps taken to reach z; 0 for a closed form.
     """
 
     z: tuple[float, ...]
     residual_norm: float
     direction: tuple[float, ...]
+    iterations: int
+
+    @classmethod
+    def at(
+        cls, H: SparseMultivariatePolynomial, r: Sequence[float], z: Sequence[float],
+        iterations: int = 0,
+    ) -> "CriticalPoint":
+        """Record of the point z of H in direction r, with its residual norm."""
+        return cls(tuple(map(float, z)), _residual_norm(H, r, z), tuple(map(float, r)), iterations)
 
 
 def _check_point(H: SparseMultivariatePolynomial, z: Sequence[float]) -> np.ndarray:
@@ -194,18 +206,15 @@ def critical_system_residual(
     return out
 
 
+def _residual_norm(
+    H: SparseMultivariatePolynomial, r: Sequence[float], z: Sequence[float]
+) -> float:
+    return float(np.max(np.abs(critical_system_residual(H, r, z))))
+
+
 def growth_exponent(cp: CriticalPoint) -> float:
     """Exponential rate -sum_i r_i log2 z_i* in bits per symbol."""
     return -sum(ri * math.log2(zi) for ri, zi in zip(cp.direction, cp.z))
-
-
-def subexponential_note(num_vars: int) -> str:
-    """Order-of-magnitude note for the factor that growth_exponent omits."""
-    return (
-        f"subexponential factor Theta(n^(-{num_vars - 1}/2)) with a "
-        "Hessian-dependent constant is not in the growth exponent "
-        "(leading_term computes it)"
-    )
 
 
 def leading_term(
@@ -248,7 +257,7 @@ def leading_term(
     index = n * rv
     if np.any(np.abs(index - np.round(index)) > _INTEGRAL_INDEX_TOL * np.maximum(index, 1.0)):
         raise DomainError(f"n * r must be integral, got {index.tolist()}")
-    residual = float(np.max(np.abs(critical_system_residual(H, rv, zv))))
+    residual = _residual_norm(H, rv, zv)
     if not residual <= _LEADING_RESIDUAL_TOL:
         raise DomainError(
             f"point is not critical in direction {rv.tolist()} (residual {residual:.2e})"
@@ -310,13 +319,16 @@ def solve_critical_point(
         scaled = zv[:, None] * hess + np.diag(grad)
         return np.vstack((grad, rv[-1] * scaled[:-1] - np.outer(rv[:-1], scaled[-1])))
 
-    residual = critical_system_residual(H, rv, z)
-    norm = float(np.max(np.abs(residual)))
-    for _ in range(_MAX_NEWTON_ITER):
-        if norm <= tol:
-            break
+    norm = _residual_norm(H, rv, z)
+    iterations = 0
+    while not norm <= tol:
+        if iterations == _MAX_NEWTON_ITER:
+            raise NonConvergenceError(
+                f"Newton iteration did not reach tolerance {tol} "
+                f"(final residual norm {norm:.3e})"
+            )
         try:
-            step = np.linalg.solve(jacobian(z), -residual)
+            step = np.linalg.solve(jacobian(z), -critical_system_residual(H, rv, z))
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(
                 f"singular Jacobian at iterate {z.tolist()}"
@@ -325,10 +337,9 @@ def solve_critical_point(
         for _ in range(_MAX_STEP_HALVINGS):
             candidate = z + scale * step
             if np.all(candidate > 0.0):
-                cand_residual = critical_system_residual(H, rv, candidate)
-                cand_norm = float(np.max(np.abs(cand_residual)))
+                cand_norm = _residual_norm(H, rv, candidate)
                 if cand_norm < norm or cand_norm <= tol:
-                    z, residual, norm = candidate, cand_residual, cand_norm
+                    z, norm = candidate, cand_norm
                     break
             scale *= 0.5
         else:
@@ -336,13 +347,5 @@ def solve_critical_point(
                 f"no residual-decreasing step found at iterate {z.tolist()} "
                 f"(residual norm {norm:.3e})"
             )
-    if not norm <= tol:
-        raise NonConvergenceError(
-            f"Newton iteration did not reach tolerance {tol} "
-            f"(final residual norm {norm:.3e})"
-        )
-    return CriticalPoint(
-        z=tuple(float(v) for v in z),
-        residual_norm=norm,
-        direction=tuple(float(v) for v in rv),
-    )
+        iterations += 1
+    return CriticalPoint.at(H, rv, z, iterations)

@@ -130,7 +130,7 @@ def _critical_rows(cp, mark: str) -> list[tuple[str, object]]:
     if cp is None:
         return []
     names = (f"x_{mark}", f"y_{mark}", f"z_{mark}", "residual_norm")
-    return list(zip(names, (cp.x, cp.y, cp.z, cp.residual_norm)))
+    return list(zip(names, (cp.z[0], cp.z[-2], cp.z[-1], cp.residual_norm)))
 
 
 def _cmd_point_sticky(args: argparse.Namespace) -> int:

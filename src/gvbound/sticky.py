@@ -33,7 +33,6 @@ from .numeric import NEG_INF, CountMode, binomial_exact, check_sizes, count_mode
 
 __all__ = [
     "Composition",
-    "StickyCriticalPoint",
     "StickyPoint",
     "PairCountTable",
     "compositions",
@@ -63,6 +62,7 @@ _CONFUSABLE_ENUM_LIMIT = 10 ** 6
 _ARGMAX_GRID_POINTS = 512
 _ARGMAX_ZOOMS = 4
 _LB_BOUNDARY = 0.25  # insertion density from which the crude bound is zero
+_CANCELLATION_RATIO = 1e-4  # density ratio below which root - rho (or - delta) loses half its digits
 
 
 @dataclass(frozen=True)
@@ -287,21 +287,6 @@ def total_ball_exact(n: int, r: int, d: int, mode: str = "exact"):
     return pair_count_table(n, n, r, s_cap, mode).total(n, n, s_cap)
 
 
-@dataclass(frozen=True)
-class StickyCriticalPoint:
-    """Positive critical point of the pair generating function.
-
-    The two word-length variables share the value x by symmetry; y marks
-    the run count and z the L1 distance.  residual_norm is the max-norm
-    residual of the full four-variable critical system at the point.
-    """
-
-    x: float
-    y: float
-    z: float
-    residual_norm: float
-
-
 @cache
 def pair_generating_numerator() -> acsv.SparseMultivariatePolynomial:
     """Numerator of the pair generating function in (x1, x2, y, z).
@@ -337,11 +322,14 @@ def pair_generating_denominator() -> acsv.SparseMultivariatePolynomial:
     )
 
 
-def critical_point_closed_form(rho: float, delta: float) -> StickyCriticalPoint:
+def critical_point_closed_form(rho: float, delta: float) -> acsv.CriticalPoint:
     """Closed-form critical point at run density rho and radius density delta.
 
-    Valid in the smooth regime 2 - delta - 2*rho > 0 with delta > 0; the
-    saturated regime is handled by ball_rate directly.
+    The point is (x, x, y, z) in direction (1, 1, rho, delta): the two
+    word-length variables share the value x by symmetry, y marks the run
+    count and z the L1 distance.  Valid in the smooth regime
+    2 - delta - 2*rho > 0 with delta > 0; the saturated regime is handled
+    by ball_rate directly.
     """
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must be in (0,1), got {rho}")
@@ -353,13 +341,13 @@ def critical_point_closed_form(rho: float, delta: float) -> StickyCriticalPoint:
         )
     x = math.sqrt(1.0 - 2.0 * rho / (2.0 - delta))
     root = math.sqrt(rho * rho + delta * delta)
-    z = (root - rho) / (x * delta)
-    y = 2.0 * (root - delta) / (2.0 - delta - 2.0 * rho)
-    residual = acsv.critical_system_residual(
+    # conjugate forms of root - rho and root - delta where one density is tiny
+    tiny = _CANCELLATION_RATIO
+    z = (root - rho) / (x * delta) if delta >= tiny * rho else delta / (x * (root + rho))
+    gap = root - delta if rho >= tiny * delta else rho * (rho / (root + delta))
+    y = 2.0 * gap / (2.0 - delta - 2.0 * rho)
+    return acsv.CriticalPoint.at(
         pair_generating_denominator(), (1.0, 1.0, rho, delta), (x, x, y, z)
-    )
-    return StickyCriticalPoint(
-        x=x, y=y, z=z, residual_norm=float(np.max(np.abs(residual)))
     )
 
 
@@ -386,11 +374,7 @@ def leading_pair_count_log2(n: int, rho: float, delta: float) -> float:
         )
     cp = critical_point_closed_form(rho, delta)
     one_point = acsv.leading_term(
-        pair_generating_denominator(),
-        pair_generating_numerator(),
-        (1.0, 1.0, rho, delta),
-        (cp.x, cp.x, cp.y, cp.z),
-        n,
+        pair_generating_denominator(), pair_generating_numerator(), cp.direction, cp.z, n
     )
     if round(n * delta) % 2:
         return NEG_INF
@@ -547,7 +531,7 @@ class StickyPoint:
     rho: float | None = None
     branch: str | None = None
     ball_rate: float | None = None
-    critical_point: StickyCriticalPoint | None = None
+    critical_point: acsv.CriticalPoint | None = None
     saturated: bool = False
 
 

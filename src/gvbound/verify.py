@@ -73,13 +73,7 @@ def _acsv_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
                     continue
                 cf = sticky.critical_point_closed_form(rho, delta)
                 cp = acsv.solve_critical_point(H, (1.0, 1.0, rho, delta))
-                worst = max(
-                    worst,
-                    abs(cp.z[0] - cf.x),
-                    abs(cp.z[1] - cf.x),
-                    abs(cp.z[2] - cf.y),
-                    abs(cp.z[3] - cf.z),
-                )
+                worst = max(worst, *(abs(a - b) for a, b in zip(cp.z, cf.z)))
         return worst <= 1e-8, f"max coordinate gap {worst:.2e}"
 
     def synthesis_cross_solver() -> tuple[bool, str]:
@@ -89,12 +83,7 @@ def _acsv_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
             for delta in (0.1, 0.3):
                 cf = synthesis.critical_point(tau, delta)
                 cp = acsv.solve_critical_point(H, (1.0, 2.0 * tau, delta))
-                worst = max(
-                    worst,
-                    abs(cp.z[0] - cf.x),
-                    abs(cp.z[1] - cf.y),
-                    abs(cp.z[2] - cf.z),
-                )
+                worst = max(worst, *(abs(a - b) for a, b in zip(cp.z, cf.z)))
         return worst <= 1e-8, f"max coordinate gap {worst:.2e}"
 
     return [
@@ -175,11 +164,8 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
                 rho_f, beta_f = float(rho), float(beta)
                 if beta_f >= sticky.beta_max(rho_f):
                     continue
-                cp = sticky.critical_point_closed_form(rho_f, 2.0 * beta_f)
-                via_cp = (
-                    -2.0 * math.log2(cp.x)
-                    - rho_f * math.log2(cp.y)
-                    - 2.0 * beta_f * math.log2(cp.z)
+                via_cp = acsv.growth_exponent(
+                    sticky.critical_point_closed_form(rho_f, 2.0 * beta_f)
                 )
                 worst = max(worst, abs(via_cp - sticky.ball_rate(rho_f, beta_f)))
         return worst <= 1e-9, f"max explicit-vs-critical-point gap {worst:.2e}"
@@ -300,7 +286,7 @@ def _synthesis_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         for tau in (1.5, 2.0, 2.25):
             dm, _ = synthesis.delta_max(tau)
             cp = synthesis.critical_point(tau, dm)
-            worst = max(worst, abs(cp.z - 1.0))
+            worst = max(worst, abs(cp.z[-1] - 1.0))
         return worst <= 1e-6, f"max |z - 1| at delta_max {worst:.2e}"
 
     def piecewise_continuity() -> tuple[bool, str]:

@@ -89,9 +89,9 @@ def test_criterion_05_dual_route_agreement():
             if beta < sticky.beta_max(rho):
                 cp = sticky.critical_point_closed_form(rho, 2.0 * beta)
                 growth = (
-                    -2.0 * math.log2(cp.x)
-                    - rho * math.log2(cp.y)
-                    - 2.0 * beta * math.log2(cp.z)
+                    -2.0 * math.log2(cp.z[0])
+                    - rho * math.log2(cp.z[2])
+                    - 2.0 * beta * math.log2(cp.z[3])
                 )
                 assert abs(direct - growth) <= 1e-9, (rho, beta)
             else:

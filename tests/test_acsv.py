@@ -13,7 +13,6 @@ from gvbound.acsv import (
     growth_exponent,
     leading_term,
     solve_critical_point,
-    subexponential_note,
 )
 from gvbound.errors import (
     DimensionMismatchError,
@@ -43,6 +42,10 @@ def test_polynomial_validates_exponents():
         SparseMultivariatePolynomial(1, [((-1,), 1.0)])
     with pytest.raises(DomainError):
         SparseMultivariatePolynomial(0, [])
+    with pytest.raises(DomainError):
+        SparseMultivariatePolynomial(1, [((1.5,), 1.0)])
+    with pytest.raises(DomainError):
+        SparseMultivariatePolynomial(2.7, [])
 
 
 def test_partial_derivatives():
@@ -134,19 +137,39 @@ def test_solver_reaches_channel_closed_forms_from_default_start():
         for delta in (0.1, 0.2, 0.3):
             cf = sticky.critical_point_closed_form(rho, delta)
             cp = solve_critical_point(H, (1.0, 1.0, rho, delta))
-            np.testing.assert_allclose(cp.z, (cf.x, cf.x, cf.y, cf.z), rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(cp.z, cf.z, rtol=0.0, atol=1e-8)
     H = synthesis.pair_generating_denominator()
     assert H is synthesis.pair_generating_denominator()
     for tau in (1.5, 2.0):
         for delta in (0.1, 0.3):
             cf = synthesis.critical_point(tau, delta)
             cp = solve_critical_point(H, (1.0, 2.0 * tau, delta))
-            np.testing.assert_allclose(cp.z, (cf.x, cf.y, cf.z), rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(cp.z, cf.z, rtol=0.0, atol=1e-8)
 
 
-def test_subexponential_note_mentions_decay_order():
-    assert "n^(-3/2)" in subexponential_note(4)
-    assert "n^(-1/2)" in subexponential_note(2)
+# Newton steps a correct Jacobian needs on verify's solves; one row 10 % off needs 9 to 14
+NEWTON_STEP_BOUND = 8
+
+
+def test_solver_converges_within_pinned_steps_on_verify_grids():
+    solves = [(binomial_denominator(), (1.0, 1.0), (0.3, 0.7))]
+    solves += [
+        (sticky.pair_generating_denominator(), (1.0, 1.0, rho, delta), None)
+        for rho in (0.2, 0.3, 0.5)
+        for delta in (0.1, 0.2, 0.3)
+    ]
+    solves += [
+        (synthesis.pair_generating_denominator(), (1.0, 2.0 * tau, delta), None)
+        for tau in (1.5, 2.0)
+        for delta in (0.1, 0.3)
+    ]
+    assert len(solves) == 14
+    for H, r, initial in solves:
+        cp = solve_critical_point(H, r, initial=initial)
+        assert 1 <= cp.iterations <= NEWTON_STEP_BOUND, (r, cp.iterations)
+    # closed forms take no Newton step
+    assert sticky.critical_point_closed_form(0.5, 0.25).iterations == 0
+    assert synthesis.critical_point(2.0, 0.3).iterations == 0
 
 
 # ------------------------------------------------------------ leading term

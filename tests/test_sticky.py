@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvbound import cli, sticky
+from gvbound.acsv import growth_exponent
 from gvbound.errors import DimensionMismatchError, DomainError, SizeLimitError
 from gvbound.numeric import binomial_exact, entropy
 from gvbound.sticky import (
@@ -195,9 +196,9 @@ def test_table_count_bounds():
 
 def test_closed_form_critical_point_values():
     cp = critical_point_closed_form(0.5, 0.5)
-    assert cp.x == pytest.approx(0.5773502691896258, abs=1e-12)
-    assert cp.y == pytest.approx(0.8284271247461903, abs=1e-12)
-    assert cp.z == pytest.approx(0.7174389352143009, abs=1e-12)
+    assert cp.z[0] == pytest.approx(0.5773502691896258, abs=1e-12)
+    assert cp.z[2] == pytest.approx(0.8284271247461903, abs=1e-12)
+    assert cp.z[3] == pytest.approx(0.7174389352143009, abs=1e-12)
     assert cp.residual_norm <= 1e-12
 
 
@@ -318,19 +319,37 @@ def test_ball_rate_survives_extreme_density_ratios(capsys):
     assert ball_rate(0.5, 1e-170) == pytest.approx(1.0, abs=1e-12)
     assert ball_rate(0.5, 1e-300) == pytest.approx(1.0, abs=1e-12)
     assert ball_rate(1e-200, 0.1) == pytest.approx(0.0, abs=1e-12)
+    # root - delta cancels to 0 in the closed-form y without its conjugate form
+    cp = critical_point_closed_form(1e-9, 0.2)
+    assert growth_exponent(cp) == pytest.approx(ball_rate(1e-9, 0.1), abs=1e-12)
     assert cli.main(["point", "--channel", "sticky", "--rho", "0.5", "--beta", "1e-300"]) == 0
     assert "ball_rate = 1\n" in capsys.readouterr().out
 
 
-def test_ball_rate_matches_critical_point_growth():
-    for rho, beta in ((0.5, 0.125), (0.3, 0.1), (0.7, 0.05)):
-        cp = critical_point_closed_form(rho, 2.0 * beta)
-        growth = (
-            -2.0 * math.log2(cp.x)
-            - rho * math.log2(cp.y)
-            - 2.0 * beta * math.log2(cp.z)
-        )
-        assert ball_rate(rho, beta) == pytest.approx(growth, abs=1e-9)
+# (rho, beta) on the smooth branch: rho in (0.01, 0.99), 0 < beta < beta_max(rho)
+SMOOTH_POINTS = st.floats(0.01, 0.99, exclude_min=True, exclude_max=True).flatmap(
+    lambda rho: st.tuples(
+        st.just(rho), st.floats(0.0, beta_max(rho), exclude_min=True, exclude_max=True)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=SMOOTH_POINTS)
+@example(point=(0.5, 0.125))
+@example(point=(0.3, 0.1))
+@example(point=(0.7, 0.05))
+@example(point=(0.5, 1e-8))  # root - rho keeps under one correct digit here
+@example(point=(0.5, 1e-300))  # ... and cancels to 0 here
+def test_ball_rate_matches_critical_point_growth(point):
+    rho, beta = point
+    cp = critical_point_closed_form(rho, 2.0 * beta)
+    growth = (
+        -2.0 * math.log2(cp.z[0])
+        - rho * math.log2(cp.z[2])
+        - 2.0 * beta * math.log2(cp.z[3])
+    )
+    assert ball_rate(rho, beta) == pytest.approx(growth, abs=1e-9)
 
 
 def test_capacity_runs_is_entropy():

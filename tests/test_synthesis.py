@@ -181,10 +181,32 @@ def test_capacity_rejects_trivial_budget():
 
 def test_critical_point_known_values():
     cp = critical_point(2.0, 0.1)
-    assert cp.x == pytest.approx(0.6154638681151996, abs=1e-12)
-    assert cp.y == pytest.approx(0.797626472469517, abs=1e-12)
-    assert cp.z == pytest.approx(0.04020121870895154, abs=1e-12)
+    assert cp.z[0] == pytest.approx(0.6154638681151996, abs=1e-12)
+    assert cp.z[1] == pytest.approx(0.797626472469517, abs=1e-12)
+    assert cp.z[2] == pytest.approx(0.04020121870895154, abs=1e-12)
     assert cp.residual_norm <= 1e-9
+
+
+# (tau, delta) on the smooth branch: 1 < tau < 5/2, 0 < delta < delta_max(tau);
+# critical_point rejects delta = 5e-324 (test_critical_point_rejects_out_of_range)
+SMOOTH_POINTS = st.floats(1.0, 2.5, exclude_min=True, exclude_max=True).flatmap(
+    lambda tau: st.tuples(
+        st.just(tau), st.floats(1e-323, delta_max(tau)[0], exclude_max=True)
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=SMOOTH_POINTS)
+@example(point=(2.0, 0.3))
+@example(point=(1.5, 0.1))
+def test_smooth_ball_rate_is_critical_point_growth(point):
+    # the record's growth exponent sums its terms in the order written here
+    tau, delta = point
+    p = synthesis.evaluate_point(tau, delta)
+    assert p.branch == "smooth"
+    x, y, z = p.critical_point.z
+    assert p.ball_rate_upper == -math.log2(x) - 2.0 * tau * math.log2(y) - delta * math.log2(z)
 
 
 def test_critical_point_residuals_on_grid():
@@ -204,20 +226,23 @@ def test_critical_point_rejects_out_of_range():
         critical_point(2.0, 1.0)
     with pytest.raises(DomainError):
         critical_point(1.0, 0.1)
+    # the smallest subnormal delta: z ~ delta / 3 underflows to 0
+    with pytest.raises(DomainError):
+        critical_point(2.0, 5e-324)
 
 
 def test_critical_point_time_mark_hits_one_at_full_budget():
     # at tau = 5/2 the cycle budget stops binding and the time variable
     # lands exactly on the unit circle
-    assert critical_point(2.5, 0.1).y == pytest.approx(1.0, abs=1e-9)
+    assert critical_point(2.5, 0.1).z[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_critical_point_distance_mark_crosses_one_at_saturation():
     # below delta_max the distance variable sits inside the unit circle,
     # above it the algebraic point continues with z > 1
     dm, _ = delta_max(2.0)
-    assert critical_point(2.0, dm - 0.01).z < 1.0
-    assert critical_point(2.0, dm + 0.01).z > 1.0
+    assert critical_point(2.0, dm - 0.01).z[2] < 1.0
+    assert critical_point(2.0, dm + 0.01).z[2] > 1.0
 
 
 def test_delta_max_values():
@@ -241,7 +266,7 @@ def test_delta_max_root_matches_capacity_root():
     for tau in (1.5, 2.0, 2.25):
         dm, y_min = delta_max(tau)
         cp = critical_point(tau, dm - 1e-9)
-        assert abs(cp.z - 1.0) <= 1e-6
+        assert abs(cp.z[2] - 1.0) <= 1e-6
         assert ball_rate_upper(tau, dm) == pytest.approx(
             2.0 * capacity(tau), abs=1e-9
         )
