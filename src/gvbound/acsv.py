@@ -41,8 +41,7 @@ __all__ = [
     "leading_term",
 ]
 
-DEFAULT_SOLVE_TOL = 1e-12
-
+_SOLVE_TOL = 1e-12
 _LEADING_RESIDUAL_TOL = 1e-9
 _INTEGRAL_INDEX_TOL = 1e-9
 _MAX_NEWTON_ITER = 100
@@ -292,12 +291,9 @@ def leading_term(
 
 
 def solve_critical_point(
-    H: SparseMultivariatePolynomial,
-    r: Sequence[float],
-    initial: Sequence[float] | None = None,
-    tol: float = DEFAULT_SOLVE_TOL,
+    H: SparseMultivariatePolynomial, r: Sequence[float], initial: Sequence[float] | None = None
 ) -> CriticalPoint:
-    """Damped Newton iteration on the critical-point system.
+    """Damped Newton iteration on the critical-point system, to residual norm 1e-12.
 
     Starts from `initial` (all coordinates 0.5 when omitted), keeps every
     iterate strictly positive, and halves the step up to 30 times per
@@ -321,10 +317,10 @@ def solve_critical_point(
 
     norm = _residual_norm(H, rv, z)
     iterations = 0
-    while not norm <= tol:
+    while not norm <= _SOLVE_TOL:
         if iterations == _MAX_NEWTON_ITER:
             raise NonConvergenceError(
-                f"Newton iteration did not reach tolerance {tol} "
+                f"Newton iteration did not reach tolerance {_SOLVE_TOL} "
                 f"(final residual norm {norm:.3e})"
             )
         try:
@@ -338,7 +334,7 @@ def solve_critical_point(
             candidate = z + scale * step
             if np.all(candidate > 0.0):
                 cand_norm = _residual_norm(H, rv, candidate)
-                if cand_norm < norm or cand_norm <= tol:
+                if cand_norm < norm or cand_norm <= _SOLVE_TOL:
                     z, norm = candidate, cand_norm
                     break
             scale *= 0.5

@@ -15,9 +15,9 @@ import sys
 from typing import Sequence
 
 from . import sticky, synthesis
-from .curves import CurveSpec, build_curves, write_csv, write_svg
+from .curves import CurveSpec, _fmt, build_curves, write_csv, write_svg
 from .errors import GVBoundError
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -60,9 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--output", required=True, metavar="PATH")
 
     verify = sub.add_parser("verify", help="run the self-check suites")
-    verify.add_argument(
-        "suite", nargs="?", default="all", choices=("all", "acsv", "sticky", "synthesis")
-    )
+    verify.add_argument("suite", nargs="?", default="all", choices=("all", *SUITES))
     verify.add_argument("--n-budget", type=int, default=8, metavar="N")
 
     point = sub.add_parser("point", help="print one evaluation as key-value lines")
@@ -75,10 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value: float) -> str:
-    return "%.12g" % value
-
-
 def _cmd_curve(args: argparse.Namespace) -> int:
     is_sticky = args.channel == "sticky"
     param = "beta" if is_sticky else "delta"
@@ -86,18 +80,14 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if sweep is None:
         print(f"error: {args.channel} curves need --{param}-range lo:hi:steps", file=sys.stderr)
         return 2
-    if not is_sticky and args.tau is None:
-        print("error: synthesis curves need --tau", file=sys.stderr)
-        return 2
     lo, hi, steps = sweep
     spec = CurveSpec(
         channel=args.channel,
         bounds=tuple((args.bounds or ("gv,sp,lb" if is_sticky else "gv,lb")).split(",")),
-        sweep_param=param,
         lo=lo,
         hi=hi,
         steps=steps,
-        fixed={} if is_sticky else {"tau": args.tau},
+        tau=args.tau,
     )
     curves = build_curves(spec)
     if args.format == "csv":

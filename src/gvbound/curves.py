@@ -1,10 +1,10 @@
 """Bound-curve evaluation and CSV/SVG rendering.
 
-A CurveSpec names a channel, a set of bounds, fixed parameters, and a
-sweep over one parameter; build_curves evaluates the channel's
-evaluate_point record at every sweep point, serially and in grid order,
-and returns one RateCurve per requested bound with the record's value
-and flags for that bound.
+A CurveSpec names a channel, a set of bounds, a sweep over beta (sticky)
+or delta (synthesis), and tau for synthesis; build_curves evaluates the
+channel's evaluate_point record at every sweep point, serially and in
+grid order, and returns one RateCurve per requested bound with the
+record's value and flags for that bound.
 
 The writers are deliberately plain: CSV with %.12g values and UNIX
 newlines, and a fixed-size self-contained SVG line chart, so repeated
@@ -14,7 +14,7 @@ runs of the same spec produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import sticky, synthesis
 from .errors import DomainError
@@ -44,19 +44,27 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """One sweep request: channel, bounds, fixed params, sweep grid."""
+    """One sweep request: channel, bounds, sweep grid, and tau for synthesis."""
 
     channel: str
     bounds: tuple[str, ...]
-    sweep_param: str
     lo: float
     hi: float
     steps: int
-    fixed: dict[str, float] = field(default_factory=dict)
+    tau: float | None = None
+
+    @property
+    def sweep_param(self) -> str:
+        """The swept parameter: beta for sticky curves, delta for synthesis."""
+        return "beta" if self.channel == "sticky" else "delta"
 
     def validate(self) -> None:
         if self.channel not in ("sticky", "synthesis"):
             raise DomainError(f"unknown channel {self.channel!r}")
+        if self.channel == "synthesis" and self.tau is None:
+            raise DomainError("synthesis curves need --tau")
+        if self.channel == "sticky" and self.tau is not None:
+            raise DomainError("sticky curves take no --tau")
         allowed = STICKY_BOUNDS if self.channel == "sticky" else SYNTHESIS_BOUNDS
         if not self.bounds:
             raise DomainError("at least one bound must be requested")
@@ -73,11 +81,6 @@ class CurveSpec:
             )
         if not self.lo < self.hi:
             raise DomainError(f"sweep range must satisfy lo < hi, got {self.lo}:{self.hi}")
-        param = "beta" if self.channel == "sticky" else "delta"
-        if self.sweep_param != param:
-            raise DomainError(f"{self.channel} curves sweep the {param} parameter")
-        if self.channel == "synthesis" and "tau" not in self.fixed:
-            raise DomainError("synthesis curves need a fixed tau")
         # the channel rejects parameters outside its domain
         self._evaluate(self.lo)
         self._evaluate(self.hi)
@@ -90,7 +93,7 @@ class CurveSpec:
         """The channel's evaluation record at sweep value x."""
         if self.channel == "sticky":
             return sticky.evaluate_point(x)
-        return synthesis.evaluate_point(self.fixed["tau"], x)
+        return synthesis.evaluate_point(self.tau, x)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DEFAULT_ROOT_TOL",
     "NEG_INF",
     "TABLE_CELL_BUDGET",
     "BracketedRoot",
@@ -36,10 +35,11 @@ __all__ = [
     "smallest_positive_root",
 ]
 
-DEFAULT_ROOT_TOL = 1e-12
 NEG_INF = float("-inf")
 TABLE_CELL_BUDGET = 1 << 26
 
+_ROOT_TOL = 1e-12
+_SCAN_MAX = 10.0  # right end of the smallest-positive-root scan
 _BISECTION_MAX_ITER = 200
 _SCAN_INITIAL_CELLS = 1024
 _SCAN_EVAL_BUDGET = 1 << 21
@@ -177,16 +177,11 @@ class RealPolynomial:
         return npoly.polyval(xs, np.asarray(self.coefficients))
 
 
-def find_root_bisection(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> BracketedRoot:
+def find_root_bisection(f: Callable[[float], float], lo: float, hi: float) -> BracketedRoot:
     """Bisect a sign-changing bracket [lo, hi] down to a root of f.
 
-    The returned root satisfies both |f(root)| <= tol and bracket width
-    <= tol (the bracket may collapse to adjacent floats first when f is
+    The returned root satisfies both |f(root)| <= 1e-12 and bracket width
+    <= 1e-12 (the bracket may collapse to adjacent floats first when f is
     steep; the residual condition still decides success).
 
     Raises:
@@ -194,8 +189,6 @@ def find_root_bisection(
         NonConvergenceError: if the tolerance is unreachable in the
             iteration budget.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     if not lo < hi:
         raise DomainError(f"bracket endpoints must satisfy lo < hi, got [{lo}, {hi}]")
     f_lo = f(lo)
@@ -222,9 +215,9 @@ def find_root_bisection(
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-        if hi - lo <= tol and abs(best_f) <= tol:
+        if hi - lo <= _ROOT_TOL and abs(best_f) <= _ROOT_TOL:
             return BracketedRoot(root=best_x, residual=best_f, bracket=(lo, hi))
-    if abs(best_f) <= tol:
+    if abs(best_f) <= _ROOT_TOL:
         return BracketedRoot(root=best_x, residual=best_f, bracket=(lo, hi))
     raise NonConvergenceError(
         f"bisection stalled at bracket [{lo}, {hi}] with residual {best_f}"
@@ -239,31 +232,25 @@ def _sign_at_zero_plus(p: RealPolynomial) -> float:
     return 0.0
 
 
-def smallest_positive_root(
-    p: RealPolynomial,
-    scan_max: float,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> BracketedRoot:
-    """Smallest positive real root of p on (0, scan_max].
+def smallest_positive_root(p: RealPolynomial) -> BracketedRoot:
+    """Smallest positive real root of p on (0, 10].
 
-    Scans the interval on a uniform grid (initial step scan_max / 1024),
+    Scans the interval on a uniform grid (initial step 10 / 1024),
     bisects the leftmost sign change, and halves the step when no sign
     change is visible, until the evaluation budget is exhausted.
 
     Raises:
         NoRootFoundError: if no sign change is detected at the finest
             grid level.
-        DomainError: for a zero polynomial or a scan_max not positive and finite.
+        DomainError: for a zero polynomial.
     """
     if p.is_zero():
         raise DomainError("smallest_positive_root requires a nonzero polynomial")
-    if not 0.0 < scan_max < math.inf:
-        raise DomainError(f"scan_max must be positive and finite, got {scan_max}")
     sign_left = _sign_at_zero_plus(p)
     cells = _SCAN_INITIAL_CELLS
     evaluations = 0
     while evaluations + cells <= _SCAN_EVAL_BUDGET:
-        xs = np.linspace(0.0, scan_max, cells + 1)[1:]
+        xs = np.linspace(0.0, _SCAN_MAX, cells + 1)[1:]
         values = p.evaluate_many(xs)
         evaluations += cells
         signs = np.sign(values)
@@ -274,21 +261,21 @@ def smallest_positive_root(
             for _ in range(80):
                 lo_edge *= 0.5
                 if math.copysign(1.0, p.evaluate(lo_edge)) == sign_left:
-                    return find_root_bisection(p.evaluate, lo_edge, hi_edge, tol)
+                    return find_root_bisection(p.evaluate, lo_edge, hi_edge)
         exact = np.flatnonzero(signs == 0.0)
         change = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
         first_change = int(change[0]) if change.size else None
         if exact.size and (first_change is None or int(exact[0]) <= first_change):
             idx = int(exact[0])
             lo = float(xs[idx - 1]) if idx > 0 else 0.0
-            hi = float(xs[idx + 1]) if idx + 1 < xs.size else scan_max
+            hi = float(xs[idx + 1]) if idx + 1 < xs.size else _SCAN_MAX
             return BracketedRoot(root=float(xs[idx]), residual=0.0, bracket=(lo, hi))
         if first_change is not None:
             lo = float(xs[first_change])
             hi = float(xs[first_change + 1])
-            return find_root_bisection(p.evaluate, lo, hi, tol)
+            return find_root_bisection(p.evaluate, lo, hi)
         cells *= 2
     raise NoRootFoundError(
-        f"no sign change of the polynomial found on (0, {scan_max}] "
-        f"down to grid step {scan_max / cells:.3e}"
+        f"no sign change of the polynomial found on (0, {_SCAN_MAX}] "
+        f"down to grid step {_SCAN_MAX / cells:.3e}"
     )

@@ -171,26 +171,34 @@ class PairCountTable:
     entries[n1, n2, s] is the number of ordered composition pairs
     (u, v) with u summing to n1, v summing to n2, both with exactly
     `r` parts, at L1 distance exactly s, stored in the count mode `mode`.
+    A negative index lies outside the support and counts zero; an index
+    beyond the dims lies outside this truncated table and raises DomainError.
     """
 
     mode: CountMode
     r: int
     entries: np.ndarray
 
-    def count(self, n1: int, n2: int, s: int):
-        """Table entry; negative indices count as zero."""
+    def _inside(self, n1: int, n2: int, s: int) -> bool:
+        """Whether (n1, n2, s) is stored; False below zero, DomainError beyond the dims."""
         if min(n1, n2, s) < 0:
-            return self.mode.zero
+            return False
         n1_max, n2_max, s_max = (dim - 1 for dim in self.entries.shape)
         if n1 > n1_max or n2 > n2_max or s > s_max:
             raise DomainError(
                 f"({n1},{n2},{s}) outside table dims ({n1_max},{n2_max},{s_max})"
             )
-        return self.entries[n1, n2, s]
+        return True
+
+    def count(self, n1: int, n2: int, s: int):
+        """Table entry at (n1, n2, s)."""
+        return self.entries[n1, n2, s] if self._inside(n1, n2, s) else self.mode.zero
 
     def total(self, n1: int, n2: int, s_cap: int):
         """Sum of entries over s <= s_cap at fixed (n1, n2)."""
-        return self.mode.sum(self.entries[n1, n2, : max(s_cap + 1, 0)])
+        if not self._inside(n1, n2, s_cap):
+            return self.mode.zero
+        return self.mode.sum(self.entries[n1, n2, : s_cap + 1])
 
 
 def iter_pair_layers(

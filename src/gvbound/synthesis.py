@@ -70,7 +70,6 @@ _RANK = {"A": 1, "C": 2, "G": 3, "T": 4}
 LOG2_3 = math.log2(3.0)
 
 _BRUTEFORCE_WORD_LIMIT = 4096
-_ROOT_SCAN_MAX = 10.0
 _TAU_FREE = 2.5  # cycle density from which every strand is producible
 
 Strand = str
@@ -120,16 +119,9 @@ def count_words_by_time(n: int) -> list[int]:
     check_sizes(n=n)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    counts = [1] + [0] * (4 * n)
+    counts = [1]
     for _ in range(n):
-        nxt = [0] * len(counts)
-        for t, c in enumerate(counts):
-            if c == 0:
-                continue
-            for cost in range(1, 5):
-                if t + cost < len(nxt):
-                    nxt[t + cost] += c
-        counts = nxt
+        counts = _conv(counts, [0, 1, 1, 1, 1])  # one step of cost 1..4
     return counts
 
 
@@ -152,7 +144,8 @@ class SynthesisPairTable:
     of the recursion: Hamming agreement at a position depends on the
     rank difference carried from the previous position, not only on the
     two step costs, so the counts split by it.  Public queries sum it
-    out.  Entries are stored in the count mode `mode`.
+    out.  Entries are stored in the count mode `mode`.  The table is never
+    truncated: it covers the whole support, and any index outside it counts zero.
     """
 
     mode: CountMode
@@ -258,8 +251,8 @@ def pair_generating_denominator() -> acsv.SparseMultivariatePolynomial:
     )
 
 
-def _conv(a: list[float], b: list[float]) -> list[float]:
-    out = [0.0] * (len(a) + len(b) - 1)
+def _conv(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
@@ -291,7 +284,7 @@ def capacity(tau: float) -> float:
     if tau >= _TAU_FREE:
         return 2.0
     cubic = RealPolynomial([1.0 - tau, 2.0 - tau, 3.0 - tau, 4.0 - tau])
-    y = smallest_positive_root(cubic, _ROOT_SCAN_MAX).root
+    y = smallest_positive_root(cubic).root
     x = 1.0 / (y + y ** 2 + y ** 3 + y ** 4)
     return -math.log2(x) - tau * math.log2(y)
 
@@ -313,7 +306,7 @@ def critical_point(tau: float, delta: float) -> acsv.CriticalPoint:
         2.0 * tau * a - 2.0 * b - delta * c
         for a, b, c in zip(_POLY_A, _POLY_B, _POLY_C)
     ]
-    y = smallest_positive_root(RealPolynomial(coeffs), _ROOT_SCAN_MAX).root
+    y = smallest_positive_root(RealPolynomial(coeffs)).root
     x = (1.0 - delta) / (y ** 2 * (1.0 + y ** 2) * (1.0 + y ** 4))
     z = delta * (1.0 + y ** 4) / (2.0 * (1.0 - delta) * y * (1.0 + y + y ** 2))
     if z == 0.0:
@@ -338,7 +331,7 @@ def delta_max(tau: float) -> tuple[float, float]:
     lhs = _conv(_POLY_D.coefficients, tg_minus_b)
     rhs = [0.0] + _POLY_C
     coeffs = [l - r for l, r in zip(lhs, rhs + [0.0] * (len(lhs) - len(rhs)))]
-    y = smallest_positive_root(RealPolynomial(coeffs), _ROOT_SCAN_MAX).root
+    y = smallest_positive_root(RealPolynomial(coeffs)).root
     dm = 2.0 * y * (1.0 + y + y ** 2) / _POLY_D.evaluate(y)
     return dm, y
 
@@ -376,7 +369,8 @@ def evaluate_point(tau: float, delta: float | None = None) -> SynthesisPoint:
     on.  For tau < 5/2 it is the capacity itself at delta = 0, where only
     the diagonal pairs remain; it follows the critical point up to the
     saturating density delta_max; and from there on it is twice the
-    capacity.
+    capacity.  The crude bound subtracts the same capped Hamming-ball
+    exponent, without the 2, from the capacity.
     """
     _check_tau(tau)
     cap = capacity(tau)
@@ -399,7 +393,7 @@ def evaluate_point(tau: float, delta: float | None = None) -> SynthesisPoint:
             cp = critical_point(tau, delta)
             ball = acsv.growth_exponent(cp)
     gv = 2.0 * cap - ball
-    lb = cap - entropy(delta) - delta * LOG2_3
+    lb = cap - 2.0 if delta >= 0.75 else cap - entropy(delta) - delta * LOG2_3
     return SynthesisPoint(
         tau=tau, capacity=cap, delta=delta, branch=branch, delta_max=dm,
         critical_point=cp, ball_rate_upper=ball, gv_rate=max(gv, 0.0),
@@ -421,7 +415,7 @@ def gv_rate(tau: float, delta: float) -> float:
 def simple_lb_rate(tau: float, delta: float) -> float:
     """Crude lower bound Cap - H(delta) - delta*log2(3), floored at zero.
 
-    Uses the coarse ball estimate C(n, d) * 3^d, which is meaningful for
-    delta up to 3/4.
+    Uses the coarse ball estimate C(n, d) * 3^d, capped at the 4^n strands
+    from delta = 3/4 on, so the bound is zero there.
     """
     return evaluate_point(tau, delta).lb_rate

@@ -341,13 +341,9 @@ SUITES = {
 
 def run_suite(suite: str, n_budget: int = 8) -> list[CheckResult]:
     """Run one named suite, or all of them, and collect the results."""
-    if suite == "all":
-        results = []
-        for name in ("acsv", "sticky", "synthesis"):
-            results.extend(_run_checks(name, SUITES[name](n_budget, _RESIDUAL_TOL)))
-        return results
-    if suite not in SUITES:
-        raise GVBoundError(
-            f"unknown suite {suite!r}; choose from all, acsv, sticky, synthesis"
-        )
-    return _run_checks(suite, SUITES[suite](n_budget, _RESIDUAL_TOL))
+    if suite != "all" and suite not in SUITES:
+        raise GVBoundError(f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
+    results = []
+    for name in SUITES if suite == "all" else (suite,):
+        results.extend(_run_checks(name, SUITES[name](n_budget, _RESIDUAL_TOL)))
+    return results

@@ -30,7 +30,6 @@ def sticky_spec(steps: int = 11, bounds=("gv", "sp", "lb")) -> CurveSpec:
     return CurveSpec(
         channel="sticky",
         bounds=tuple(bounds),
-        sweep_param="beta",
         lo=0.0,
         hi=0.49,
         steps=steps,
@@ -41,11 +40,10 @@ def synthesis_spec(steps: int = 11, tau: float = 2.0) -> CurveSpec:
     return CurveSpec(
         channel="synthesis",
         bounds=("gv", "lb"),
-        sweep_param="delta",
         lo=0.0,
         hi=0.75,
         steps=steps,
-        fixed={"tau": tau},
+        tau=tau,
     )
 
 
@@ -54,29 +52,29 @@ def synthesis_spec(steps: int = 11, tau: float = 2.0) -> CurveSpec:
 
 def test_curve_spec_rejects_bad_requests():
     with pytest.raises(DomainError):
-        CurveSpec("nvm", ("gv",), "beta", 0.0, 0.4, 5).validate()
+        CurveSpec("nvm", ("gv",), 0.0, 0.4, 5).validate()
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv", "what"), "beta", 0.0, 0.4, 5).validate()
+        CurveSpec("sticky", ("gv", "what"), 0.0, 0.4, 5).validate()
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), "beta", 0.0, 0.4, 1).validate()
+        CurveSpec("sticky", ("gv",), 0.0, 0.4, 1).validate()
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), "beta", 0.0, 0.4, 2.5).validate()
+        CurveSpec("sticky", ("gv",), 0.0, 0.4, 2.5).validate()
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), "beta", 0.4, 0.1, 5).validate()
+        CurveSpec("sticky", ("gv",), 0.4, 0.1, 5).validate()
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), "beta", 0.0, 0.6, 5).validate()
+        CurveSpec("sticky", ("gv",), 0.0, 0.6, 5).validate()
+    with pytest.raises(DomainError, match="synthesis curves need --tau"):
+        CurveSpec("synthesis", ("gv",), 0.0, 0.5, 5).validate()
     with pytest.raises(DomainError):
-        CurveSpec("synthesis", ("gv",), "delta", 0.0, 0.5, 5).validate()
-    with pytest.raises(DomainError):
-        CurveSpec(
-            "synthesis", ("gv",), "delta", 0.0, 0.5, 5, fixed={"tau": 1.0}
-        ).validate()
+        CurveSpec("synthesis", ("gv",), 0.0, 0.5, 5, tau=1.0).validate()
+    with pytest.raises(DomainError, match="sticky curves take no --tau"):
+        CurveSpec("sticky", ("gv",), 0.0, 0.4, 5, tau=2.0).validate()
 
 
 def test_curve_spec_caps_steps_before_allocating():
-    CurveSpec("sticky", ("gv",), "beta", 0.0, 0.4, MAX_STEPS).validate()
+    CurveSpec("sticky", ("gv",), 0.0, 0.4, MAX_STEPS).validate()
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), "beta", 0.0, 0.4, 10 ** 9).validate()
+        CurveSpec("sticky", ("gv",), 0.0, 0.4, 10 ** 9).validate()
     assert MAX_STEPS >= 10 * 2000
 
 
@@ -212,7 +210,7 @@ def test_cli_curve_synthesis_requires_tau(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "--tau" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: synthesis curves need --tau\n"
 
 
 def test_cli_curve_rejects_single_step(tmp_path, capsys):

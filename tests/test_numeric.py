@@ -106,11 +106,9 @@ def test_bisection_rejects_same_sign_bracket():
         find_root_bisection(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_bisection_rejects_bad_bracket_and_tolerance():
+def test_bisection_rejects_bad_bracket():
     with pytest.raises(DomainError):
         find_root_bisection(lambda x: x, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        find_root_bisection(lambda x: x, -1.0, 1.0, tol=0.0)
 
 
 def test_real_polynomial_trims_and_evaluates():
@@ -131,26 +129,28 @@ def test_real_polynomial_zero_handling():
     assert z.is_zero()
     assert z.degree == 0
     with pytest.raises(DomainError):
-        smallest_positive_root(z, 1.0)
+        smallest_positive_root(z)
 
 
 def test_smallest_positive_root_picks_leftmost():
     # (x - 1/2)(x - 1)(x - 3) expanded, constant term first
     p = RealPolynomial([-1.5, 5.0, -4.5, 1.0])
-    result = smallest_positive_root(p, 10.0)
+    result = smallest_positive_root(p)
     assert result.root == pytest.approx(0.5, abs=1e-10)
 
 
 def test_smallest_positive_root_handles_tight_root():
-    # root at 1e-5, far below the initial grid step of scan_max / 1024
+    # root at 1e-5, far below the initial grid step of 10 / 1024
     p = RealPolynomial([-1e-5, 1.0])
-    result = smallest_positive_root(p, 10.0)
+    result = smallest_positive_root(p)
     assert result.root == pytest.approx(1e-5, rel=1e-8)
 
 
 def test_smallest_positive_root_reports_missing_root():
     p = RealPolynomial([1.0, 0.0, 1.0])
+    with pytest.raises(NoRootFoundError, match=r"\(0, 10.0\]"):
+        smallest_positive_root(p)
+    # the scan covers (0, 10]: a root at 9.5 is found, one at 10.5 is not
+    assert smallest_positive_root(RealPolynomial([-9.5, 1.0])).root == pytest.approx(9.5)
     with pytest.raises(NoRootFoundError):
-        smallest_positive_root(p, 5.0)
-    with pytest.raises(DomainError):
-        smallest_positive_root(p, -1.0)
+        smallest_positive_root(RealPolynomial([-10.5, 1.0]))

@@ -182,6 +182,7 @@ def test_total_ball_exact_values():
 
 
 def test_table_count_bounds():
+    # zero below the support, DomainError beyond the truncated table, for count and total
     table = pair_count_table(5, 5, 2, 8)
     assert table.count(5, 5, -3) == 0
     assert table.total(5, 5, -3) == 0
@@ -189,6 +190,13 @@ def test_table_count_bounds():
         table.count(6, 5, 0)
     with pytest.raises(DomainError):
         table.count(5, 5, 9)
+    small = pair_count_table(5, 5, 2, 4)
+    assert small.total(5, 5, 4) == total_ball_exact(5, 2, 4)
+    assert small.count(-1, 5, 3) == small.total(-1, 5, 3) == 0
+    with pytest.raises(DomainError):
+        small.total(5, 5, 9)  # the sum over s <= 4 alone undercounts total_ball_exact(5, 2, 9)
+    with pytest.raises(DomainError):
+        small.total(6, 5, 4)
 
 
 # ------------------------------------------------------------- critical point
@@ -415,3 +423,30 @@ def test_bound_ordering():
         upper = sp_rate(beta)
         assert lower <= rate + 1e-12
         assert rate <= upper + 1e-12
+
+
+# The properties below hold up to rounding, with test_bound_ordering's 1e-12 slack:
+# for beta in [5e-17, 1.1e-16], gv exceeds sp by up to 5.7e-15 (sp_rate's argument
+# (1+beta)/(1+2beta) rounds away most digits of beta),
+# and ball rates at adjacent floats fall by up to 1.1e-15.
+@settings(max_examples=300, deadline=None)
+@given(beta=st.floats(0.0, 0.5))
+@example(beta=0.25)
+@example(beta=0.5)
+@example(beta=1.0556173927526694e-16)
+def test_bounds_ordered_on_the_whole_beta_range(beta):
+    rate, _ = gv_rate(beta)
+    assert simple_lb_rate(beta) <= rate + 1e-12
+    assert rate <= sp_rate(beta) + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rho=st.floats(0.01, 0.99),
+    betas=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+)
+@example(rho=0.5, betas=(0.0, 1e-300))
+@example(rho=0.5, betas=(beta_max(0.5) * (1.0 - 1e-12), beta_max(0.5)))
+def test_ball_rate_nondecreasing_in_beta(rho, betas):
+    lo, hi = sorted(betas)
+    assert ball_rate(rho, lo) <= ball_rate(rho, hi) + 1e-12

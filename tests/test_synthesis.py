@@ -313,13 +313,30 @@ def test_gv_rate_values():
 
 
 def test_gv_rate_dominates_simple_lb():
-    for tau in (1.5, 2.0):
-        for k in range(0, 15):
+    # delta runs past 3/4, where the crude ball estimate outgrows the 4^n strands
+    for tau in (1.5, 2.0, 2.5, 3.0):
+        for k in range(0, 21):
             delta = 0.05 * k
             assert gv_rate(tau, delta) >= simple_lb_rate(tau, delta) - 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tau=st.floats(1.0, 4.0, exclude_min=True),
+    deltas=st.tuples(st.floats(1e-323, 1.0), st.floats(1e-323, 1.0)),
+)
+@example(tau=2.0, deltas=(0.0, 1e-300))
+@example(tau=1.2012820512820515, deltas=(0.0, 1e-323))
+@example(tau=3.0, deltas=(0.75 - 1e-12, 0.75))
+def test_ball_rate_upper_nondecreasing_in_delta(tau, deltas):
+    # deltas start at 1e-323: at 5e-324 the critical point underflows (see below).
+    # Up to rounding: adjacent floats, or delta 0 against 1e-323, fall by up to 8.9e-16.
+    lo, hi = sorted(deltas)
+    assert ball_rate_upper(tau, lo) <= ball_rate_upper(tau, hi) + 1e-12
 
 
 def test_simple_lb_rate_values():
     assert simple_lb_rate(2.0, 0.0) == pytest.approx(capacity(2.0), abs=1e-15)
     assert simple_lb_rate(2.0, 0.1) == pytest.approx(1.2247941504138409, abs=1e-12)
     assert simple_lb_rate(3.0, 0.75) == 0.0
+    assert simple_lb_rate(3.0, 0.9) == 0.0  # Plotkin: no positive rate past 3/4 at q = 4
