@@ -9,62 +9,21 @@ critical points.
 
 Channel-specific functionality lives in the sticky and synthesis
 submodules; curves and cli drive curve sweeps and the command
-line; verify holds the self-check suites.
+line; verify holds the self-check suites.  Names are imported from
+their submodules, e.g. ``from gvbound.errors import DomainError``.
 """
 
-from . import acsv, curves, sticky, synthesis, verify
-from .acsv import (
-    CriticalPoint,
-    SparseMultivariatePolynomial,
-    critical_system_residual,
-    growth_exponent,
-    solve_critical_point,
-)
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    GVBoundError,
-    MemoryBudgetError,
-    NoRootFoundError,
-    NoSignChangeError,
-    NonConvergenceError,
-    SizeLimitError,
-)
-from .numeric import (
-    BracketedRoot,
-    RealPolynomial,
-    binomial_exact,
-    entropy,
-    find_root_bisection,
-    smallest_positive_root,
-)
+from . import acsv, curves, errors, numeric, sticky, synthesis, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "acsv",
     "curves",
+    "errors",
+    "numeric",
     "sticky",
     "synthesis",
     "verify",
-    "CriticalPoint",
-    "SparseMultivariatePolynomial",
-    "critical_system_residual",
-    "growth_exponent",
-    "solve_critical_point",
-    "GVBoundError",
-    "DomainError",
-    "DimensionMismatchError",
-    "NoSignChangeError",
-    "NoRootFoundError",
-    "NonConvergenceError",
-    "SizeLimitError",
-    "MemoryBudgetError",
-    "BracketedRoot",
-    "RealPolynomial",
-    "binomial_exact",
-    "entropy",
-    "find_root_bisection",
-    "smallest_positive_root",
     "__version__",
 ]

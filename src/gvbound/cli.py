@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import sticky, synthesis
 from .curves import CurveSpec, _fmt, build_curves, write_csv, write_svg
-from .errors import GVBoundError
+from .errors import DomainError, GVBoundError
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -71,6 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--delta", type=float)
 
     return parser
+
+
+# each channel rejects the other channel's flags rather than ignore them
+_FOREIGN_FLAGS = {
+    "sticky": ("tau", "delta", "delta_range"),
+    "synthesis": ("rho", "beta", "beta_range"),
+}
+
+
+def _reject_foreign_flags(args: argparse.Namespace) -> None:
+    for dest in _FOREIGN_FLAGS[args.channel]:
+        if getattr(args, dest, None) is not None:
+            raise DomainError(f"{args.channel} {args.command}s take no --{dest.replace('_', '-')}")
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
@@ -166,10 +179,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "curve":
-            return _cmd_curve(args)
         if args.command == "verify":
             return _cmd_verify(args)
+        _reject_foreign_flags(args)
+        if args.command == "curve":
+            return _cmd_curve(args)
         return _cmd_point(args)
     except (GVBoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

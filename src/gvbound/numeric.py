@@ -41,8 +41,7 @@ TABLE_CELL_BUDGET = 1 << 26
 _ROOT_TOL = 1e-12
 _SCAN_MAX = 10.0  # right end of the smallest-positive-root scan
 _BISECTION_MAX_ITER = 200
-_SCAN_INITIAL_CELLS = 1024
-_SCAN_EVAL_BUDGET = 1 << 21
+_SCAN_CELLS = 1024
 
 
 def entropy(p: float) -> float:
@@ -224,58 +223,39 @@ def find_root_bisection(f: Callable[[float], float], lo: float, hi: float) -> Br
     )
 
 
-def _sign_at_zero_plus(p: RealPolynomial) -> float:
-    """Sign of p immediately to the right of 0 (sign of lowest nonzero coefficient)."""
-    for c in p.coefficients:
-        if c != 0.0:
-            return math.copysign(1.0, c)
-    return 0.0
-
-
 def smallest_positive_root(p: RealPolynomial) -> BracketedRoot:
     """Smallest positive real root of p on (0, 10].
 
-    Scans the interval on a uniform grid (initial step 10 / 1024),
-    bisects the leftmost sign change, and halves the step when no sign
-    change is visible, until the evaluation budget is exhausted.
+    Evaluates p once on a uniform grid of step 10 / 1024 and bisects the
+    first cell whose end values change sign or touch zero; a root on a
+    grid point comes back as a bisection endpoint.  A sign change before
+    the first grid point is bracketed by halving towards 0.  Roots that
+    share a cell without a sign change (a double root, or two roots
+    closer than the step) are not resolved.
 
     Raises:
-        NoRootFoundError: if no sign change is detected at the finest
-            grid level.
+        NoRootFoundError: if no grid cell shows a sign change.
         DomainError: for a zero polynomial.
     """
     if p.is_zero():
         raise DomainError("smallest_positive_root requires a nonzero polynomial")
-    sign_left = _sign_at_zero_plus(p)
-    cells = _SCAN_INITIAL_CELLS
-    evaluations = 0
-    while evaluations + cells <= _SCAN_EVAL_BUDGET:
-        xs = np.linspace(0.0, _SCAN_MAX, cells + 1)[1:]
-        values = p.evaluate_many(xs)
-        evaluations += cells
-        signs = np.sign(values)
-        if signs[0] != 0.0 and sign_left != 0.0 and signs[0] != sign_left:
-            # a root hides between 0 and the first grid point
-            hi_edge = float(xs[0])
-            lo_edge = hi_edge
-            for _ in range(80):
-                lo_edge *= 0.5
-                if math.copysign(1.0, p.evaluate(lo_edge)) == sign_left:
-                    return find_root_bisection(p.evaluate, lo_edge, hi_edge)
-        exact = np.flatnonzero(signs == 0.0)
-        change = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-        first_change = int(change[0]) if change.size else None
-        if exact.size and (first_change is None or int(exact[0]) <= first_change):
-            idx = int(exact[0])
-            lo = float(xs[idx - 1]) if idx > 0 else 0.0
-            hi = float(xs[idx + 1]) if idx + 1 < xs.size else _SCAN_MAX
-            return BracketedRoot(root=float(xs[idx]), residual=0.0, bracket=(lo, hi))
-        if first_change is not None:
-            lo = float(xs[first_change])
-            hi = float(xs[first_change + 1])
-            return find_root_bisection(p.evaluate, lo, hi)
-        cells *= 2
+    # sign of p just right of 0: the sign of its lowest nonzero coefficient
+    sign_left = next(math.copysign(1.0, c) for c in p.coefficients if c != 0.0)
+    xs = np.linspace(0.0, _SCAN_MAX, _SCAN_CELLS + 1)[1:]
+    signs = np.sign(p.evaluate_many(xs))
+    if signs[0] != 0.0 and signs[0] != sign_left:
+        # a root hides between 0 and the first grid point
+        hi_edge = float(xs[0])
+        lo_edge = hi_edge
+        for _ in range(80):
+            lo_edge *= 0.5
+            if math.copysign(1.0, p.evaluate(lo_edge)) == sign_left:
+                return find_root_bisection(p.evaluate, lo_edge, hi_edge)
+    change = np.flatnonzero(signs[:-1] * signs[1:] <= 0.0)
+    if change.size:
+        lo, hi = xs[change[0]], xs[change[0] + 1]
+        return find_root_bisection(p.evaluate, float(lo), float(hi))
     raise NoRootFoundError(
         f"no sign change of the polynomial found on (0, {_SCAN_MAX}] "
-        f"down to grid step {_SCAN_MAX / cells:.3e}"
+        f"at grid step {_SCAN_MAX / _SCAN_CELLS:.3e}"
     )

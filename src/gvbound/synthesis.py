@@ -214,8 +214,6 @@ def count_pairs_bruteforce(n: int, t: int, s: int) -> int:
         raise DomainError(f"n must be >= 0, got {n}")
     if 4 ** n > _BRUTEFORCE_WORD_LIMIT:
         raise SizeLimitError(f"4^{n} strands exceed the enumeration limit")
-    if n == 0:
-        return 1 if t == 0 and s == 0 else 0
     strands = [""]
     for _ in range(n):
         strands = [w + c for w in strands for c in ALPHABET]

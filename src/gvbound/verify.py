@@ -2,8 +2,9 @@
 
 Each suite returns a list of CheckResult records; the CLI renders them
 as a pass/fail table.  Checks that would exceed the requested size
-budget shrink to it rather than fail, and unexpected errors inside one
-check are reported for that check without aborting the rest.
+budget shrink to it rather than fail.  A GVBoundError raised inside one
+check is reported as that check's failure without aborting the rest;
+any other exception propagates.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import acsv, sticky, synthesis
-from .errors import GVBoundError
-from .numeric import binomial_exact, entropy
+from .errors import DomainError, GVBoundError
+from .numeric import binomial_exact, check_sizes, entropy
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
@@ -69,8 +70,6 @@ def _acsv_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         H = sticky.pair_generating_denominator()
         for rho in (0.2, 0.3, 0.5):
             for delta in (0.1, 0.2, 0.3):
-                if 2.0 - delta - 2.0 * rho <= 0.0:
-                    continue
                 cf = sticky.critical_point_closed_form(rho, delta)
                 cp = acsv.solve_critical_point(H, (1.0, 1.0, rho, delta))
                 worst = max(worst, *(abs(a - b) for a, b in zip(cp.z, cf.z)))
@@ -151,8 +150,6 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         for rho in np.arange(0.1, 0.46, 0.05):
             for beta in np.arange(0.1, 0.46, 0.05):
                 delta = 2.0 * float(beta)
-                if 2.0 - delta - 2.0 * float(rho) <= 0.0:
-                    continue
                 cp = sticky.critical_point_closed_form(float(rho), delta)
                 worst = max(worst, cp.residual_norm)
         return worst <= tol, f"max closed-form residual {worst:.2e}"
@@ -264,8 +261,6 @@ def _synthesis_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         for w in strands:
             t = synthesis.synthesis_time(w)
             for budget in (t - 1, t, 4 * n):
-                if budget < 0:
-                    continue
                 via_time = t <= budget
                 via_subseq = _is_subsequence(w, _alternating_prefix(budget))
                 if via_time != via_subseq:
@@ -340,9 +335,14 @@ SUITES = {
 
 
 def run_suite(suite: str, n_budget: int = 8) -> list[CheckResult]:
-    """Run one named suite, or all of them, and collect the results."""
+    """Run one named suite, or all of them, and collect the results;
+    DomainError unless n_budget is an integer >= 1.
+    """
     if suite != "all" and suite not in SUITES:
         raise GVBoundError(f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
+    check_sizes(n_budget=n_budget)
+    if n_budget < 1:
+        raise DomainError(f"n_budget must be >= 1, got {n_budget}")
     results = []
     for name in SUITES if suite == "all" else (suite,):
         results.extend(_run_checks(name, SUITES[name](n_budget, _RESIDUAL_TOL)))

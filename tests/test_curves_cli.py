@@ -229,6 +229,67 @@ def test_cli_curve_rejects_single_step(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", ["0:1", "a:b:3", "0:1:x"])
+def test_cli_curve_rejects_malformed_range(tmp_path, capsys, sweep):
+    argv = ["curve", "--channel", "sticky", "--beta-range", sweep]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + ["--output", str(tmp_path / "x.csv")])
+    assert excinfo.value.code == 2
+    assert "--beta-range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "channel, extra, flag",
+    [("sticky", [], "--beta-range"), ("synthesis", ["--tau", "2"], "--delta-range")],
+)
+def test_cli_curve_needs_its_range_flag(tmp_path, capsys, channel, extra, flag):
+    code = cli.main(["curve", "--channel", channel, *extra, "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {channel} curves need {flag} lo:hi:steps\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["point", "--channel", "sticky", "--rho", "0.5"], "sticky points need --rho and --beta"),
+        (["point", "--channel", "sticky", "--beta", "0.1"], "sticky points need --rho and --beta"),
+        (["point", "--channel", "synthesis", "--delta", "0.3"], "synthesis points need --tau"),
+    ],
+)
+def test_cli_point_needs_its_parameters(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["point", "--channel", "sticky", "--rho", "0.5", "--beta", "0.125", "--tau", "3"],
+         "sticky points take no --tau"),
+        (["point", "--channel", "sticky", "--rho", "0.5", "--beta", "0.125", "--delta", "0.1"],
+         "sticky points take no --delta"),
+        (["point", "--channel", "synthesis", "--tau", "2", "--rho", "0.4"],
+         "synthesis points take no --rho"),
+        (["point", "--channel", "synthesis", "--tau", "2", "--delta", "0.3", "--beta", "0.1"],
+         "synthesis points take no --beta"),
+        (["curve", "--channel", "sticky", "--beta-range", "0:0.4:5", "--delta-range", "0:9:3"],
+         "sticky curves take no --delta-range"),
+        (["curve", "--channel", "synthesis", "--tau", "2", "--delta-range", "0:0.7:5",
+          "--beta-range", "0:0.4:5"], "synthesis curves take no --beta-range"),
+    ],
+)
+def test_cli_rejects_the_other_channels_flags(tmp_path, capsys, argv, message):
+    output = ["--output", str(tmp_path / "x.csv")] if argv[0] == "curve" else []
+    assert cli.main(argv + output) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_point_sticky_block(capsys):
     code = cli.main(
         ["point", "--channel", "sticky", "--rho", "0.5", "--beta", "0.125"]

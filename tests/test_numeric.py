@@ -154,3 +154,31 @@ def test_smallest_positive_root_reports_missing_root():
     assert smallest_positive_root(RealPolynomial([-9.5, 1.0])).root == pytest.approx(9.5)
     with pytest.raises(NoRootFoundError):
         smallest_positive_root(RealPolynomial([-10.5, 1.0]))
+
+
+@pytest.mark.parametrize("coefficients", [[-5.0, 1.0], [25.0, -10.0, 1.0]])
+def test_smallest_positive_root_on_a_grid_point(coefficients):
+    # 5 = 512 * 10 / 1024 is a grid point; (x - 5)^2 touches zero there
+    # without a sign change, and the cell that ends on it is bisected
+    result = smallest_positive_root(RealPolynomial(coefficients))
+    assert result.root == 5.0
+    assert result.residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "coefficients", [[-1.5, 5.0, -4.5, 1.0], [-1e-5, 1.0], [1.0, 0.0, 1.0]]
+)
+def test_smallest_positive_root_scans_the_grid_once(monkeypatch, coefficients):
+    calls = []
+    evaluate_many = RealPolynomial.evaluate_many
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return evaluate_many(self, xs)
+
+    monkeypatch.setattr(RealPolynomial, "evaluate_many", counted)
+    try:
+        smallest_positive_root(RealPolynomial(coefficients))
+    except NoRootFoundError:
+        pass
+    assert calls == [1024]

@@ -111,6 +111,27 @@ def test_synthesis_point_saturated_branch():
     assert p.lb_floored
 
 
+# ------------------------------------------------- point blocks off the smooth branch
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["sticky", "--rho", "0.3", "--beta", "0"], ""),
+        (["sticky", "--rho", "0.5", "--beta", "0.4"], "saturated;lb-boundary"),
+        (["synthesis", "--tau", "2", "--delta", "0"], "upper-bound"),
+        (["synthesis", "--tau", "2", "--delta", "0.73"], "upper-bound;saturated"),
+        (["synthesis", "--tau", "3", "--delta", "0.5"], "upper-bound"),
+    ],
+)
+def test_cli_point_block_without_critical_point(capsys, argv, flags):
+    assert cli.main(["point", "--channel", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = [line.split(" = ", 1)[0] for line in lines]
+    assert not [k for k in keys if k[:2] in ("x_", "y_", "z_") or k == "residual_norm"]
+    assert lines[-1] == f"flags = {flags}"
+
+
 # -------------------------------------------------------------- input domains
 
 # 1 - x - y, the central binomial denominator

@@ -2,7 +2,8 @@
 
 import pytest
 
-from gvbound.errors import GVBoundError
+from gvbound import cli
+from gvbound.errors import DomainError, GVBoundError
 from gvbound.verify import CheckResult, run_suite
 
 
@@ -34,3 +35,17 @@ def test_results_carry_detail_strings():
     for r in results:
         assert r.name
         assert r.detail
+
+
+@pytest.mark.parametrize("n_budget", [0, -3, 2.5])
+def test_budget_below_one_or_fractional_is_rejected(n_budget):
+    with pytest.raises(DomainError, match="n_budget"):
+        run_suite("sticky", n_budget=n_budget)
+
+
+@pytest.mark.parametrize("n_budget", ["0", "-3"])
+def test_cli_rejects_budget_below_one(capsys, n_budget):
+    assert cli.main(["verify", "sticky", "--n-budget", n_budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n_budget must be >= 1, got {n_budget}\n"
