@@ -62,9 +62,7 @@ class SparseMultivariatePolynomial:
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
     def __init__(self, num_vars: int, terms: Iterable[tuple[Sequence[int], float]]):
-        check_sizes(num_vars=num_vars)
-        if num_vars < 1:
-            raise DomainError(f"num_vars must be >= 1, got {num_vars}")
+        check_sizes(at_least=1, num_vars=num_vars)
         merged: dict[tuple[int, ...], float] = {}
         for exponents, coefficient in terms:
             for e in exponents:
@@ -74,8 +72,6 @@ class SparseMultivariatePolynomial:
                 raise DimensionMismatchError(
                     f"term exponent vector {key} has length {len(key)}, expected {num_vars}"
                 )
-            if any(e < 0 for e in key):
-                raise DomainError(f"negative exponent in term {key}")
             merged[key] = merged.get(key, 0.0) + float(coefficient)
         cleaned = tuple(
             (exponents, coefficient)
@@ -242,9 +238,7 @@ def leading_term(
             w is not a positive critical point in direction r, or the
             Hessian or the constant is not positive there.
     """
-    check_sizes(n=n)
-    if n <= 0:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_sizes(at_least=1, n=n)
     rv = _check_direction(H, r)
     zv = _check_point(H, w)
     if G.num_vars != H.num_vars:

@@ -91,8 +91,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     param = "beta" if is_sticky else "delta"
     sweep = args.beta_range if is_sticky else args.delta_range
     if sweep is None:
-        print(f"error: {args.channel} curves need --{param}-range lo:hi:steps", file=sys.stderr)
-        return 2
+        raise DomainError(f"{args.channel} curves need --{param}-range lo:hi:steps")
     lo, hi, steps = sweep
     spec = CurveSpec(
         channel=args.channel,
@@ -138,8 +137,7 @@ def _critical_rows(cp, mark: str) -> list[tuple[str, object]]:
 
 def _cmd_point_sticky(args: argparse.Namespace) -> int:
     if args.rho is None or args.beta is None:
-        print("error: sticky points need --rho and --beta", file=sys.stderr)
-        return 2
+        raise DomainError("sticky points need --rho and --beta")
     p = sticky.evaluate_point(args.beta, args.rho)
     rows = [("channel", "sticky"), ("rho", p.rho), ("beta", p.beta), ("capacity", p.capacity)]
     rows += _critical_rows(p.critical_point, "star")
@@ -151,8 +149,7 @@ def _cmd_point_sticky(args: argparse.Namespace) -> int:
 
 def _cmd_point_synthesis(args: argparse.Namespace) -> int:
     if args.tau is None:
-        print("error: synthesis points need --tau", file=sys.stderr)
-        return 2
+        raise DomainError("synthesis points need --tau")
     p = synthesis.evaluate_point(args.tau, args.delta)
     rows = [("channel", "synthesis"), ("tau", p.tau), ("capacity", p.capacity)]
     if p.delta is None:

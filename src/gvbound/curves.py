@@ -74,7 +74,7 @@ class CurveSpec:
                     f"bound {b!r} not available for {self.channel} "
                     f"(choose from {', '.join(allowed)})"
                 )
-        check_sizes(steps=self.steps)
+        check_sizes(at_least=None, steps=self.steps)
         if not 2 <= self.steps <= MAX_STEPS:
             raise DomainError(
                 f"sweep needs 2 <= steps <= {MAX_STEPS}, got {self.steps}"
@@ -86,8 +86,9 @@ class CurveSpec:
         self._evaluate(self.hi)
 
     def grid(self) -> list[float]:
+        """steps evenly spaced points from lo to hi; rounding never carries one past hi."""
         step = (self.hi - self.lo) / (self.steps - 1)
-        return [self.lo + k * step for k in range(self.steps)]
+        return [min(self.lo + k * step, self.hi) for k in range(self.steps)]
 
     def _evaluate(self, x: float) -> StickyPoint | SynthesisPoint:
         """The channel's evaluation record at sweep value x."""

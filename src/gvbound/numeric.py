@@ -63,19 +63,27 @@ def binomial_exact(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k) as an arbitrary-precision integer.
 
     Raises:
-        DomainError: if n or k is not an integer, n < 0, k < 0, or k > n.
+        DomainError: if n or k is not a non-negative integer, or k > n.
     """
     check_sizes(n=n, k=k)
-    if n < 0 or k < 0 or k > n:
+    if k > n:
         raise DomainError(f"binomial_exact requires 0 <= k <= n, got n={n}, k={k}")
     return math.comb(n, k)
 
 
-def check_sizes(**sizes) -> None:
-    """Raise DomainError unless every named size is an integer (3.0 is not)."""
+def check_sizes(*, at_least: int | None = 0, **sizes) -> None:
+    """Raise DomainError unless every named size is an integer >= at_least.
+
+    A size is an Integral other than bool: 3.0, NaN, inf and True are not
+    sizes.  at_least=None admits any integer, for indices where a negative
+    value lies outside the support and counts zero.  Each name is checked
+    in turn, the integer test before the floor.
+    """
     for name, value in sizes.items():
-        if not isinstance(value, Integral):
+        if isinstance(value, bool) or not isinstance(value, Integral):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+        if at_least is not None and value < at_least:
+            raise DomainError(f"{name} must be >= {at_least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -59,8 +60,6 @@ __all__ = [
 
 _BRUTEFORCE_PAIR_LIMIT = 10 ** 7
 _CONFUSABLE_ENUM_LIMIT = 10 ** 6
-_ARGMAX_GRID_POINTS = 512
-_ARGMAX_ZOOMS = 4
 _LB_BOUNDARY = 0.25  # insertion density from which the crude bound is zero
 _CANCELLATION_RATIO = 1e-4  # density ratio below which root - rho (or - delta) loses half its digits
 
@@ -73,12 +72,10 @@ class Composition:
 
     def __init__(self, parts: Sequence[int]):
         for part in parts:
-            check_sizes(part=part)
+            check_sizes(at_least=1, part=part)
         cleaned = tuple(int(p) for p in parts)
         if not cleaned:
             raise DomainError("a composition needs at least one part")
-        if any(p < 1 for p in cleaned):
-            raise DomainError(f"composition parts must be >= 1, got {cleaned}")
         object.__setattr__(self, "parts", cleaned)
 
     @property
@@ -91,23 +88,18 @@ class Composition:
 
 
 def compositions(n: int, r: int) -> Iterator[Composition]:
-    """All compositions of n into exactly r positive parts."""
+    """All compositions of n into exactly r positive parts, in lexicographic order.
+
+    A composition is the r - 1 points at which it cuts 1..n-1; the cut sets
+    come in lexicographic order, and so do the parts.
+    """
     check_sizes(n=n, r=r)
-    if n < 0 or r < 0:
-        raise DomainError(f"n and r must be >= 0, got n={n}, r={r}")
-    return map(Composition, _compositions(n, r))
-
-
-def _compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    if r == 0:
-        return
-    if r == 1:
-        if n >= 1:
-            yield (n,)
-        return
-    for first in range(1, n - r + 2):
-        for rest in _compositions(n - first, r - 1):
-            yield (first,) + rest
+    if not n >= r >= 1:
+        return iter(())
+    return (
+        Composition([b - a for a, b in zip((0, *cuts), (*cuts, n))])
+        for cuts in combinations(range(1, n), r - 1)
+    )
 
 
 def l1_distance(u: Composition, v: Composition) -> int:
@@ -125,8 +117,6 @@ def _check_pair(u: Composition, v: Composition, b: int) -> None:
             f"shape mismatch: ({u.n},{u.r}) vs ({v.n},{v.r})"
         )
     check_sizes(b=b)
-    if b < 0:
-        raise DomainError(f"insertion budget must be >= 0, got {b}")
 
 
 def is_confusable(u: Composition, v: Composition, b: int) -> bool:
@@ -136,17 +126,10 @@ def is_confusable(u: Composition, v: Composition, b: int) -> bool:
 
 def _inflations(w: Composition, b: int) -> set[tuple[int, ...]]:
     """All run-length vectors reachable from w by exactly b insertions."""
-    out: set[tuple[int, ...]] = set()
-    stack = [(w.parts, b, 0)]
-    while stack:
-        parts, left, start = stack.pop()
-        if left == 0:
-            out.add(parts)
-            continue
-        for idx in range(start, len(parts)):
-            bumped = parts[:idx] + (parts[idx] + 1,) + parts[idx + 1:]
-            stack.append((bumped, left - 1, idx))
-    return out
+    return {
+        tuple(p + runs.count(i) for i, p in enumerate(w.parts))
+        for runs in combinations_with_replacement(range(w.r), b)
+    }
 
 
 def confusable_bruteforce(u: Composition, v: Composition, b: int) -> bool:
@@ -181,6 +164,7 @@ class PairCountTable:
 
     def _inside(self, n1: int, n2: int, s: int) -> bool:
         """Whether (n1, n2, s) is stored; False below zero, DomainError beyond the dims."""
+        check_sizes(at_least=None, n1=n1, n2=n2, s=s)
         if min(n1, n2, s) < 0:
             return False
         n1_max, n2_max, s_max = (dim - 1 for dim in self.entries.shape)
@@ -219,8 +203,6 @@ def iter_pair_layers(
     any time, so memory stays at a handful of (n1, n2, s) slabs.
     """
     check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
-    if min(n1_max, n2_max, r_max, s_max) < 0:
-        raise DomainError("table dimensions must be >= 0")
     cm = count_mode(mode)
     level = cm.blank((n1_max + 1, n2_max + 1, s_max + 1))
     level[0, 0, 0] = cm.one
@@ -243,8 +225,7 @@ def pair_count_table(
     n1_max: int, n2_max: int, r: int, s_max: int, mode: str = "exact"
 ) -> PairCountTable:
     """Pair-count table at level r (see iter_pair_layers)."""
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
+    check_sizes(at_least=1, r=r)
     table = None
     for table in iter_pair_layers(n1_max, n2_max, r, s_max, mode):
         pass
@@ -254,7 +235,7 @@ def pair_count_table(
 
 def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
     """Number of ordered pairs in S(n1,r) x S(n2,r) at L1 distance s."""
-    check_sizes(n1=n1, n2=n2, r=r, s=s)
+    check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
     cm = count_mode(mode)
     if min(n1, n2, r, s) < 0:
         return cm.zero
@@ -265,7 +246,7 @@ def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
 
 def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
     """Pair count by direct enumeration of both composition sets."""
-    check_sizes(n1=n1, n2=n2, r=r, s=s)
+    check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
     if min(n1, n2, r, s) < 0:
         return 0
     if r == 0:
@@ -287,8 +268,6 @@ def total_ball_exact(n: int, r: int, d: int, mode: str = "exact"):
     """Ordered pairs in S(n,r) x S(n,r) at L1 distance at most d."""
     check_sizes(n=n, r=r, d=d)
     cm = count_mode(mode)
-    if min(n, r, d) < 0:
-        raise DomainError(f"arguments must be >= 0, got ({n},{r},{d})")
     if r == 0:
         return cm.one if n == 0 else cm.zero
     s_cap = min(d, 2 * n)
@@ -458,20 +437,6 @@ def _gv_objective(rho: float, beta: float) -> float:
 
 def _gv_closed_form_rho(beta: float) -> float:
     return (3.0 * (1.0 - beta) - math.sqrt(9.0 * beta * beta - 2.0 * beta + 1.0)) / 4.0
-
-
-def _gv_numeric_argmax(beta: float) -> tuple[float, float]:
-    """(value, rho) of a numeric argmax of the rate objective, for checks.
-
-    Scans rho in (0,1), then rescans the two cells around the best point.
-    """
-    lo, hi = 1e-9, 1.0 - 1e-9
-    for _ in range(_ARGMAX_ZOOMS):
-        grid = np.linspace(lo, hi, _ARGMAX_GRID_POINTS)
-        values = [_gv_objective(float(g), beta) for g in grid]
-        k = int(np.argmax(values))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-    return values[k], float(grid[k])
 
 
 def gv_rate(beta: float) -> tuple[float, float]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -117,8 +118,6 @@ def count_words_by_time(n: int) -> list[int]:
     {1,2,3,4} per position, so the count only depends on the cost sums.
     """
     check_sizes(n=n)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
     counts = [1]
     for _ in range(n):
         counts = _conv(counts, [0, 1, 1, 1, 1])  # one step of cost 1..4
@@ -127,9 +126,8 @@ def count_words_by_time(n: int) -> list[int]:
 
 def count_words_exact(n: int, t_max: int) -> int:
     """Number of length-n strands with synthesis time at most t_max."""
-    check_sizes(n=n, t_max=t_max)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_sizes(n=n)
+    check_sizes(at_least=None, t_max=t_max)
     by_time = count_words_by_time(n)
     return sum(by_time[: max(t_max + 1, 0)])
 
@@ -154,13 +152,15 @@ class SynthesisPairTable:
 
     def count(self, t: int, s: int):
         """Pairs at combined time t and distance s (d summed out)."""
+        check_sizes(at_least=None, t=t, s=s)
         if not (0 <= t < self.entries.shape[1] and 0 <= s < self.entries.shape[2]):
             return self.mode.zero
         return self.mode.sum(self.entries[:, t, s])
 
     def total(self, t_cap: int, s_cap: int):
         """Pairs with combined time <= t_cap and distance <= s_cap."""
-        if t_cap < 0 or s_cap < 0:
+        check_sizes(at_least=None, t_cap=t_cap, s_cap=s_cap)
+        if min(t_cap, s_cap) < 0:
             return self.mode.zero
         return self.mode.sum(self.entries[:, : t_cap + 1, : s_cap + 1])
 
@@ -175,8 +175,6 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     transitions per state.
     """
     check_sizes(n=n)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
     cm = count_mode(mode)
     t_dim = 8 * n + 1
     level = cm.blank((4, t_dim, n + 1))
@@ -201,23 +199,17 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
 
 def count_pairs_exact(n: int, t: int, s: int, mode: str = "exact"):
     """Ordered strand pairs at combined time t and Hamming distance s."""
-    check_sizes(n=n, t=t, s=s)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_sizes(at_least=None, t=t, s=s)  # before the table is built
     return pair_count_table(n, mode).count(t, s)
 
 
 def count_pairs_bruteforce(n: int, t: int, s: int) -> int:
     """Pair count by enumeration of all length-n strand pairs."""
-    check_sizes(n=n, t=t, s=s)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_sizes(n=n)
+    check_sizes(at_least=None, t=t, s=s)
     if 4 ** n > _BRUTEFORCE_WORD_LIMIT:
         raise SizeLimitError(f"4^{n} strands exceed the enumeration limit")
-    strands = [""]
-    for _ in range(n):
-        strands = [w + c for w in strands for c in ALPHABET]
-    words = [(w, synthesis_time(w)) for w in strands]
+    words = [(w, synthesis_time(w)) for w in map("".join, product(ALPHABET, repeat=n))]
     return sum(
         1
         for u, tu in words

@@ -11,18 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from . import acsv, sticky, synthesis
-from .errors import DomainError, GVBoundError
+from .errors import GVBoundError
 from .numeric import binomial_exact, check_sizes, entropy
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
 # Bound of the two residual checks; each suite factory takes it as `tol`.
 _RESIDUAL_TOL = 1e-9
+_ARGMAX_GRID_POINTS = 512
+_ARGMAX_ZOOMS = 4
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -94,6 +97,21 @@ def _acsv_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
 
 
 # ---------------------------------------------------------------- sticky
+
+def _gv_numeric_argmax(beta: float) -> tuple[float, float]:
+    """(value, rho) of a numeric argmax of 2 H(rho) - sticky.ball_rate(rho, beta).
+
+    The check on the closed-form argmax of sticky.gv_rate.  Scans rho in
+    (0,1), then rescans the two cells around the best point.
+    """
+    lo, hi = 1e-9, 1.0 - 1e-9
+    for _ in range(_ARGMAX_ZOOMS):
+        grid = np.linspace(lo, hi, _ARGMAX_GRID_POINTS)
+        values = [2.0 * entropy(float(g)) - sticky.ball_rate(float(g), beta) for g in grid]
+        k = int(np.argmax(values))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    return values[k], float(grid[k])
+
 
 def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
     n_oracle = min(n_budget, 8)
@@ -187,7 +205,7 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
 
     def gv_argmax() -> tuple[bool, str]:
         worst = max(
-            abs(sticky._gv_numeric_argmax(b)[0] - sticky.gv_rate(b)[0])
+            abs(_gv_numeric_argmax(b)[0] - sticky.gv_rate(b)[0])
             for b in (0.01 * k for k in range(1, 50))
         )
         return worst <= 1e-12, f"max rate gap {worst:.2e} on beta in 0.01..0.49"
@@ -244,10 +262,7 @@ def _synthesis_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
 
     def time_bounds() -> tuple[bool, str]:
         n = min(n_budget, 6)
-        strands = [""]
-        for _ in range(n):
-            strands = [w + c for w in strands for c in synthesis.ALPHABET]
-        for w in strands:
+        for w in map("".join, product(synthesis.ALPHABET, repeat=n)):
             t = synthesis.synthesis_time(w)
             if not n <= t <= 4 * n:
                 return False, f"time {t} outside [{n}, {4 * n}] for {w}"
@@ -255,10 +270,7 @@ def _synthesis_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
 
     def producibility() -> tuple[bool, str]:
         n = min(n_budget, 5)
-        strands = [""]
-        for _ in range(n):
-            strands = [w + c for w in strands for c in synthesis.ALPHABET]
-        for w in strands:
+        for w in map("".join, product(synthesis.ALPHABET, repeat=n)):
             t = synthesis.synthesis_time(w)
             for budget in (t - 1, t, 4 * n):
                 via_time = t <= budget
@@ -340,9 +352,7 @@ def run_suite(suite: str, n_budget: int = 8) -> list[CheckResult]:
     """
     if suite != "all" and suite not in SUITES:
         raise GVBoundError(f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
-    check_sizes(n_budget=n_budget)
-    if n_budget < 1:
-        raise DomainError(f"n_budget must be >= 1, got {n_budget}")
+    check_sizes(at_least=1, n_budget=n_budget)
     results = []
     for name in SUITES if suite == "all" else (suite,):
         results.extend(_run_checks(name, SUITES[name](n_budget, _RESIDUAL_TOL)))

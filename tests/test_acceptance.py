@@ -14,9 +14,9 @@ from gvbound import cli, sticky, synthesis
 from gvbound.numeric import binomial_exact, entropy
 from gvbound.sticky import (
     _gv_closed_form_rho,
-    _gv_numeric_argmax,
     _gv_objective,
 )
+from gvbound.verify import _gv_numeric_argmax
 
 
 def test_criterion_01_sticky_oracle_equivalence():

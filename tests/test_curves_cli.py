@@ -213,6 +213,26 @@ def test_cli_curve_synthesis_requires_tau(tmp_path, capsys):
     assert capsys.readouterr().err == "error: synthesis curves need --tau\n"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CurveSpec("sticky", ("gv", "sp", "lb"), 0.1, 0.5, 12),
+        CurveSpec("synthesis", ("gv", "lb"), 0.1, 1.0, 8, tau=2.0),
+    ],
+    ids=["sticky", "synthesis"],
+)
+def test_cli_curve_sweep_ends_exactly_on_hi(tmp_path, capsys, spec):
+    # lo + (steps - 1) * step rounds 1 ulp past hi on both ranges
+    grid = spec.grid()
+    assert grid[-1] == spec.hi and max(grid) == spec.hi
+    flag = "--beta-range" if spec.channel == "sticky" else "--delta-range"
+    tau = [] if spec.tau is None else ["--tau", str(spec.tau)]
+    sweep = f"{spec.lo}:{spec.hi}:{spec.steps}"
+    argv = ["curve", "--channel", spec.channel, *tau, flag, sweep]
+    assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_curve_rejects_single_step(tmp_path, capsys):
     code = cli.main(
         [

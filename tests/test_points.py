@@ -220,6 +220,86 @@ def test_synthesis_count_pairs_rejects_non_integer_sizes():
         synthesis.count_pairs_bruteforce(2.5, 4, 1)
 
 
+@pytest.mark.parametrize("bad", [1.0, math.nan, math.inf, True])
+@pytest.mark.parametrize(
+    "table, index",
+    [
+        (sticky.pair_count_table(2, 2, 1, 2), (1, 1, 0)),
+        (synthesis.pair_count_table(2), (3, 1)),
+    ],
+    ids=["sticky", "synthesis"],
+)
+@pytest.mark.parametrize("query", ["count", "total"])
+def test_table_queries_reject_non_integer_indices(table, index, query, bad):
+    for k in range(len(index)):
+        bad_index = index[:k] + (bad,) + index[k + 1:]
+        with pytest.raises(DomainError, match="must be an integer"):
+            getattr(table, query)(*bad_index)
+
+
+def test_negative_indices_count_zero():
+    sticky_table, synthesis_table = sticky.pair_count_table(2, 2, 1, 2), synthesis.pair_count_table(2)
+    for index in ((-1, 1, 0), (1, -1, 0), (1, 1, -1)):
+        assert sticky_table.count(*index) == sticky_table.total(*index) == 0
+    for index in ((-1, 1), (3, -1)):
+        assert synthesis_table.count(*index) == synthesis_table.total(*index) == 0
+    assert sticky.count_pairs_exact(2, 2, 1, -1) == sticky.count_pairs_bruteforce(2, -1, 1, 0) == 0
+    assert synthesis.count_pairs_exact(2, -1, 0) == synthesis.count_pairs_bruteforce(2, 3, -1) == 0
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("sticky.count_pairs_exact", (True, True, True, 0)),
+        ("sticky.count_pairs_bruteforce", (2, 2, True, 0)),
+        ("sticky.total_ball_exact", (2, True, 1)),
+        ("synthesis.count_pairs_exact", (True, 3, 1)),
+        ("numeric.binomial_exact", (True, 1)),
+        ("numeric.binomial_exact", (3, False)),
+    ],
+)
+def test_bool_sizes_raise_domain_error(name, args):
+    module, fn = name.split(".")
+    modules = {"numeric": numeric, "sticky": sticky, "synthesis": synthesis}
+    with pytest.raises(DomainError, match="must be an integer"):
+        getattr(modules[module], fn)(*args)
+
+
+_U, _V = sticky.Composition((1, 2)), sticky.Composition((2, 1))
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("sticky.Composition", ((2, 0),), "part must be >= 1, got 0"),
+        ("sticky.compositions", (-1, 2), "n must be >= 0, got -1"),
+        ("sticky.compositions", (3, -2), "r must be >= 0, got -2"),
+        ("sticky.is_confusable", (_U, _V, -1), "b must be >= 0, got -1"),
+        ("sticky.confusable_bruteforce", (_U, _V, -1), "b must be >= 0, got -1"),
+        ("sticky.iter_pair_layers", (3, -1, 2, 2), "n2_max must be >= 0, got -1"),
+        ("sticky.pair_count_table", (3, 3, 0, 2), "r must be >= 1, got 0"),
+        ("sticky.total_ball_exact", (3, 2, -1), "d must be >= 0, got -1"),
+        ("synthesis.count_words_by_time", (-1,), "n must be >= 0, got -1"),
+        ("synthesis.count_words_exact", (-1, 4), "n must be >= 0, got -1"),
+        ("synthesis.pair_count_table", (-1,), "n must be >= 0, got -1"),
+        ("synthesis.count_pairs_exact", (-1, 0, 0), "n must be >= 0, got -1"),
+        ("synthesis.count_pairs_bruteforce", (-1, 0, 0), "n must be >= 0, got -1"),
+        ("numeric.binomial_exact", (-1, 0), "n must be >= 0, got -1"),
+        ("numeric.binomial_exact", (3, -1), "k must be >= 0, got -1"),
+        ("acsv.SparseMultivariatePolynomial", (0, []), "num_vars must be >= 1, got 0"),
+        ("acsv.SparseMultivariatePolynomial", (1, [((-1,), 1.0)]), "exponent must be >= 0, got -1"),
+        ("acsv.leading_term", (_H, _H, (1.0, 1.0), (0.5, 0.5), 0), "n must be >= 1, got 0"),
+    ],
+)
+def test_sizes_below_their_floor_raise_one_message(name, args, message):
+    module, fn = name.split(".")
+    modules = {"acsv": acsv, "numeric": numeric, "sticky": sticky, "synthesis": synthesis}
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        result = getattr(modules[module], fn)(*args)
+        if name == "sticky.iter_pair_layers":
+            next(result)  # a generator checks its arguments when first advanced
+
+
 @pytest.mark.parametrize(
     "name, args",
     [

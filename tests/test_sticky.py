@@ -57,6 +57,25 @@ def test_compositions_enumeration_count():
     assert list(compositions(3, 0)) == []
 
 
+def _compositions_by_recursion(n, r):
+    # the first part ascending, then the compositions of the rest
+    if r == 1:
+        if n >= 1:
+            yield (n,)
+        return
+    if r > 1:
+        for first in range(1, n - r + 2):
+            for rest in _compositions_by_recursion(n - first, r - 1):
+                yield (first,) + rest
+
+
+def test_compositions_follow_the_recursive_order():
+    for n in range(0, 10):
+        for r in range(0, 11):
+            got = [c.parts for c in compositions(n, r)]
+            assert got == list(_compositions_by_recursion(n, r)), (n, r)
+
+
 def test_l1_distance_examples():
     assert l1_distance(Composition((2, 3)), Composition((1, 4))) == 2
     assert l1_distance(Composition((1, 1, 3)), Composition((3, 1, 1))) == 4
