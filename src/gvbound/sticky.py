@@ -21,6 +21,7 @@ insertions per symbol, with L1 radius density delta = 2*beta.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations, combinations_with_replacement
@@ -237,15 +238,20 @@ def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
     """Number of ordered pairs in S(n1,r) x S(n2,r) at L1 distance s."""
     check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
     cm = count_mode(mode)
-    if min(n1, n2, r, s) < 0:
-        return cm.zero
+    if min(n1, n2, r, s) < 0 or s > n1 + n2 or r > min(n1, n2):
+        return cm.zero  # outside the support, before any table is built
     if r == 0:
         return cm.one if n1 == n2 == s == 0 else cm.zero
     return pair_count_table(n1, n2, r, s, mode).count(n1, n2, s)
 
 
 def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
-    """Pair count by direct enumeration of both composition sets."""
+    """Pair count by direct enumeration of both composition sets.
+
+    Each (n1, n2, r) is enumerated once: the first call builds the whole
+    L1-distance histogram of S(n1,r) x S(n2,r) and caches it, and later
+    calls read their bucket from it.
+    """
     check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
     if min(n1, n2, r, s) < 0:
         return 0
@@ -259,9 +265,14 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
         raise SizeLimitError(
             f"{size1 * size2} composition pairs exceed the enumeration limit"
         )
-    left = list(compositions(n1, r))
+    return _bruteforce_histogram(n1, n2, r).get(s, 0)
+
+
+@cache
+def _bruteforce_histogram(n1: int, n2: int, r: int) -> Counter[int]:
+    """Ordered pairs in S(n1,r) x S(n2,r) by L1 distance."""
     right = list(compositions(n2, r))
-    return sum(1 for u in left for v in right if l1_distance(u, v) == s)
+    return Counter(l1_distance(u, v) for u in compositions(n1, r) for v in right)
 
 
 def total_ball_exact(n: int, r: int, d: int, mode: str = "exact"):

@@ -204,18 +204,34 @@ def count_pairs_exact(n: int, t: int, s: int, mode: str = "exact"):
 
 
 def count_pairs_bruteforce(n: int, t: int, s: int) -> int:
-    """Pair count by enumeration of all length-n strand pairs."""
+    """Pair count by enumeration of all length-n strand pairs.
+
+    Each n is enumerated once: the first call builds the whole (t, s)
+    histogram of the 4^n x 4^n pairs and caches it, and later calls at
+    the same n read their bucket from it.
+    """
     check_sizes(n=n)
     check_sizes(at_least=None, t=t, s=s)
     if 4 ** n > _BRUTEFORCE_WORD_LIMIT:
         raise SizeLimitError(f"4^{n} strands exceed the enumeration limit")
-    words = [(w, synthesis_time(w)) for w in map("".join, product(ALPHABET, repeat=n))]
-    return sum(
-        1
-        for u, tu in words
-        for v, tv in words
-        if tu + tv == t and hamming_distance(u, v) == s
-    )
+    return _bruteforce_histogram(n).get((t, s), 0)
+
+
+@cache
+def _bruteforce_histogram(n: int) -> dict[tuple[int, int], int]:
+    """Ordered length-n strand pairs by (combined time, Hamming distance).
+
+    One row of pairs (u, all v) at a time, so memory stays at O(4^n).
+    """
+    strands = list(product(ALPHABET, repeat=n))
+    times = np.array([synthesis_time("".join(w)) for w in strands], dtype=np.int64)
+    symbols = np.array(strands, dtype="U1")
+    width = n + 1  # distances 0..n
+    flat = np.zeros((8 * n + 1) * width, dtype=np.int64)
+    for i in range(len(strands)):
+        dist = np.count_nonzero(symbols != symbols[i], axis=1)
+        flat += np.bincount((times[i] + times) * width + dist, minlength=flat.size)
+    return {divmod(int(k), width): int(flat[k]) for k in np.flatnonzero(flat)}
 
 
 @cache

@@ -118,12 +118,14 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
 
     def oracle_equivalence() -> tuple[bool, str]:
         compared = 0
+        layers = list(
+            sticky.iter_pair_layers(n_oracle, n_oracle, n_oracle, 2 * n_oracle, "exact")
+        )
         for n1 in range(n_oracle + 1):
             for n2 in range(n_oracle + 1):
                 for r in range(1, min(n1, n2) + 1):
-                    table = sticky.pair_count_table(n1, n2, r, n1 + n2, "exact")
                     for s in range(n1 + n2 + 1):
-                        got = table.count(n1, n2, s)
+                        got = layers[r - 1].count(n1, n2, s)
                         want = sticky.count_pairs_bruteforce(n1, n2, r, s)
                         if got != want:
                             return False, (

@@ -142,6 +142,51 @@ def test_count_pairs_bruteforce_rejects_large_spaces():
         count_pairs_bruteforce(60, 60, 30, 4)
 
 
+def test_bruteforce_matches_nested_loop_definition():
+    for n1 in range(1, 6):
+        for n2 in range(1, 6):
+            for r in range(1, min(n1, n2) + 1):
+                hist = {}
+                for u in compositions(n1, r):
+                    for v in compositions(n2, r):
+                        d = l1_distance(u, v)
+                        hist[d] = hist.get(d, 0) + 1
+                for s in range(-1, n1 + n2 + 2):
+                    assert count_pairs_bruteforce(n1, n2, r, s) == hist.get(s, 0), (
+                        n1, n2, r, s,
+                    )
+
+
+def test_bruteforce_mass_and_out_of_support_buckets():
+    for n1 in range(0, 9):
+        for n2 in range(0, 9):
+            for r in range(1, min(n1, n2) + 1):
+                mass = sum(count_pairs_bruteforce(n1, n2, r, s) for s in range(n1 + n2 + 1))
+                assert mass == binomial_exact(n1 - 1, r - 1) * binomial_exact(n2 - 1, r - 1)
+    for args in ((4, 4, 2, -1), (4, 4, 2, 9), (4, 4, 5, 0), (3, 5, 4, 2), (-1, 2, 1, 0)):
+        assert count_pairs_bruteforce(*args) == 0, args
+
+
+def test_bruteforce_size_limit_comes_before_enumeration(monkeypatch):
+    def enumerate_never(*args):
+        raise AssertionError("enumerated past the size limit")
+
+    monkeypatch.setattr(sticky, "_bruteforce_histogram", enumerate_never)
+    monkeypatch.setattr(sticky, "compositions", enumerate_never)
+    with pytest.raises(SizeLimitError):
+        count_pairs_bruteforce(60, 60, 30, 4)
+
+
+@pytest.mark.parametrize("args", [(3, 3, 2, 10**6), (3, 3, 2, 10**8), (3, 3, 10**6, 0)])
+def test_count_pairs_exact_outside_support_builds_no_table(monkeypatch, args):
+    def build_never(*args):
+        raise AssertionError("built a table for a bucket outside the support")
+
+    monkeypatch.setattr(sticky, "pair_count_table", build_never)
+    assert count_pairs_exact(*args) == 0
+    assert count_pairs_exact(*args, mode="log2") == -math.inf
+
+
 def test_pair_counts_match_bruteforce_up_to_n6():
     for n1 in range(1, 7):
         for n2 in range(1, 7):

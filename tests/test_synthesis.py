@@ -104,6 +104,45 @@ def test_count_pairs_bruteforce_small_cases():
         count_pairs_bruteforce(7, 20, 3)
 
 
+def _nested_loop_histogram(n):
+    strands = ["".join(w) for w in product(ALPHABET, repeat=n)]
+    hist = {}
+    for u in strands:
+        for v in strands:
+            key = (synthesis_time(u) + synthesis_time(v), hamming_distance(u, v))
+            hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+@pytest.mark.parametrize("n", range(0, 4))
+def test_bruteforce_matches_nested_loop_definition(n):
+    hist = _nested_loop_histogram(n)
+    for t in range(0, 8 * n + 1):
+        for s in range(0, n + 1):
+            assert count_pairs_bruteforce(n, t, s) == hist.get((t, s), 0), (n, t, s)
+
+
+def test_bruteforce_mass_and_out_of_support_buckets():
+    for n in range(0, 6):
+        mass = sum(
+            count_pairs_bruteforce(n, t, s)
+            for t in range(0, 8 * n + 1)
+            for s in range(0, n + 1)
+        )
+        assert mass == 16**n, n
+        for t, s in ((-1, 0), (0, -1), (2 * n - 1, 0), (8 * n + 1, 0), (2 * n, n + 1)):
+            assert count_pairs_bruteforce(n, t, s) == 0, (n, t, s)
+
+
+def test_bruteforce_size_limit_comes_before_enumeration(monkeypatch):
+    def enumerate_never(n):
+        raise AssertionError("enumerated past the size limit")
+
+    monkeypatch.setattr(synthesis, "_bruteforce_histogram", enumerate_never)
+    with pytest.raises(SizeLimitError):
+        count_pairs_bruteforce(7, 20, 3)
+
+
 def test_pair_counts_match_bruteforce_up_to_n4():
     for n in range(0, 5):
         table = pair_count_table(n)
