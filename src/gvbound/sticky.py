@@ -201,24 +201,45 @@ def iter_pair_layers(
 
     and a diagonal prefix A of P = N + M1 + M2, giving O(1) work per
     state; the level r table is exactly A.  Only two levels are live at
-    any time, so memory stays at a handful of (n1, n2, s) slabs.
+    any time, and M2 and P are freed as soon as they are read, so memory
+    stays at a handful of (n1, n2, s) slabs.
+
+    Every step reads only the band where level r-1 can be nonzero: a
+    pair of compositions with r-1 parts has n1, n2 >= r-1 and L1
+    distance s <= n1 + n2 - 2(r-1), since |a - b| <= a + b - 2 for
+    parts a, b >= 1.  So the prefix loops start at n1 or n2 = r-1, the
+    n1 and n2 axes are sliced from r-1, and the s axis stops at
+    n1_max + n2_max - 2(r-1); M1, M2 and P share that band.  Cells
+    outside it are zero in every slab, and adding a zero leaves a count
+    unchanged, so the banded tables equal the full-slab ones entry for
+    entry (bit for bit in log2 mode).
     """
     check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
     cm = count_mode(mode)
     level = cm.blank((n1_max + 1, n2_max + 1, s_max + 1))
     level[0, 0, 0] = cm.one
     for r in range(1, r_max + 1):
+        lo = r - 1
+        hi = min(max(n1_max + n2_max - 2 * lo, 0), s_max)  # last s in the band
         m1 = cm.blank(level.shape)
-        for n2 in range(1, n2_max + 1):
-            cm.add(level[:, n2 - 1, :-1], m1[:, n2 - 1, :-1], out=m1[:, n2, 1:])
+        for n2 in range(lo + 1, n2_max + 1):
+            cm.add(level[lo:, n2 - 1, :hi], m1[lo:, n2 - 1, :hi], out=m1[lo:, n2, 1 : hi + 1])
         m2 = cm.blank(level.shape)
-        for n1 in range(1, n1_max + 1):
-            cm.add(level[n1 - 1, :, :-1], m2[n1 - 1, :, :-1], out=m2[n1, :, 1:])
-        p = cm.add(level, cm.add(m1, m2, out=m1), out=m1)
+        for n1 in range(lo + 1, n1_max + 1):
+            cm.add(level[n1 - 1, lo:, :hi], m2[n1 - 1, lo:, :hi], out=m2[n1, lo:, 1 : hi + 1])
+        band = (slice(lo, None), slice(lo, None), slice(hi + 1))
+        cm.add(level[band], cm.add(m1[band], m2[band], out=m1[band]), out=m1[band])
+        p = m1  # N + M1 + M2: all three are zero outside the band
+        del m1, m2  # free each slab once it is read: M2 here, P before the yield
         nxt = cm.blank(level.shape)
-        for n1 in range(1, n1_max + 1):
-            cm.add(p[n1 - 1, :-1, :], nxt[n1 - 1, :-1, :], out=nxt[n1, 1:, :])
+        for n1 in range(lo + 1, n1_max + 1):
+            cm.add(
+                p[n1 - 1, lo:n2_max, : hi + 1],
+                nxt[n1 - 1, lo:n2_max, : hi + 1],
+                out=nxt[n1, lo + 1 :, : hi + 1],
+            )
         level = nxt
+        del p
         yield PairCountTable(mode=cm, r=r, entries=level)
 
 

@@ -173,25 +173,31 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     moves the rank difference from d to d + a - b (mod 4); the position
     matches exactly when the new difference is 0.  This is 16 constant
     transitions per state.
+
+    Each step reads only the band where the level can be nonzero: after
+    k positions the combined time is a sum of k step-cost pairs, each
+    2..8, so t lies in [2k, 8k], and at most k positions mismatch, so
+    s <= k.  The 64 adds of the step read level[d, 2k:8k+1, :k+1] and
+    write the same band shifted by (a + b, 0 or 1).  Every cell outside
+    the band is zero, and adding a zero leaves a count unchanged, so the
+    banded table equals the full-slab one entry for entry (bit for bit
+    in log2 mode).
     """
     check_sizes(n=n)
     cm = count_mode(mode)
-    t_dim = 8 * n + 1
-    level = cm.blank((4, t_dim, n + 1))
+    level = cm.blank((4, 8 * n + 1, n + 1))
     level[0, 0, 0] = cm.one
-    for _ in range(n):
+    for k in range(n):
         nxt = cm.blank(level.shape)
+        t_lo, t_hi = 2 * k, 8 * k + 1
         for a in range(1, 5):
             for b in range(1, 5):
                 w = a + b
                 for d in range(4):
                     nd = (d + a - b) % 4
-                    if nd == 0:
-                        src = level[d, : t_dim - w, :]
-                        dst = nxt[nd, w:, :]
-                    else:
-                        src = level[d, : t_dim - w, :-1]
-                        dst = nxt[nd, w:, 1:]
+                    miss = int(nd != 0)  # the position mismatches
+                    src = level[d, t_lo:t_hi, : k + 1]
+                    dst = nxt[nd, t_lo + w : t_hi + w, miss : k + 1 + miss]
                     cm.add(dst, src, out=dst)
         level = nxt
     return SynthesisPairTable(mode=cm, n=n, entries=level)
@@ -199,7 +205,11 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
 
 def count_pairs_exact(n: int, t: int, s: int, mode: str = "exact"):
     """Ordered strand pairs at combined time t and Hamming distance s."""
-    check_sizes(at_least=None, t=t, s=s)  # before the table is built
+    check_sizes(n=n)
+    check_sizes(at_least=None, t=t, s=s)
+    cm = count_mode(mode)
+    if not (2 * n <= t <= 8 * n and 0 <= s <= n):
+        return cm.zero  # outside the support, before any table is built
     return pair_count_table(n, mode).count(t, s)
 
 

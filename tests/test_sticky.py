@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -225,6 +226,7 @@ def test_pair_mass_identity_moderate_n():
 @example(n1_max=6, n2_max=6, r_max=4, s_max=0)
 @example(n1_max=3, n2_max=5, r_max=7, s_max=8)
 @example(n1_max=0, n2_max=0, r_max=1, s_max=0)
+@example(n1_max=0, n2_max=3, r_max=3, s_max=2)
 def test_log_mode_tracks_exact_counts(n1_max, n2_max, r_max, s_max):
     shape = (n1_max, n2_max, r_max, s_max)
     for exact, logs in zip(iter_pair_layers(*shape, "exact"), iter_pair_layers(*shape, "log2")):
@@ -235,6 +237,55 @@ def test_log_mode_tracks_exact_counts(n1_max, n2_max, r_max, s_max):
                 assert value == -math.inf
             else:
                 assert value == pytest.approx(math.log2(count), abs=1e-10)
+
+
+def _outside_sticky_support(n1, n2, r, s):
+    """Whether no composition pair of r parts has sizes (n1, n2) and L1 distance s."""
+    inside = min(n1, n2) >= r and abs(n1 - n2) <= s <= n1 + n2 - 2 * r
+    return not inside or (s - n1 + n2) % 2 != 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n1_max=st.integers(0, 9),
+    n2_max=st.integers(0, 9),
+    r_max=st.integers(1, 9),
+    s_max=st.integers(0, 20),
+    mode=st.sampled_from(["exact", "log2"]),
+)
+@example(n1_max=0, n2_max=3, r_max=3, s_max=2, mode="exact")
+@example(n1_max=0, n2_max=3, r_max=3, s_max=2, mode="log2")
+@example(n1_max=9, n2_max=5, r_max=9, s_max=20, mode="log2")
+def test_layers_vanish_outside_the_support(n1_max, n2_max, r_max, s_max, mode):
+    # the banded kernel reads only the support of each layer, so every
+    # other entry must be exactly the mode's zero
+    zero = 0 if mode == "exact" else -math.inf
+    for table in iter_pair_layers(n1_max, n2_max, r_max, s_max, mode):
+        for (n1, n2, s), value in np.ndenumerate(table.entries):
+            if _outside_sticky_support(n1, n2, table.r, s):
+                assert value == zero, (table.r, n1, n2, s, value)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (4, 6, 6, 10),  # r_max > min(n1_max, n2_max)
+        (0, 3, 3, 2),  # r_max - 1 > (n1_max + n2_max) / 2
+        (2, 3, 5, 5),  # r_max - 1 > (n1_max + n2_max) / 2, both sides nonempty
+        (6, 6, 4, 0),  # s_max = 0
+        (3, 5, 3, 12),  # s_max > n1_max + n2_max
+        (7, 4, 3, 6),  # n1_max != n2_max
+        (5, 7, 5, 7),  # n1_max != n2_max, s truncated inside the support
+    ],
+)
+def test_layers_match_bruteforce_on_edge_shapes(shape):
+    n1_max, n2_max, _, s_max = shape
+    layers = list(iter_pair_layers(*shape))
+    assert [table.r for table in layers] == list(range(1, shape[2] + 1))
+    for table in layers:
+        assert table.entries.shape == (n1_max + 1, n2_max + 1, s_max + 1)
+        for (n1, n2, s), value in np.ndenumerate(table.entries):
+            assert value == count_pairs_bruteforce(n1, n2, table.r, s), (table.r, n1, n2, s)
 
 
 def test_total_ball_exact_values():

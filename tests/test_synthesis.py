@@ -4,6 +4,7 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -98,6 +99,32 @@ def test_count_pairs_exact_small_cases():
     assert count_pairs_exact(0, 0, 0) == 1
 
 
+def test_count_pairs_exact_support_edges():
+    # the support guard is inclusive at t = 2n, t = 8n and s = n
+    assert count_pairs_exact(3, 6, 0) == 1  # ACG against itself
+    assert count_pairs_exact(3, 24, 0) == 1  # TTT against itself
+    assert count_pairs_exact(3, 5, 0) == 0
+    assert count_pairs_exact(3, 25, 0) == 0
+    assert count_pairs_exact(3, 15, 3) == count_pairs_bruteforce(3, 15, 3) > 0
+    with pytest.raises(DomainError):
+        count_pairs_exact(-1, 0, 0)
+    with pytest.raises(DomainError):
+        count_pairs_exact(3, 0, 0, mode="linear")
+
+
+# (10**5, 0, 0): a table for n = 10**5 would exceed TABLE_CELL_BUDGET
+@pytest.mark.parametrize(
+    "args", [(40, -1, 0), (40, 10**4, 0), (40, 0, 0), (40, 80, 41), (40, 79, 0), (10**5, 0, 0)]
+)
+def test_count_pairs_exact_outside_support_builds_no_table(monkeypatch, args):
+    def build_never(*args):
+        raise AssertionError("built a table for a bucket outside the support")
+
+    monkeypatch.setattr(synthesis, "pair_count_table", build_never)
+    assert count_pairs_exact(*args) == 0
+    assert count_pairs_exact(*args, mode="log2") == -math.inf
+
+
 def test_count_pairs_bruteforce_small_cases():
     assert count_pairs_bruteforce(2, 4, 0) == 1
     with pytest.raises(SizeLimitError):
@@ -172,6 +199,21 @@ def test_log_mode_tracks_exact_counts(n):
             assert value == -math.inf
         else:
             assert value == pytest.approx(math.log2(count), abs=1e-10)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(0, 12), mode=st.sampled_from(["exact", "log2"]))
+@example(n=0, mode="log2")
+@example(n=1, mode="exact")
+@example(n=12, mode="log2")
+def test_table_vanishes_outside_the_support(n, mode):
+    # the banded kernel reads only t in [2k, 8k], s <= k of each level k,
+    # so every other entry must be exactly the mode's zero
+    zero = 0 if mode == "exact" else -math.inf
+    entries = pair_count_table(n, mode).entries
+    for (d, t, s), value in np.ndenumerate(entries):
+        if not (2 * n <= t <= 8 * n and s <= n):
+            assert value == zero, (n, d, t, s, value)
 
 
 def test_table_count_bounds():
