@@ -17,6 +17,12 @@ coefficient equals up to a factor 1 + O(1/n).
 The denominator is held as a sparse term list, so partial derivatives
 are exact and the Newton iteration below needs no finite differences.
 Each polynomial builds its gradient and Hessian once, on first use.
+
+Evaluation, the critical-system residual and CriticalPoint records run
+on Python floats, so the closed-form critical points of the channels
+never load numpy.  A power that overflows gives an infinity, as it would
+in IEEE arithmetic, instead of raising.  Only the Newton solver and the
+leading term, which need linear algebra, import numpy when called.
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, NonConvergenceError
 from .numeric import check_sizes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SparseMultivariatePolynomial",
@@ -131,27 +138,49 @@ class CriticalPoint:
         iterations: int = 0,
     ) -> "CriticalPoint":
         """Record of the point z of H in direction r, with its residual norm."""
-        return cls(tuple(map(float, z)), _residual_norm(H, r, z), tuple(map(float, r)), iterations)
+        norm = _residual_norm(H, r, z)  # checks z and r first
+        return cls(tuple(map(float, z)), norm, tuple(map(float, r)), iterations)
 
 
-def _check_point(H: SparseMultivariatePolynomial, z: Sequence[float]) -> np.ndarray:
-    zv = np.asarray(z, dtype=float)
-    if zv.ndim != 1 or zv.size != H.num_vars:
+def _vector(H: SparseMultivariatePolynomial, values: Sequence[float], what: str) -> list[float]:
+    """values as a list of H.num_vars floats.
+
+    DimensionMismatchError for a scalar, a nested sequence or another
+    length; DomainError for a coordinate that is not a real number.
+    """
+    try:
+        items = list(values)
+    except TypeError:
         raise DimensionMismatchError(
-            f"point has {zv.size} coordinates, polynomial has {H.num_vars} variables"
+            f"{what} must be a sequence of {H.num_vars} numbers, got {values!r}"
+        ) from None
+    if len(items) != H.num_vars:
+        raise DimensionMismatchError(
+            f"{what} has {len(items)} coordinates, polynomial has {H.num_vars} variables"
         )
-    if not np.all(np.isfinite(zv)):
-        raise DomainError(f"point coordinates must be finite, got {zv.tolist()}")
+    vector = []
+    for c in items:
+        try:
+            vector.append(float(c))
+        except (TypeError, ValueError):
+            if isinstance(c, Iterable) and not isinstance(c, str):
+                raise DimensionMismatchError(
+                    f"{what} must be a flat sequence of numbers, got {values!r}"
+                ) from None
+            raise DomainError(f"{what} coordinates must be real numbers, got {c!r}") from None
+    return vector
+
+
+def _check_point(H: SparseMultivariatePolynomial, z: Sequence[float]) -> list[float]:
+    zv = _vector(H, z, "point")
+    if not all(map(math.isfinite, zv)):
+        raise DomainError(f"point coordinates must be finite, got {zv}")
     return zv
 
 
-def _check_direction(H: SparseMultivariatePolynomial, r: Sequence[float]) -> np.ndarray:
-    rv = np.asarray(r, dtype=float)
-    if rv.ndim != 1 or rv.size != H.num_vars:
-        raise DimensionMismatchError(
-            f"direction has {rv.size} components, polynomial has {H.num_vars} variables"
-        )
-    if not np.all((rv > 0.0) & (rv < math.inf)):
+def _check_direction(H: SparseMultivariatePolynomial, r: Sequence[float]) -> list[float]:
+    rv = _vector(H, r, "direction")
+    if not all(0.0 < c < math.inf for c in rv):
         raise DomainError(f"direction components must be positive and finite, got {r}")
     return rv
 
@@ -161,19 +190,29 @@ def evaluate(H: SparseMultivariatePolynomial, z: Sequence[float]) -> float:
     return _evaluate(H, _check_point(H, z))
 
 
-def _evaluate(H: SparseMultivariatePolynomial, zv: np.ndarray) -> float:
+def _power(base: float, e: int) -> float:
+    """base ** e, with a signed infinity where the power overflows."""
+    try:
+        return base ** e
+    except OverflowError:
+        return -math.inf if base < 0.0 and e % 2 else math.inf
+
+
+def _evaluate(H: SparseMultivariatePolynomial, zv: Sequence[float]) -> float:
     total = 0.0
     for exponents, coefficient in H.terms:
         term = coefficient
         for base, e in zip(zv, exponents):
             if e:
-                term *= base ** e
+                term *= _power(base, e)
         total += term
     return total
 
 
-def _derivatives(H: SparseMultivariatePolynomial, zv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _derivatives(H: SparseMultivariatePolynomial, zv: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Gradient vector and Hessian matrix of H at the checked point zv."""
+    import numpy as np
+
     grad = np.array([_evaluate(g, zv) for g in H.gradient])
     hess = np.array([[_evaluate(h, zv) for h in row] for row in H.hessian])
     return grad, hess
@@ -183,7 +222,7 @@ def critical_system_residual(
     H: SparseMultivariatePolynomial,
     r: Sequence[float],
     z: Sequence[float],
-) -> np.ndarray:
+) -> list[float]:
     """Residual vector of the critical-point system at z.
 
     Component 0 is H(z); component j (1 <= j <= l-1) is
@@ -191,20 +230,19 @@ def critical_system_residual(
     """
     zv = _check_point(H, z)
     rv = _check_direction(H, r)
-    ell = H.num_vars
     partials = [_evaluate(g, zv) for g in H.gradient]
-    out = np.empty(ell)
-    out[0] = _evaluate(H, zv)
-    last = zv[ell - 1] * partials[ell - 1]
-    for j in range(ell - 1):
-        out[j + 1] = rv[ell - 1] * zv[j] * partials[j] - rv[j] * last
-    return out
+    last = zv[-1] * partials[-1]
+    return [_evaluate(H, zv)] + [
+        rv[-1] * zj * pj - rj * last for zj, pj, rj in zip(zv[:-1], partials, rv)
+    ]
 
 
 def _residual_norm(
     H: SparseMultivariatePolynomial, r: Sequence[float], z: Sequence[float]
 ) -> float:
-    return float(np.max(np.abs(critical_system_residual(H, r, z))))
+    """Max-norm of the residual; NaN when any component is NaN."""
+    norms = [abs(c) for c in critical_system_residual(H, r, z)]
+    return math.nan if any(map(math.isnan, norms)) else max(norms)
 
 
 def growth_exponent(cp: CriticalPoint) -> float:
@@ -238,9 +276,11 @@ def leading_term(
             w is not a positive critical point in direction r, or the
             Hessian or the constant is not positive there.
     """
+    import numpy as np
+
     check_sizes(at_least=1, n=n)
-    rv = _check_direction(H, r)
-    zv = _check_point(H, w)
+    rv = np.array(_check_direction(H, r))
+    zv = np.array(_check_point(H, w))
     if G.num_vars != H.num_vars:
         raise DimensionMismatchError(
             f"numerator has {G.num_vars} variables, denominator has {H.num_vars}"
@@ -256,7 +296,7 @@ def leading_term(
             f"point is not critical in direction {rv.tolist()} (residual {residual:.2e})"
         )
     d = H.num_vars
-    grad, second = _derivatives(H, zv)
+    grad, second = _derivatives(H, zv.tolist())
     scale = zv[-1] * grad[-1]
     if scale == 0.0:
         raise DomainError("dH/dz_d vanishes at the point; choose another last variable")
@@ -271,7 +311,7 @@ def leading_term(
         + np.diag(v)
     )
     det = float(np.linalg.det(hess))
-    constant = -_evaluate(G, zv) / scale
+    constant = -_evaluate(G, zv.tolist()) / scale
     if not (det > 0.0 and constant > 0.0):
         raise DomainError(
             f"no positive leading term at this point (det Hess {det:.3e}, constant {constant:.3e})"
@@ -297,15 +337,17 @@ def solve_critical_point(
         NonConvergenceError: if no iterate reaches the tolerance; try a
             different initial point.
     """
-    rv = _check_direction(H, r)
+    import numpy as np
+
+    rv = np.array(_check_direction(H, r))
     ell = H.num_vars
-    z = np.full(ell, 0.5) if initial is None else _check_point(H, initial)
+    z = np.full(ell, 0.5) if initial is None else np.array(_check_point(H, initial))
     if np.any(z <= 0.0):
         raise DomainError("initial point must be strictly positive")
 
     def jacobian(zv: np.ndarray) -> np.ndarray:
         # scaled[j, k] = d/dz_k (z_j dH/dz_j); row 0 is grad H, row j+1 the gradient of residual j+1
-        grad, hess = _derivatives(H, zv)
+        grad, hess = _derivatives(H, zv.tolist())
         scaled = zv[:, None] * hess + np.diag(grad)
         return np.vstack((grad, rv[-1] * scaled[:-1] - np.outer(rv[:-1], scaled[-1])))
 
@@ -318,7 +360,7 @@ def solve_critical_point(
                 f"(final residual norm {norm:.3e})"
             )
         try:
-            step = np.linalg.solve(jacobian(z), -critical_system_residual(H, rv, z))
+            step = np.linalg.solve(jacobian(z), -np.array(critical_system_residual(H, rv, z)))
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(
                 f"singular Jacobian at iterate {z.tolist()}"

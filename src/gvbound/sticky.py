@@ -25,13 +25,14 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .numeric import NEG_INF, CountMode, binomial_exact, check_sizes, count_mode, entropy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Composition",

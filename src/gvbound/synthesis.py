@@ -29,8 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
@@ -42,6 +41,9 @@ from .numeric import (
     entropy,
     smallest_positive_root,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ALPHABET",
@@ -233,6 +235,8 @@ def _bruteforce_histogram(n: int) -> dict[tuple[int, int], int]:
 
     One row of pairs (u, all v) at a time, so memory stays at O(4^n).
     """
+    import numpy as np
+
     strands = list(product(ALPHABET, repeat=n))
     times = np.array([synthesis_time("".join(w)) for w in strands], dtype=np.int64)
     symbols = np.array(strands, dtype="U1")

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-import numpy as np
-
 from . import acsv, sticky, synthesis
 from .errors import GVBoundError
 from .numeric import binomial_exact, check_sizes, entropy
@@ -104,6 +102,8 @@ def _gv_numeric_argmax(beta: float) -> tuple[float, float]:
     The check on the closed-form argmax of sticky.gv_rate.  Scans rho in
     (0,1), then rescans the two cells around the best point.
     """
+    import numpy as np
+
     lo, hi = 1e-9, 1.0 - 1e-9
     for _ in range(_ARGMAX_ZOOMS):
         grid = np.linspace(lo, hi, _ARGMAX_GRID_POINTS)
@@ -114,6 +114,8 @@ def _gv_numeric_argmax(beta: float) -> tuple[float, float]:
 
 
 def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
+    import numpy as np  # the grid checks; the suites build tables anyway
+
     n_oracle = min(n_budget, 8)
 
     def oracle_equivalence() -> tuple[bool, str]:
@@ -238,6 +240,8 @@ def _is_subsequence(word: str, sup: str) -> bool:
 
 
 def _synthesis_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
+    import numpy as np  # the grid checks; the suites build tables anyway
+
     n_oracle = min(n_budget, 5)
 
     def oracle_equivalence() -> tuple[bool, str]:

@@ -220,3 +220,122 @@ def test_leading_term_central_delannoy():
 def test_leading_term_rejects_bad_input(r, w, n):
     with pytest.raises(DomainError):
         leading_term(binomial_denominator(), ONE, r, w, n)
+
+
+# ------------------------------------------------------- float error contract
+
+
+def test_overflowing_point_gives_infinities_not_an_exception():
+    # 1e200 ** 2 overflows; the value is -inf and the residual norm NaN (inf - inf)
+    H = synthesis.pair_generating_denominator()
+    assert acsv.evaluate(H, (1e200,) * 3) == -math.inf
+    cp = CriticalPoint.at(H, (1.0, 4.0, 0.3), (1e200,) * 3)
+    assert math.isnan(cp.residual_norm)
+    # an odd power of a negative base overflows to -inf
+    odd = SparseMultivariatePolynomial(1, [((3,), 1.0)])
+    assert acsv.evaluate(odd, (-1e200,)) == -math.inf
+    assert acsv.evaluate(odd, (1e200,)) == math.inf
+    assert acsv.evaluate(SparseMultivariatePolynomial(1, [((2,), 1.0)]), (-1e200,)) == math.inf
+
+
+@pytest.mark.parametrize(
+    "residual", [[math.nan, 1.0], [1.0, math.nan], [2.0, math.nan, 1.0], [math.nan, math.inf]]
+)
+def test_residual_norm_is_nan_when_any_component_is(monkeypatch, residual):
+    monkeypatch.setattr(acsv, "critical_system_residual", lambda H, r, z: residual)
+    cp = CriticalPoint.at(binomial_denominator(), (1.0, 1.0), (0.5, 0.5))
+    assert math.isnan(cp.residual_norm)
+
+
+def _numpy_residual(H, r, z):
+    """The residual as it was computed on numpy arrays and scalars: the test oracle."""
+    zv, rv = np.asarray(z, dtype=float), np.asarray(r, dtype=float)
+    ell = H.num_vars
+    partials = [acsv._evaluate(g, zv) for g in H.gradient]
+    out = np.empty(ell)
+    out[0] = acsv._evaluate(H, zv)
+    last = zv[ell - 1] * partials[ell - 1]
+    for j in range(ell - 1):
+        out[j + 1] = rv[ell - 1] * zv[j] * partials[j] - rv[j] * last
+    return out
+
+
+def test_residual_matches_the_numpy_arithmetic_bit_for_bit():
+    H_sticky = sticky.pair_generating_denominator()
+    H_synthesis = synthesis.pair_generating_denominator()
+    cases = [
+        (H_sticky, sticky.critical_point_closed_form(rho, delta))
+        for rho in np.arange(0.05, 0.96, 0.05)
+        for delta in np.arange(0.05, 1.0, 0.05)
+        if 2.0 - delta - 2.0 * rho > 0.0
+    ]
+    cases += [
+        (H_synthesis, synthesis.critical_point(tau, delta))
+        for tau in np.arange(1.3, 2.45, 0.1)
+        for delta in np.arange(0.02, synthesis.delta_max(tau)[0], 0.02)
+    ]
+    assert len(cases) == 639
+    for H, cp in cases:
+        want = _numpy_residual(H, cp.direction, cp.z)
+        assert critical_system_residual(H, cp.direction, cp.z) == want.tolist(), cp
+        assert cp.residual_norm == float(np.max(np.abs(want)))
+
+
+def test_residual_is_a_list_of_floats_and_its_norm_the_max():
+    res = critical_system_residual(binomial_denominator(), (1.0, 1.0), (0.4, 0.3))
+    assert type(res) is list and all(type(c) is float for c in res)
+    cp = CriticalPoint.at(binomial_denominator(), (1.0, 1.0), (0.4, 0.3))
+    assert cp.residual_norm == max(abs(c) for c in res)
+
+
+_ENTRY_POINTS = [
+    ("evaluate", lambda z: acsv.evaluate(binomial_denominator(), z)),
+    ("residual point", lambda z: critical_system_residual(binomial_denominator(), (1.0, 1.0), z)),
+    ("residual direction", lambda r: critical_system_residual(binomial_denominator(), r, (0.5, 0.5))),
+    ("record", lambda z: CriticalPoint.at(binomial_denominator(), (1.0, 1.0), z)),
+    ("solver start", lambda z: solve_critical_point(binomial_denominator(), (1.0, 1.0), z)),
+    ("solver direction", lambda r: solve_critical_point(binomial_denominator(), r)),
+    ("leading term point", lambda z: leading_term(binomial_denominator(), ONE, (1.0, 1.0), z, 4)),
+    ("leading term direction", lambda r: leading_term(binomial_denominator(), ONE, r, (0.5, 0.5), 4)),
+]
+
+
+@pytest.mark.parametrize("name, call", _ENTRY_POINTS, ids=[name for name, _ in _ENTRY_POINTS])
+@pytest.mark.parametrize(
+    "vector", [0.5, [[0.5, 0.5]], [[0.5], [0.5]], [0.5, [0.5, 0.5]], [0.5], np.array(0.5)]
+)
+def test_badly_shaped_vectors_raise_dimension_mismatch(name, call, vector):
+    with pytest.raises(DimensionMismatchError):
+        call(vector)
+
+
+@pytest.mark.parametrize("name, call", _ENTRY_POINTS, ids=[name for name, _ in _ENTRY_POINTS])
+@pytest.mark.parametrize(
+    "vector", [[None, 0.5], ["a", 0.5], [0.5, object()], [math.nan, 0.5], [0.5, math.inf]]
+)
+def test_non_numeric_or_non_finite_coordinates_raise_domain_error(name, call, vector):
+    with pytest.raises(DomainError):
+        call(vector)
+
+
+def test_newton_halves_a_step_whose_evaluation_overflows():
+    # from (0.9, 0.1) the first full steps on 1 - x^200 - y land where x^200
+    # overflows; the residual there is not finite, so the step is halved
+    H = SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((200, 0), -1.0), ((0, 1), -1.0)])
+    overflows = []
+    power = acsv._power
+
+    def counted(base, e):
+        value = power(base, e)
+        overflows.append(math.isinf(value))
+        return value
+
+    acsv._power = counted
+    try:
+        cp = solve_critical_point(H, (1.0, 1.0), initial=(0.9, 0.1))
+    finally:
+        acsv._power = power
+    assert any(overflows)
+    # critical point: y = 200 x^200 = 1 - x^200
+    np.testing.assert_allclose(cp.z, [(1.0 / 201.0) ** (1.0 / 200.0), 200.0 / 201.0], rtol=1e-12)
+    assert cp.residual_norm <= 1e-12

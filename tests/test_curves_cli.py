@@ -1,5 +1,6 @@
 """Tests for curve sweeps, CSV/SVG output, and the command-line interface."""
 
+import json
 import math
 import subprocess
 import sys
@@ -423,3 +424,60 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_CLOSED_FORM_COMMANDS = [
+    ["point", "--channel", "sticky", "--rho", "0.5", "--beta", "0.125"],
+    ["point", "--channel", "synthesis", "--tau", "2", "--delta", "0.3"],
+    ["point", "--channel", "synthesis", "--tau", "2.5"],
+    ["point", "--channel", "synthesis", "--tau", "2.5", "--delta", "0.3"],
+    ["curve", "--channel", "sticky", "--bounds", "gv,lb,capacity", "--beta-range", "0:0.49:50"],
+    ["curve", "--channel", "sticky", "--beta-range", "0:0.49:50", "--format", "svg"],
+    ["curve", "--channel", "synthesis", "--tau", "1.5", "--bounds", "gv,lb,capacity",
+     "--delta-range", "0:0.75:76"],
+    ["curve", "--channel", "synthesis", "--tau", "2.0", "--delta-range", "0:0.75:76",
+     "--format", "svg"],
+]
+
+
+def test_closed_form_commands_never_load_numpy(tmp_path):
+    # one fresh interpreter runs the import and every command in turn and
+    # reports, after each, whether numpy is loaded
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import gvbound, gvbound.cli\n"
+        "report = [('import', 0, 'numpy' in sys.modules)]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = gvbound.cli.main(argv)\n"
+        "    report.append((' '.join(argv), code, 'numpy' in sys.modules))\n"
+        "print(json.dumps(report))\n"
+    )
+    commands = [
+        argv + ["--output", str(tmp_path / f"out{k}")] if argv[0] == "curve" else argv
+        for k, argv in enumerate(_CLOSED_FORM_COMMANDS)
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report) == 1 + len(commands)
+    for step, code, numpy_loaded in report:
+        assert code == 0, step
+        assert not numpy_loaded, f"numpy loaded after {step}"
+
+
+def test_table_commands_still_load_numpy():
+    # the check above is only meaningful if the probe sees numpy once a table is built
+    script = (
+        "import sys, gvbound\n"
+        "from gvbound import sticky\n"
+        "sticky.count_pairs_exact(6, 6, 3, 2)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

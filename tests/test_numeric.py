@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gvbound import synthesis
 from gvbound.errors import (
     DomainError,
     MemoryBudgetError,
@@ -118,10 +119,10 @@ def test_real_polynomial_trims_and_evaluates():
     # roots of 2x^2 - 3x + 1 are 1/2 and 1
     assert p.evaluate(0.5) == pytest.approx(0.0, abs=1e-15)
     assert p.evaluate(1.0) == pytest.approx(0.0, abs=1e-15)
-    xs = np.array([0.0, 0.5, 1.0, 2.0])
-    np.testing.assert_allclose(
-        p.evaluate_many(xs), [p.evaluate(float(x)) for x in xs], atol=1e-14
-    )
+    # evaluate_many is the same Horner loop, point by point, into a plain list
+    xs = [0.0, 0.5, 1.0, 2.0]
+    assert p.evaluate_many(xs) == [p.evaluate(x) for x in xs]
+    assert type(p.evaluate_many(xs)) is list
 
 
 def test_real_polynomial_zero_handling():
@@ -165,20 +166,106 @@ def test_smallest_positive_root_on_a_grid_point(coefficients):
     assert result.residual == 0.0
 
 
+GRID_STEP = 10.0 / 1024
+
+
 @pytest.mark.parametrize(
-    "coefficients", [[-1.5, 5.0, -4.5, 1.0], [-1e-5, 1.0], [1.0, 0.0, 1.0]]
+    "coefficients, cells",
+    [
+        ([-1.5, 5.0, -4.5, 1.0], math.ceil(0.5 / GRID_STEP)),  # roots 1/2, 1, 3
+        ([-2.0, 0.0, 1.0], math.ceil(math.sqrt(2.0) / GRID_STEP)),
+        ([-5.0, 1.0], 512),  # root on the grid point 512 * step
+        ([-GRID_STEP, 1.0], 2),  # root on the first grid point: its cell is bisected
+        ([-9.999, 1.0], 1024),  # root in the last cell
+        ([-1e-5, 1.0], 1),  # root before the first grid point: halving, no further scan
+        ([1.0, 0.0, 1.0], 1024),  # no root: the whole grid
+    ],
 )
-def test_smallest_positive_root_scans_the_grid_once(monkeypatch, coefficients):
-    calls = []
+def test_smallest_positive_root_stops_at_the_first_sign_change(monkeypatch, coefficients, cells):
+    points = []
     evaluate_many = RealPolynomial.evaluate_many
 
-    def counted(self, xs):
-        calls.append(len(xs))
+    def recorded(self, xs):
+        points.extend(xs)
         return evaluate_many(self, xs)
 
-    monkeypatch.setattr(RealPolynomial, "evaluate_many", counted)
+    monkeypatch.setattr(RealPolynomial, "evaluate_many", recorded)
     try:
         smallest_positive_root(RealPolynomial(coefficients))
     except NoRootFoundError:
         pass
-    assert calls == [1024]
+    # grid points k * 10 / 1024 in order, each evaluated once, up to the bracketing cell
+    assert points == [k * GRID_STEP for k in range(1, cells + 1)]
+
+
+def _numpy_scan(p: RealPolynomial) -> BracketedRoot:
+    """The vectorized grid scan smallest_positive_root used to run: the test oracle.
+
+    Evaluates all 1024 grid points at once with numpy.polynomial and
+    bisects the first cell with a sign change or a zero.
+    """
+    from numpy.polynomial import polynomial as npoly
+
+    sign_left = next(math.copysign(1.0, c) for c in p.coefficients if c != 0.0)
+    xs = np.linspace(0.0, 10.0, 1025)[1:]
+    with np.errstate(invalid="ignore"):  # a NaN value is a sign, not a test failure
+        signs = np.sign(npoly.polyval(xs, np.asarray(p.coefficients)))
+    if signs[0] != 0.0 and signs[0] != sign_left:
+        hi_edge = float(xs[0])
+        lo_edge = hi_edge
+        for _ in range(80):
+            lo_edge *= 0.5
+            if math.copysign(1.0, p.evaluate(lo_edge)) == sign_left:
+                return find_root_bisection(p.evaluate, lo_edge, hi_edge)
+    change = np.flatnonzero(signs[:-1] * signs[1:] <= 0.0)
+    if change.size:
+        lo, hi = xs[change[0]], xs[change[0] + 1]
+        return find_root_bisection(p.evaluate, float(lo), float(hi))
+    raise NoRootFoundError(
+        "no sign change of the polynomial found on (0, 10.0] at grid step 9.766e-03"
+    )
+
+
+def _synthesis_scan_polynomials() -> list[RealPolynomial]:
+    """Every polynomial the synthesis closed forms scan, over tau 1.3 .. 2.4."""
+    polys = []
+    scan = synthesis.smallest_positive_root
+
+    def recorded(p):
+        polys.append(p)
+        return scan(p)
+
+    synthesis.smallest_positive_root = recorded
+    try:
+        for tau in [1.3 + 0.1 * k for k in range(12)]:
+            synthesis.capacity.__wrapped__(tau)
+            dm, _ = synthesis.delta_max.__wrapped__(tau)
+            for delta in (1e-6, 0.01, 0.1, 0.3, 0.5, 0.9 * dm, dm):
+                synthesis.critical_point(tau, delta)
+    finally:
+        synthesis.smallest_positive_root = scan
+    return polys
+
+
+def _outcome(scan, p: RealPolynomial) -> str:
+    # repr round-trips every float, so equal reprs are equal bits
+    try:
+        return repr(scan(p))
+    except (NoRootFoundError, NoSignChangeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_smallest_positive_root_matches_the_numpy_scan_bit_for_bit():
+    polys = _synthesis_scan_polynomials()
+    assert len(polys) == 12 * (2 + 7)
+    polys += [
+        RealPolynomial([-1e-5, 1.0]),  # halving branch
+        RealPolynomial([-5.0, 1.0]),  # root on a grid point
+        RealPolynomial([-GRID_STEP, 1.0]),  # root on the first grid point
+        RealPolynomial([25.0, -10.0, 1.0]),  # double root on a grid point
+        RealPolynomial([-1.5, 5.0, -4.5, 1.0]),
+        RealPolynomial([1.0, 0.0, 1.0]),  # no root
+        RealPolynomial([-1.0, -math.inf, math.inf]),  # NaN on every grid point
+    ]
+    for p in polys:
+        assert _outcome(smallest_positive_root, p) == _outcome(_numpy_scan, p), p.coefficients
