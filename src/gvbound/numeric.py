@@ -6,6 +6,11 @@ their log2 in the "log2" count mode of the pair-count tables (CountMode).
 All logarithms are base 2, so every rate in the package is measured in
 bits per symbol.
 
+A log2 table is stored as log2 counts, but its DP kernel sums linear
+float64 counts while they provably fit (at most 2^1000, see
+CountMode._accumulator) and takes log2 once at the end; larger tables
+sum log2 counts with numpy.logaddexp2 throughout.
+
 Everything here but the count modes runs on Python floats.  numpy is
 imported on the first call to count_mode(), which only the pair-count
 tables and their queries make, so the closed-form paths never load it.
@@ -42,6 +47,11 @@ __all__ = [
 
 NEG_INF = float("-inf")
 TABLE_CELL_BUDGET = 1 << 26
+
+# Largest log2 count bound at which a log2 table sums linear float64
+# counts: far enough below the float64 overflow at 2^1024 that no sum of
+# counts under the bound can reach it.
+_LINEAR_LOG2_BITS = 1000
 
 _ROOT_TOL = 1e-12
 _SCAN_MAX = 10.0  # right end of the smallest-positive-root scan
@@ -98,6 +108,13 @@ class CountMode:
     in an object array and adds them with numpy.add; "log2" keeps float64
     log2 counts, -inf for zero, and adds them with numpy.logaddexp2.  add is
     a plain attribute, so a DP kernel reads it once per table.
+
+    A DP kernel builds its table in the mode _accumulator() gives and hands
+    the result to that mode's _finish().  For a log2 table whose counts are
+    at most 2^1000 this is a private "linear" mode, float64 counts with 0
+    for zero and numpy.add, which rounds once per sum where logaddexp2
+    rounds through exp2 and log2; _finish takes log2 in place.  count_mode()
+    never returns the linear mode.
     """
 
     name: str
@@ -129,6 +146,31 @@ class CountMode:
         m = float(finite.max())
         return m + math.log2(np.exp2(finite - m).sum())
 
+    def _accumulator(self, log2_bound: int) -> CountMode:
+        """The mode a DP kernel sums in when no count it holds exceeds 2^log2_bound.
+
+        The linear mode for a log2 table with log2_bound <= 1000, and this
+        mode itself otherwise.  A table above the bound keeps logaddexp2:
+        rescaling the linear counts per step instead would underflow the
+        count-1 cells below the smallest float64, 2^-1074.
+        """
+        if self.name == "log2" and log2_bound <= _LINEAR_LOG2_BITS:
+            return _linear_mode()
+        return self
+
+    def _finish(self, table: np.ndarray) -> np.ndarray:
+        """A table built in this mode, in the public mode it stands for.
+
+        Linear counts become log2 counts in place, 0 becoming -inf; a table
+        of a public mode is returned as it is.
+        """
+        if self.name != "linear":
+            return table
+        import numpy as np
+
+        with np.errstate(divide="ignore"):
+            return np.log2(table, out=table)
+
 
 @cache
 def _count_modes() -> tuple[CountMode, ...]:
@@ -138,6 +180,13 @@ def _count_modes() -> tuple[CountMode, ...]:
         CountMode("exact", 0, 1, object, np.add),
         CountMode("log2", NEG_INF, 0.0, np.float64, np.logaddexp2),
     )
+
+
+@cache
+def _linear_mode() -> CountMode:
+    import numpy as np
+
+    return CountMode("linear", 0.0, 1.0, np.float64, np.add)
 
 
 def count_mode(mode: str) -> CountMode:

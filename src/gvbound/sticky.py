@@ -202,8 +202,10 @@ def iter_pair_layers(
 
     and a diagonal prefix A of P = N + M1 + M2, giving O(1) work per
     state; the level r table is exactly A.  Only two levels are live at
-    any time, and M2 and P are freed as soon as they are read, so memory
-    stays at a handful of (n1, n2, s) slabs.
+    any time, P is summed in place of M2, and M1 and P are freed as soon
+    as they are read, so memory stays at a handful of (n1, n2, s) slabs.
+    On a square table (n1_max == n2_max) N is symmetric in n1 and n2, so
+    M2 is M1 with those axes swapped and is copied rather than summed.
 
     Every step reads only the band where level r-1 can be nonzero: a
     pair of compositions with r-1 parts has n1, n2 >= r-1 and L1
@@ -212,48 +214,77 @@ def iter_pair_layers(
     n1 and n2 axes are sliced from r-1, and the s axis stops at
     n1_max + n2_max - 2(r-1); M1, M2 and P share that band.  Cells
     outside it are zero in every slab, and adding a zero leaves a count
-    unchanged, so the banded tables equal the full-slab ones entry for
-    entry (bit for bit in log2 mode).
+    unchanged.
+
+    Every slab stays below 3 * 2^(n1_max + n2_max), so a log2 table
+    with n1_max + n2_max + 2 <= 1000 sums linear float64 counts (see
+    CountMode._accumulator) and each layer is converted to log2 as it
+    is yielded; a larger one sums with logaddexp2.  Exact tables hold
+    the exact counts, and log2 tables match log2 of them within about
+    1e-13.
     """
     check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
     cm = count_mode(mode)
-    level = cm.blank((n1_max + 1, n2_max + 1, s_max + 1))
-    level[0, 0, 0] = cm.one
+    acc = cm._accumulator(n1_max + n2_max + 2)
+    for r, level in enumerate(_levels(n1_max, n2_max, r_max, s_max, acc), start=1):
+        entries = level if acc is cm else acc._finish(level.copy())
+        yield PairCountTable(mode=cm, r=r, entries=entries)
+
+
+def _levels(
+    n1_max: int, n2_max: int, r_max: int, s_max: int, acc: CountMode
+) -> Iterator[np.ndarray]:
+    """The level r = 1 .. r_max entries of iter_pair_layers, summed in mode acc.
+
+    Each level is read again to build the next one, so a caller that
+    converts it must convert a copy.
+    """
+    level = acc.blank((n1_max + 1, n2_max + 1, s_max + 1))
+    level[0, 0, 0] = acc.one
     for r in range(1, r_max + 1):
         lo = r - 1
         hi = min(max(n1_max + n2_max - 2 * lo, 0), s_max)  # last s in the band
-        m1 = cm.blank(level.shape)
+        m1 = acc.blank(level.shape)
         for n2 in range(lo + 1, n2_max + 1):
-            cm.add(level[lo:, n2 - 1, :hi], m1[lo:, n2 - 1, :hi], out=m1[lo:, n2, 1 : hi + 1])
-        m2 = cm.blank(level.shape)
-        for n1 in range(lo + 1, n1_max + 1):
-            cm.add(level[n1 - 1, lo:, :hi], m2[n1 - 1, lo:, :hi], out=m2[n1, lo:, 1 : hi + 1])
+            acc.add(level[lo:, n2 - 1, :hi], m1[lo:, n2 - 1, :hi], out=m1[lo:, n2, 1 : hi + 1])
+        if n1_max == n2_max:
+            m2 = m1.transpose(1, 0, 2).copy()  # a copy: P is summed into it below
+        else:
+            m2 = acc.blank(level.shape)
+            for n1 in range(lo + 1, n1_max + 1):
+                acc.add(level[n1 - 1, lo:, :hi], m2[n1 - 1, lo:, :hi], out=m2[n1, lo:, 1 : hi + 1])
         band = (slice(lo, None), slice(lo, None), slice(hi + 1))
-        cm.add(level[band], cm.add(m1[band], m2[band], out=m1[band]), out=m1[band])
-        p = m1  # N + M1 + M2: all three are zero outside the band
-        del m1, m2  # free each slab once it is read: M2 here, P before the yield
-        nxt = cm.blank(level.shape)
+        p = m2  # P = N + M1 + M2 is summed in place; all three are zero outside the band
+        acc.add(m1[band], p[band], out=p[band])
+        del m1, m2  # free each slab once it is read: M1 here, P before the yield
+        acc.add(level[band], p[band], out=p[band])
+        nxt = acc.blank(level.shape)
         for n1 in range(lo + 1, n1_max + 1):
-            cm.add(
+            acc.add(
                 p[n1 - 1, lo:n2_max, : hi + 1],
                 nxt[n1 - 1, lo:n2_max, : hi + 1],
                 out=nxt[n1, lo + 1 :, : hi + 1],
             )
         level = nxt
         del p
-        yield PairCountTable(mode=cm, r=r, entries=level)
+        yield level
 
 
 def pair_count_table(
     n1_max: int, n2_max: int, r: int, s_max: int, mode: str = "exact"
 ) -> PairCountTable:
-    """Pair-count table at level r (see iter_pair_layers)."""
+    """Pair-count table at level r (see iter_pair_layers).
+
+    A log2 table is converted from linear counts at level r only, not at
+    every level on the way.
+    """
     check_sizes(at_least=1, r=r)
-    table = None
-    for table in iter_pair_layers(n1_max, n2_max, r, s_max, mode):
+    check_sizes(n1_max=n1_max, n2_max=n2_max, s_max=s_max)
+    cm = count_mode(mode)
+    acc = cm._accumulator(n1_max + n2_max + 2)
+    for level in _levels(n1_max, n2_max, r, s_max, acc):
         pass
-    assert table is not None
-    return table
+    return PairCountTable(mode=cm, r=r, entries=acc._finish(level))
 
 
 def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):

@@ -176,33 +176,44 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     matches exactly when the new difference is 0.  This is 16 constant
     transitions per state.
 
+    Swapping the two words maps d to -d, so the d = 3 slab equals the
+    d = 1 slab at every step.  The kernel computes d = 0, 1, 2 only,
+    reads level[1] wherever a transition starts from d = 3, and copies
+    entries[1] to entries[3] at the end: 48 adds per step, not 64.
+
     Each step reads only the band where the level can be nonzero: after
     k positions the combined time is a sum of k step-cost pairs, each
     2..8, so t lies in [2k, 8k], and at most k positions mismatch, so
-    s <= k.  The 64 adds of the step read level[d, 2k:8k+1, :k+1] and
+    s <= k.  The adds of the step read level[d, 2k:8k+1, :k+1] and
     write the same band shifted by (a + b, 0 or 1).  Every cell outside
-    the band is zero, and adding a zero leaves a count unchanged, so the
-    banded table equals the full-slab one entry for entry (bit for bit
-    in log2 mode).
+    the band is zero, and adding a zero leaves a count unchanged.
+
+    Every entry is at most 16^n, so a log2 table up to n = 250 sums
+    linear float64 counts and takes log2 once at the end (see
+    CountMode._accumulator); a larger one sums with logaddexp2.  Exact
+    tables hold the exact counts, and log2 tables match log2 of them
+    within about 1e-13.
     """
     check_sizes(n=n)
     cm = count_mode(mode)
-    level = cm.blank((4, 8 * n + 1, n + 1))
-    level[0, 0, 0] = cm.one
+    acc = cm._accumulator(4 * n)
+    level = acc.blank((4, 8 * n + 1, n + 1))
+    level[0, 0, 0] = acc.one
     for k in range(n):
-        nxt = cm.blank(level.shape)
+        nxt = acc.blank(level.shape)
         t_lo, t_hi = 2 * k, 8 * k + 1
         for a in range(1, 5):
             for b in range(1, 5):
                 w = a + b
-                for d in range(4):
-                    nd = (d + a - b) % 4
+                for nd in range(3):
+                    d = (nd - a + b) % 4
                     miss = int(nd != 0)  # the position mismatches
-                    src = level[d, t_lo:t_hi, : k + 1]
+                    src = level[d if d != 3 else 1, t_lo:t_hi, : k + 1]
                     dst = nxt[nd, t_lo + w : t_hi + w, miss : k + 1 + miss]
-                    cm.add(dst, src, out=dst)
+                    acc.add(dst, src, out=dst)
         level = nxt
-    return SynthesisPairTable(mode=cm, n=n, entries=level)
+    level[3] = level[1]
+    return SynthesisPairTable(mode=cm, n=n, entries=acc._finish(level))
 
 
 def count_pairs_exact(n: int, t: int, s: int, mode: str = "exact"):

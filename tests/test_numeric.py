@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gvbound import synthesis
+from gvbound import numeric, synthesis
 from gvbound.errors import (
     DomainError,
     MemoryBudgetError,
@@ -85,6 +85,32 @@ def test_count_mode_tables_sums_and_cell_budget():
     assert log2.sum(log2.blank((4,))) == -math.inf
     with pytest.raises(MemoryBudgetError, match=f"budget is {TABLE_CELL_BUDGET}"):
         exact.blank((2, TABLE_CELL_BUDGET // 2 + 1))
+
+
+def test_log2_accumulator_switches_to_logaddexp2_one_bit_above_the_cutoff(monkeypatch):
+    exact, log2 = count_mode("exact"), count_mode("log2")
+    assert log2._accumulator(1000).name == "linear"
+    assert log2._accumulator(1001) is log2
+    assert exact._accumulator(0) is exact
+    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", 20)
+    assert log2._accumulator(20).name == "linear"
+    assert log2._accumulator(21) is log2
+
+
+def test_linear_accumulator_finishes_as_log2_in_place():
+    log2 = count_mode("log2")
+    linear = log2._accumulator(0)
+    assert (linear.zero, linear.one, linear.add) == (0.0, 1.0, np.add)
+    table = linear.blank((4,))
+    table[1:] = [1.0, 8.0, 2.0**1000]
+    assert linear._finish(table) is table
+    assert table.tolist() == [-math.inf, 0.0, 3.0, 1000.0]
+    for mode in (log2, count_mode("exact")):
+        untouched = mode.blank((2,))
+        assert mode._finish(untouched) is untouched
+        assert untouched.tolist() == [mode.zero] * 2
+    with pytest.raises(DomainError):
+        count_mode("linear")
 
 
 def test_bisection_finds_simple_root():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gvbound import cli, sticky
+from gvbound import cli, numeric, sticky
 from gvbound.acsv import growth_exponent
 from gvbound.errors import DimensionMismatchError, DomainError, SizeLimitError
 from gvbound.numeric import binomial_exact, entropy
@@ -34,6 +34,7 @@ from gvbound.sticky import (
     sp_rate,
     total_ball_exact,
 )
+from table_checks import log2_of, worst_log2_error
 
 
 # ---------------------------------------------------------------- compositions
@@ -237,6 +238,99 @@ def test_log_mode_tracks_exact_counts(n1_max, n2_max, r_max, s_max):
                 assert value == -math.inf
             else:
                 assert value == pytest.approx(math.log2(count), abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n1_max=st.integers(0, 10),
+    n2_max=st.integers(0, 10),
+    r_max=st.integers(1, 10),
+    s_max=st.integers(0, 20),
+)
+@example(n1_max=10, n2_max=10, r_max=10, s_max=20)
+@example(n1_max=10, n2_max=9, r_max=5, s_max=20)
+def test_small_log2_tables_are_log2_of_the_exact_counts_bit_for_bit(n1_max, n2_max, r_max, s_max):
+    # every count is below 3 * 2^20 < 2^53, so each linear float64 sum is exact
+    shape = (n1_max, n2_max, r_max, s_max)
+    layers = zip(iter_pair_layers(*shape, "exact"), iter_pair_layers(*shape, "log2"))
+    for exact, logs in layers:
+        assert np.array_equal(logs.entries, log2_of(exact.entries)), exact.r
+    # exact is now layer r_max, the one pair_count_table converts on its own
+    assert np.array_equal(pair_count_table(*shape, "log2").entries, log2_of(exact.entries))
+
+
+@pytest.mark.parametrize("cutoff", [1000, -1])
+@pytest.mark.parametrize("shape", [(30, 30, 15, 40), (24, 36, 12, 60)])
+def test_both_log2_paths_track_the_exact_counts(monkeypatch, linear_adds, cutoff, shape):
+    # a cutoff of -1 forces the logaddexp2 path on every table
+    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", cutoff)
+    exact = pair_count_table(*shape, "exact").entries
+    logs = pair_count_table(*shape, "log2").entries
+    assert bool(linear_adds) == (cutoff == 1000)
+    assert worst_log2_error(logs, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff, linear", [(14, True), (13, False)])
+def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, linear_adds, cutoff, linear):
+    # the (7, 5) tables bound their counts by 2^(7 + 5 + 2) = 2^14
+    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", cutoff)
+    exact = pair_count_table(7, 5, 3, 12).entries
+    assert worst_log2_error(pair_count_table(7, 5, 3, 12, "log2").entries, exact) <= 1e-12
+    assert bool(linear_adds) == linear
+    linear_adds.clear()
+    assert [t.r for t in iter_pair_layers(7, 5, 3, 12, "log2")] == [1, 2, 3]
+    assert bool(linear_adds) == linear
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    r_max=st.integers(1, 12),
+    s_max=st.integers(0, 24),
+    mode=st.sampled_from(["exact", "log2"]),
+)
+@example(n=12, r_max=6, s_max=24, mode="exact")
+@example(n=12, r_max=6, s_max=7, mode="log2")
+def test_square_layers_are_symmetric_and_match_the_rectangular_kernel(n, r_max, s_max, mode):
+    # a square table copies M2 from M1 with the n1 and n2 axes swapped;
+    # one column wider, the kernel sums M2 itself, and the shared block
+    # must agree
+    square = iter_pair_layers(n, n, r_max, s_max, mode)
+    wide = iter_pair_layers(n, n + 1, r_max, s_max, mode)
+    for table, wider in zip(square, wide):
+        entries = table.entries
+        assert np.array_equal(entries, entries.transpose(1, 0, 2)), table.r
+        assert np.array_equal(entries, wider.entries[:, : n + 1, :]), table.r
+
+
+def _composition_pairs(n1, n2, r):
+    """|S(n1, r)| * |S(n2, r)|: compositions of n into r parts number C(n-1, r-1)."""
+    return math.comb(n1 - 1, r - 1) * math.comb(n2 - 1, r - 1) if n1 and n2 else 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n1_max=st.integers(0, 14),
+    n2_max=st.integers(0, 14),
+    r_max=st.integers(1, 14),
+    mode=st.sampled_from(["exact", "log2"]),
+)
+@example(n1_max=14, n2_max=14, r_max=14, mode="log2")
+@example(n1_max=14, n2_max=3, r_max=4, mode="exact")
+def test_layer_masses_are_products_of_composition_counts(n1_max, n2_max, r_max, mode):
+    # summed over every distance, a layer counts all pairs in S(n1, r) x S(n2, r)
+    s_max = n1_max + n2_max
+    for table in iter_pair_layers(n1_max, n2_max, r_max, s_max, mode):
+        for n1 in range(n1_max + 1):
+            for n2 in range(n2_max + 1):
+                mass = table.total(n1, n2, s_max)
+                want = _composition_pairs(n1, n2, table.r)
+                if mode == "exact":
+                    assert mass == want, (table.r, n1, n2)
+                elif want == 0:
+                    assert mass == -math.inf, (table.r, n1, n2)
+                else:
+                    assert mass == pytest.approx(math.log2(want), abs=1e-12), (table.r, n1, n2)
 
 
 def _outside_sticky_support(n1, n2, r, s):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gvbound import synthesis
+from gvbound import numeric, synthesis
 from gvbound.errors import DimensionMismatchError, DomainError, SizeLimitError
 from gvbound.numeric import entropy
 from gvbound.synthesis import (
@@ -28,6 +29,7 @@ from gvbound.synthesis import (
     simple_lb_rate,
     synthesis_time,
 )
+from table_checks import log2_of, worst_log2_error
 
 
 # -------------------------------------------------------------- synthesis time
@@ -199,6 +201,76 @@ def test_log_mode_tracks_exact_counts(n):
             assert value == -math.inf
         else:
             assert value == pytest.approx(math.log2(count), abs=1e-10)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_small_log2_tables_are_log2_of_the_exact_counts_bit_for_bit(n):
+    # every count is at most 16^12 = 2^48 < 2^53, so each linear float64 sum is exact
+    exact = pair_count_table(n, "exact").entries
+    assert np.array_equal(pair_count_table(n, "log2").entries, log2_of(exact))
+
+
+@pytest.mark.parametrize("cutoff", [1000, -1])
+def test_both_log2_paths_track_the_exact_counts(monkeypatch, linear_adds, cutoff):
+    # a cutoff of -1 forces the logaddexp2 path on every table
+    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", cutoff)
+    exact = pair_count_table(40, "exact").entries
+    logs = pair_count_table(40, "log2").entries
+    assert bool(linear_adds) == (cutoff == 1000)
+    assert worst_log2_error(logs, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff, linear", [(20, True), (19, False)])
+def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, linear_adds, cutoff, linear):
+    # the n = 5 table bounds its counts by 16^5 = 2^20
+    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", cutoff)
+    logs = pair_count_table(5, "log2").entries
+    assert bool(linear_adds) == linear
+    assert worst_log2_error(logs, pair_count_table(5, "exact").entries) <= 1e-12
+
+
+def _pairs_by_rank_difference(n):
+    """Ordered strand pairs by (rank(u_n) - rank(v_n) mod 4, combined time, distance)."""
+    strands = ["".join(w) for w in product(ALPHABET, repeat=n)]
+    last_rank = {w: ALPHABET.index(w[-1]) if w else 0 for w in strands}
+    counts = Counter()
+    for u in strands:
+        for v in strands:
+            d = (last_rank[u] - last_rank[v]) % 4
+            counts[d, synthesis_time(u) + synthesis_time(v), hamming_distance(u, v)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_entries_match_enumeration_by_rank_difference(n):
+    # the kernel computes d = 0, 1, 2 and copies d = 1 to d = 3, so check
+    # every d slab, d = 3 included, against enumeration
+    entries = pair_count_table(n).entries
+    counts = _pairs_by_rank_difference(n)
+    assert sum(counts.values()) == 16**n
+    for (d, t, s), value in np.ndenumerate(entries):
+        assert value == counts.get((d, t, s), 0), (n, d, t, s)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(0, 30), mode=st.sampled_from(["exact", "log2"]))
+@example(n=30, mode="exact")
+@example(n=30, mode="log2")
+def test_rank_difference_symmetry_and_mass_identities(n, mode):
+    # swapping the words maps d to -d; summed over d and t, the pairs at
+    # distance s number 4^n C(n, s) 3^s, and 16^n in all
+    table = pair_count_table(n, mode)
+    entries = table.entries
+    assert np.array_equal(entries[1], entries[3])
+    marginals = [table.mode.sum(entries[:, :, s]) for s in range(n + 1)]
+    wants = [4**n * math.comb(n, s) * 3**s for s in range(n + 1)]
+    total = table.total(8 * n, n)
+    if mode == "exact":
+        assert marginals == wants
+        assert total == 16**n
+    else:
+        assert marginals == pytest.approx([math.log2(w) for w in wants], abs=1e-12)
+        assert total == pytest.approx(4.0 * n, abs=1e-12)
 
 
 @settings(max_examples=12, deadline=None)
