@@ -155,7 +155,7 @@ class CountMode:
         count-1 cells below the smallest float64, 2^-1074.
         """
         if self.name == "log2" and log2_bound <= _LINEAR_LOG2_BITS:
-            return _linear_mode()
+            return _modes()["linear"]
         return self
 
     def _finish(self, table: np.ndarray) -> np.ndarray:
@@ -173,28 +173,22 @@ class CountMode:
 
 
 @cache
-def _count_modes() -> tuple[CountMode, ...]:
+def _modes() -> dict[str, CountMode]:
+    """The count modes by name: the public "exact" and "log2", and the private "linear"."""
     import numpy as np
 
-    return (
-        CountMode("exact", 0, 1, object, np.add),
-        CountMode("log2", NEG_INF, 0.0, np.float64, np.logaddexp2),
-    )
-
-
-@cache
-def _linear_mode() -> CountMode:
-    import numpy as np
-
-    return CountMode("linear", 0.0, 1.0, np.float64, np.add)
+    return {
+        "exact": CountMode("exact", 0, 1, object, np.add),
+        "log2": CountMode("log2", NEG_INF, 0.0, np.float64, np.logaddexp2),
+        "linear": CountMode("linear", 0.0, 1.0, np.float64, np.add),
+    }
 
 
 def count_mode(mode: str) -> CountMode:
     """The count mode named "exact" or "log2"; DomainError for any other name."""
-    for cm in _count_modes():
-        if cm.name == mode:
-            return cm
-    raise DomainError(f"mode must be 'exact' or 'log2', got {mode!r}")
+    if mode not in ("exact", "log2"):
+        raise DomainError(f"mode must be 'exact' or 'log2', got {mode!r}")
+    return _modes()[mode]
 
 
 @dataclass(frozen=True)

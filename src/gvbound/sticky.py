@@ -46,7 +46,6 @@ __all__ = [
     "iter_pair_layers",
     "count_pairs_exact",
     "count_pairs_bruteforce",
-    "total_ball_exact",
     "pair_generating_numerator",
     "pair_generating_denominator",
     "critical_point_closed_form",
@@ -56,7 +55,6 @@ __all__ = [
     "gv_rate",
     "sp_rate",
     "simple_lb_rate",
-    "capacity_runs",
     "evaluate_point",
 ]
 
@@ -328,16 +326,6 @@ def _bruteforce_histogram(n1: int, n2: int, r: int) -> Counter[int]:
     return Counter(l1_distance(u, v) for u in compositions(n1, r) for v in right)
 
 
-def total_ball_exact(n: int, r: int, d: int, mode: str = "exact"):
-    """Ordered pairs in S(n,r) x S(n,r) at L1 distance at most d."""
-    check_sizes(n=n, r=r, d=d)
-    cm = count_mode(mode)
-    if r == 0:
-        return cm.one if n == 0 else cm.zero
-    s_cap = min(d, 2 * n)
-    return pair_count_table(n, n, r, s_cap, mode).total(n, n, s_cap)
-
-
 @cache
 def pair_generating_numerator() -> acsv.SparseMultivariatePolynomial:
     """Numerator of the pair generating function in (x1, x2, y, z).
@@ -373,6 +361,11 @@ def pair_generating_denominator() -> acsv.SparseMultivariatePolynomial:
     )
 
 
+def _check_rho(rho: float) -> None:
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho must be in (0,1), got {rho}")
+
+
 def critical_point_closed_form(rho: float, delta: float) -> acsv.CriticalPoint:
     """Closed-form critical point at run density rho and radius density delta.
 
@@ -382,8 +375,7 @@ def critical_point_closed_form(rho: float, delta: float) -> acsv.CriticalPoint:
     2 - delta - 2*rho > 0 with delta > 0; the saturated regime is handled
     by ball_rate directly.
     """
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must be in (0,1), got {rho}")
+    _check_rho(rho)
     if not delta > 0.0:
         raise DomainError(f"delta must be > 0, got {delta}")
     if not 2.0 - delta - 2.0 * rho > 0.0:
@@ -434,8 +426,7 @@ def leading_pair_count_log2(n: int, rho: float, delta: float) -> float:
 
 def beta_max(rho: float) -> float:
     """Insertion density at which the total ball saturates."""
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must be in (0,1), got {rho}")
+    _check_rho(rho)
     return (1.0 - rho) / (2.0 - rho)
 
 
@@ -461,8 +452,7 @@ def ball_rate(rho: float, beta: float) -> float:
     the diagonal), twice H(rho) once beta reaches beta_max(rho) (the
     ball covers all pairs), and the smooth closed form in between.
     """
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must be in (0,1), got {rho}")
+    _check_rho(rho)
     if not 0.0 <= beta < math.inf:
         raise DomainError(f"beta must be finite and >= 0, got {beta}")
     branch = _ball_branch(rho, beta)
@@ -481,13 +471,6 @@ def ball_rate(rho: float, beta: float) -> float:
         + (-1.0 + rho + beta) * math.log2(2.0 - 2.0 * rho - 2.0 * beta)
         + (1.0 - beta) * math.log2(2.0 - 2.0 * beta)
     )
-
-
-def capacity_runs(rho: float) -> float:
-    """Exponent of the number of words with run density rho: H(rho)."""
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"rho must be in [0,1], got {rho}")
-    return entropy(rho)
 
 
 def _check_beta(beta: float) -> None:
@@ -582,11 +565,10 @@ def evaluate_point(beta: float, rho: float | None = None) -> StickyPoint:
     )
     if rho is None:
         return point
-    capacity = capacity_runs(rho)
-    ball = ball_rate(rho, beta)
+    ball = ball_rate(rho, beta)  # checks rho before entropy does
     branch = _ball_branch(rho, beta)
     cp = critical_point_closed_form(rho, 2.0 * beta) if branch == "smooth" else None
     return replace(
-        point, capacity=capacity, rho=rho, branch=branch, ball_rate=ball,
+        point, capacity=entropy(rho), rho=rho, branch=branch, ball_rate=ball,
         critical_point=cp, saturated=branch == "saturated",
     )

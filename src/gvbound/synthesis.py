@@ -32,7 +32,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from . import acsv
-from .errors import DimensionMismatchError, DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError
 from .numeric import (
     CountMode,
     RealPolynomial,
@@ -51,7 +51,6 @@ __all__ = [
     "SynthesisPairTable",
     "SynthesisPoint",
     "synthesis_time",
-    "hamming_distance",
     "count_words_by_time",
     "count_words_exact",
     "pair_count_table",
@@ -71,6 +70,9 @@ ALPHABET = "ACGT"
 _RANK = {"A": 1, "C": 2, "G": 3, "T": 4}
 
 LOG2_3 = math.log2(3.0)
+
+# Step costs (a, b) of one position appended to both strands, each 1..4
+_STEP_PAIRS = tuple(product(range(1, 5), repeat=2))
 
 _BRUTEFORCE_WORD_LIMIT = 4096
 _TAU_FREE = 2.5  # cycle density from which every strand is producible
@@ -100,15 +102,6 @@ def synthesis_time(w: Strand) -> int:
     for prev, cur in zip(w, w[1:]):
         total += ((_RANK[cur] - _RANK[prev] - 1) % 4) + 1
     return total
-
-
-def hamming_distance(u: Strand, v: Strand) -> int:
-    """Number of positions where the two strands differ."""
-    if len(u) != len(v):
-        raise DimensionMismatchError(
-            f"strands have different lengths {len(u)} and {len(v)}"
-        )
-    return sum(a != b for a, b in zip(u, v))
 
 
 def count_words_by_time(n: int) -> list[int]:
@@ -202,15 +195,14 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     for k in range(n):
         nxt = acc.blank(level.shape)
         t_lo, t_hi = 2 * k, 8 * k + 1
-        for a in range(1, 5):
-            for b in range(1, 5):
-                w = a + b
-                for nd in range(3):
-                    d = (nd - a + b) % 4
-                    miss = int(nd != 0)  # the position mismatches
-                    src = level[d if d != 3 else 1, t_lo:t_hi, : k + 1]
-                    dst = nxt[nd, t_lo + w : t_hi + w, miss : k + 1 + miss]
-                    acc.add(dst, src, out=dst)
+        for a, b in _STEP_PAIRS:
+            w = a + b
+            for nd in range(3):
+                d = (nd - a + b) % 4
+                miss = int(nd != 0)  # the position mismatches
+                src = level[d if d != 3 else 1, t_lo:t_hi, : k + 1]
+                dst = nxt[nd, t_lo + w : t_hi + w, miss : k + 1 + miss]
+                acc.add(dst, src, out=dst)
         level = nxt
     level[3] = level[1]
     return SynthesisPairTable(mode=cm, n=n, entries=acc._finish(level))
@@ -263,22 +255,11 @@ def _bruteforce_histogram(n: int) -> dict[tuple[int, int], int]:
 def pair_generating_denominator() -> acsv.SparseMultivariatePolynomial:
     """Denominator of the pair generating function in (x, y, z).
 
-    Factored form: 1 - x y^2 (1 + y^2) ((1 + y^4) + 2 z y (1 + y + y^2)).
+    Factored form: 1 - x y^2 (1 + y^2) ((1 + y^4) + 2 z y (1 + y + y^2)),
+    built as 1 - x sum over the step-cost pairs (a, b) of y^(a+b) z^[a != b].
     """
     return acsv.SparseMultivariatePolynomial(
-        3,
-        [
-            ((0, 0, 0), 1.0),
-            ((1, 2, 0), -1.0),
-            ((1, 4, 0), -1.0),
-            ((1, 6, 0), -1.0),
-            ((1, 8, 0), -1.0),
-            ((1, 3, 1), -2.0),
-            ((1, 4, 1), -2.0),
-            ((1, 5, 1), -4.0),
-            ((1, 6, 1), -2.0),
-            ((1, 7, 1), -2.0),
-        ],
+        3, [((0, 0, 0), 1.0)] + [((1, a + b, int(a != b)), -1.0) for a, b in _STEP_PAIRS]
     )
 
 
@@ -292,8 +273,8 @@ def _conv(a: list, b: list) -> list:
 # Shared coefficient blocks of the critical-point equations, ascending in y.
 _POLY_G = _conv([1, 0, 1], [1, 0, 0, 0, 1])          # (1+y^2)(1+y^4)
 _POLY_A = _conv(_POLY_G, [1, 1, 1])                  # (1+y^2)(1+y^4)(1+y+y^2)
-_POLY_B = _conv([1, 1, 1], [1, 0, 2, 0, 3, 0, 4])    # (1+y+y^2)(1+2y^2+3y^4+4y^6)
 _POLY_B0 = [1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0]       # 1+2y^2+3y^4+4y^6
+_POLY_B = _conv([1, 1, 1], _POLY_B0)                 # (1+y+y^2)(1+2y^2+3y^4+4y^6)
 _POLY_C = _conv([1, 0, 0, 0, -1], [1, 2, 4, 2, 1])   # (1-y^4)(1+2y+4y^2+2y^3+y^4)
 _POLY_D = RealPolynomial([1.0, 2.0, 2.0, 2.0, 1.0])  # (1+y^4)+2y(1+y+y^2)
 

@@ -49,20 +49,18 @@ def _run_checks(
 # ----------------------------------------------------------------- acsv
 
 def _acsv_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
+    binomial = acsv.SparseMultivariatePolynomial(  # 1 - x - y, the binomial denominator
+        2, [((0, 0), 1.0), ((1, 0), -1.0), ((0, 1), -1.0)]
+    )
+
     def binomial_direction() -> tuple[bool, str]:
-        H = acsv.SparseMultivariatePolynomial(
-            2, [((0, 0), 1.0), ((1, 0), -1.0), ((0, 1), -1.0)]
-        )
-        cp = acsv.solve_critical_point(H, (1.0, 1.0), initial=(0.3, 0.7))
+        cp = acsv.solve_critical_point(binomial, (1.0, 1.0), initial=(0.3, 0.7))
         growth = acsv.growth_exponent(cp)
         err = max(abs(cp.z[0] - 0.5), abs(cp.z[1] - 0.5), abs(growth - 2.0))
         return err <= 1e-9, f"central binomial point error {err:.2e}"
 
     def residual_components() -> tuple[bool, str]:
-        H = acsv.SparseMultivariatePolynomial(
-            2, [((0, 0), 1.0), ((1, 0), -1.0), ((0, 1), -1.0)]
-        )
-        res = acsv.critical_system_residual(H, (1.0, 1.0), (0.4, 0.4))
+        res = acsv.critical_system_residual(binomial, (1.0, 1.0), (0.4, 0.4))
         err = max(abs(res[0] - 0.2), abs(res[1] - 0.0))
         return err <= 1e-12, f"residual at (0.4,0.4) error {err:.2e}"
 

@@ -12,12 +12,11 @@ from gvbound import numeric
 def linear_adds(monkeypatch):
     """A list that grows by one for every add a DP kernel makes on linear log2 counts."""
     calls = []
-    linear = numeric._linear_mode()
+    modes = numeric._modes()
 
     def add(*args, **kwargs):
         calls.append(None)
         return np.add(*args, **kwargs)
 
-    spy = dataclasses.replace(linear, add=add)
-    monkeypatch.setattr(numeric, "_linear_mode", lambda: spy)
+    monkeypatch.setitem(modes, "linear", dataclasses.replace(modes["linear"], add=add))
     return calls

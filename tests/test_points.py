@@ -191,9 +191,9 @@ def test_sticky_count_pairs_rejects_non_integer_sizes():
         sticky.count_pairs_bruteforce(3.5, 3, 2, 1)
     with pytest.raises(DomainError):
         sticky.compositions(3.5, 2)
-    for args in ((2.5, 0, 1), (0, 0, 0.5), (3, 2, 9.5)):
+    for args in ((2.5, 2, 1, 1), (3, 3, 0.5, 1), (3, 3, 2, 9.5)):
         with pytest.raises(DomainError):
-            sticky.total_ball_exact(*args)
+            sticky.pair_count_table(*args)
     with pytest.raises(DomainError):
         sticky.Composition((1.5, 2))
     u, v = sticky.Composition((1, 2)), sticky.Composition((2, 1))
@@ -252,7 +252,7 @@ def test_negative_indices_count_zero():
     [
         ("sticky.count_pairs_exact", (True, True, True, 0)),
         ("sticky.count_pairs_bruteforce", (2, 2, True, 0)),
-        ("sticky.total_ball_exact", (2, True, 1)),
+        ("sticky.pair_count_table", (2, 2, True, 1)),
         ("synthesis.count_pairs_exact", (True, 3, 1)),
         ("numeric.binomial_exact", (True, 1)),
         ("numeric.binomial_exact", (3, False)),
@@ -278,7 +278,7 @@ _U, _V = sticky.Composition((1, 2)), sticky.Composition((2, 1))
         ("sticky.confusable_bruteforce", (_U, _V, -1), "b must be >= 0, got -1"),
         ("sticky.iter_pair_layers", (3, -1, 2, 2), "n2_max must be >= 0, got -1"),
         ("sticky.pair_count_table", (3, 3, 0, 2), "r must be >= 1, got 0"),
-        ("sticky.total_ball_exact", (3, 2, -1), "d must be >= 0, got -1"),
+        ("sticky.pair_count_table", (3, 3, 2, -1), "s_max must be >= 0, got -1"),
         ("synthesis.count_words_by_time", (-1,), "n must be >= 0, got -1"),
         ("synthesis.count_words_exact", (-1, 4), "n must be >= 0, got -1"),
         ("synthesis.pair_count_table", (-1,), "n must be >= 0, got -1"),
@@ -306,8 +306,8 @@ def test_sizes_below_their_floor_raise_one_message(name, args, message):
         ("sticky.count_pairs_exact", (0, 0, 0, 0)),
         ("sticky.count_pairs_exact", (-1, 0, 1, 0)),
         ("sticky.count_pairs_exact", (3, 3, 2, 1)),
-        ("sticky.total_ball_exact", (0, 0, 0)),
-        ("sticky.total_ball_exact", (3, 2, 2)),
+        ("sticky.count_pairs_exact", (3, 3, 4, 1)),
+        ("sticky.count_pairs_exact", (3, 3, 2, 7)),
         ("sticky.pair_count_table", (3, 3, 2, 1)),
         ("sticky.iter_pair_layers", (3, 3, 2, 1)),
         ("synthesis.pair_count_table", (0,)),

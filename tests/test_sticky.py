@@ -16,7 +16,6 @@ from gvbound.sticky import (
     Composition,
     beta_max,
     ball_rate,
-    capacity_runs,
     compositions,
     confusable_bruteforce,
     count_pairs_bruteforce,
@@ -32,7 +31,6 @@ from gvbound.sticky import (
     pair_generating_numerator,
     simple_lb_rate,
     sp_rate,
-    total_ball_exact,
 )
 from table_checks import log2_of, worst_log2_error
 
@@ -383,11 +381,12 @@ def test_layers_match_bruteforce_on_edge_shapes(shape):
 
 
 def test_total_ball_exact_values():
-    assert total_ball_exact(3, 2, 2) == 4
-    assert total_ball_exact(6, 3, 10**6) == 100
+    # ordered pairs in S(n,r) x S(n,r) at L1 distance at most d
+    assert pair_count_table(3, 3, 2, 2).total(3, 3, 2) == 4
+    assert pair_count_table(6, 6, 3, 12).total(6, 6, 12) == 100  # d = 2n holds every pair
     for n in range(2, 9):
         for r in range(1, n + 1):
-            assert total_ball_exact(n, r, 0) == binomial_exact(n - 1, r - 1)
+            assert pair_count_table(n, n, r, 0).total(n, n, 0) == binomial_exact(n - 1, r - 1)
 
 
 def test_table_count_bounds():
@@ -400,10 +399,10 @@ def test_table_count_bounds():
     with pytest.raises(DomainError):
         table.count(5, 5, 9)
     small = pair_count_table(5, 5, 2, 4)
-    assert small.total(5, 5, 4) == total_ball_exact(5, 2, 4)
+    assert small.total(5, 5, 4) == table.total(5, 5, 4)
     assert small.count(-1, 5, 3) == small.total(-1, 5, 3) == 0
     with pytest.raises(DomainError):
-        small.total(5, 5, 9)  # the sum over s <= 4 alone undercounts total_ball_exact(5, 2, 9)
+        small.total(5, 5, 9)  # the sum over s <= 4 alone undercounts table.total(5, 5, 9)
     with pytest.raises(DomainError):
         small.total(6, 5, 4)
 
@@ -570,15 +569,16 @@ def test_ball_rate_matches_critical_point_growth(point):
 
 
 def test_capacity_runs_is_entropy():
-    assert capacity_runs(0.3) == pytest.approx(entropy(0.3), abs=1e-15)
-    assert capacity_runs(0.5) == 1.0
+    # the capacity at run density rho is H(rho), whatever beta
+    assert sticky.evaluate_point(0.1, 0.3).capacity == pytest.approx(entropy(0.3), abs=1e-15)
+    assert sticky.evaluate_point(0.4, 0.5).capacity == 1.0
 
 
 def test_capacity_runs_matches_counting():
     n, rho = 200, 0.3
     r = round(rho * n)
     finite = math.log2(2 * binomial_exact(n - 1, r - 1)) / n
-    assert abs(finite - capacity_runs(rho)) <= 0.05
+    assert abs(finite - sticky.evaluate_point(0.1, rho).capacity) <= 0.05
 
 
 def test_gv_rate_values():

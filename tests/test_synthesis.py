@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvbound import numeric, synthesis
-from gvbound.errors import DimensionMismatchError, DomainError, SizeLimitError
+from gvbound.errors import DomainError, SizeLimitError
 from gvbound.numeric import entropy
 from gvbound.synthesis import (
     ALPHABET,
@@ -24,7 +24,6 @@ from gvbound.synthesis import (
     critical_point,
     delta_max,
     gv_rate,
-    hamming_distance,
     pair_count_table,
     simple_lb_rate,
     synthesis_time,
@@ -54,13 +53,6 @@ def test_synthesis_time_bounds_hold_everywhere():
 def test_synthesis_time_rejects_bad_symbols():
     with pytest.raises(DomainError):
         synthesis_time("ACGX")
-
-
-def test_hamming_distance():
-    assert hamming_distance("ACGT", "ACGT") == 0
-    assert hamming_distance("ACGT", "TCGA") == 2
-    with pytest.raises(DimensionMismatchError):
-        hamming_distance("AC", "ACG")
 
 
 # ----------------------------------------------------------------- word counts
@@ -138,7 +130,7 @@ def _nested_loop_histogram(n):
     hist = {}
     for u in strands:
         for v in strands:
-            key = (synthesis_time(u) + synthesis_time(v), hamming_distance(u, v))
+            key = (synthesis_time(u) + synthesis_time(v), sum(a != b for a, b in zip(u, v)))
             hist[key] = hist.get(key, 0) + 1
     return hist
 
@@ -237,7 +229,8 @@ def _pairs_by_rank_difference(n):
     for u in strands:
         for v in strands:
             d = (last_rank[u] - last_rank[v]) % 4
-            counts[d, synthesis_time(u) + synthesis_time(v), hamming_distance(u, v)] += 1
+            dist = sum(a != b for a, b in zip(u, v))
+            counts[d, synthesis_time(u) + synthesis_time(v), dist] += 1
     return counts
 
 
@@ -330,6 +323,25 @@ def test_capacity_rejects_trivial_budget():
 
 
 # -------------------------------------------------------------- critical point
+
+
+def test_denominator_at_z_one_is_one_minus_x_times_the_squared_word_series():
+    # summing z out gives 1 - x (y + y^2 + y^3 + y^4)^2, term by term
+    by_power = Counter()
+    for (ex, ey, _), c in synthesis.pair_generating_denominator().terms:
+        by_power[ex, ey] += c
+    square = np.convolve([0, 1, 1, 1, 1], [0, 1, 1, 1, 1])
+    want = {(0, 0): 1.0} | {(1, k): -float(c) for k, c in enumerate(square) if c}
+    assert dict(by_power) == want
+
+
+def test_denominator_equals_its_factored_form():
+    H = synthesis.pair_generating_denominator()
+    rng = random.Random(11)
+    for _ in range(200):
+        x, y, z = (rng.uniform(-2.0, 2.0) for _ in range(3))
+        factored = 1.0 - x * y**2 * (1.0 + y**2) * ((1.0 + y**4) + 2.0 * z * y * (1.0 + y + y**2))
+        assert H((x, y, z)) == pytest.approx(factored, rel=1e-12, abs=1e-9)
 
 
 def test_critical_point_known_values():
