@@ -198,21 +198,28 @@ def iter_pair_layers(
         M1(n1, n2, s) = sum_{j>=1} N(n1, n2-j, s-j)
         M2(n1, n2, s) = sum_{j>=1} N(n1-j, n2, s-j)
 
-    and a diagonal prefix A of P = N + M1 + M2, giving O(1) work per
-    state; the level r table is exactly A.  Only two levels are live at
-    any time, P is summed in place of M2, and M1 and P are freed as soon
-    as they are read, so memory stays at a handful of (n1, n2, s) slabs.
-    On a square table (n1_max == n2_max) N is symmetric in n1 and n2, so
-    M2 is M1 with those axes swapped and is copied rather than summed.
+    and a diagonal prefix A(n1, n2) = P(n1-1, n2-1) + A(n1-1, n2-1) of
+    P = N + M1 + M2, giving O(1) work per state; the level r table is
+    exactly A.
+
+    Each level is symmetric in n1 and n2 where both lie in the table, so
+    the kernel builds a table with n1_max <= n2_max (one with n1_max >
+    n2_max is built with the axes swapped and yielded transposed), sums
+    A only on the triangle n1 <= n2 and mirrors the square block
+    n1, n2 <= n1_max.  M1 is summed once per level into a slab over the
+    band.  Each row of P is summed into its row of A just before that
+    row is built, with M2 read as M1 transposed up to column n1_max and,
+    past it, as a column prefix kept for the current row only.  That is
+    about 2.5 adds per band cell, not 4, and the live slabs are the two
+    levels and M1.
 
     Every step reads only the band where level r-1 can be nonzero: a
     pair of compositions with r-1 parts has n1, n2 >= r-1 and L1
     distance s <= n1 + n2 - 2(r-1), since |a - b| <= a + b - 2 for
-    parts a, b >= 1.  So the prefix loops start at n1 or n2 = r-1, the
-    n1 and n2 axes are sliced from r-1, and the s axis stops at
-    n1_max + n2_max - 2(r-1); M1, M2 and P share that band.  Cells
-    outside it are zero in every slab, and adding a zero leaves a count
-    unchanged.
+    parts a, b >= 1.  So the n1 and n2 axes start at r-1, and each
+    column of M1 and each row of A stops at the largest s that
+    bound allows there.  Cells outside the band are zero in every slab,
+    and adding a zero leaves a count unchanged.
 
     Every slab stays below 3 * 2^(n1_max + n2_max), so a log2 table
     with n1_max + n2_max + 2 <= 1000 sums linear float64 counts (see
@@ -235,36 +242,42 @@ def _levels(
     """The level r = 1 .. r_max entries of iter_pair_layers, summed in mode acc.
 
     Each level is read again to build the next one, so a caller that
-    converts it must convert a copy.
+    converts it must convert a copy.  A table with n1_max > n2_max is
+    built with the axes swapped, and each level is yielded transposed.
     """
+    if n1_max > n2_max:
+        for level in _levels(n2_max, n1_max, r_max, s_max, acc):
+            yield level.transpose(1, 0, 2)
+        return
     level = acc.blank((n1_max + 1, n2_max + 1, s_max + 1))
     level[0, 0, 0] = acc.one
     for r in range(1, r_max + 1):
         lo = r - 1
         hi = min(max(n1_max + n2_max - 2 * lo, 0), s_max)  # last s in the band
-        m1 = acc.blank(level.shape)
-        for n2 in range(lo + 1, n2_max + 1):
-            acc.add(level[lo:, n2 - 1, :hi], m1[lo:, n2 - 1, :hi], out=m1[lo:, n2, 1 : hi + 1])
-        if n1_max == n2_max:
-            m2 = m1.transpose(1, 0, 2).copy()  # a copy: P is summed into it below
-        else:
-            m2 = acc.blank(level.shape)
-            for n1 in range(lo + 1, n1_max + 1):
-                acc.add(level[n1 - 1, lo:, :hi], m2[n1 - 1, lo:, :hi], out=m2[n1, lo:, 1 : hi + 1])
-        band = (slice(lo, None), slice(lo, None), slice(hi + 1))
-        p = m2  # P = N + M1 + M2 is summed in place; all three are zero outside the band
-        acc.add(m1[band], p[band], out=p[band])
-        del m1, m2  # free each slab once it is read: M1 here, P before the yield
-        acc.add(level[band], p[band], out=p[band])
         nxt = acc.blank(level.shape)
-        for n1 in range(lo + 1, n1_max + 1):
-            acc.add(
-                p[n1 - 1, lo:n2_max, : hi + 1],
-                nxt[n1 - 1, lo:n2_max, : hi + 1],
-                out=nxt[n1, lo + 1 :, : hi + 1],
-            )
+        if lo < n1_max:
+            # M1 on rows lo..n1_max and columns lo..n2_max - 1, stored from (lo, lo)
+            m1 = acc.blank((n1_max + 1 - lo, n2_max - lo, hi + 1))
+            for j in range(1, n2_max - lo):
+                top = min(hi, n1_max + j - lo)  # s support of column lo + j
+                acc.add(level[lo:, lo + j - 1, :top], m1[:, j - 1, :top], out=m1[:, j, 1 : top + 1])
+            m2 = acc.blank((max(n2_max - 1 - n1_max, 0), hi + 1))  # M2 row n1 past column n1_max
+            for n1 in range(lo + 1, n1_max + 1):
+                i = n1 - 1  # A[n1, i+1:] = P[i, i:] + A[i, i:], P[i] summed into the row
+                end = min(hi, i + n2_max - 1 - 2 * lo) + 1  # s support of row i
+                row = nxt[n1, n1:, :end]
+                acc.add(level[i, i:n2_max, :end], m1[i - lo, i - lo :, :end], out=row)
+                k = min(n1_max + 1, n2_max) - i  # columns i .. n1_max take M2 = M1 transposed
+                acc.add(row[:k], m1[i - lo : i - lo + k, i - lo, :end], out=row[:k])
+                if len(m2):
+                    acc.add(row[k:], m2[:, :end], out=row[k:])
+                    acc.add(level[i, n1_max + 1 : n2_max, :hi], m2[:, :hi], out=m2[:, 1:])
+                if i > lo:
+                    acc.add(row, nxt[i, i:n2_max, :end], out=row)
+            del m1, m2  # freed before the next level allocates its slabs
+            for n1 in range(lo + 1, n1_max):
+                nxt[n1 + 1 :, n1] = nxt[n1, n1 + 1 : n1_max + 1]
         level = nxt
-        del p
         yield level
 
 

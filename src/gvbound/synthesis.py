@@ -166,20 +166,33 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     Appends one position to both words at a time.  A position appends
     step costs (a, b) in {1..4}^2, adds a + b to the combined time, and
     moves the rank difference from d to d + a - b (mod 4); the position
-    matches exactly when the new difference is 0.  This is 16 constant
-    transitions per state.
+    matches exactly when the new difference is 0.
 
-    Swapping the two words maps d to -d, so the d = 3 slab equals the
-    d = 1 slab at every step.  The kernel computes d = 0, 1, 2 only,
-    reads level[1] wherever a transition starts from d = 3, and copies
-    entries[1] to entries[3] at the end: 48 adds per step, not 64.
+    The 16 pairs fall into four classes by e = a - b (mod 4), and in x
+    (one cycle of combined time) the class time polynomials factor as
+    T0 = x^2 (1+x^2)(1+x^4), T1 = T3 = x^3 (1+x^2)^2 and
+    T2 = 2 x^4 (1+x^2).  With V_d = (1+x^2) L_d for the level L, a step is
+
+        nxt[d] = shift_miss(x^2 (1+x^4) V_d + x^3 (1+x^2)(V_{d-1} + V_{d+1})
+                            + 2 x^4 V_{d+2}),
+
+    where multiplying by x^j shifts the t axis by j and shift_miss moves
+    s up by one unless d = 0.  Swapping the two words maps d to -d, so
+    the d = 3 slab equals the d = 1 slab at every step; the kernel
+    computes d = 0, 1, 2 only and copies entries[1] to entries[3] at the
+    end.  V is summed in place of L, the unused d = 3 slab holds
+    (1+x^2) 2 V_1, one scratch slab holds (1+x^2)(V_0 + V_2), and the
+    doubled term is added twice rather than stored: about 20 adds per
+    band cell and step, not 48.  Separate slabs for each factor would
+    hold several more big-integer slabs at once and raise the peak
+    memory of an exact table.
 
     Each step reads only the band where the level can be nonzero: after
     k positions the combined time is a sum of k step-cost pairs, each
     2..8, so t lies in [2k, 8k], and at most k positions mismatch, so
-    s <= k.  The adds of the step read level[d, 2k:8k+1, :k+1] and
-    write the same band shifted by (a + b, 0 or 1).  Every cell outside
-    the band is zero, and adding a zero leaves a count unchanged.
+    s <= k.  The two (1+x^2) factors widen the t band by 4 cycles before
+    the shifts.  Every cell outside the band is zero, and adding a zero
+    leaves a count unchanged.
 
     Every entry is at most 16^n, so a log2 table up to n = 250 sums
     linear float64 counts and takes log2 once at the end (see
@@ -193,16 +206,23 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     level = acc.blank((4, 8 * n + 1, n + 1))
     level[0, 0, 0] = acc.one
     for k in range(n):
+        band = level[:, 2 * k : 8 * k + 5, : k + 1]  # t from 2k, room for the two (1 + x^2)
+        acc.add(band[:3, 2:], band[:3, :-2], out=band[:3, 2:])  # V = (1 + x^2) L
+        u = band[3]  # d = 3 repeats d = 1, so its slab holds (1 + x^2) 2 V_1
+        acc.add(band[1], band[1], out=u)
+        acc.add(u[2:], u[:-2], out=u[2:])
+        w = acc.add(band[0], band[2])  # (1 + x^2)(V_0 + V_2)
+        acc.add(w[2:], w[:-2], out=w[2:])
+        v = band[:, : 6 * k + 3]  # V_d is nonzero on t < 8k + 3
         nxt = acc.blank(level.shape)
-        t_lo, t_hi = 2 * k, 8 * k + 1
-        for a, b in _STEP_PAIRS:
-            w = a + b
-            for nd in range(3):
-                d = (nd - a + b) % 4
-                miss = int(nd != 0)  # the position mismatches
-                src = level[d if d != 3 else 1, t_lo:t_hi, : k + 1]
-                dst = nxt[nd, t_lo + w : t_hi + w, miss : k + 1 + miss]
-                acc.add(dst, src, out=dst)
+        for d, cross, far in ((0, u, v[2]), (1, w, v[1]), (2, u, v[0])):
+            miss = int(d != 0)  # the position mismatches
+            dst = nxt[d, 2 * k :, miss : k + 1 + miss]
+            dst[2 : 6 * k + 5] = v[d]
+            acc.add(dst[6 : 6 * k + 9], v[d], out=dst[6 : 6 * k + 9])
+            acc.add(dst[3 : 6 * k + 8], cross, out=dst[3 : 6 * k + 8])
+            for _ in range(2):
+                acc.add(dst[4 : 6 * k + 7], far, out=dst[4 : 6 * k + 7])
         level = nxt
     level[3] = level[1]
     return SynthesisPairTable(mode=cm, n=n, entries=acc._finish(level))

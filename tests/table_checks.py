@@ -1,8 +1,11 @@
-"""Comparisons of log2 pair-count tables with exact ones, shared by the kernel tests."""
+"""Comparisons of log2 pair-count tables with exact ones, shared by the kernel tests,
+and slower reference kernels for both pair-count DPs."""
 
 import math
 
 import numpy as np
+
+from gvbound import synthesis
 
 
 def log2_of(entries):
@@ -20,3 +23,65 @@ def worst_log2_error(logs, exact):
         else:
             worst = max(worst, abs(value - math.log2(count)))
     return worst
+
+
+def sticky_layers_by_full_slabs(n1_max, n2_max, r_max, s_max):
+    """The exact entries of sticky.iter_pair_layers for r = 1 .. r_max, from whole prefix slabs.
+
+    With N the level r-1 table, sums M1 (the prefix along n2) and M2 (the
+    prefix along n1) over the whole band, P = N + M1 + M2, and the level r
+    table as the diagonal prefix A(n1, n2) = P(n1-1, n2-1) + A(n1-1, n2-1).
+    No symmetry is used: every slab is summed in full, in either orientation.
+    """
+    level = np.zeros((n1_max + 1, n2_max + 1, s_max + 1), dtype=object)
+    level[0, 0, 0] = 1
+    for r in range(1, r_max + 1):
+        lo = r - 1
+        hi = min(max(n1_max + n2_max - 2 * lo, 0), s_max)
+        m1 = np.zeros_like(level)
+        for n2 in range(lo + 1, n2_max + 1):
+            m1[lo:, n2, 1 : hi + 1] = level[lo:, n2 - 1, :hi] + m1[lo:, n2 - 1, :hi]
+        m2 = np.zeros_like(level)
+        for n1 in range(lo + 1, n1_max + 1):
+            m2[n1, lo:, 1 : hi + 1] = level[n1 - 1, lo:, :hi] + m2[n1 - 1, lo:, :hi]
+        p = level + m1 + m2
+        level = np.zeros_like(level)
+        for n1 in range(1, n1_max + 1):
+            level[n1, 1:] = p[n1 - 1, :n2_max] + level[n1 - 1, :n2_max]
+        yield level
+
+
+def synthesis_table_by_step_pairs(n):
+    """The exact entries of synthesis.pair_count_table(n), one step-cost pair at a time.
+
+    Each step adds every level slab d to slab d + a - b (mod 4), shifted by
+    a + b in t and by one in s unless the new slab is d = 0, for all 16
+    pairs (a, b) and all four d: 64 adds per step, with no symmetry used.
+    """
+    level = np.zeros((4, 8 * n + 1, n + 1), dtype=object)
+    level[0, 0, 0] = 1
+    for k in range(n):
+        nxt = np.zeros_like(level)
+        for a, b in synthesis._STEP_PAIRS:
+            for d in range(4):
+                miss = int((d + a - b) % 4 != 0)
+                nxt[(d + a - b) % 4, a + b : 8 * k + 1 + a + b, miss : k + 1 + miss] += (
+                    level[d, : 8 * k + 1, : k + 1]
+                )
+        level = nxt
+    return level
+
+
+def assert_matches_exact(entries, exact, mode, log2_bound):
+    """A kernel table in `mode` against exact reference counts, all below 2^log2_bound.
+
+    An exact table must be equal.  A log2 table must be log2 of the counts bit
+    for bit while they are below 2^53, where every linear float64 sum is exact,
+    and within 1e-12 of it above.
+    """
+    if mode == "exact":
+        assert np.array_equal(entries, exact)
+    elif log2_bound <= 53:
+        assert np.array_equal(entries, log2_of(exact))
+    else:
+        assert worst_log2_error(entries, exact) <= 1e-12

@@ -32,7 +32,12 @@ from gvbound.sticky import (
     simple_lb_rate,
     sp_rate,
 )
-from table_checks import log2_of, worst_log2_error
+from table_checks import (
+    assert_matches_exact,
+    log2_of,
+    sticky_layers_by_full_slabs,
+    worst_log2_error,
+)
 
 
 # ---------------------------------------------------------------- compositions
@@ -290,15 +295,53 @@ def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, linear_adds
 @example(n=12, r_max=6, s_max=24, mode="exact")
 @example(n=12, r_max=6, s_max=7, mode="log2")
 def test_square_layers_are_symmetric_and_match_the_rectangular_kernel(n, r_max, s_max, mode):
-    # a square table copies M2 from M1 with the n1 and n2 axes swapped;
-    # one column wider, the kernel sums M2 itself, and the shared block
-    # must agree
+    # a square table mirrors the triangle n1 <= n2 and reads M2 as M1
+    # transposed; one column wider, the last column's M2 is a column
+    # prefix of its own, and the shared block must agree
     square = iter_pair_layers(n, n, r_max, s_max, mode)
     wide = iter_pair_layers(n, n + 1, r_max, s_max, mode)
     for table, wider in zip(square, wide):
         entries = table.entries
         assert np.array_equal(entries, entries.transpose(1, 0, 2)), table.r
         assert np.array_equal(entries, wider.entries[:, : n + 1, :]), table.r
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n1_max=st.integers(0, 12),
+    n2_max=st.integers(0, 12),
+    r_max=st.integers(1, 14),
+    s_max=st.integers(0, 26),
+    mode=st.sampled_from(["exact", "log2"]),
+)
+@example(n1_max=12, n2_max=5, r_max=6, s_max=17, mode="exact")
+@example(n1_max=3, n2_max=11, r_max=5, s_max=9, mode="log2")
+def test_swapping_the_words_transposes_every_layer(n1_max, n2_max, r_max, s_max, mode):
+    # the kernel builds a table with n1_max > n2_max the other way round
+    layers = iter_pair_layers(n1_max, n2_max, r_max, s_max, mode)
+    swapped = iter_pair_layers(n2_max, n1_max, r_max, s_max, mode)
+    for table, other in zip(layers, swapped, strict=True):
+        assert np.array_equal(table.entries, other.entries.transpose(1, 0, 2)), table.r
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n1_max=st.integers(0, 24),
+    n2_max=st.integers(0, 24),
+    r_max=st.integers(1, 26),
+    s_max=st.integers(0, 50),
+    mode=st.sampled_from(["exact", "log2"]),
+)
+@example(n1_max=24, n2_max=24, r_max=24, s_max=48, mode="exact")
+@example(n1_max=24, n2_max=24, r_max=13, s_max=30, mode="log2")
+@example(n1_max=24, n2_max=9, r_max=11, s_max=33, mode="log2")
+@example(n1_max=9, n2_max=24, r_max=11, s_max=20, mode="exact")
+def test_layers_match_the_full_slab_kernel(n1_max, n2_max, r_max, s_max, mode):
+    # the reference sums M1, M2 and P in full, with no symmetry or triangle
+    shape = (n1_max, n2_max, r_max, s_max)
+    layers = zip(iter_pair_layers(*shape, mode), sticky_layers_by_full_slabs(*shape), strict=True)
+    for table, exact in layers:
+        assert_matches_exact(table.entries, exact, mode, n1_max + n2_max + 2)
 
 
 def _composition_pairs(n1, n2, r):
@@ -368,6 +411,8 @@ def test_layers_vanish_outside_the_support(n1_max, n2_max, r_max, s_max, mode):
         (3, 5, 3, 12),  # s_max > n1_max + n2_max
         (7, 4, 3, 6),  # n1_max != n2_max
         (5, 7, 5, 7),  # n1_max != n2_max, s truncated inside the support
+        (0, 0, 3, 0),  # square, r_max - 1 > n
+        (2, 2, 5, 4),  # square, r_max - 1 > n, both sides nonempty
     ],
 )
 def test_layers_match_bruteforce_on_edge_shapes(shape):

@@ -28,7 +28,12 @@ from gvbound.synthesis import (
     simple_lb_rate,
     synthesis_time,
 )
-from table_checks import log2_of, worst_log2_error
+from table_checks import (
+    assert_matches_exact,
+    log2_of,
+    synthesis_table_by_step_pairs,
+    worst_log2_error,
+)
 
 
 # -------------------------------------------------------------- synthesis time
@@ -219,6 +224,43 @@ def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, linear_adds
     logs = pair_count_table(5, "log2").entries
     assert bool(linear_adds) == linear
     assert worst_log2_error(logs, pair_count_table(5, "exact").entries) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(0, 30), mode=st.sampled_from(["exact", "log2"]))
+@example(n=13, mode="log2")
+@example(n=14, mode="log2")
+@example(n=30, mode="exact")
+@example(n=30, mode="log2")
+def test_table_matches_the_step_pair_kernel(n, mode):
+    # the reference adds each of the 16 step-cost pairs to all four d slabs
+    entries = pair_count_table(n, mode).entries
+    assert_matches_exact(entries, synthesis_table_by_step_pairs(n), mode, 4 * n + 1)
+
+
+def test_step_pair_classes_factor_as_the_kernel_applies_them():
+    # group the step-cost pairs by a - b (mod 4) into time polynomials in x
+    classes = np.zeros((4, 9), dtype=int)
+    for a, b in synthesis._STEP_PAIRS:
+        classes[(a - b) % 4, a + b] += 1
+    conv = synthesis._conv
+    one_x2, one_x4 = [1, 0, 1], [1, 0, 0, 0, 1]
+    odd = conv([0, 0, 0, 1], conv(one_x2, one_x2))  # x^3 (1+x^2)^2
+    kernel = [
+        conv([0, 0, 1], conv(one_x2, one_x4)),  # x^2 (1+x^2)(1+x^4)
+        odd,
+        conv([0, 0, 0, 0, 2], one_x2),  # 2 x^4 (1+x^2)
+        odd,
+    ]
+    assert classes.tolist() == [poly + [0] * (9 - len(poly)) for poly in kernel]
+    # summed over the classes: x^2 (1+x)^2 (1+x^2)^2, the x-linear part of H at z = 1
+    total = conv([0, 0, 1], conv(conv([1, 1], [1, 1]), conv(one_x2, one_x2)))
+    assert classes.sum(axis=0).tolist() == total
+    at_z_one = [0] * 9
+    for (ex, ey, _), c in synthesis.pair_generating_denominator().terms:
+        if ex == 1:
+            at_z_one[ey] -= c
+    assert at_z_one == total
 
 
 def _pairs_by_rank_difference(n):
