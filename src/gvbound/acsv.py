@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SparseMultivariatePolynomial",
     "CriticalPoint",
-    "evaluate",
     "critical_system_residual",
     "solve_critical_point",
     "growth_exponent",
@@ -113,7 +112,8 @@ class SparseMultivariatePolynomial:
         return tuple(g.gradient for g in self.gradient)
 
     def __call__(self, z: Sequence[float]) -> float:
-        return evaluate(self, z)
+        """Value at z by direct monomial summation."""
+        return _evaluate(self, _check_point(self, z))
 
 
 @dataclass(frozen=True)
@@ -183,11 +183,6 @@ def _check_direction(H: SparseMultivariatePolynomial, r: Sequence[float]) -> lis
     if not all(0.0 < c < math.inf for c in rv):
         raise DomainError(f"direction components must be positive and finite, got {r}")
     return rv
-
-
-def evaluate(H: SparseMultivariatePolynomial, z: Sequence[float]) -> float:
-    """Value of H at z by direct monomial summation."""
-    return _evaluate(H, _check_point(H, z))
 
 
 def _power(base: float, e: int) -> float:
@@ -272,9 +267,10 @@ def leading_term(
     minimal critical points, e.g. those given by a symmetry of H.
 
     Raises:
-        DomainError: if n is not a positive integer, n r is not integral,
-            w is not a positive critical point in direction r, or the
-            Hessian or the constant is not positive there.
+        DomainError: if n is not a positive integer, n r is not integral
+            or has a coordinate that rounds below 1, w is not a positive
+            critical point in direction r, or the Hessian or the constant
+            is not positive there.
     """
     import numpy as np
 
@@ -288,8 +284,11 @@ def leading_term(
     if not np.all(zv > 0.0):
         raise DomainError(f"point must be strictly positive, got {list(w)}")
     index = n * rv
-    if np.any(np.abs(index - np.round(index)) > _INTEGRAL_INDEX_TOL * np.maximum(index, 1.0)):
+    rounded = np.round(index)
+    if np.any(np.abs(index - rounded) > _INTEGRAL_INDEX_TOL * np.maximum(index, 1.0)):
         raise DomainError(f"n * r must be integral, got {index.tolist()}")
+    if np.any(rounded < 1.0):  # r > 0, but an n r_i near 0 passes the test above as 0
+        raise DomainError(f"n * r must be at least 1 in every coordinate, got {index.tolist()}")
     residual = _residual_norm(H, rv, zv)
     if not residual <= _LEADING_RESIDUAL_TOL:
         raise DomainError(

@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from . import sticky, synthesis
-from .curves import CurveSpec, _fmt, build_curves, write_csv, write_svg
+from .curves import BOUNDS, CurveSpec, _flags, _fmt, build_curves, write_csv, write_svg
 from .errors import DomainError, GVBoundError
 from .verify import SUITES, run_suite
 
@@ -35,6 +35,10 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
+def _default_bounds(channel: str) -> str:
+    return ",".join(b for b in BOUNDS[channel] if b != "capacity")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gvbound",
@@ -50,8 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument(
         "--bounds",
         default=None,
-        help="comma-separated bounds (sticky: gv,sp,lb,capacity; "
-        "synthesis: gv,lb,capacity); defaults to gv,sp,lb or gv,lb",
+        help="comma-separated bounds ("
+        + "; ".join(f"{channel}: {','.join(bounds)}" for channel, bounds in BOUNDS.items())
+        + "); defaults to "
+        + " or ".join(map(_default_bounds, BOUNDS)),
     )
     curve.add_argument("--beta-range", type=_parse_range, metavar="LO:HI:STEPS")
     curve.add_argument("--delta-range", type=_parse_range, metavar="LO:HI:STEPS")
@@ -95,7 +101,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     lo, hi, steps = sweep
     spec = CurveSpec(
         channel=args.channel,
-        bounds=tuple((args.bounds or ("gv,sp,lb" if is_sticky else "gv,lb")).split(",")),
+        bounds=tuple((args.bounds or _default_bounds(args.channel)).split(",")),
         lo=lo,
         hi=hi,
         steps=steps,
@@ -122,8 +128,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _print_block(rows: list[tuple[str, object]], flags: tuple[tuple[str, bool], ...]) -> None:
-    rows = rows + [("flags", ";".join(name for name, on in flags if on))]
+def _print_block(rows: list[tuple[str, object]], flags: tuple[str, ...]) -> None:
+    rows = rows + [("flags", ";".join(flags))]
     for key, value in rows:
         print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
 
@@ -143,26 +149,26 @@ def _cmd_point_sticky(args: argparse.Namespace) -> int:
     rows += _critical_rows(p.critical_point, "star")
     rows += [("ball_rate", p.ball_rate), ("gv_rate", p.gv_rate), ("gv_rho_star", p.gv_rho_star)]
     rows += [("sp_rate", p.sp_rate), ("lb_rate", p.lb_rate)]
-    _print_block(rows, (("saturated", p.saturated), ("lb-boundary", p.lb_boundary)))
+    _print_block(rows, _flags(("saturated", p.saturated), ("lb-boundary", p.lb_boundary)))
     return 0
 
 
 def _cmd_point_synthesis(args: argparse.Namespace) -> int:
     if args.tau is None:
         raise DomainError("synthesis points need --tau")
-    p = synthesis.evaluate_point(args.tau, args.delta)
-    rows = [("channel", "synthesis"), ("tau", p.tau), ("capacity", p.capacity)]
-    if p.delta is None:
+    cap = synthesis.capacity(args.tau)
+    rows = [("channel", "synthesis"), ("tau", args.tau), ("capacity", cap)]
+    if args.delta is None:
         _print_block(rows, ())
         return 0
+    p = synthesis.evaluate_point(args.tau, args.delta)
     rows.append(("delta", p.delta))
     if p.delta_max is not None:
         rows.append(("delta_max", p.delta_max))
     rows += _critical_rows(p.critical_point, "hat")
     rows += [("ball_rate_upper", p.ball_rate_upper), ("gv_rate", p.gv_rate)]
     rows += [("lb_rate", p.lb_rate)]
-    flags = (("upper-bound", True), ("saturated", p.saturated), ("floored", p.gv_floored))
-    _print_block(rows, flags)
+    _print_block(rows, BOUNDS["synthesis"]["gv"](p)[1])
     return 0
 
 

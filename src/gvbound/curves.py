@@ -26,8 +26,7 @@ __all__ = [
     "CurveSpec",
     "RateCurve",
     "MAX_STEPS",
-    "STICKY_BOUNDS",
-    "SYNTHESIS_BOUNDS",
+    "BOUNDS",
     "build_curves",
     "rows_to_csv",
     "write_csv",
@@ -35,11 +34,31 @@ __all__ = [
     "write_svg",
 ]
 
-STICKY_BOUNDS = ("gv", "sp", "lb", "capacity")
-SYNTHESIS_BOUNDS = ("gv", "lb", "capacity")
 MAX_STEPS = 100_000  # largest sweep, checked before the grid is allocated
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+
+
+def _flags(*named: tuple[str, bool]) -> tuple[str, ...]:
+    return tuple(name for name, on in named if on)
+
+
+# Each channel's bounds in column order: name -> the record's value and flags.
+BOUNDS = {
+    "sticky": {
+        "gv": lambda p: (p.gv_rate, _flags(("saturated", p.gv_saturated))),
+        "sp": lambda p: (p.sp_rate, ()),
+        "lb": lambda p: (p.lb_rate, _flags(("boundary", p.lb_boundary))),
+        "capacity": lambda p: (p.capacity, ()),
+    },
+    "synthesis": {
+        "gv": lambda p: (p.gv_rate, _flags(
+            ("upper-bound", True), ("saturated", p.saturated), ("floored", p.gv_floored)
+        )),
+        "lb": lambda p: (p.lb_rate, _flags(("floored", p.lb_floored))),
+        "capacity": lambda p: (p.capacity, ()),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -65,7 +84,7 @@ class CurveSpec:
             raise DomainError("synthesis curves need --tau")
         if self.channel == "sticky" and self.tau is not None:
             raise DomainError("sticky curves take no --tau")
-        allowed = STICKY_BOUNDS if self.channel == "sticky" else SYNTHESIS_BOUNDS
+        allowed = BOUNDS[self.channel]
         if not self.bounds:
             raise DomainError("at least one bound must be requested")
         for b in self.bounds:
@@ -105,39 +124,15 @@ class RateCurve:
     rows: tuple[tuple[float, float, tuple[str, ...]], ...]
 
 
-def _flags(*named: tuple[str, bool]) -> tuple[str, ...]:
-    return tuple(name for name, on in named if on)
-
-
-def _sticky_columns(p: StickyPoint) -> dict[str, tuple[float, tuple[str, ...]]]:
-    return {
-        "gv": (p.gv_rate, _flags(("saturated", p.gv_saturated))),
-        "sp": (p.sp_rate, ()),
-        "lb": (p.lb_rate, _flags(("boundary", p.lb_boundary))),
-        "capacity": (p.capacity, ()),
-    }
-
-
-def _synthesis_columns(p: SynthesisPoint) -> dict[str, tuple[float, tuple[str, ...]]]:
-    gv_flags = _flags(
-        ("upper-bound", True), ("saturated", p.saturated), ("floored", p.gv_floored)
-    )
-    return {
-        "gv": (p.gv_rate, gv_flags),
-        "lb": (p.lb_rate, _flags(("floored", p.lb_floored))),
-        "capacity": (p.capacity, ()),
-    }
-
-
 def build_curves(spec: CurveSpec) -> list[RateCurve]:
     """Evaluate every requested bound over the sweep grid."""
     spec.validate()
     grid = spec.grid()
-    columns = _sticky_columns if spec.channel == "sticky" else _synthesis_columns
-    points = [columns(spec._evaluate(x)) for x in grid]
+    columns = [BOUNDS[spec.channel][bound] for bound in spec.bounds]
+    cells = [[column(p) for column in columns] for p in map(spec._evaluate, grid)]
     return [
-        RateCurve(label=bound, rows=tuple((x, *p[bound]) for x, p in zip(grid, points)))
-        for bound in spec.bounds
+        RateCurve(label=bound, rows=tuple((x, *c[k]) for x, c in zip(grid, cells)))
+        for k, bound in enumerate(spec.bounds)
     ]
 
 

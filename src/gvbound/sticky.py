@@ -421,7 +421,8 @@ def leading_pair_count_log2(n: int, rho: float, delta: float) -> float:
 
     Raises:
         DomainError: off the smooth branch, or if n is not a positive
-            integer with rho n and delta n integral (acsv.leading_term).
+            integer with rho n and delta n integral and at least 1
+            (acsv.leading_term).
     """
     if not 0.0 < delta < math.inf or _ball_branch(rho, delta / 2.0) != "smooth":
         raise DomainError(

@@ -372,28 +372,28 @@ def delta_max(tau: float) -> tuple[float, float]:
 class SynthesisPoint:
     """One synthesis-channel evaluation: every printed value, branch and flag.
 
-    Without a delta only tau and capacity are set.  branch is the piece of
-    the ball rate bound taken (unconstrained, diagonal, saturated or
-    smooth); delta_max is set when tau < 5/2, critical_point on the smooth
-    piece.  gv_floored and lb_floored mark bounds floored at zero.
+    branch is the piece of the ball rate bound taken (unconstrained,
+    diagonal, saturated or smooth); delta_max is set when tau < 5/2,
+    critical_point on the smooth piece.  gv_floored and lb_floored mark
+    bounds floored at zero.
     """
 
     tau: float
     capacity: float
-    delta: float | None = None
-    branch: str | None = None
+    delta: float
+    branch: str
+    ball_rate_upper: float
+    gv_rate: float
+    lb_rate: float
+    saturated: bool
+    gv_floored: bool
+    lb_floored: bool
     delta_max: float | None = None
     critical_point: acsv.CriticalPoint | None = None
-    ball_rate_upper: float | None = None
-    gv_rate: float | None = None
-    lb_rate: float | None = None
-    saturated: bool = False
-    gv_floored: bool = False
-    lb_floored: bool = False
 
 
-def evaluate_point(tau: float, delta: float | None = None) -> SynthesisPoint:
-    """Evaluate the capacity at tau and, given delta, the ball and the bounds.
+def evaluate_point(tau: float, delta: float) -> SynthesisPoint:
+    """Evaluate the capacity, the ball and the bounds at (tau, delta).
 
     The ball rate bound is piecewise in (tau, delta).  For tau >= 5/2 the
     space is unconstrained and the bound is the quaternary Hamming-ball
@@ -405,11 +405,9 @@ def evaluate_point(tau: float, delta: float | None = None) -> SynthesisPoint:
     exponent, without the 2, from the capacity.
     """
     _check_tau(tau)
-    cap = capacity(tau)
-    if delta is None:
-        return SynthesisPoint(tau=tau, capacity=cap)
-    if not 0.0 <= delta <= 1.0:
+    if delta is None or not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must be in [0,1], got {delta}")
+    cap = capacity(tau)
     dm = cp = None
     if tau >= _TAU_FREE:
         branch = "unconstrained"

@@ -65,14 +65,6 @@ def test_partial_derivatives():
     assert p.hessian[0][1]((2.0, 5.0)) == p.hessian[1][0]((2.0, 5.0)) == 4.0
 
 
-def test_evaluate_matches_call():
-    p = binomial_denominator()
-    assert acsv.evaluate(p, (0.25, 0.5)) == pytest.approx(0.25)
-    assert p((0.25, 0.5)) == pytest.approx(0.25)
-    with pytest.raises(DimensionMismatchError):
-        acsv.evaluate(p, (0.25,))
-
-
 def test_residual_components_on_binomial_system():
     H = binomial_denominator()
     res = critical_system_residual(H, (1.0, 1.0), (0.5, 0.5))
@@ -228,14 +220,14 @@ def test_leading_term_rejects_bad_input(r, w, n):
 def test_overflowing_point_gives_infinities_not_an_exception():
     # 1e200 ** 2 overflows; the value is -inf and the residual norm NaN (inf - inf)
     H = synthesis.pair_generating_denominator()
-    assert acsv.evaluate(H, (1e200,) * 3) == -math.inf
+    assert H((1e200,) * 3) == -math.inf
     cp = CriticalPoint.at(H, (1.0, 4.0, 0.3), (1e200,) * 3)
     assert math.isnan(cp.residual_norm)
     # an odd power of a negative base overflows to -inf
     odd = SparseMultivariatePolynomial(1, [((3,), 1.0)])
-    assert acsv.evaluate(odd, (-1e200,)) == -math.inf
-    assert acsv.evaluate(odd, (1e200,)) == math.inf
-    assert acsv.evaluate(SparseMultivariatePolynomial(1, [((2,), 1.0)]), (-1e200,)) == math.inf
+    assert odd((-1e200,)) == -math.inf
+    assert odd((1e200,)) == math.inf
+    assert SparseMultivariatePolynomial(1, [((2,), 1.0)])((-1e200,)) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -289,7 +281,7 @@ def test_residual_is_a_list_of_floats_and_its_norm_the_max():
 
 
 _ENTRY_POINTS = [
-    ("evaluate", lambda z: acsv.evaluate(binomial_denominator(), z)),
+    ("evaluate", lambda z: binomial_denominator()(z)),
     ("residual point", lambda z: critical_system_residual(binomial_denominator(), (1.0, 1.0), z)),
     ("residual direction", lambda r: critical_system_residual(binomial_denominator(), r, (0.5, 0.5))),
     ("record", lambda z: CriticalPoint.at(binomial_denominator(), (1.0, 1.0), z)),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gvbound import cli
+from gvbound import cli, synthesis
 from gvbound.curves import (
     MAX_STEPS,
     CurveSpec,
@@ -334,11 +334,12 @@ def test_cli_point_sticky_domain_error(capsys):
 
 
 def test_cli_point_synthesis_capacity_only(capsys):
+    # without a delta the block is the capacity alone: no ball, bounds or flags
     code = cli.main(["point", "--channel", "synthesis", "--tau", "2.5"])
     assert code == 0
     kv = parse_kv(capsys.readouterr().out)
-    assert float(kv["capacity"]) == 2.0
-    assert "delta" not in kv
+    assert kv == {"channel": "synthesis", "tau": "2.5", "capacity": "2", "flags": ""}
+    assert synthesis.capacity(2.5) == 2.0
 
 
 def test_cli_point_synthesis_full_block(capsys):

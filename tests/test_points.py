@@ -60,15 +60,6 @@ def test_sticky_point_without_rho_has_no_ball():
 # ---------------------------------------------------------- synthesis records
 
 
-def test_synthesis_point_capacity_only():
-    p = synthesis.evaluate_point(2.5)
-    assert p.capacity == 2.0
-    assert p.delta is None
-    assert p.branch is None
-    assert (p.ball_rate_upper, p.gv_rate, p.lb_rate) == (None, None, None)
-    assert not (p.saturated or p.gv_floored or p.lb_floored)
-
-
 def test_synthesis_point_unconstrained_branch():
     p = synthesis.evaluate_point(3.0, 0.5)
     assert p.branch == "unconstrained"
@@ -157,14 +148,17 @@ _H = acsv.SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((1, 0), -1.0), ((0, 1
         ("synthesis.simple_lb_rate", (2.0, math.nan)),
         ("synthesis.critical_point", (math.inf, 0.1)),
         ("synthesis.evaluate_point", (2.0, math.nan)),
-        ("synthesis.evaluate_point", (-math.inf,)),
+        ("synthesis.evaluate_point", (-math.inf, 0.3)),
         ("acsv.critical_system_residual", (_H, (math.nan, 1.0), (0.4, 0.4))),
         ("acsv.critical_system_residual", (_H, (math.inf, 1.0), (0.4, 0.4))),
         ("acsv.critical_system_residual", (_H, (1.0, 1.0), (0.4, math.nan))),
         ("acsv.solve_critical_point", (_H, (1.0, 1.0), (math.nan, 0.5))),
         ("acsv.solve_critical_point", (_H, (math.nan, 1.0))),
-        ("acsv.evaluate", (_H, (math.inf, 0.5))),
+        ("synthesis.gv_rate", (2.0, None)),
         ("acsv.leading_term", (_H, _H, (1.0, 1.0), (0.5, math.nan), 4)),
+        ("synthesis.ball_rate_upper", (2.0, None)),
+        ("synthesis.simple_lb_rate", (2.0, None)),
+        ("synthesis.evaluate_point", (2.0, None)),
     ],
 )
 def test_nan_and_inf_raise_domain_error(name, args):

@@ -523,10 +523,14 @@ def test_leading_pair_count_follows_distance_parity():
         (16, 0.5, 0.0),
         (16, 0.5, math.nan),
         (16, 0.5, math.inf),
+        (16, 0.5, 1e-20),  # n delta = 1.6e-19 is within the integrality tolerance of 0
+        (16, 0.5, 1e-200),
+        (16, 0.5, 1e-300),
         (12, 0.5, 2.0 / 3.0),  # the ball knee 2 beta_max(0.5)
         (16, 0.0, 0.25),
         (16, 1.0, 0.25),
         (16, math.nan, 0.25),
+        (16, 1e-20, 0.5),
         (15, 0.5, 0.25),  # n rho, n delta not integral
         (16.0, 0.5, 0.25),
         (0, 0.5, 0.25),

@@ -477,6 +477,29 @@ def test_delta_max_root_matches_capacity_root():
         assert ball_rate_upper(tau, dm) == pytest.approx(
             2.0 * capacity(tau), abs=1e-9
         )
+    # y_min is the root of the capacity cubic (see the factorisation below)
+    for tau in (1.1, 1.5, 2.0, 2.25, 2.4):
+        cubic = numeric.RealPolynomial([1.0 - tau, 2.0 - tau, 3.0 - tau, 4.0 - tau])
+        _, y_min = delta_max(tau)
+        assert abs(y_min - numeric.smallest_positive_root(cubic).root) <= 1e-12, tau
+
+
+def _integers(coefficients) -> list[int]:
+    ints = [int(c) for c in coefficients]
+    assert ints == list(coefficients)
+    return ints
+
+
+def test_delta_max_polynomial_is_the_capacity_cubic_times_a_positive_factor():
+    # D (tau G - B0) - y C = -(1+y)(1+y^2)(1+y^4) ((1-tau) + (2-tau) y + (3-tau) y^2 + (4-tau) y^3),
+    # checked exactly in integers, one power of tau at a time
+    conv = synthesis._conv
+    d = _integers(synthesis._POLY_D.coefficients)
+    g, b0, c = (_integers(p) for p in (synthesis._POLY_G, synthesis._POLY_B0, synthesis._POLY_C))
+    factor = conv(conv([1, 1], [1, 0, 1]), [1, 0, 0, 0, 1])
+    assert conv(d, g) == conv(factor, [1, 1, 1, 1])  # tau^1
+    tau0 = [-a - b for a, b in zip(conv(d, b0), [0] + c + [0])]
+    assert tau0 == [-a for a in conv(factor, [1, 2, 3, 4])]  # tau^0
 
 
 # ----------------------------------------------------------------- rate curves
