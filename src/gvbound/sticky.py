@@ -202,26 +202,21 @@ def iter_pair_layers(
     P = N + M1 + M2, giving O(1) work per state; the level r table is
     exactly A.
 
-    Each level is symmetric in n1 and n2 where both lie in the table, so
-    the kernel builds a table with n1_max <= n2_max (one with n1_max >
-    n2_max is built with the axes swapped and yielded transposed), sums
-    A only on the triangle n1 <= n2 and mirrors the square block
-    n1, n2 <= n1_max.  M1 is summed once per level into a slab over the
-    band.  Each row of P is summed into its row of A just before that
-    row is built, with M2 read as M1 transposed up to column n1_max and,
-    past it, as a column prefix kept for the current row only.  That is
-    about 2.5 adds per band cell, not 4, and the live slabs are the two
-    levels and M1.
+    Each level is symmetric in n1 and n2, and the L1 distance of two
+    compositions is at least |n1 - n2| and has its parity, so
+    s = |n1 - n2| + 2e with e >= 0.  The kernel (see _levels) sums each
+    level on the triangle n1 <= n2 only, in the sheared coordinates
+    (n1, c, e) with c = n2 - n1 and s = c + 2e.  There the support of
+    level r >= 2 is exactly n1 >= r and 0 <= e <= n1 - r (level 1 holds
+    e = 0 only), so the kernel adds no cell that is zero for every
+    table.  Each level is then written into the (n1, n2, s) table on
+    both triangles, support cells only (see _layer); every other entry
+    is the mode's zero.  Each table is allocated before its level is
+    summed, so one over the cell budget fails before any sum.  A table
+    with n1_max > n2_max is built with the axes swapped and yielded
+    transposed.
 
-    Every step reads only the band where level r-1 can be nonzero: a
-    pair of compositions with r-1 parts has n1, n2 >= r-1 and L1
-    distance s <= n1 + n2 - 2(r-1), since |a - b| <= a + b - 2 for
-    parts a, b >= 1.  So the n1 and n2 axes start at r-1, and each
-    column of M1 and each row of A stops at the largest s that
-    bound allows there.  Cells outside the band are zero in every slab,
-    and adding a zero leaves a count unchanged.
-
-    Every slab stays below 3 * 2^(n1_max + n2_max), so a log2 table
+    Every count stays below 3 * 2^(n1_max + n2_max), so a log2 table
     with n1_max + n2_max + 2 <= 1000 sums linear float64 counts (see
     CountMode._accumulator) and each layer is converted to log2 as it
     is yielded; a larger one sums with logaddexp2.  Exact tables hold
@@ -231,54 +226,116 @@ def iter_pair_layers(
     check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
     cm = count_mode(mode)
     acc = cm._accumulator(n1_max + n2_max + 2)
-    for r, level in enumerate(_levels(n1_max, n2_max, r_max, s_max, acc), start=1):
-        entries = level if acc is cm else acc._finish(level.copy())
+    small, big = sorted((n1_max, n2_max))
+    shape = (small + 1, big + 1, s_max + 1)
+    levels = _levels(small, big, r_max, s_max, acc)
+    for r in range(1, r_max + 1):
+        entries = acc.blank(shape)  # before level r is summed
+        entries = acc._finish(_layer(next(levels), r, entries))
+        if n1_max > n2_max:
+            entries = entries.transpose(1, 0, 2)
         yield PairCountTable(mode=cm, r=r, entries=entries)
 
 
 def _levels(
     n1_max: int, n2_max: int, r_max: int, s_max: int, acc: CountMode
 ) -> Iterator[np.ndarray]:
-    """The level r = 1 .. r_max entries of iter_pair_layers, summed in mode acc.
+    """The levels r = 1 .. r_max of iter_pair_layers in sheared form, summed in mode acc.
 
-    Each level is read again to build the next one, so a caller that
-    converts it must convert a copy.  A table with n1_max > n2_max is
-    built with the axes swapped, and each level is yielded transposed.
+    Level r is a box E[n1, c, e] holding the entry at (n1, n1 + c, c + 2e)
+    of a table with n1_max <= n2_max, for c <= min(n2_max - r, s_max) and
+    e <= min(s_max // 2, n1_max - r).  E[n1, c, e] is stored at
+    [n1, c + 1, e]; column 0 is scratch.  A cell with c + 2e > s_max lies
+    outside the table, and _layer does not read it.  Cells outside the
+    support n1 >= r, e <= n1 - r (e = 0 at r = 1) are zero.
+
+    On the triangle M1 splits at the diagonal: its terms j <= c stay in
+    row n1 and sum to the exclusive prefix of N over c, and its terms
+    j = c + i mirror to N(n1-i, n1, s-c-i) = N[n1-i, i, e-i], which sum to
+    M2[n1, 0].  With M2[n1, c, e] = N[n1-1, c+1, e-1] + M2[n1-1, c+1, e-1],
+    row n1 of level r is
+
+        A[n1] = A[n1-1] + (N[n1-1] + M2[n1-1])
+                + (M2[n1-1, 0] + exclusive prefix of N[n1-1] over c).
+
+    M2 is kept along its own diagonals, at [n1 + c, n1_max - n1 + e], so
+    folding N[n1-1] into it, which advances M2 to row n1, is an in-place
+    add without a shift, and the folded cells hold N[n1-1] + M2[n1-1] at
+    once.  M2[n1-1, 0] is first copied into the scratch column of row
+    n1-1, so one accumulate over the columns before c gives the last
+    term.  That is one short copy and four whole-plane adds per row,
+    each over the row's support c <= min(n2_max - n1, s_max),
+    e <= n1 - r only (e = 0 at r = 1, where each word is one run).
+    Each level is read again, and its scratch column written, to build
+    the next one, so a caller converts the table that _layer writes,
+    never the level.
     """
-    if n1_max > n2_max:
-        for level in _levels(n2_max, n1_max, r_max, s_max, acc):
-            yield level.transpose(1, 0, 2)
-        return
-    level = acc.blank((n1_max + 1, n2_max + 1, s_max + 1))
-    level[0, 0, 0] = acc.one
+
+    def box(r: int) -> np.ndarray:
+        """Level r's box; column 0 is scratch and E[n1, c, e] lies at [n1, c + 1, e]."""
+        top = min(r, n1_max)  # rows n1 >= r hold c <= n2_max - r and e <= n1_max - r
+        cols = min(n2_max - top, s_max) + 2
+        return acc.blank((n1_max + 1, cols, min(s_max // 2, n1_max - top) + 1))
+
+    level = box(0)
+    level[0, 1, 0] = acc.one
+    # M2[n1, c, e] lies at [n1 + c, n1_max - n1 + e]
+    m2 = acc.blank((n2_max + 1, n1_max + level.shape[2]))
     for r in range(1, r_max + 1):
-        lo = r - 1
-        hi = min(max(n1_max + n2_max - 2 * lo, 0), s_max)  # last s in the band
-        nxt = acc.blank(level.shape)
-        if lo < n1_max:
-            # M1 on rows lo..n1_max and columns lo..n2_max - 1, stored from (lo, lo)
-            m1 = acc.blank((n1_max + 1 - lo, n2_max - lo, hi + 1))
-            for j in range(1, n2_max - lo):
-                top = min(hi, n1_max + j - lo)  # s support of column lo + j
-                acc.add(level[lo:, lo + j - 1, :top], m1[:, j - 1, :top], out=m1[:, j, 1 : top + 1])
-            m2 = acc.blank((max(n2_max - 1 - n1_max, 0), hi + 1))  # M2 row n1 past column n1_max
-            for n1 in range(lo + 1, n1_max + 1):
-                i = n1 - 1  # A[n1, i+1:] = P[i, i:] + A[i, i:], P[i] summed into the row
-                end = min(hi, i + n2_max - 1 - 2 * lo) + 1  # s support of row i
-                row = nxt[n1, n1:, :end]
-                acc.add(level[i, i:n2_max, :end], m1[i - lo, i - lo :, :end], out=row)
-                k = min(n1_max + 1, n2_max) - i  # columns i .. n1_max take M2 = M1 transposed
-                acc.add(row[:k], m1[i - lo : i - lo + k, i - lo, :end], out=row[:k])
-                if len(m2):
-                    acc.add(row[k:], m2[:, :end], out=row[k:])
-                    acc.add(level[i, n1_max + 1 : n2_max, :hi], m2[:, :hi], out=m2[:, 1:])
-                if i > lo:
-                    acc.add(row, nxt[i, i:n2_max, :end], out=row)
-            del m1, m2  # freed before the next level allocates its slabs
-            for n1 in range(lo + 1, n1_max):
-                nxt[n1 + 1 :, n1] = nxt[n1, n1 + 1 : n1_max + 1]
+        nxt = box(r)
+        n_e = nxt.shape[2]
+        m2[...] = acc.zero
+        for n1 in range(r, n1_max + 1):
+            i = n1 - 1
+            cols = min(n2_max - n1, s_max) + 1
+            # e support of row i of N and row n1 of A
+            depth = min(n1 - r, n_e - 1) + 1 if r > 1 else 1
+            diag = m2[i:, n1_max - i : n1_max - i + depth]  # M2[n1-1], then M2[n1-1] + N[n1-1]
+            level[i, 0, :depth] = diag[0]
+            fold = diag[: min(n2_max - i, s_max) + 1]
+            acc.add(fold, level[i, 1 : len(fold) + 1, :depth], out=fold)
+            row = nxt[n1, 1 : cols + 1, :depth]
+            acc.add.accumulate(level[i, :cols, :depth], axis=0, out=row)
+            acc.add(row, nxt[i, 1 : cols + 1, :depth], out=row)
+            acc.add(row, diag[:cols], out=row)
         level = nxt
         yield level
+
+
+def _layer(level: np.ndarray, r: int, entries: np.ndarray) -> np.ndarray:
+    """The sheared level r from _levels, written into entries, a zero table with n1_max <= n2_max.
+
+    Two strided views address the table in sheared coordinates:
+    upper[c, n1, e] = (n1, n1 + c, c + 2e) and lower[c, i, e] =
+    (n1_max - i, n1_max - i - c, c + 2e), the mirror below the diagonal
+    read from the far corner.  Each c then writes one (n1, e) block into
+    each triangle, bounded by n2 <= n2_max, s <= s_max and the support.
+    upper spans only the rows n1 < n1_max: there an n2 or s index past
+    its axis wraps at most into row n1 + 1, so the view stays inside the
+    table's buffer.  The last row of each upper block is written through
+    a plain slice instead.  lower wraps only toward row 0 and stays
+    inside too.
+    """
+    n1_max, n2_max, s_max = (dim - 1 for dim in entries.shape)
+    if r > n1_max:
+        return entries
+    from numpy.lib.stride_tricks import as_strided
+
+    n_c, n_e = level.shape[1] - 1, level.shape[2]
+    s0, s1, s2 = entries.strides
+    upper = as_strided(entries, (n_c, n1_max, n_e), (s1 + s2, s0 + s1, 2 * s2))
+    lower = as_strided(
+        entries[n1_max, n1_max], (n_c, n1_max + 1 - r, n_e), (s2 - s1, -s0 - s1, 2 * s2)
+    )
+    for c in range(n_c):
+        last = min(n1_max, n2_max - c)  # last n1 with n1 + c <= n2_max
+        depth = min((s_max - c) // 2, last - r, n_e - 1) + 1
+        upper[c, r:last, :depth] = level[r:last, c + 1, :depth]
+        entries[last, last + c, c : c + 2 * depth : 2] = level[last, c + 1, :depth]
+        if 0 < c <= n1_max - r:
+            depth = min((s_max - c) // 2, n1_max - c - r, n_e - 1) + 1
+            lower[c, : n1_max - c - r + 1, :depth] = level[n1_max - c : r - 1 : -1, c + 1, :depth]
+    return entries
 
 
 def pair_count_table(
@@ -286,16 +343,23 @@ def pair_count_table(
 ) -> PairCountTable:
     """Pair-count table at level r (see iter_pair_layers).
 
-    A log2 table is converted from linear counts at level r only, not at
-    every level on the way.
+    Only level r is written into an (n1, n2, s) table, and a log2 table
+    is converted from linear counts at level r only, not at every level
+    on the way.
     """
     check_sizes(at_least=1, r=r)
     check_sizes(n1_max=n1_max, n2_max=n2_max, s_max=s_max)
     cm = count_mode(mode)
     acc = cm._accumulator(n1_max + n2_max + 2)
-    for level in _levels(n1_max, n2_max, r, s_max, acc):
+    small, big = sorted((n1_max, n2_max))
+    shape = (small + 1, big + 1, s_max + 1)
+    entries = acc.blank(shape)  # before any level is summed
+    for level in _levels(small, big, r, s_max, acc):
         pass
-    return PairCountTable(mode=cm, r=r, entries=acc._finish(level))
+    entries = acc._finish(_layer(level, r, entries))
+    if n1_max > n2_max:
+        entries = entries.transpose(1, 0, 2)
+    return PairCountTable(mode=cm, r=r, entries=entries)
 
 
 def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):

@@ -194,6 +194,15 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     the shifts.  Every cell outside the band is zero, and adding a zero
     leaves a count unchanged.
 
+    Each pair also adds a + b = a - b (mod 2), so t = d (mod 2) in every
+    slab d, and every other t is zero.  The kernel stores slab d on
+    t = 2q + (d mod 2) only, at q: x^2 and x^4 shift q by 1 and 2, and
+    x^3, which moves an odd slab into an even one or back, by 2 into an
+    even slab and by 1 into slab 1, so every shift is a contiguous slice
+    of half the length.  The table is allocated before the first step,
+    so one over the cell budget fails before any sum, and the slabs are
+    expanded into it, to every t, once at the end.
+
     Every entry is at most 16^n, so a log2 table up to n = 250 sums
     linear float64 counts and takes log2 once at the end (see
     CountMode._accumulator); a larger one sums with logaddexp2.  Exact
@@ -203,29 +212,32 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     check_sizes(n=n)
     cm = count_mode(mode)
     acc = cm._accumulator(4 * n)
-    level = acc.blank((4, 8 * n + 1, n + 1))
+    entries = acc.blank((4, 8 * n + 1, n + 1))  # before any step
+    level = acc.blank((4, 4 * n + 1, n + 1))  # slab d holds t = 2q + d % 2 at q
     level[0, 0, 0] = acc.one
     for k in range(n):
-        band = level[:, 2 * k : 8 * k + 5, : k + 1]  # t from 2k, room for the two (1 + x^2)
-        acc.add(band[:3, 2:], band[:3, :-2], out=band[:3, 2:])  # V = (1 + x^2) L
+        band = level[:, k : 4 * k + 3, : k + 1]  # q from k, room for the two (1 + x^2)
+        acc.add(band[:3, 1:], band[:3, :-1], out=band[:3, 1:])  # V = (1 + x^2) L
         u = band[3]  # d = 3 repeats d = 1, so its slab holds (1 + x^2) 2 V_1
         acc.add(band[1], band[1], out=u)
-        acc.add(u[2:], u[:-2], out=u[2:])
+        acc.add(u[1:], u[:-1], out=u[1:])
         w = acc.add(band[0], band[2])  # (1 + x^2)(V_0 + V_2)
-        acc.add(w[2:], w[:-2], out=w[2:])
-        v = band[:, : 6 * k + 3]  # V_d is nonzero on t < 8k + 3
+        acc.add(w[1:], w[:-1], out=w[1:])
+        v = band[:, : 3 * k + 2]  # V_d is nonzero on q < 4k + 2
         nxt = acc.blank(level.shape)
-        for d, cross, far in ((0, u, v[2]), (1, w, v[1]), (2, u, v[0])):
+        for d, cross, lag, far in ((0, u, 2, v[2]), (1, w, 1, v[1]), (2, u, 2, v[0])):
             miss = int(d != 0)  # the position mismatches
-            dst = nxt[d, 2 * k :, miss : k + 1 + miss]
-            dst[2 : 6 * k + 5] = v[d]
-            acc.add(dst[6 : 6 * k + 9], v[d], out=dst[6 : 6 * k + 9])
-            acc.add(dst[3 : 6 * k + 8], cross, out=dst[3 : 6 * k + 8])
+            dst = nxt[d, k:, miss : k + 1 + miss]
+            dst[1 : 3 * k + 3] = v[d]
+            acc.add(dst[3 : 3 * k + 5], v[d], out=dst[3 : 3 * k + 5])
+            acc.add(dst[lag : 3 * k + 3 + lag], cross, out=dst[lag : 3 * k + 3 + lag])
             for _ in range(2):
-                acc.add(dst[4 : 6 * k + 7], far, out=dst[4 : 6 * k + 7])
+                acc.add(dst[2 : 3 * k + 4], far, out=dst[2 : 3 * k + 4])
         level = nxt
     level[3] = level[1]
-    return SynthesisPairTable(mode=cm, n=n, entries=acc._finish(level))
+    for d in range(4):
+        entries[d, d % 2 :: 2] = level[d, : 4 * n + 1 - d % 2]
+    return SynthesisPairTable(mode=cm, n=n, entries=acc._finish(entries))
 
 
 def count_pairs_exact(n: int, t: int, s: int, mode: str = "exact"):

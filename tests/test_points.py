@@ -318,9 +318,40 @@ def test_unknown_count_mode_raises_domain_error(name, args):
             next(result)  # a generator checks its arguments when first advanced
 
 
-def test_pair_tables_over_the_cell_budget_raise_before_allocating():
+def _no_step(*args, **kwargs):
+    raise AssertionError("a DP step ran before the cell budget was checked")
+
+
+def test_pair_tables_over_the_cell_budget_raise_before_allocating(monkeypatch):
+    modes = numeric._modes()
+    for name in ("exact", "log2"):
+        monkeypatch.setitem(modes, name, dataclasses.replace(modes[name], add=_no_step))
     budget = f"budget is {numeric.TABLE_CELL_BUDGET}"
     with pytest.raises(MemoryBudgetError, match=budget):
         sticky.pair_count_table(1000, 1000, 1, 100)
     with pytest.raises(MemoryBudgetError, match=budget):
         synthesis.pair_count_table(3000, "log2")
+    # the kernels' own slabs fit the budget here, only the tables do not
+    with pytest.raises(MemoryBudgetError, match=budget):
+        sticky.pair_count_table(1000, 1000, 500, 100, "log2")
+    with pytest.raises(MemoryBudgetError, match=budget):
+        next(sticky.iter_pair_layers(1000, 1000, 500, 100, "log2"))
+    with pytest.raises(MemoryBudgetError, match=budget):
+        synthesis.pair_count_table(2000, "log2")
+
+
+@pytest.mark.parametrize(
+    "build, cells",
+    [
+        (lambda: sticky.pair_count_table(3, 5, 2, 6), 4 * 6 * 7),
+        (lambda: sticky.pair_count_table(5, 3, 2, 6), 4 * 6 * 7),
+        (lambda: next(sticky.iter_pair_layers(3, 5, 2, 6)), 4 * 6 * 7),
+        (lambda: synthesis.pair_count_table(3), 4 * 25 * 4),
+    ],
+)
+def test_pair_tables_fit_a_budget_of_exactly_their_cells(monkeypatch, build, cells):
+    monkeypatch.setattr(numeric, "TABLE_CELL_BUDGET", cells)
+    assert build().entries.size == cells
+    monkeypatch.setattr(numeric, "TABLE_CELL_BUDGET", cells - 1)
+    with pytest.raises(MemoryBudgetError, match=f"needs {cells} cells"):
+        build()

@@ -295,9 +295,9 @@ def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, linear_adds
 @example(n=12, r_max=6, s_max=24, mode="exact")
 @example(n=12, r_max=6, s_max=7, mode="log2")
 def test_square_layers_are_symmetric_and_match_the_rectangular_kernel(n, r_max, s_max, mode):
-    # a square table mirrors the triangle n1 <= n2 and reads M2 as M1
-    # transposed; one column wider, the last column's M2 is a column
-    # prefix of its own, and the shared block must agree
+    # the kernel sums the triangle n1 <= n2 and writes its mirror below
+    # the diagonal; one column wider, the sheared box gains a column and
+    # the M2 diagonals grow, and the shared block must agree
     square = iter_pair_layers(n, n, r_max, s_max, mode)
     wide = iter_pair_layers(n, n + 1, r_max, s_max, mode)
     for table, wider in zip(square, wide):
@@ -376,7 +376,8 @@ def test_layer_masses_are_products_of_composition_counts(n1_max, n2_max, r_max, 
 
 def _outside_sticky_support(n1, n2, r, s):
     """Whether no composition pair of r parts has sizes (n1, n2) and L1 distance s."""
-    inside = min(n1, n2) >= r and abs(n1 - n2) <= s <= n1 + n2 - 2 * r
+    top = abs(n1 - n2) if r == 1 else n1 + n2 - 2 * r  # one part each: s = |n1 - n2|
+    inside = min(n1, n2) >= r and abs(n1 - n2) <= s <= top
     return not inside or (s - n1 + n2) % 2 != 0
 
 
@@ -392,13 +393,55 @@ def _outside_sticky_support(n1, n2, r, s):
 @example(n1_max=0, n2_max=3, r_max=3, s_max=2, mode="log2")
 @example(n1_max=9, n2_max=5, r_max=9, s_max=20, mode="log2")
 def test_layers_vanish_outside_the_support(n1_max, n2_max, r_max, s_max, mode):
-    # the banded kernel reads only the support of each layer, so every
-    # other entry must be exactly the mode's zero
+    # the kernel sums each layer in sheared coordinates over its support
+    # only and writes only support cells, so every other entry must be
+    # exactly the mode's zero
     zero = 0 if mode == "exact" else -math.inf
     for table in iter_pair_layers(n1_max, n2_max, r_max, s_max, mode):
         for (n1, n2, s), value in np.ndenumerate(table.entries):
             if _outside_sticky_support(n1, n2, table.r, s):
                 assert value == zero, (table.r, n1, n2, s, value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n1_max=st.integers(0, 10),
+    n2_max=st.integers(0, 10),
+    r_max=st.integers(1, 10),
+    s_max=st.integers(0, 22),
+)
+@example(n1_max=10, n2_max=10, r_max=10, s_max=20)
+@example(n1_max=10, n2_max=4, r_max=4, s_max=9)
+@example(n1_max=3, n2_max=10, r_max=3, s_max=22)
+def test_layers_are_positive_on_the_whole_support(n1_max, n2_max, r_max, s_max):
+    # with the test above: a layer is nonzero exactly on its support.  For
+    # r >= 2 that is every cell n1 >= r, 0 <= e <= n1 - r of the sheared
+    # slab (c = n2 - n1 and s = c + 2e on n1 <= n2), so the slab holds
+    # exactly the support; at r = 1 only e = 0 is
+    for table in iter_pair_layers(n1_max, n2_max, r_max, s_max):
+        for (n1, n2, s), value in np.ndenumerate(table.entries):
+            if not _outside_sticky_support(n1, n2, table.r, s):
+                assert value > 0, (table.r, n1, n2, s, value)
+
+
+@pytest.mark.parametrize("mode", ["exact", "log2"])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (12, 15, 6, 5),  # s_max cuts the sheared box: c + 2e > s_max
+        (15, 12, 6, 5),  # the same, built with the axes swapped
+        (14, 9, 12, 5),  # c runs past s_max, axes swapped
+        (9, 14, 9, 11),  # c runs past s_max on the wide side
+        (6, 6, 8, 1),  # square, s_max = 1, r_max > n
+        (11, 17, 11, 0),  # only s = 0 is stored
+    ],
+)
+def test_truncated_layers_match_the_full_slab_kernel(shape, mode):
+    bound = shape[0] + shape[1] + 2
+    layers = zip(iter_pair_layers(*shape, mode), sticky_layers_by_full_slabs(*shape), strict=True)
+    for table, exact in layers:
+        assert_matches_exact(table.entries, exact, mode, bound)
+    assert_matches_exact(pair_count_table(*shape, mode).entries, exact, mode, bound)
 
 
 @pytest.mark.parametrize(

@@ -314,12 +314,13 @@ def test_rank_difference_symmetry_and_mass_identities(n, mode):
 @example(n=1, mode="exact")
 @example(n=12, mode="log2")
 def test_table_vanishes_outside_the_support(n, mode):
-    # the banded kernel reads only t in [2k, 8k], s <= k of each level k,
-    # so every other entry must be exactly the mode's zero
+    # the kernel reads only t in [2k, 8k], s <= k of each level k, and
+    # stores slab d on t = d (mod 2) only, so every other entry must be
+    # exactly the mode's zero
     zero = 0 if mode == "exact" else -math.inf
     entries = pair_count_table(n, mode).entries
     for (d, t, s), value in np.ndenumerate(entries):
-        if not (2 * n <= t <= 8 * n and s <= n):
+        if not (2 * n <= t <= 8 * n and s <= n and (t - d) % 2 == 0):
             assert value == zero, (n, d, t, s, value)
 
 
