@@ -9,11 +9,13 @@ critical points.
 
 Channel-specific functionality lives in the sticky and synthesis
 submodules; curves and cli drive curve sweeps and the command
-line; verify holds the self-check suites.  Names are imported from
-their submodules, e.g. ``from gvbound.errors import DomainError``.
+line; verify holds the self-check suites.  Importing the package loads
+no submodule: each loads on first access, as ``gvbound.sticky`` or
+``from gvbound import sticky``.  Names are imported from their
+submodules, e.g. ``from gvbound.errors import DomainError``.
 """
 
-from . import acsv, curves, errors, numeric, sticky, synthesis, verify
+import importlib
 
 __version__ = "0.1.0"
 
@@ -27,3 +29,13 @@ __all__ = [
     "verify",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
-from . import sticky, synthesis
 from .errors import DomainError
 from .numeric import check_sizes
-from .sticky import StickyPoint
-from .synthesis import SynthesisPoint
+
+if TYPE_CHECKING:
+    from .sticky import StickyPoint
+    from .synthesis import SynthesisPoint
 
 __all__ = [
     "CurveSpec",
@@ -101,19 +104,24 @@ class CurveSpec:
         if not self.lo < self.hi:
             raise DomainError(f"sweep range must satisfy lo < hi, got {self.lo}:{self.hi}")
         # the channel rejects parameters outside its domain
-        self._evaluate(self.lo)
-        self._evaluate(self.hi)
+        evaluate = self._evaluator()
+        evaluate(self.lo)
+        evaluate(self.hi)
 
     def grid(self) -> list[float]:
         """steps evenly spaced points from lo to hi; rounding never carries one past hi."""
         step = (self.hi - self.lo) / (self.steps - 1)
         return [min(self.lo + k * step, self.hi) for k in range(self.steps)]
 
-    def _evaluate(self, x: float) -> StickyPoint | SynthesisPoint:
-        """The channel's evaluation record at sweep value x."""
+    def _evaluator(self) -> Callable[[float], StickyPoint | SynthesisPoint]:
+        """The channel's evaluation record as a function of the sweep value."""
         if self.channel == "sticky":
-            return sticky.evaluate_point(x)
-        return synthesis.evaluate_point(self.tau, x)
+            from .sticky import evaluate_point
+
+            return evaluate_point
+        from .synthesis import evaluate_point
+
+        return partial(evaluate_point, self.tau)
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,7 @@ def build_curves(spec: CurveSpec) -> list[RateCurve]:
     spec.validate()
     grid = spec.grid()
     columns = [BOUNDS[spec.channel][bound] for bound in spec.bounds]
-    cells = [[column(p) for column in columns] for p in map(spec._evaluate, grid)]
+    cells = [[column(p) for column in columns] for p in map(spec._evaluator(), grid)]
     return [
         RateCurve(label=bound, rows=tuple((x, *c[k]) for x, c in zip(grid, cells)))
         for k, bound in enumerate(spec.bounds)

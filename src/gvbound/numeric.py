@@ -68,8 +68,11 @@ def entropy(p: float) -> float:
     Raises:
         DomainError: if p lies outside [0, 1].
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"entropy argument must lie in [0, 1], got {p}")
+    try:
+        if not 0.0 <= p <= 1.0:
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
+        raise DomainError(f"entropy argument must lie in [0, 1], got {p}") from None
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)

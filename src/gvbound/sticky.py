@@ -439,8 +439,11 @@ def pair_generating_denominator() -> acsv.SparseMultivariatePolynomial:
 
 
 def _check_rho(rho: float) -> None:
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must be in (0,1), got {rho}")
+    try:
+        if not 0.0 < rho < 1.0:
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
+        raise DomainError(f"rho must be in (0,1), got {rho}") from None
 
 
 def critical_point_closed_form(rho: float, delta: float) -> acsv.CriticalPoint:
@@ -453,8 +456,11 @@ def critical_point_closed_form(rho: float, delta: float) -> acsv.CriticalPoint:
     by ball_rate directly.
     """
     _check_rho(rho)
-    if not delta > 0.0:
-        raise DomainError(f"delta must be > 0, got {delta}")
+    try:
+        if not delta > 0.0:
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
+        raise DomainError(f"delta must be > 0, got {delta}") from None
     if not 2.0 - delta - 2.0 * rho > 0.0:
         raise DomainError(
             f"point exists only for 2 - delta - 2*rho > 0, got rho={rho}, delta={delta}"
@@ -488,11 +494,14 @@ def leading_pair_count_log2(n: int, rho: float, delta: float) -> float:
             integer with rho n and delta n integral and at least 1
             (acsv.leading_term).
     """
-    if not 0.0 < delta < math.inf or _ball_branch(rho, delta / 2.0) != "smooth":
+    try:
+        if not 0.0 < delta < math.inf or _ball_branch(rho, delta / 2.0) != "smooth":
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
         raise DomainError(
             f"leading term needs the smooth branch 0 < delta < 2 beta_max(rho), "
             f"got rho={rho}, delta={delta}"
-        )
+        ) from None
     cp = critical_point_closed_form(rho, delta)
     one_point = acsv.leading_term(
         pair_generating_denominator(), pair_generating_numerator(), cp.direction, cp.z, n
@@ -531,8 +540,11 @@ def ball_rate(rho: float, beta: float) -> float:
     ball covers all pairs), and the smooth closed form in between.
     """
     _check_rho(rho)
-    if not 0.0 <= beta < math.inf:
-        raise DomainError(f"beta must be finite and >= 0, got {beta}")
+    try:
+        if not 0.0 <= beta < math.inf:
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
+        raise DomainError(f"beta must be finite and >= 0, got {beta}") from None
     branch = _ball_branch(rho, beta)
     if branch == "diagonal":
         return entropy(rho)
@@ -552,8 +564,11 @@ def ball_rate(rho: float, beta: float) -> float:
 
 
 def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta <= 0.5:
-        raise DomainError(f"beta must be in [0, 0.5], got {beta}")
+    try:
+        if not 0.0 <= beta <= 0.5:
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
+        raise DomainError(f"beta must be in [0, 0.5], got {beta}") from None
 
 
 def _gv_objective(rho: float, beta: float) -> float:

@@ -312,8 +312,11 @@ _POLY_D = RealPolynomial([1.0, 2.0, 2.0, 2.0, 1.0])  # (1+y^4)+2y(1+y+y^2)
 
 
 def _check_tau(tau: float) -> None:
-    if not 1.0 < tau < math.inf:
-        raise DomainError(f"tau must be > 1 and finite, got {tau}")
+    try:
+        if not 1.0 < tau < math.inf:
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
+        raise DomainError(f"tau must be > 1 and finite, got {tau}") from None
 
 
 @lru_cache(maxsize=None)
@@ -344,8 +347,11 @@ def critical_point(tau: float, delta: float) -> acsv.CriticalPoint:
     except at the smallest subnormal deltas, where z underflows.
     """
     _check_tau(tau)
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0,1), got {delta}")
+    try:
+        if not 0.0 < delta < 1.0:
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
+        raise DomainError(f"delta must be in (0,1), got {delta}") from None
     coeffs = [
         2.0 * tau * a - 2.0 * b - delta * c
         for a, b, c in zip(_POLY_A, _POLY_B, _POLY_C)
@@ -369,8 +375,11 @@ def delta_max(tau: float) -> tuple[float, float]:
     delta = 2 y (1 + y + y^2) / ((1 + y^4) + 2 y (1 + y + y^2)).
     Returns (delta_max, y_min).
     """
-    if not 1.0 < tau < _TAU_FREE:
-        raise DomainError(f"tau must be in (1, 2.5), got {tau}")
+    try:
+        if not 1.0 < tau < _TAU_FREE:
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
+        raise DomainError(f"tau must be in (1, 2.5), got {tau}") from None
     tg_minus_b = [tau * g - b for g, b in zip(_POLY_G, _POLY_B0)]
     lhs = _conv(_POLY_D.coefficients, tg_minus_b)
     rhs = [0.0] + _POLY_C
@@ -417,8 +426,11 @@ def evaluate_point(tau: float, delta: float) -> SynthesisPoint:
     exponent, without the 2, from the capacity.
     """
     _check_tau(tau)
-    if delta is None or not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must be in [0,1], got {delta}")
+    try:
+        if not 0.0 <= delta <= 1.0:
+            raise TypeError
+    except TypeError:  # out of range, or not a real number
+        raise DomainError(f"delta must be in [0,1], got {delta}") from None
     cap = capacity(tau)
     dm = cp = None
     if tau >= _TAU_FREE:

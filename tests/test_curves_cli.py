@@ -1,14 +1,17 @@
 """Tests for curve sweeps, CSV/SVG output, and the command-line interface."""
 
+import argparse
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gvbound import cli, synthesis
+import gvbound
+from gvbound import cli, synthesis, verify
 from gvbound.curves import (
     MAX_STEPS,
     CurveSpec,
@@ -367,6 +370,15 @@ def test_cli_verify_rejects_unknown_suite(capsys):
     assert excinfo.value.code == 2
 
 
+def test_cli_verify_choices_are_the_verify_suites():
+    (subcommands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    (suite,) = [a for a in subcommands.choices["verify"]._actions if a.dest == "suite"]
+    assert set(suite.choices) == {"all", *verify.SUITES}
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-c", "from gvbound.cli import main; raise SystemExit(main(['--help']))"],
@@ -379,27 +391,27 @@ def test_console_script_entry_point():
     assert "point" in proc.stdout
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("sticky_bounds.csv", ["curve", "--channel", "sticky", "--beta-range", "0:0.49:50"]),
-        (
-            "sticky_bounds.svg",
-            ["curve", "--channel", "sticky", "--beta-range", "0:0.49:50", "--format", "svg"],
-        ),
-        (
-            "synth_t15.csv",
-            ["curve", "--channel", "synthesis", "--tau", "1.5", "--delta-range", "0:0.75:76"],
-        ),
-        (
-            "synth_t20.csv",
-            ["curve", "--channel", "synthesis", "--tau", "2.0", "--delta-range", "0:0.75:76"],
-        ),
-        ("point_sticky.txt", ["point", "--channel", "sticky", "--rho", "0.5", "--beta", "0.125"]),
-        ("point_synthesis.txt", ["point", "--channel", "synthesis", "--tau", "2", "--delta", "0.3"]),
-        ("point_synthesis_capacity.txt", ["point", "--channel", "synthesis", "--tau", "2.5"]),
-    ],
-)
+_README_COMMANDS = [
+    ("sticky_bounds.csv", ["curve", "--channel", "sticky", "--beta-range", "0:0.49:50"]),
+    (
+        "sticky_bounds.svg",
+        ["curve", "--channel", "sticky", "--beta-range", "0:0.49:50", "--format", "svg"],
+    ),
+    (
+        "synth_t15.csv",
+        ["curve", "--channel", "synthesis", "--tau", "1.5", "--delta-range", "0:0.75:76"],
+    ),
+    (
+        "synth_t20.csv",
+        ["curve", "--channel", "synthesis", "--tau", "2.0", "--delta-range", "0:0.75:76"],
+    ),
+    ("point_sticky.txt", ["point", "--channel", "sticky", "--rho", "0.5", "--beta", "0.125"]),
+    ("point_synthesis.txt", ["point", "--channel", "synthesis", "--tau", "2", "--delta", "0.3"]),
+    ("point_synthesis_capacity.txt", ["point", "--channel", "synthesis", "--tau", "2.5"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", _README_COMMANDS)
 def test_readme_outputs_match_reference_bytes(tmp_path, capsys, name, argv):
     out = tmp_path / name
     if argv[0] == "curve":
@@ -425,23 +437,22 @@ _CLOSED_FORM_COMMANDS = [
 ]
 
 
-def test_closed_form_commands_never_load_numpy(tmp_path):
-    # one fresh interpreter runs the import and every command in turn and
-    # reports, after each, whether numpy is loaded
+def _report_after_each_command(commands, probe):
+    """(step, exit code, probe value) after the import and after each command.
+
+    One fresh interpreter runs `import gvbound, gvbound.cli` and then every
+    command in turn; probe is a Python expression evaluated after each.
+    """
     script = (
         "import contextlib, io, json, sys\n"
         "import gvbound, gvbound.cli\n"
-        "report = [('import', 0, 'numpy' in sys.modules)]\n"
+        f"report = [('import', 0, {probe})]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = gvbound.cli.main(argv)\n"
-        "    report.append((' '.join(argv), code, 'numpy' in sys.modules))\n"
+        f"    report.append((' '.join(argv), code, {probe}))\n"
         "print(json.dumps(report))\n"
     )
-    commands = [
-        argv + ["--output", str(tmp_path / f"out{k}")] if argv[0] == "curve" else argv
-        for k, argv in enumerate(_CLOSED_FORM_COMMANDS)
-    ]
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(commands)],
         capture_output=True,
@@ -450,9 +461,47 @@ def test_closed_form_commands_never_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert len(report) == 1 + len(commands)
-    for step, code, numpy_loaded in report:
+    return report
+
+
+def test_closed_form_commands_never_load_numpy(tmp_path):
+    commands = [
+        argv + ["--output", str(tmp_path / f"out{k}")] if argv[0] == "curve" else argv
+        for k, argv in enumerate(_CLOSED_FORM_COMMANDS)
+    ]
+    for step, code, numpy_loaded in _report_after_each_command(commands, "'numpy' in sys.modules"):
         assert code == 0, step
         assert not numpy_loaded, f"numpy loaded after {step}"
+
+
+_BASE_MODULES = {"cli", "curves", "errors", "numeric"}
+_ALL_MODULES = {info.name for info in pkgutil.iter_modules(gvbound.__path__)}
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("sticky", _BASE_MODULES | {"acsv", "sticky"}),
+        ("synthesis", _BASE_MODULES | {"acsv", "synthesis"}),
+        ("verify", _ALL_MODULES),
+    ],
+)
+def test_commands_load_only_the_modules_they_run(tmp_path, command, loaded):
+    # one fresh interpreter per channel, so that loading does not accumulate
+    # across channels; it runs that channel's README commands in turn
+    commands = [
+        argv + ["--output", str(tmp_path / name)] if argv[0] == "curve" else argv
+        for name, argv in _README_COMMANDS
+        if argv[2] == command
+    ]
+    if command == "verify":
+        commands = [["verify", "acsv", "--n-budget", "1"]]
+    probe = "sorted(m[8:] for m in sys.modules if m.startswith('gvbound.'))"
+    report = _report_after_each_command(commands, probe)
+    assert set(report[0][2]) == _BASE_MODULES
+    for step, code, modules in report[1:]:
+        assert code == 0, step
+        assert set(modules) == loaded, step
 
 
 def test_table_commands_still_load_numpy():

@@ -168,6 +168,34 @@ def test_nan_and_inf_raise_domain_error(name, args):
         getattr(modules[module], fn)(*args)
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("sticky.gv_rate", ("0.3",)),
+        ("numeric.entropy", (None,)),
+        ("sticky.ball_rate", (0.5, "0.1")),
+        ("synthesis.evaluate_point", (2.0, "0.3")),
+        ("synthesis.capacity", ("2",)),
+        ("numeric.entropy", (0.5j,)),
+        ("sticky.ball_rate", ("0.5", 0.1)),
+        ("sticky.beta_max", (None,)),
+        ("sticky.sp_rate", ("0.1",)),
+        ("sticky.simple_lb_rate", (None,)),
+        ("sticky.evaluate_point", (0.1, "0.5")),
+        ("sticky.critical_point_closed_form", (0.5, "0.1")),
+        ("sticky.leading_pair_count_log2", (8, 0.5, "0.25")),
+        ("synthesis.critical_point", (2.0, "0.3")),
+        ("synthesis.delta_max", ("2",)),
+        ("synthesis.evaluate_point", ("2", 0.3)),
+    ],
+)
+def test_non_real_densities_raise_domain_error(name, args):
+    module, fn = name.split(".")
+    modules = {"numeric": numeric, "sticky": sticky, "synthesis": synthesis}
+    with pytest.raises(DomainError):
+        getattr(modules[module], fn)(*args)
+
+
 def test_cli_point_rejects_nan_tau(capsys):
     code = cli.main(["point", "--channel", "synthesis", "--tau", "nan"])
     assert code == 2
