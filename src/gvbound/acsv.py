@@ -28,7 +28,7 @@ leading term, which need linear algebra, import numpy when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -122,24 +122,31 @@ class CriticalPoint:
 
     Attributes:
         z: the critical point coordinates, all strictly positive.
-        residual_norm: max-norm of the system residual at z.
         direction: the direction vector r the system was solved for.
         iterations: Newton steps taken to reach z; 0 for a closed form.
+        H: the denominator z is a point of; not compared, hashed or shown.
+        residual_norm: max-norm of the system residual at z, computed on
+            first access (a sweep that never reads it never pays for it).
     """
 
     z: tuple[float, ...]
-    residual_norm: float
     direction: tuple[float, ...]
     iterations: int
+    H: SparseMultivariatePolynomial = field(compare=False, repr=False)
 
     @classmethod
     def at(
         cls, H: SparseMultivariatePolynomial, r: Sequence[float], z: Sequence[float],
         iterations: int = 0,
     ) -> "CriticalPoint":
-        """Record of the point z of H in direction r, with its residual norm."""
-        norm = _residual_norm(H, r, z)  # checks z and r first
-        return cls(tuple(map(float, z)), norm, tuple(map(float, r)), iterations)
+        """Record of the point z of H in direction r; z and r are checked here."""
+        zv = _check_point(H, z)
+        rv = _check_direction(H, r)
+        return cls(tuple(zv), tuple(rv), iterations, H)
+
+    @cached_property
+    def residual_norm(self) -> float:
+        return _residual_norm(self.H, self.direction, self.z)
 
 
 def _vector(H: SparseMultivariatePolynomial, values: Sequence[float], what: str) -> list[float]:

@@ -80,7 +80,12 @@ class CurveSpec:
         """The swept parameter: beta for sticky curves, delta for synthesis."""
         return "beta" if self.channel == "sticky" else "delta"
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[StickyPoint | SynthesisPoint, StickyPoint | SynthesisPoint]:
+        """Raise DomainError for a bad spec; return the records at lo and hi.
+
+        The channel evaluates lo, then hi, which rejects a sweep outside
+        its domain before any other grid point is evaluated.
+        """
         if self.channel not in ("sticky", "synthesis"):
             raise DomainError(f"unknown channel {self.channel!r}")
         if self.channel == "synthesis" and self.tau is None:
@@ -105,8 +110,7 @@ class CurveSpec:
             raise DomainError(f"sweep range must satisfy lo < hi, got {self.lo}:{self.hi}")
         # the channel rejects parameters outside its domain
         evaluate = self._evaluator()
-        evaluate(self.lo)
-        evaluate(self.hi)
+        return evaluate(self.lo), evaluate(self.hi)
 
     def grid(self) -> list[float]:
         """steps evenly spaced points from lo to hi; rounding never carries one past hi."""
@@ -132,12 +136,27 @@ class RateCurve:
     rows: tuple[tuple[float, float, tuple[str, ...]], ...]
 
 
+def _same_float(a: float, b: float) -> bool:
+    """a and b are the same float, -0.0 and 0.0 told apart."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def build_curves(spec: CurveSpec) -> list[RateCurve]:
-    """Evaluate every requested bound over the sweep grid."""
-    spec.validate()
+    """Evaluate every requested bound over the sweep grid.
+
+    The records validate() made at lo and hi serve as the grid's first
+    and last points, each evaluated again only if it is another float
+    (rounding can leave the last point below hi).
+    """
+    first, last = spec.validate()
     grid = spec.grid()
+    evaluate = spec._evaluator()
+    if not _same_float(grid[0], spec.lo):
+        first = evaluate(grid[0])
+    points = [first, *map(evaluate, grid[1:-1])]
+    points.append(last if _same_float(grid[-1], spec.hi) else evaluate(grid[-1]))
     columns = [BOUNDS[spec.channel][bound] for bound in spec.bounds]
-    cells = [[column(p) for column in columns] for p in map(spec._evaluator(), grid)]
+    cells = [[column(p) for column in columns] for p in points]
     return [
         RateCurve(label=bound, rows=tuple((x, *c[k]) for x, c in zip(grid, cells)))
         for k, bound in enumerate(spec.bounds)

@@ -280,6 +280,74 @@ def test_residual_is_a_list_of_floats_and_its_norm_the_max():
     assert cp.residual_norm == max(abs(c) for c in res)
 
 
+# ------------------------------------------------------- on-demand residual norm
+
+
+def _no_residual(*args):
+    raise AssertionError("critical_system_residual called")
+
+
+@pytest.mark.parametrize(
+    "error, z, r",
+    [
+        (DomainError, (math.nan, 0.5), (1.0, 1.0)),
+        (DimensionMismatchError, (0.5,), (1.0, 1.0)),
+        (DomainError, (0.5, 0.5), (1.0, -1.0)),
+        (DimensionMismatchError, (0.5, 0.5), (1.0,)),
+    ],
+)
+def test_record_checks_its_point_and_direction_at_once(monkeypatch, error, z, r):
+    monkeypatch.setattr(acsv, "critical_system_residual", _no_residual)
+    with pytest.raises(error):
+        CriticalPoint.at(binomial_denominator(), r, z)
+    # a good point is recorded without evaluating the residual
+    cp = CriticalPoint.at(binomial_denominator(), (1.0, 1.0), (0.5, 0.5))
+    assert "residual_norm" not in vars(cp)
+
+
+_RECORDS = {
+    # the README point commands, and a Newton solve
+    "sticky": lambda: sticky.evaluate_point(0.125, 0.5).critical_point,
+    "synthesis": lambda: synthesis.evaluate_point(2.0, 0.3).critical_point,
+    "newton": lambda: solve_critical_point(synthesis.pair_generating_denominator(), (1.0, 4.0, 0.3)),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_residual_norm_on_first_access_is_the_eager_norm(name):
+    cp = _RECORDS[name]()
+    assert "residual_norm" not in vars(cp)
+    eager = acsv._residual_norm(cp.H, cp.direction, cp.z)
+    assert repr(cp.residual_norm) == repr(eager)
+    assert vars(cp)["residual_norm"] is cp.residual_norm  # computed once
+
+
+def test_records_differing_only_in_the_polynomial_are_equal():
+    z, r = (0.5, 0.5), (1.0, 1.0)
+    other = SparseMultivariatePolynomial(2, [((0, 0), 2.0), ((1, 0), -1.0)])
+    a = CriticalPoint.at(binomial_denominator(), r, z)
+    b = CriticalPoint.at(other, r, z)
+    assert a == b and hash(a) == hash(b)
+    assert a.residual_norm != b.residual_norm
+    assert repr(a) == "CriticalPoint(z=(0.5, 0.5), direction=(1.0, 1.0), iterations=0)"
+
+
+def test_a_synthesis_curve_never_evaluates_the_residual(monkeypatch):
+    from gvbound.curves import CurveSpec, build_curves
+
+    points = []
+    critical_point = synthesis.critical_point
+
+    def recorded(tau, delta):
+        points.append(critical_point(tau, delta))
+        return points[-1]
+
+    monkeypatch.setattr(synthesis, "critical_point", recorded)
+    monkeypatch.setattr(acsv, "critical_system_residual", _no_residual)
+    build_curves(CurveSpec("synthesis", ("gv", "lb", "capacity"), 0.0, 0.75, 76, tau=2.0))
+    assert len(points) > 50  # the smooth piece, delta < delta_max(2) = 0.698
+
+
 _ENTRY_POINTS = [
     ("evaluate", lambda z: binomial_denominator()(z)),
     ("residual point", lambda z: critical_system_residual(binomial_denominator(), (1.0, 1.0), z)),

@@ -13,6 +13,7 @@ import pytest
 import gvbound
 from gvbound import cli, synthesis, verify
 from gvbound.curves import (
+    BOUNDS,
     MAX_STEPS,
     CurveSpec,
     build_curves,
@@ -123,6 +124,54 @@ def test_build_curves_gv_rows_do_not_depend_on_the_other_bounds():
     wide_gv = next(c for c in wide if c.label == "gv")
     narrow_gv = next(c for c in narrow if c.label == "gv")
     assert wide_gv.rows == narrow_gv.rows
+
+
+def _evaluations(monkeypatch, module) -> list[float]:
+    """The sweep values module.evaluate_point is called at, in call order."""
+    calls = []
+    evaluate_point = module.evaluate_point
+
+    def counted(*args):
+        calls.append(args[-1])
+        return evaluate_point(*args)
+
+    monkeypatch.setattr(module, "evaluate_point", counted)
+    return calls
+
+
+def test_build_curves_evaluates_each_grid_point_once(monkeypatch):
+    from gvbound import sticky
+
+    calls = _evaluations(monkeypatch, sticky)
+    spec = sticky_spec(steps=50)  # the README sweep 0:0.49:50
+    build_curves(spec)
+    # the domain check evaluates lo, then hi, before the rest of the grid,
+    # and those two records serve as the grid's end points
+    assert len(calls) == 50
+    assert calls[:2] == [0.0, 0.49] and calls[2:] == spec.grid()[1:-1]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, steps, again",
+    [
+        (0.0, 0.45, 4, 0.44999999999999996),  # the last grid point rounds below hi
+        (-0.0, 0.49, 5, 0.0),  # the first grid point is 0.0, not -0.0
+    ],
+)
+def test_build_curves_evaluates_a_grid_end_that_is_not_lo_or_hi(monkeypatch, lo, hi, steps, again):
+    from gvbound import sticky
+
+    spec = CurveSpec("sticky", ("gv", "sp", "lb"), lo, hi, steps)
+    calls = _evaluations(monkeypatch, sticky)
+    curves = build_curves(spec)
+    grid = spec.grid()
+    assert again in (grid[0], grid[-1])
+    assert calls[:2] == [lo, hi] and sorted(calls[2:]) == sorted(grid[1:-1] + [again])
+    for k, x in enumerate(grid):
+        assert [c.rows[k] for c in curves] == [
+            (x, *column(sticky.evaluate_point(x))) for column in
+            (BOUNDS["sticky"][b] for b in ("gv", "sp", "lb"))
+        ]
 
 
 # ------------------------------------------------------------------ csv output

@@ -1,9 +1,12 @@
 """Unit tests for the shared numeric primitives."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gvbound import numeric, synthesis
 from gvbound.errors import (
@@ -11,6 +14,7 @@ from gvbound.errors import (
     MemoryBudgetError,
     NoRootFoundError,
     NoSignChangeError,
+    NonConvergenceError,
 )
 from gvbound.numeric import (
     TABLE_CELL_BUDGET,
@@ -195,6 +199,54 @@ def test_smallest_positive_root_on_a_grid_point(coefficients):
 GRID_STEP = 10.0 / 1024
 
 
+def _one_sign_change(coefficients) -> bool:
+    """The Descartes bracket's precondition, restated: p(0) != 0, finite
+    coefficients whose nonzero ones change sign once, and p at the first
+    grid point of the sign of p(0)."""
+    nonzero = [c for c in coefficients if c != 0.0]
+    return (
+        all(map(math.isfinite, coefficients))
+        and coefficients[0] != 0.0
+        and sum((a > 0.0) != (b > 0.0) for a, b in zip(nonzero, nonzero[1:])) == 1
+        and np.sign(RealPolynomial(coefficients).evaluate(GRID_STEP)) == np.sign(coefficients[0])
+    )
+
+
+@contextmanager
+def _recorded_scan():
+    """The points smallest_positive_root probes and the brackets it bisects, in call order."""
+    probes, brackets = [], []
+    evaluate_many = RealPolynomial.evaluate_many
+
+    def probe(self, xs):
+        probes.extend(xs)
+        return evaluate_many(self, xs)
+
+    def bisect(f, lo, hi):
+        brackets.append((lo, hi))
+        return find_root_bisection(f, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RealPolynomial, "evaluate_many", probe)
+        mp.setattr(numeric, "find_root_bisection", bisect)
+        yield probes, brackets
+
+
+def _walked(probes: list[float]) -> bool:
+    """probes are the grid points k * 10 / 1024, k = 1, 2, ..., in order, each once."""
+    return probes == [k * GRID_STEP for k in range(1, len(probes) + 1)]
+
+
+def _bisected_search(probes: list[float]) -> bool:
+    """probes are at most 11 grid points, the first grid point first, each once."""
+    return (
+        2 <= len(probes) <= 11
+        and probes[0] == GRID_STEP
+        and len(set(probes)) == len(probes)
+        and all((x / GRID_STEP).is_integer() and x <= 10.0 for x in probes)
+    )
+
+
 @pytest.mark.parametrize(
     "coefficients, cells",
     [
@@ -207,21 +259,21 @@ GRID_STEP = 10.0 / 1024
         ([1.0, 0.0, 1.0], 1024),  # no root: the whole grid
     ],
 )
-def test_smallest_positive_root_stops_at_the_first_sign_change(monkeypatch, coefficients, cells):
-    points = []
-    evaluate_many = RealPolynomial.evaluate_many
-
-    def recorded(self, xs):
-        points.extend(xs)
-        return evaluate_many(self, xs)
-
-    monkeypatch.setattr(RealPolynomial, "evaluate_many", recorded)
-    try:
-        smallest_positive_root(RealPolynomial(coefficients))
-    except NoRootFoundError:
-        pass
-    # grid points k * 10 / 1024 in order, each evaluated once, up to the bracketing cell
-    assert points == [k * GRID_STEP for k in range(1, cells + 1)]
+def test_smallest_positive_root_stops_at_the_first_sign_change(coefficients, cells):
+    # cells: the walk visits grid points 1 .. cells and, past the first, bisects (cells - 1, cells)
+    p = RealPolynomial(coefficients)
+    with _recorded_scan() as (probes, brackets):
+        outcome = _outcome(smallest_positive_root, p)
+    if _one_sign_change(coefficients):
+        # x^2 - 2, x - 5 and x - 9.999: a binary search over the grid index
+        assert _bisected_search(probes), probes
+    else:
+        # three sign changes, a zero or a sign change before the first grid
+        # point, or no sign change: grid points in order up to the stopping cell
+        assert probes == [k * GRID_STEP for k in range(1, cells + 1)]
+    if cells >= 2 and not outcome.startswith("NoRootFoundError"):
+        assert brackets == [((cells - 1) * GRID_STEP, cells * GRID_STEP)]
+    assert outcome == _outcome(_numpy_scan, p)
 
 
 def _numpy_scan(p: RealPolynomial) -> BracketedRoot:
@@ -234,7 +286,7 @@ def _numpy_scan(p: RealPolynomial) -> BracketedRoot:
 
     sign_left = next(math.copysign(1.0, c) for c in p.coefficients if c != 0.0)
     xs = np.linspace(0.0, 10.0, 1025)[1:]
-    with np.errstate(invalid="ignore"):  # a NaN value is a sign, not a test failure
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or a NaN value is a sign
         signs = np.sign(npoly.polyval(xs, np.asarray(p.coefficients)))
     if signs[0] != 0.0 and signs[0] != sign_left:
         hi_edge = float(xs[0])
@@ -252,8 +304,9 @@ def _numpy_scan(p: RealPolynomial) -> BracketedRoot:
     )
 
 
-def _synthesis_scan_polynomials() -> list[RealPolynomial]:
-    """Every polynomial the synthesis closed forms scan, over tau 1.3 .. 2.4."""
+def _synthesis_scan_polynomials(taus, deltas) -> list[RealPolynomial]:
+    """Every polynomial the synthesis closed forms scan at each tau, and at each
+    delta of deltas(delta_max(tau)) for the critical point."""
     polys = []
     scan = synthesis.smallest_positive_root
 
@@ -263,10 +316,10 @@ def _synthesis_scan_polynomials() -> list[RealPolynomial]:
 
     synthesis.smallest_positive_root = recorded
     try:
-        for tau in [1.3 + 0.1 * k for k in range(12)]:
+        for tau in taus:
             synthesis.capacity.__wrapped__(tau)
             dm, _ = synthesis.delta_max.__wrapped__(tau)
-            for delta in (1e-6, 0.01, 0.1, 0.3, 0.5, 0.9 * dm, dm):
+            for delta in deltas(dm):
                 synthesis.critical_point(tau, delta)
     finally:
         synthesis.smallest_positive_root = scan
@@ -277,12 +330,15 @@ def _outcome(scan, p: RealPolynomial) -> str:
     # repr round-trips every float, so equal reprs are equal bits
     try:
         return repr(scan(p))
-    except (NoRootFoundError, NoSignChangeError) as exc:
+    except (NoRootFoundError, NoSignChangeError, NonConvergenceError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
 def test_smallest_positive_root_matches_the_numpy_scan_bit_for_bit():
-    polys = _synthesis_scan_polynomials()
+    polys = _synthesis_scan_polynomials(
+        [1.3 + 0.1 * k for k in range(12)],
+        lambda dm: (1e-6, 0.01, 0.1, 0.3, 0.5, 0.9 * dm, dm),
+    )
     assert len(polys) == 12 * (2 + 7)
     polys += [
         RealPolynomial([-1e-5, 1.0]),  # halving branch
@@ -295,3 +351,72 @@ def test_smallest_positive_root_matches_the_numpy_scan_bit_for_bit():
     ]
     for p in polys:
         assert _outcome(smallest_positive_root, p) == _outcome(_numpy_scan, p), p.coefficients
+
+
+def test_dense_synthesis_scans_match_the_numpy_scan_bit_for_bit():
+    # tau 1.05 .. 2.49 by 0.08, 200 deltas in (0, delta_max]: every polynomial a
+    # synthesis sweep scans there.  Near tau = 5/2 the critical-point
+    # polynomial has three sign changes and the walk runs.
+    taus = [1.05 + 0.08 * k for k in range(19)]
+    polys = _synthesis_scan_polynomials(taus, lambda dm: [dm * k / 200 for k in range(1, 201)])
+    assert len(polys) == 19 * (2 + 200)
+    paths = {True: 0, False: 0}
+    for p in polys:
+        with _recorded_scan() as (probes, _):
+            outcome = _outcome(smallest_positive_root, p)
+        descartes = _one_sign_change(p.coefficients)
+        paths[descartes] += 1
+        assert _bisected_search(probes) if descartes else _walked(probes), p.coefficients
+        assert outcome == _outcome(_numpy_scan, p), p.coefficients
+    assert paths[True] > 0 and paths[False] > 0, paths
+
+
+def _one_sign_change_polynomials():
+    """Finite coefficients, constant term first, whose nonzero ones change sign once."""
+    magnitude = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 20.0),
+        st.floats(0.0, allow_nan=False, allow_infinity=False),
+    )
+
+    def build(args):
+        low, high, sign = args
+        return [sign * c for c in low] + [-sign * c for c in high]
+
+    side = st.lists(magnitude, min_size=1, max_size=5).filter(any)
+    return st.tuples(side, side, st.sampled_from([1.0, -1.0])).map(build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients=_one_sign_change_polynomials())
+@example(coefficients=[-2.0, 0.0, 1.0])
+@example(coefficients=[0.0, -2.0, 1.0])  # p(0) = 0: the walk
+@example(coefficients=[-511 * GRID_STEP, 1.0])  # root on a grid point
+@example(coefficients=[-1023.5 * GRID_STEP, 1.0])  # root in the last cell
+@example(coefficients=[-10.5, 1.0])  # root past the grid
+@example(coefficients=[1e300, 1e300, -1e-300])  # values overflow to inf
+@example(coefficients=[5e-324, -5e-324])  # subnormal coefficients
+def test_one_sign_change_roots_match_the_numpy_scan_bit_for_bit(coefficients):
+    p = RealPolynomial(coefficients)
+    with _recorded_scan() as (probes, _):
+        outcome = _outcome(smallest_positive_root, p)
+    assert _bisected_search(probes) if _one_sign_change(coefficients) else _walked(probes)
+    assert outcome == _outcome(_numpy_scan, p)
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        [-1.0, math.inf],  # one sign change, but infinite: inf on every grid point
+        [1.0, -math.inf],
+        [math.nan, 1.0],  # NaN on every grid point: the halving branch bisects NaNs
+        [-1.0, math.nan, 1.0],
+        [-1.0, 2.0, -math.inf, math.inf],  # inf - inf: NaN on every grid point
+    ],
+)
+def test_non_finite_coefficients_take_the_walk(coefficients):
+    p = RealPolynomial(coefficients)
+    with _recorded_scan() as (probes, _):
+        outcome = _outcome(smallest_positive_root, p)
+    assert _walked(probes)
+    assert outcome == _outcome(_numpy_scan, p)
