@@ -136,25 +136,19 @@ class RateCurve:
     rows: tuple[tuple[float, float, tuple[str, ...]], ...]
 
 
-def _same_float(a: float, b: float) -> bool:
-    """a and b are the same float, -0.0 and 0.0 told apart."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
 def build_curves(spec: CurveSpec) -> list[RateCurve]:
     """Evaluate every requested bound over the sweep grid.
 
     The records validate() made at lo and hi serve as the grid's first
-    and last points, each evaluated again only if it is another float
-    (rounding can leave the last point below hi).
+    and last points.  The first grid point is lo + 0.0: lo itself, or 0.0
+    for lo = -0.0, whose record has the same columns.  Rounding can leave
+    the last point below hi, and then it is evaluated again.
     """
     first, last = spec.validate()
     grid = spec.grid()
     evaluate = spec._evaluator()
-    if not _same_float(grid[0], spec.lo):
-        first = evaluate(grid[0])
     points = [first, *map(evaluate, grid[1:-1])]
-    points.append(last if _same_float(grid[-1], spec.hi) else evaluate(grid[-1]))
+    points.append(last if grid[-1] == spec.hi else evaluate(grid[-1]))
     columns = [BOUNDS[spec.channel][bound] for bound in spec.bounds]
     cells = [[column(p) for column in columns] for p in points]
     return [

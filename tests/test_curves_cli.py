@@ -151,27 +151,29 @@ def test_build_curves_evaluates_each_grid_point_once(monkeypatch):
     assert calls[:2] == [0.0, 0.49] and calls[2:] == spec.grid()[1:-1]
 
 
-@pytest.mark.parametrize(
-    "lo, hi, steps, again",
-    [
-        (0.0, 0.45, 4, 0.44999999999999996),  # the last grid point rounds below hi
-        (-0.0, 0.49, 5, 0.0),  # the first grid point is 0.0, not -0.0
-    ],
-)
-def test_build_curves_evaluates_a_grid_end_that_is_not_lo_or_hi(monkeypatch, lo, hi, steps, again):
+def test_build_curves_evaluates_a_last_grid_point_below_hi(monkeypatch):
     from gvbound import sticky
 
-    spec = CurveSpec("sticky", ("gv", "sp", "lb"), lo, hi, steps)
+    spec = CurveSpec("sticky", ("gv", "sp", "lb"), 0.0, 0.45, 4)
     calls = _evaluations(monkeypatch, sticky)
     curves = build_curves(spec)
     grid = spec.grid()
-    assert again in (grid[0], grid[-1])
-    assert calls[:2] == [lo, hi] and sorted(calls[2:]) == sorted(grid[1:-1] + [again])
+    assert grid[-1] == 0.44999999999999996  # rounds below hi
+    assert calls == [0.0, 0.45, *grid[1:]]
     for k, x in enumerate(grid):
         assert [c.rows[k] for c in curves] == [
             (x, *column(sticky.evaluate_point(x))) for column in
             (BOUNDS["sticky"][b] for b in ("gv", "sp", "lb"))
         ]
+
+
+@pytest.mark.parametrize("channel, hi, tau", [("sticky", 0.49, None), ("synthesis", 0.6, 2.0)])
+def test_a_sweep_from_negative_zero_prints_as_one_from_zero(channel, hi, tau):
+    # the first row comes from the record at lo = -0.0, its x from the grid (0.0)
+    csv = [rows_to_csv(spec, build_curves(spec)) for spec in (
+        CurveSpec(channel, tuple(BOUNDS[channel]), lo, hi, 5, tau) for lo in (-0.0, 0.0)
+    )]
+    assert csv[0] == csv[1]
 
 
 # ------------------------------------------------------------------ csv output

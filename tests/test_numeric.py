@@ -271,6 +271,7 @@ def test_smallest_positive_root_stops_at_the_first_sign_change(coefficients, cel
         # three sign changes, a zero or a sign change before the first grid
         # point, or no sign change: grid points in order up to the stopping cell
         assert probes == [k * GRID_STEP for k in range(1, cells + 1)]
+    assert outcome.startswith(("BracketedRoot", "NoRootFoundError")), outcome
     if cells >= 2 and not outcome.startswith("NoRootFoundError"):
         assert brackets == [((cells - 1) * GRID_STEP, cells * GRID_STEP)]
     assert outcome == _outcome(_numpy_scan, p)
@@ -330,7 +331,16 @@ def _outcome(scan, p: RealPolynomial) -> str:
     # repr round-trips every float, so equal reprs are equal bits
     try:
         return repr(scan(p))
-    except (NoRootFoundError, NoSignChangeError, NonConvergenceError) as exc:
+    except (NoRootFoundError, NoSignChangeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _outcome_or_stall(scan, p: RealPolynomial) -> str:
+    """_outcome, with a bisection that stops short as one more outcome: on an
+    arbitrary polynomial both routes bisect the same cell, so they stall alike."""
+    try:
+        return _outcome(scan, p)
+    except NonConvergenceError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -399,9 +409,9 @@ def _one_sign_change_polynomials():
 def test_one_sign_change_roots_match_the_numpy_scan_bit_for_bit(coefficients):
     p = RealPolynomial(coefficients)
     with _recorded_scan() as (probes, _):
-        outcome = _outcome(smallest_positive_root, p)
+        outcome = _outcome_or_stall(smallest_positive_root, p)
     assert _bisected_search(probes) if _one_sign_change(coefficients) else _walked(probes)
-    assert outcome == _outcome(_numpy_scan, p)
+    assert outcome == _outcome_or_stall(_numpy_scan, p)
 
 
 @pytest.mark.parametrize(
