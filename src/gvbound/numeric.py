@@ -215,12 +215,17 @@ class RealPolynomial:
 
     Trailing zero coefficients are trimmed on construction so the leading
     coefficient is nonzero unless the polynomial is identically zero.
+
+    Raises:
+        DomainError: for a NaN or infinite coefficient.
     """
 
     coefficients: tuple[float, ...]
 
     def __init__(self, coefficients: Sequence[float]):
         coeffs = [float(c) for c in coefficients]
+        if not all(map(math.isfinite, coeffs)):
+            raise DomainError(f"polynomial coefficients must be finite, got {coeffs}")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs.pop()
         if not coeffs:
@@ -266,12 +271,13 @@ def find_root_bisection(f: Callable[[float], float], lo: float, hi: float) -> Br
     steep; the residual condition still decides success).
 
     Raises:
+        DomainError: unless lo < hi and both are finite.
         NoSignChangeError: if f(lo) and f(hi) have the same sign.
         NonConvergenceError: if the tolerance is unreachable in the
             iteration budget.
     """
-    if not lo < hi:
-        raise DomainError(f"bracket endpoints must satisfy lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"bracket endpoints must be finite with lo < hi, got [{lo}, {hi}]")
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:
@@ -311,9 +317,9 @@ def _sign(v: float) -> float:
 
 
 def _one_sign_change(coefficients: tuple[float, ...]) -> bool:
-    """True when the constant term is nonzero, every coefficient is finite
-    and the nonzero coefficients change sign exactly once."""
-    if coefficients[0] == 0.0 or not all(map(math.isfinite, coefficients)):
+    """True when the constant term is nonzero and the nonzero coefficients
+    change sign exactly once."""
+    if coefficients[0] == 0.0:
         return False
     signs = [c > 0.0 for c in coefficients if c != 0.0]
     return sum(a != b for a, b in zip(signs, signs[1:])) == 1
@@ -328,17 +334,17 @@ def smallest_positive_root(p: RealPolynomial) -> BracketedRoot:
     endpoint.  Roots that share a cell without a sign change (a double
     root, or two roots closer than the step) are not resolved.
 
-    When p(0) != 0, every coefficient is finite and the nonzero
-    coefficients change sign once, Descartes' rule of signs gives p
-    exactly one positive root, and the grid values as Horner's rule rounds
-    them change sign once too.  Take p(0) > 0.  Each Horner step
-    multiplies by x and adds a coefficient, and rounding is monotone, so a
-    partial sum that is negative at x is negative and no larger at every
-    y > x; a zero value of p is an exact cancellation of the constant
-    term, and p stays <= 0 after it.  No value is a NaN: each step adds a
-    finite coefficient to a product with a positive finite x.  (With
-    p(0) = 0 the last steps only multiply by x, and a small positive value
-    can underflow to zero mid-grid.)  So when p at the first grid point
+    When p(0) != 0 and the nonzero coefficients change sign once,
+    Descartes' rule of signs gives p exactly one positive root, and the
+    grid values as Horner's rule rounds them change sign once too.  Take
+    p(0) > 0.  Each Horner step multiplies by x and adds a coefficient,
+    and rounding is monotone, so a partial sum that is negative at x is
+    negative and no larger at every y > x; a zero value of p is an exact
+    cancellation of the constant term, and p stays <= 0 after it.  No
+    value is a NaN: each step adds a coefficient, finite as RealPolynomial
+    requires, to a product with a positive finite x.  (With p(0) = 0 the
+    last steps only multiply by x, and a small positive value can
+    underflow to zero mid-grid.)  So when p at the first grid point
     also has the sign of p(0), a binary search over the grid index finds
     the first cell in 11 evaluations.  Any other p is walked point by point
     from the left, and a sign change before the first grid point is

@@ -209,12 +209,12 @@ def iter_pair_layers(
     (n1, c, e) with c = n2 - n1 and s = c + 2e.  There the support of
     level r >= 2 is exactly n1 >= r and 0 <= e <= n1 - r (level 1 holds
     e = 0 only), so the kernel adds no cell that is zero for every
-    table.  Each level is then written into the (n1, n2, s) table on
-    both triangles, support cells only (see _layer); every other entry
-    is the mode's zero.  Each table is allocated before its level is
-    summed, so one over the cell budget fails before any sum.  A table
-    with n1_max > n2_max is built with the axes swapped and yielded
-    transposed.
+    table.  Each level is then written into the (n1, n2, s) table by
+    one indexed write per diagonal c on each triangle, support cells
+    only (see _layer); every other entry is the mode's zero.  Each
+    table is allocated before its level is summed, so one over the cell
+    budget fails before any sum.  A table with n1_max > n2_max is built
+    with the axes swapped and yielded transposed.
 
     Every count stays below 3 * 2^(n1_max + n2_max), so a log2 table
     with n1_max + n2_max + 2 <= 1000 sums linear float64 counts (see
@@ -223,15 +223,23 @@ def iter_pair_layers(
     the exact counts, and log2 tables match log2 of them within about
     1e-13.
     """
+    return _tables(n1_max, n2_max, 1, r_max, s_max, mode)
+
+
+def _tables(
+    n1_max: int, n2_max: int, r_first: int, r_max: int, s_max: int, mode: str
+) -> Iterator[PairCountTable]:
+    """The tables r = r_first .. r_max of iter_pair_layers; the sizes are checked on the first next."""
     check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
     cm = count_mode(mode)
     acc = cm._accumulator(n1_max + n2_max + 2)
     small, big = sorted((n1_max, n2_max))
     shape = (small + 1, big + 1, s_max + 1)
-    levels = _levels(small, big, r_max, s_max, acc)
-    for r in range(1, r_max + 1):
-        entries = acc.blank(shape)  # before level r is summed
-        entries = acc._finish(_layer(next(levels), r, entries))
+    levels = enumerate(_levels(small, big, r_max, s_max, acc), start=1)
+    for r in range(r_first, r_max + 1):
+        entries = acc.blank(shape)  # before level r and the levels below it are summed
+        level = next(level for k, level in levels if k == r)
+        entries = acc._finish(_layer(level, r, entries))
         if n1_max > n2_max:
             entries = entries.transpose(1, 0, 2)
         yield PairCountTable(mode=cm, r=r, entries=entries)
@@ -305,36 +313,25 @@ def _levels(
 def _layer(level: np.ndarray, r: int, entries: np.ndarray) -> np.ndarray:
     """The sheared level r from _levels, written into entries, a zero table with n1_max <= n2_max.
 
-    Two strided views address the table in sheared coordinates:
-    upper[c, n1, e] = (n1, n1 + c, c + 2e) and lower[c, i, e] =
-    (n1_max - i, n1_max - i - c, c + 2e), the mirror below the diagonal
-    read from the far corner.  Each c then writes one (n1, e) block into
-    each triangle, bounded by n2 <= n2_max, s <= s_max and the support.
-    upper spans only the rows n1 < n1_max: there an n2 or s index past
-    its axis wraps at most into row n1 + 1, so the view stays inside the
-    table's buffer.  The last row of each upper block is written through
-    a plain slice instead.  lower wraps only toward row 0 and stays
-    inside too.
+    Each diagonal c is one indexed write of the level's (n1, e) block
+    to (n1, n1 + c, c + 2e) and, for c > 0, one to its mirror
+    (n1 + c, n1, c + 2e), bounded by n2 <= n2_max, s <= s_max and the
+    support.
     """
+    import numpy as np
+
     n1_max, n2_max, s_max = (dim - 1 for dim in entries.shape)
     if r > n1_max:
         return entries
-    from numpy.lib.stride_tricks import as_strided
-
-    n_c, n_e = level.shape[1] - 1, level.shape[2]
-    s0, s1, s2 = entries.strides
-    upper = as_strided(entries, (n_c, n1_max, n_e), (s1 + s2, s0 + s1, 2 * s2))
-    lower = as_strided(
-        entries[n1_max, n1_max], (n_c, n1_max + 1 - r, n_e), (s2 - s1, -s0 - s1, 2 * s2)
-    )
-    for c in range(n_c):
+    for c in range(level.shape[1] - 1):
         last = min(n1_max, n2_max - c)  # last n1 with n1 + c <= n2_max
-        depth = min((s_max - c) // 2, last - r, n_e - 1) + 1
-        upper[c, r:last, :depth] = level[r:last, c + 1, :depth]
-        entries[last, last + c, c : c + 2 * depth : 2] = level[last, c + 1, :depth]
-        if 0 < c <= n1_max - r:
-            depth = min((s_max - c) // 2, n1_max - c - r, n_e - 1) + 1
-            lower[c, : n1_max - c - r + 1, :depth] = level[n1_max - c : r - 1 : -1, c + 1, :depth]
+        depth = min((s_max - c) // 2, last - r, level.shape[2] - 1) + 1
+        n1 = np.arange(r, last + 1)
+        block = level[r : last + 1, c + 1, :depth]
+        entries[n1, n1 + c, c : c + 2 * depth : 2] = block
+        if c > 0:
+            n1 = n1[n1 + c <= n1_max]
+            entries[n1 + c, n1, c : c + 2 * depth : 2] = block[: len(n1)]
     return entries
 
 
@@ -348,18 +345,7 @@ def pair_count_table(
     on the way.
     """
     check_sizes(at_least=1, r=r)
-    check_sizes(n1_max=n1_max, n2_max=n2_max, s_max=s_max)
-    cm = count_mode(mode)
-    acc = cm._accumulator(n1_max + n2_max + 2)
-    small, big = sorted((n1_max, n2_max))
-    shape = (small + 1, big + 1, s_max + 1)
-    entries = acc.blank(shape)  # before any level is summed
-    for level in _levels(small, big, r, s_max, acc):
-        pass
-    entries = acc._finish(_layer(level, r, entries))
-    if n1_max > n2_max:
-        entries = entries.transpose(1, 0, 2)
-    return PairCountTable(mode=cm, r=r, entries=entries)
+    return next(_tables(n1_max, n2_max, r, r, s_max, mode))
 
 
 def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):

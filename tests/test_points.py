@@ -368,6 +368,12 @@ def test_pair_tables_over_the_cell_budget_raise_before_allocating(monkeypatch):
         synthesis.pair_count_table(2000, "log2")
 
 
+def test_no_pair_layers_allocate_no_table():
+    # each layer of this shape is over the cell budget, but r_max = 0 asks for none
+    assert 1001 * 1001 * 101 > numeric.TABLE_CELL_BUDGET
+    assert list(sticky.iter_pair_layers(1000, 1000, 0, 100)) == []
+
+
 @pytest.mark.parametrize(
     "build, cells",
     [

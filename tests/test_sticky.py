@@ -444,6 +444,31 @@ def test_truncated_layers_match_the_full_slab_kernel(shape, mode):
     assert_matches_exact(pair_count_table(*shape, mode).entries, exact, mode, bound)
 
 
+@pytest.mark.parametrize("mode", ["exact", "log2"])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (8, 8, 8, 16),  # square
+        (5, 9, 5, 14),  # wide
+        (9, 5, 5, 14),  # tall: built with the axes swapped
+        (10, 12, 6, 5),  # truncated in s
+        (4, 7, 6, 11),  # r_max > min(n1_max, n2_max)
+    ],
+)
+def test_pair_count_table_is_the_layer_of_iter_pair_layers_at_every_r(shape, mode):
+    n1_max, n2_max, r_max, s_max = shape
+    layers = list(iter_pair_layers(*shape, mode))
+    assert [layer.r for layer in layers] == list(range(1, r_max + 1))
+    for layer in layers:
+        table = pair_count_table(n1_max, n2_max, layer.r, s_max, mode)
+        assert (table.r, table.mode, table.entries.dtype) == (layer.r, layer.mode, layer.entries.dtype)
+        assert table.entries.shape == layer.entries.shape == (n1_max + 1, n2_max + 1, s_max + 1)
+        if mode == "log2":  # bit for bit; the bytes of an object array are pointers
+            assert table.entries.tobytes() == layer.entries.tobytes(), layer.r
+        else:
+            assert table.entries.tolist() == layer.entries.tolist(), layer.r
+
+
 @pytest.mark.parametrize(
     "shape",
     [
