@@ -6,10 +6,12 @@ their log2 in the "log2" count mode of the pair-count tables (CountMode).
 All logarithms are base 2, so every rate in the package is measured in
 bits per symbol.
 
-A log2 table is stored as log2 counts, but its DP kernel sums linear
-float64 counts while they provably fit (at most 2^1000, see
-CountMode._accumulator) and takes log2 once at the end; larger tables
-sum log2 counts with numpy.logaddexp2 throughout.
+A log2 table is stored as log2 counts.  The sticky tables come from a
+closed form in exact integers, and their log2 tables are log2 of the
+exact counts (CountMode._from_exact).  Only the synthesis DP sums in
+log2 mode: in linear float64 counts while they provably fit (at most
+2^1000, see CountMode._accumulator), taking log2 once at the end, and
+with numpy.logaddexp2 throughout for larger tables.
 
 Everything here but the count modes runs on Python floats.  numpy is
 imported on the first call to count_mode(), which only the pair-count
@@ -48,9 +50,10 @@ __all__ = [
 NEG_INF = float("-inf")
 TABLE_CELL_BUDGET = 1 << 26
 
-# Largest log2 count bound at which a log2 table sums linear float64
-# counts: far enough below the float64 overflow at 2^1024 that no sum of
-# counts under the bound can reach it.
+# Largest log2 count bound at which a log2 table goes through float64
+# counts: the synthesis DP sums them, and a sticky table converts its
+# exact counts.  Far enough below the float64 overflow at 2^1024 that no
+# sum of counts under the bound can reach it.
 _LINEAR_LOG2_BITS = 1000
 
 _ROOT_TOL = 1e-12
@@ -99,10 +102,20 @@ def check_sizes(*, at_least: int | None = 0, **sizes) -> None:
     in turn, the integer test before the floor.
     """
     for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, Integral):
+        # a plain int skips the abstract Integral test, about 1 microsecond each
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
             raise DomainError(f"{name} must be an integer, got {value!r}")
         if at_least is not None and value < at_least:
             raise DomainError(f"{name} must be >= {at_least}, got {value}")
+
+
+def _check_table_cells(shape: tuple[int, ...]) -> None:
+    """MemoryBudgetError if a table of this shape has more than TABLE_CELL_BUDGET cells."""
+    cells = math.prod(shape)
+    if cells > TABLE_CELL_BUDGET:
+        raise MemoryBudgetError(
+            f"pair table needs {cells} cells per layer, budget is {TABLE_CELL_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -112,12 +125,14 @@ class CountMode:
     log2 counts, -inf for zero, and adds them with numpy.logaddexp2.  add is
     a plain attribute, so a DP kernel reads it once per table.
 
-    A DP kernel builds its table in the mode _accumulator() gives and hands
-    the result to that mode's _finish().  For a log2 table whose counts are
-    at most 2^1000 this is a private "linear" mode, float64 counts with 0
-    for zero and numpy.add, which rounds once per sum where logaddexp2
-    rounds through exp2 and log2; _finish takes log2 in place.  count_mode()
-    never returns the linear mode.
+    The sticky tables are built exact and converted by _from_exact, so a
+    sticky log2 table is log2 of the exact counts.  The synthesis DP builds
+    its table in the mode _accumulator() gives and hands the result to that
+    mode's _finish().  For a log2 table whose counts are at most 2^1000 this
+    is a private "linear" mode, float64 counts with 0 for zero and
+    numpy.add, which rounds once per sum where logaddexp2 rounds through
+    exp2 and log2; _finish takes log2 in place.  count_mode() never returns
+    the linear mode.
     """
 
     name: str
@@ -128,11 +143,7 @@ class CountMode:
 
     def blank(self, shape: tuple[int, ...]) -> np.ndarray:
         """A table of zero counts; MemoryBudgetError above TABLE_CELL_BUDGET cells."""
-        cells = math.prod(shape)
-        if cells > TABLE_CELL_BUDGET:
-            raise MemoryBudgetError(
-                f"pair table needs {cells} cells per layer, budget is {TABLE_CELL_BUDGET}"
-            )
+        _check_table_cells(shape)
         import numpy as np
 
         return np.full(shape, self.zero, dtype=self.dtype)
@@ -160,6 +171,27 @@ class CountMode:
         if self.name == "log2" and log2_bound <= _LINEAR_LOG2_BITS:
             return _modes()["linear"]
         return self
+
+    def _from_exact(self, table: np.ndarray, log2_bound: int) -> np.ndarray:
+        """An exact table whose counts are at most 2^log2_bound, in this mode.
+
+        An exact table is returned as it is.  A log2 table is numpy.log2 of
+        the float64 counts while log2_bound <= 1000, and math.log2 of each
+        nonzero Python integer above that, where float64 would overflow;
+        a zero count becomes -inf either way.
+        """
+        if self.name == "exact":
+            return table
+        import numpy as np
+
+        if log2_bound <= _LINEAR_LOG2_BITS:
+            logs = table.astype(np.float64)
+            with np.errstate(divide="ignore"):
+                return np.log2(logs, out=logs)
+        logs = self.blank(table.shape)
+        nonzero = np.nonzero(table)
+        logs[nonzero] = [math.log2(count) for count in table[nonzero].tolist()]
+        return logs
 
     def _finish(self, table: np.ndarray) -> np.ndarray:
         """A table built in this mode, in the public mode it stands for.

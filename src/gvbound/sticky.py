@@ -7,8 +7,8 @@ run-length vectors, the compositions of n into r positive parts, and two
 words are confusable under b insertions per word exactly when the L1
 distance of their run-length vectors is at most 2b.
 
-This module provides the exact pair-counting machinery (dynamic program
-plus enumeration oracle), the closed-form critical point of the pair
+This module provides the exact pair counts (a closed form in binomials,
+plus an enumeration oracle), the closed-form critical point of the pair
 generating function, the asymptotic total-ball rate, the smooth-point
 leading term of the exact pair counts (their asymptotic value with the
 polynomial factor and constant, which ties the counts to the rates at
@@ -29,7 +29,9 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
-from .numeric import NEG_INF, CountMode, binomial_exact, check_sizes, count_mode, entropy
+from .numeric import (
+    NEG_INF, CountMode, _check_table_cells, binomial_exact, check_sizes, count_mode, entropy,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -149,7 +151,7 @@ def confusable_bruteforce(u: Composition, v: Composition, b: int) -> bool:
 
 @dataclass(frozen=True)
 class PairCountTable:
-    """One level of the pair-count dynamic program.
+    """One level r of the pair-count tables.
 
     entries[n1, n2, s] is the number of ordered composition pairs
     (u, v) with u summing to n1, v summing to n2, both with exactly
@@ -190,38 +192,22 @@ def iter_pair_layers(
 ) -> Iterator[PairCountTable]:
     """Yield the pair-count table for each r = 1 .. r_max in turn.
 
-    The recursion truncates the last run of each word.  Writing N for
-    the level r-1 table, the level r value at (n1, n2, s) is the sum of
-    N(n1-a, n2-b, s-|a-b|) over all last-run lengths a, b >= 1.  The
-    unbounded sums collapse with two run-shortening prefix tables
+    Every count factors in closed form (see count_pairs_exact): with
+    M = (n1 + n2 - s)/2, P = (s + n1 - n2)/2 and Q = (s - n1 + n2)/2,
+    N(n1, n2, r, s) = C(M - 1, r - 1) D_r(P, Q), where D_r(P, Q) counts
+    the differences u - v of r entries whose positive entries sum to P
+    and negative entries to -Q.  Their generating function is
+    ((1 - ab) / ((1 - a)(1 - b)))^r, so D_r follows from D_(r-1) by one
+    shift-subtract and two cumulative sums on the (P, Q) plane, with
+    P <= min(n1_max, s_max) and Q <= min(n2_max, s_max).
 
-        M1(n1, n2, s) = sum_{j>=1} N(n1, n2-j, s-j)
-        M2(n1, n2, s) = sum_{j>=1} N(n1-j, n2, s-j)
-
-    and a diagonal prefix A(n1, n2) = P(n1-1, n2-1) + A(n1-1, n2-1) of
-    P = N + M1 + M2, giving O(1) work per state; the level r table is
-    exactly A.
-
-    Each level is symmetric in n1 and n2, and the L1 distance of two
-    compositions is at least |n1 - n2| and has its parity, so
-    s = |n1 - n2| + 2e with e >= 0.  The kernel (see _levels) sums each
-    level on the triangle n1 <= n2 only, in the sheared coordinates
-    (n1, c, e) with c = n2 - n1 and s = c + 2e.  There the support of
-    level r >= 2 is exactly n1 >= r and 0 <= e <= n1 - r (level 1 holds
-    e = 0 only), so the kernel adds no cell that is zero for every
-    table.  Each level is then written into the (n1, n2, s) table by
-    one indexed write per diagonal c on each triangle, support cells
-    only (see _layer); every other entry is the mode's zero.  Each
-    table is allocated before its level is summed, so one over the cell
-    budget fails before any sum.  A table with n1_max > n2_max is built
-    with the axes swapped and yielded transposed.
-
-    Every count stays below 3 * 2^(n1_max + n2_max), so a log2 table
-    with n1_max + n2_max + 2 <= 1000 sums linear float64 counts (see
-    CountMode._accumulator) and each layer is converted to log2 as it
-    is yielded; a larger one sums with logaddexp2.  Exact tables hold
-    the exact counts, and log2 tables match log2 of them within about
-    1e-13.
+    Each table is allocated before it is written, so one over the cell
+    budget fails before any product.  It is then filled one M plane at a
+    time: C(M - 1, r - 1) D_r[P, Q] goes to (M + P, M + Q, P + Q), on
+    the support cells only (M >= r and D_r[P, Q] > 0); every other entry
+    is the mode's zero.  Exact tables hold the exact counts.  Every count
+    stays below 3 * 2^(n1_max + n2_max), and a log2 table is log2 of the
+    exact one (see CountMode._from_exact).
     """
     return _tables(n1_max, n2_max, 1, r_max, s_max, mode)
 
@@ -232,107 +218,28 @@ def _tables(
     """The tables r = r_first .. r_max of iter_pair_layers; the sizes are checked on the first next."""
     check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
     cm = count_mode(mode)
-    acc = cm._accumulator(n1_max + n2_max + 2)
-    small, big = sorted((n1_max, n2_max))
-    shape = (small + 1, big + 1, s_max + 1)
-    levels = enumerate(_levels(small, big, r_max, s_max, acc), start=1)
-    for r in range(r_first, r_max + 1):
-        entries = acc.blank(shape)  # before level r and the levels below it are summed
-        level = next(level for k, level in levels if k == r)
-        entries = acc._finish(_layer(level, r, entries))
-        if n1_max > n2_max:
-            entries = entries.transpose(1, 0, 2)
-        yield PairCountTable(mode=cm, r=r, entries=entries)
-
-
-def _levels(
-    n1_max: int, n2_max: int, r_max: int, s_max: int, acc: CountMode
-) -> Iterator[np.ndarray]:
-    """The levels r = 1 .. r_max of iter_pair_layers in sheared form, summed in mode acc.
-
-    Level r is a box E[n1, c, e] holding the entry at (n1, n1 + c, c + 2e)
-    of a table with n1_max <= n2_max, for c <= min(n2_max - r, s_max) and
-    e <= min(s_max // 2, n1_max - r).  E[n1, c, e] is stored at
-    [n1, c + 1, e]; column 0 is scratch.  A cell with c + 2e > s_max lies
-    outside the table, and _layer does not read it.  Cells outside the
-    support n1 >= r, e <= n1 - r (e = 0 at r = 1) are zero.
-
-    On the triangle M1 splits at the diagonal: its terms j <= c stay in
-    row n1 and sum to the exclusive prefix of N over c, and its terms
-    j = c + i mirror to N(n1-i, n1, s-c-i) = N[n1-i, i, e-i], which sum to
-    M2[n1, 0].  With M2[n1, c, e] = N[n1-1, c+1, e-1] + M2[n1-1, c+1, e-1],
-    row n1 of level r is
-
-        A[n1] = A[n1-1] + (N[n1-1] + M2[n1-1])
-                + (M2[n1-1, 0] + exclusive prefix of N[n1-1] over c).
-
-    M2 is kept along its own diagonals, at [n1 + c, n1_max - n1 + e], so
-    folding N[n1-1] into it, which advances M2 to row n1, is an in-place
-    add without a shift, and the folded cells hold N[n1-1] + M2[n1-1] at
-    once.  M2[n1-1, 0] is first copied into the scratch column of row
-    n1-1, so one accumulate over the columns before c gives the last
-    term.  That is one short copy and four whole-plane adds per row,
-    each over the row's support c <= min(n2_max - n1, s_max),
-    e <= n1 - r only (e = 0 at r = 1, where each word is one run).
-    Each level is read again, and its scratch column written, to build
-    the next one, so a caller converts the table that _layer writes,
-    never the level.
-    """
-
-    def box(r: int) -> np.ndarray:
-        """Level r's box; column 0 is scratch and E[n1, c, e] lies at [n1, c + 1, e]."""
-        top = min(r, n1_max)  # rows n1 >= r hold c <= n2_max - r and e <= n1_max - r
-        cols = min(n2_max - top, s_max) + 2
-        return acc.blank((n1_max + 1, cols, min(s_max // 2, n1_max - top) + 1))
-
-    level = box(0)
-    level[0, 1, 0] = acc.one
-    # M2[n1, c, e] lies at [n1 + c, n1_max - n1 + e]
-    m2 = acc.blank((n2_max + 1, n1_max + level.shape[2]))
-    for r in range(1, r_max + 1):
-        nxt = box(r)
-        n_e = nxt.shape[2]
-        m2[...] = acc.zero
-        for n1 in range(r, n1_max + 1):
-            i = n1 - 1
-            cols = min(n2_max - n1, s_max) + 1
-            # e support of row i of N and row n1 of A
-            depth = min(n1 - r, n_e - 1) + 1 if r > 1 else 1
-            diag = m2[i:, n1_max - i : n1_max - i + depth]  # M2[n1-1], then M2[n1-1] + N[n1-1]
-            level[i, 0, :depth] = diag[0]
-            fold = diag[: min(n2_max - i, s_max) + 1]
-            acc.add(fold, level[i, 1 : len(fold) + 1, :depth], out=fold)
-            row = nxt[n1, 1 : cols + 1, :depth]
-            acc.add.accumulate(level[i, :cols, :depth], axis=0, out=row)
-            acc.add(row, nxt[i, 1 : cols + 1, :depth], out=row)
-            acc.add(row, diag[:cols], out=row)
-        level = nxt
-        yield level
-
-
-def _layer(level: np.ndarray, r: int, entries: np.ndarray) -> np.ndarray:
-    """The sheared level r from _levels, written into entries, a zero table with n1_max <= n2_max.
-
-    Each diagonal c is one indexed write of the level's (n1, e) block
-    to (n1, n1 + c, c + 2e) and, for c > 0, one to its mirror
-    (n1 + c, n1, c + 2e), bounded by n2 <= n2_max, s <= s_max and the
-    support.
-    """
     import numpy as np
 
-    n1_max, n2_max, s_max = (dim - 1 for dim in entries.shape)
-    if r > n1_max:
-        return entries
-    for c in range(level.shape[1] - 1):
-        last = min(n1_max, n2_max - c)  # last n1 with n1 + c <= n2_max
-        depth = min((s_max - c) // 2, last - r, level.shape[2] - 1) + 1
-        n1 = np.arange(r, last + 1)
-        block = level[r : last + 1, c + 1, :depth]
-        entries[n1, n1 + c, c : c + 2 * depth : 2] = block
-        if c > 0:
-            n1 = n1[n1 + c <= n1_max]
-            entries[n1 + c, n1, c : c + 2 * depth : 2] = block[: len(n1)]
-    return entries
+    exact = count_mode("exact")
+    shape = (n1_max + 1, n2_max + 1, s_max + 1)
+    m_top = min(n1_max, n2_max)
+    d = exact.blank((min(n1_max, s_max) + 1, min(n2_max, s_max) + 1))  # D_r[P, Q]
+    d[0, 0] = 1
+    fits = np.add.outer(np.arange(d.shape[0]), np.arange(d.shape[1])) <= s_max
+    for r in range(1, r_max + 1):
+        if r <= m_top:  # times (1 - ab) / ((1 - a)(1 - b))
+            d[1:, 1:] = d[1:, 1:] - d[:-1, :-1]
+            np.add.accumulate(d, axis=0, out=d)
+            np.add.accumulate(d, axis=1, out=d)
+        if r < r_first:
+            continue
+        entries = exact.blank(shape)
+        support = fits & (d != 0)
+        for m in range(r, m_top + 1):
+            p, q = np.nonzero(support[: n1_max - m + 1, : n2_max - m + 1])
+            entries[m + p, m + q, p + q] = d[p, q] * math.comb(m - 1, r - 1)
+        entries = cm._from_exact(entries, n1_max + n2_max + 2)
+        yield PairCountTable(mode=cm, r=r, entries=entries)
 
 
 def pair_count_table(
@@ -340,23 +247,59 @@ def pair_count_table(
 ) -> PairCountTable:
     """Pair-count table at level r (see iter_pair_layers).
 
-    Only level r is written into an (n1, n2, s) table, and a log2 table
-    is converted from linear counts at level r only, not at every level
-    on the way.
+    Only D_r is advanced through the levels below r; only the level r
+    table is written.
     """
     check_sizes(at_least=1, r=r)
     return next(_tables(n1_max, n2_max, r, r, s_max, mode))
 
 
+def _compositions_count(n: int, parts: int) -> int:
+    """Compositions of n >= 0 into `parts` positive parts: C(n - 1, parts - 1), [n = 0] for none."""
+    return math.comb(n - 1, parts - 1) if n and parts else int(n == parts)
+
+
 def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
-    """Number of ordered pairs in S(n1,r) x S(n2,r) at L1 distance s."""
+    """Number of ordered pairs in S(n1,r) x S(n2,r) at L1 distance s.
+
+    A pair (u, v) splits into m = min(u, v), coordinatewise, and
+    d = u - v.  m is any composition of M = (n1 + n2 - s)/2 into r parts;
+    the positive entries of d sum to P = (s + n1 - n2)/2, and its
+    negative entries to -Q with Q = (s - n1 + n2)/2.  The split is a
+    bijection, so the count is
+
+        C(M - 1, r - 1) * sum_k C(r, k) comp(P, k) weak(Q, r - k),
+
+    with k positive entries, comp(P, k) the compositions of P into k
+    parts and weak(Q, j) = comp(Q + j, j) the weak compositions of Q
+    into j parts; it is 0 for an odd s + n1 - n2, P < 0, Q < 0 or M < r
+    (Flajolet & Sedgewick, Analytic Combinatorics, ch. I).  The sum is
+    exact in Python integers; in log2 mode the result is log2 of it.
+
+    Raises:
+        MemoryBudgetError: if an (n1, n2, s) table of these sizes would
+            exceed TABLE_CELL_BUDGET cells, before any sum.  No table is
+            built, but the work grows with the same sizes: (10^6, 10^6,
+            5 * 10^5, 10^5) would take minutes.
+    """
     check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
     cm = count_mode(mode)
     if min(n1, n2, r, s) < 0 or s > n1 + n2 or r > min(n1, n2):
-        return cm.zero  # outside the support, before any table is built
+        return cm.zero  # outside the support
     if r == 0:
         return cm.one if n1 == n2 == s == 0 else cm.zero
-    return pair_count_table(n1, n2, r, s, mode).count(n1, n2, s)
+    _check_table_cells((min(n1, n2) + 1, max(n1, n2) + 1, s + 1))
+    m, odd = divmod(n1 + n2 - s, 2)
+    p, q = n1 - m, n2 - m
+    if odd or p < 0 or q < 0 or m < r:
+        return cm.zero
+    count = _compositions_count(m, r) * sum(
+        math.comb(r, k) * _compositions_count(p, k) * _compositions_count(q + r - k, r - k)
+        for k in range(min(r, p) + 1)
+    )
+    if mode == "exact":
+        return count
+    return math.log2(count) if count else NEG_INF
 
 
 def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:

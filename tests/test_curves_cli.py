@@ -560,7 +560,7 @@ def test_table_commands_still_load_numpy():
     script = (
         "import sys, gvbound\n"
         "from gvbound import sticky\n"
-        "sticky.count_pairs_exact(6, 6, 3, 2)\n"
+        "sticky.pair_count_table(6, 6, 3, 2)\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

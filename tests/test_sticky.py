@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from gvbound import cli, numeric, sticky
 from gvbound.acsv import growth_exponent
-from gvbound.errors import DimensionMismatchError, DomainError, SizeLimitError
+from gvbound.errors import DimensionMismatchError, DomainError, MemoryBudgetError, SizeLimitError
 from gvbound.numeric import binomial_exact, entropy
 from gvbound.sticky import (
     Composition,
@@ -192,14 +193,60 @@ def test_count_pairs_exact_outside_support_builds_no_table(monkeypatch, args):
     assert count_pairs_exact(*args, mode="log2") == -math.inf
 
 
-def test_pair_counts_match_bruteforce_up_to_n6():
-    for n1 in range(1, 7):
-        for n2 in range(1, 7):
-            for r in range(1, min(n1, n2) + 1):
-                for s in range(0, n1 + n2 + 1):
-                    assert count_pairs_exact(n1, n2, r, s) == count_pairs_bruteforce(
-                        n1, n2, r, s
-                    ), (n1, n2, r, s)
+def test_direct_sums_match_bruteforce_up_to_n7():
+    # r = 0 and r > min(n1, n2) included, one s past the largest distance
+    for n1 in range(8):
+        for n2 in range(8):
+            for r in range(8):
+                for s in range(n1 + n2 + 2):
+                    want = count_pairs_bruteforce(n1, n2, r, s)
+                    assert count_pairs_exact(n1, n2, r, s) == want, (n1, n2, r, s)
+                    log2 = count_pairs_exact(n1, n2, r, s, mode="log2")
+                    assert log2 == (math.log2(want) if want else -math.inf), (n1, n2, r, s)
+
+
+def _count_by_inclusion_exclusion(n1, n2, r, s):
+    """The pair count from the alternating expansion of ((1 - ab) / ((1 - a)(1 - b)))^r.
+
+    With M = (n1 + n2 - s)/2, P = n1 - M and Q = n2 - M, the count is
+    C(M - 1, r - 1) sum_j (-1)^j C(r, j) C(P - j + r - 1, r - 1) C(Q - j + r - 1, r - 1).
+    """
+    m = (n1 + n2 - s) // 2
+    p, q = n1 - m, n2 - m
+
+    def weak(total):  # weak compositions of total into r parts
+        return math.comb(total + r - 1, r - 1)
+
+    return math.comb(m - 1, r - 1) * sum(
+        (-1) ** j * math.comb(r, j) * weak(p - j) * weak(q - j) for j in range(min(p, q) + 1)
+    )
+
+
+def test_large_counts_are_summed_without_a_table(monkeypatch):
+    def build_never(*args):
+        raise AssertionError("built a table for a single count")
+
+    monkeypatch.setattr(sticky, "pair_count_table", build_never)
+    monkeypatch.setattr(sticky, "_tables", build_never)
+    start = time.perf_counter()
+    count = count_pairs_exact(400, 400, 200, 100)
+    elapsed = time.perf_counter() - start
+    assert count == _count_by_inclusion_exclusion(400, 400, 200, 100)
+    assert count_pairs_exact(400, 400, 200, 100, mode="log2") == math.log2(count)
+    assert elapsed < 0.5  # a few ms: one sum of at most 51 terms
+
+
+def test_count_pairs_exact_keeps_the_table_cell_budget(monkeypatch):
+    # 1001 * 1001 * 101 cells exceed the budget, as a table of these sizes would
+    def sum_never(*args):
+        raise AssertionError("summed past the cell budget")
+
+    monkeypatch.setattr(sticky, "_compositions_count", sum_never)
+    for mode in ("exact", "log2"):
+        with pytest.raises(MemoryBudgetError):
+            count_pairs_exact(1000, 1000, 500, 100, mode=mode)
+        with pytest.raises(MemoryBudgetError):  # an odd distance too: the budget comes first
+            count_pairs_exact(1000, 1000, 500, 101, mode=mode)
 
 
 def test_pair_count_symmetry():
@@ -253,7 +300,7 @@ def test_log_mode_tracks_exact_counts(n1_max, n2_max, r_max, s_max):
 @example(n1_max=10, n2_max=10, r_max=10, s_max=20)
 @example(n1_max=10, n2_max=9, r_max=5, s_max=20)
 def test_small_log2_tables_are_log2_of_the_exact_counts_bit_for_bit(n1_max, n2_max, r_max, s_max):
-    # every count is below 3 * 2^20 < 2^53, so each linear float64 sum is exact
+    # a log2 table is numpy.log2 of the float64 exact counts below 2^1000
     shape = (n1_max, n2_max, r_max, s_max)
     layers = zip(iter_pair_layers(*shape, "exact"), iter_pair_layers(*shape, "log2"))
     for exact, logs in layers:
@@ -263,26 +310,29 @@ def test_small_log2_tables_are_log2_of_the_exact_counts_bit_for_bit(n1_max, n2_m
 
 
 @pytest.mark.parametrize("cutoff", [1000, -1])
-@pytest.mark.parametrize("shape", [(30, 30, 15, 40), (24, 36, 12, 60)])
-def test_both_log2_paths_track_the_exact_counts(monkeypatch, linear_adds, cutoff, shape):
-    # a cutoff of -1 forces the logaddexp2 path on every table
+@pytest.mark.parametrize("shape", [(30, 30, 15, 40), (24, 36, 12, 60), (96, 97, 48, 24)])
+def test_both_log2_paths_track_the_exact_counts(monkeypatch, cutoff, shape):
+    # a cutoff of -1 takes math.log2 of each nonzero exact count on every table
     monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", cutoff)
     exact = pair_count_table(*shape, "exact").entries
     logs = pair_count_table(*shape, "log2").entries
-    assert bool(linear_adds) == (cutoff == 1000)
-    assert worst_log2_error(logs, exact) <= 1e-12
+    if cutoff == 1000:
+        assert np.array_equal(logs, log2_of(exact))
+    else:
+        assert np.array_equal(logs == -math.inf, exact == 0)
+        assert worst_log2_error(logs, exact) <= 1e-12
 
 
-@pytest.mark.parametrize("cutoff, linear", [(14, True), (13, False)])
-def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, linear_adds, cutoff, linear):
-    # the (7, 5) tables bound their counts by 2^(7 + 5 + 2) = 2^14
-    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", cutoff)
-    exact = pair_count_table(7, 5, 3, 12).entries
-    assert worst_log2_error(pair_count_table(7, 5, 3, 12, "log2").entries, exact) <= 1e-12
-    assert bool(linear_adds) == linear
-    linear_adds.clear()
-    assert [t.r for t in iter_pair_layers(7, 5, 3, 12, "log2")] == [1, 2, 3]
-    assert bool(linear_adds) == linear
+def test_log2_tables_past_float64_are_log2_of_the_exact_counts(monkeypatch):
+    # the diagonal count C(1039, 519) is about 2^1033.7, past the largest float64
+    shape = (1040, 1040, 520, 0)
+    logs = pair_count_table(*shape, "log2")
+    assert logs.count(1040, 1040, 0) == math.log2(math.comb(1039, 519))
+    exact = pair_count_table(*shape, "exact").entries
+    assert np.array_equal(logs.entries == -math.inf, exact == 0)
+    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", 10**6)
+    with pytest.raises(OverflowError):  # the float64 route cannot hold these counts
+        pair_count_table(*shape, "log2")
 
 
 @settings(max_examples=25, deadline=None)
@@ -295,9 +345,8 @@ def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, linear_adds
 @example(n=12, r_max=6, s_max=24, mode="exact")
 @example(n=12, r_max=6, s_max=7, mode="log2")
 def test_square_layers_are_symmetric_and_match_the_rectangular_kernel(n, r_max, s_max, mode):
-    # the kernel sums the triangle n1 <= n2 and writes its mirror below
-    # the diagonal; one column wider, the sheared box gains a column and
-    # the M2 diagonals grow, and the shared block must agree
+    # one column wider, the D_r plane gains a column and every M plane
+    # writes more cells, and the shared block must agree
     square = iter_pair_layers(n, n, r_max, s_max, mode)
     wide = iter_pair_layers(n, n + 1, r_max, s_max, mode)
     for table, wider in zip(square, wide):
@@ -317,7 +366,7 @@ def test_square_layers_are_symmetric_and_match_the_rectangular_kernel(n, r_max, 
 @example(n1_max=12, n2_max=5, r_max=6, s_max=17, mode="exact")
 @example(n1_max=3, n2_max=11, r_max=5, s_max=9, mode="log2")
 def test_swapping_the_words_transposes_every_layer(n1_max, n2_max, r_max, s_max, mode):
-    # the kernel builds a table with n1_max > n2_max the other way round
+    # P runs along n1 and Q along n2, so a swap exchanges the axes of D_r
     layers = iter_pair_layers(n1_max, n2_max, r_max, s_max, mode)
     swapped = iter_pair_layers(n2_max, n1_max, r_max, s_max, mode)
     for table, other in zip(layers, swapped, strict=True):
@@ -393,8 +442,7 @@ def _outside_sticky_support(n1, n2, r, s):
 @example(n1_max=0, n2_max=3, r_max=3, s_max=2, mode="log2")
 @example(n1_max=9, n2_max=5, r_max=9, s_max=20, mode="log2")
 def test_layers_vanish_outside_the_support(n1_max, n2_max, r_max, s_max, mode):
-    # the kernel sums each layer in sheared coordinates over its support
-    # only and writes only support cells, so every other entry must be
+    # the builder writes support cells only, so every other entry must be
     # exactly the mode's zero
     zero = 0 if mode == "exact" else -math.inf
     for table in iter_pair_layers(n1_max, n2_max, r_max, s_max, mode):
@@ -415,9 +463,8 @@ def test_layers_vanish_outside_the_support(n1_max, n2_max, r_max, s_max, mode):
 @example(n1_max=3, n2_max=10, r_max=3, s_max=22)
 def test_layers_are_positive_on_the_whole_support(n1_max, n2_max, r_max, s_max):
     # with the test above: a layer is nonzero exactly on its support.  For
-    # r >= 2 that is every cell n1 >= r, 0 <= e <= n1 - r of the sheared
-    # slab (c = n2 - n1 and s = c + 2e on n1 <= n2), so the slab holds
-    # exactly the support; at r = 1 only e = 0 is
+    # r >= 2 that is every cell with P, Q >= 0 and M >= r, as D_r > 0 on the
+    # whole (P, Q) plane; at r = 1 one of P and Q must be 0
     for table in iter_pair_layers(n1_max, n2_max, r_max, s_max):
         for (n1, n2, s), value in np.ndenumerate(table.entries):
             if not _outside_sticky_support(n1, n2, table.r, s):
@@ -428,10 +475,10 @@ def test_layers_are_positive_on_the_whole_support(n1_max, n2_max, r_max, s_max):
 @pytest.mark.parametrize(
     "shape",
     [
-        (12, 15, 6, 5),  # s_max cuts the sheared box: c + 2e > s_max
-        (15, 12, 6, 5),  # the same, built with the axes swapped
-        (14, 9, 12, 5),  # c runs past s_max, axes swapped
-        (9, 14, 9, 11),  # c runs past s_max on the wide side
+        (12, 15, 6, 5),  # s_max cuts every M plane: P + Q > s_max
+        (15, 12, 6, 5),  # the same, n1_max > n2_max
+        (14, 9, 12, 5),  # |n1 - n2| runs past s_max, n1_max > n2_max
+        (9, 14, 9, 11),  # |n1 - n2| runs past s_max, n1_max < n2_max
         (6, 6, 8, 1),  # square, s_max = 1, r_max > n
         (11, 17, 11, 0),  # only s = 0 is stored
     ],
@@ -450,7 +497,7 @@ def test_truncated_layers_match_the_full_slab_kernel(shape, mode):
     [
         (8, 8, 8, 16),  # square
         (5, 9, 5, 14),  # wide
-        (9, 5, 5, 14),  # tall: built with the axes swapped
+        (9, 5, 5, 14),  # tall
         (10, 12, 6, 5),  # truncated in s
         (4, 7, 6, 11),  # r_max > min(n1_max, n2_max)
     ],
