@@ -3,9 +3,10 @@
 The package computes Gilbert-Varshamov, sphere-packing, and crude rate
 bounds for two constrained spaces: binary words under sticky insertions
 (fixed run density) and DNA strands under a synthesis-cycle budget.  The
-common machinery is exact pair counting by dynamic programming and
-coefficient asymptotics of the pair generating functions through smooth
-critical points.
+common machinery is exact pair counting (a closed form for the sticky
+channel, dynamic programming for the synthesis channel), stored exact or
+as log2 counts, and coefficient asymptotics of the pair generating
+functions through smooth critical points.
 
 Channel-specific functionality lives in the sticky and synthesis
 submodules; curves and cli drive curve sweeps and the command

@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, NonConvergenceError
-from .numeric import check_sizes
+from .numeric import _finite_float, check_sizes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,6 +62,10 @@ class SparseMultivariatePolynomial:
         num_vars: number of variables l >= 1.
         terms: tuple of (exponent vector, coefficient) pairs with unique
             exponent vectors and nonzero coefficients.
+
+    Raises:
+        DomainError: for a negative or non-integer exponent, or a
+            coefficient that is not a finite real number.
     """
 
     num_vars: int
@@ -78,7 +82,9 @@ class SparseMultivariatePolynomial:
                 raise DimensionMismatchError(
                     f"term exponent vector {key} has length {len(key)}, expected {num_vars}"
                 )
-            merged[key] = merged.get(key, 0.0) + float(coefficient)
+            term = _finite_float(coefficient, "polynomial coefficients")
+            # like terms are summed, and a sum of finite floats can overflow
+            merged[key] = _finite_float(merged.get(key, 0.0) + term, "polynomial coefficients")
         cleaned = tuple(
             (exponents, coefficient)
             for exponents, coefficient in sorted(merged.items())

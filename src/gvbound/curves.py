@@ -101,6 +101,8 @@ class CurveSpec:
                     f"bound {b!r} not available for {self.channel} "
                     f"(choose from {', '.join(allowed)})"
                 )
+        if len(set(self.bounds)) < len(self.bounds):
+            raise DomainError(f"each bound may be requested once, got {','.join(self.bounds)}")
         check_sizes(at_least=None, steps=self.steps)
         if not 2 <= self.steps <= MAX_STEPS:
             raise DomainError(

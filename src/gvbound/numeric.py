@@ -6,16 +6,15 @@ their log2 in the "log2" count mode of the pair-count tables (CountMode).
 All logarithms are base 2, so every rate in the package is measured in
 bits per symbol.
 
-A log2 table is stored as log2 counts.  The sticky tables come from a
-closed form in exact integers, and their log2 tables are log2 of the
-exact counts (CountMode._from_exact).  Only the synthesis DP sums in
-log2 mode: in linear float64 counts while they provably fit (at most
-2^1000, see CountMode._accumulator), taking log2 once at the end, and
-with numpy.logaddexp2 throughout for larger tables.
+A log2 table is stored as log2 counts.  Both pair-count builders take an
+accumulator mode from a bound on their counts (CountMode._accumulator),
+build the table in it and finish it once (CountMode._finish): a log2
+table whose counts fit float64 (at most 2^1000) is built in linear
+float64 counts and takes log2 at the end, a larger one in log2 counts.
 
 Everything here but the count modes runs on Python floats.  numpy is
-imported on the first call to count_mode(), which only the pair-count
-tables and their queries make, so the closed-form paths never load it.
+imported on the first count_mode() call, which only the pair-count tables
+make, so the closed forms and the sticky count_pairs_exact never load it.
 """
 
 from __future__ import annotations
@@ -50,10 +49,9 @@ __all__ = [
 NEG_INF = float("-inf")
 TABLE_CELL_BUDGET = 1 << 26
 
-# Largest log2 count bound at which a log2 table goes through float64
-# counts: the synthesis DP sums them, and a sticky table converts its
-# exact counts.  Far enough below the float64 overflow at 2^1024 that no
-# sum of counts under the bound can reach it.
+# Largest log2 count bound at which a log2 table is built in linear
+# float64 counts (CountMode._accumulator).  Far enough below the float64
+# overflow at 2^1024 that no sum of counts under the bound can reach it.
 _LINEAR_LOG2_BITS = 1000
 
 _ROOT_TOL = 1e-12
@@ -109,6 +107,16 @@ def check_sizes(*, at_least: int | None = 0, **sizes) -> None:
             raise DomainError(f"{name} must be >= {at_least}, got {value}")
 
 
+def _finite_float(value, what: str) -> float:
+    """float(value); DomainError unless value is a real number with a finite float."""
+    try:
+        if math.isfinite(x := float(value)):
+            return x
+    except (TypeError, ValueError, OverflowError):  # not a real number, or too large
+        pass
+    raise DomainError(f"{what} must be finite real numbers, got {value!r}")
+
+
 def _check_table_cells(shape: tuple[int, ...]) -> None:
     """MemoryBudgetError if a table of this shape has more than TABLE_CELL_BUDGET cells."""
     cells = math.prod(shape)
@@ -125,14 +133,14 @@ class CountMode:
     log2 counts, -inf for zero, and adds them with numpy.logaddexp2.  add is
     a plain attribute, so a DP kernel reads it once per table.
 
-    The sticky tables are built exact and converted by _from_exact, so a
-    sticky log2 table is log2 of the exact counts.  The synthesis DP builds
-    its table in the mode _accumulator() gives and hands the result to that
-    mode's _finish().  For a log2 table whose counts are at most 2^1000 this
-    is a private "linear" mode, float64 counts with 0 for zero and
-    numpy.add, which rounds once per sum where logaddexp2 rounds through
-    exp2 and log2; _finish takes log2 in place.  count_mode() never returns
-    the linear mode.
+    Both pair-count builders build a table in the mode _accumulator()
+    gives for a bound on its counts and hand the result to that mode's
+    _finish(): the synthesis DP sums with add, and the sticky builder
+    writes exact products through _encode.  For a log2 table whose counts
+    are at most 2^1000 this is a private "linear" mode, float64 counts
+    with 0 for zero and numpy.add, which rounds once per sum where
+    logaddexp2 rounds through exp2 and log2; _finish takes log2 in place.
+    count_mode() never returns the linear mode.
     """
 
     name: str
@@ -172,26 +180,15 @@ class CountMode:
             return _modes()["linear"]
         return self
 
-    def _from_exact(self, table: np.ndarray, log2_bound: int) -> np.ndarray:
-        """An exact table whose counts are at most 2^log2_bound, in this mode.
+    def _encode(self, counts: np.ndarray):
+        """Nonzero exact counts (an object array) as values to write into a table of this mode.
 
-        An exact table is returned as it is.  A log2 table is numpy.log2 of
-        the float64 counts while log2_bound <= 1000, and math.log2 of each
-        nonzero Python integer above that, where float64 would overflow;
-        a zero count becomes -inf either way.
+        A log2 table takes math.log2 of each; exact and linear tables take them
+        as they are, and a float64 one rounds each on assignment (OverflowError past 2^1024).
         """
-        if self.name == "exact":
-            return table
-        import numpy as np
-
-        if log2_bound <= _LINEAR_LOG2_BITS:
-            logs = table.astype(np.float64)
-            with np.errstate(divide="ignore"):
-                return np.log2(logs, out=logs)
-        logs = self.blank(table.shape)
-        nonzero = np.nonzero(table)
-        logs[nonzero] = [math.log2(count) for count in table[nonzero].tolist()]
-        return logs
+        if self.name == "log2":
+            return [math.log2(count) for count in counts.tolist()]
+        return counts
 
     def _finish(self, table: np.ndarray) -> np.ndarray:
         """A table built in this mode, in the public mode it stands for.
@@ -219,10 +216,15 @@ def _modes() -> dict[str, CountMode]:
     }
 
 
-def count_mode(mode: str) -> CountMode:
-    """The count mode named "exact" or "log2"; DomainError for any other name."""
+def _check_mode(mode: str) -> None:
+    """DomainError unless mode is "exact" or "log2"; loads no numpy."""
     if mode not in ("exact", "log2"):
         raise DomainError(f"mode must be 'exact' or 'log2', got {mode!r}")
+
+
+def count_mode(mode: str) -> CountMode:
+    """The count mode named "exact" or "log2"; DomainError for any other name."""
+    _check_mode(mode)
     return _modes()[mode]
 
 
@@ -249,15 +251,13 @@ class RealPolynomial:
     coefficient is nonzero unless the polynomial is identically zero.
 
     Raises:
-        DomainError: for a NaN or infinite coefficient.
+        DomainError: for a coefficient that is not a finite real number.
     """
 
     coefficients: tuple[float, ...]
 
     def __init__(self, coefficients: Sequence[float]):
-        coeffs = [float(c) for c in coefficients]
-        if not all(map(math.isfinite, coeffs)):
-            raise DomainError(f"polynomial coefficients must be finite, got {coeffs}")
+        coeffs = [_finite_float(c, "polynomial coefficients") for c in coefficients]
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs.pop()
         if not coeffs:

@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .numeric import (
-    NEG_INF, CountMode, _check_table_cells, binomial_exact, check_sizes, count_mode, entropy,
+    NEG_INF, CountMode, _check_mode, _check_table_cells, binomial_exact, check_sizes, count_mode,
+    entropy,
 )
 
 if TYPE_CHECKING:
@@ -206,8 +207,10 @@ def iter_pair_layers(
     time: C(M - 1, r - 1) D_r[P, Q] goes to (M + P, M + Q, P + Q), on
     the support cells only (M >= r and D_r[P, Q] > 0); every other entry
     is the mode's zero.  Exact tables hold the exact counts.  Every count
-    stays below 3 * 2^(n1_max + n2_max), and a log2 table is log2 of the
-    exact one (see CountMode._from_exact).
+    stays below 3 * 2^(n1_max + n2_max), the bound a table takes its
+    accumulator mode from (see CountMode._accumulator), and a log2 table
+    is log2 of the exact one: numpy.log2 of the float64 counts while
+    n1_max + n2_max <= 998, math.log2 of each exact count above.
     """
     return _tables(n1_max, n2_max, 1, r_max, s_max, mode)
 
@@ -220,10 +223,10 @@ def _tables(
     cm = count_mode(mode)
     import numpy as np
 
-    exact = count_mode("exact")
+    acc = cm._accumulator(n1_max + n2_max + 2)
     shape = (n1_max + 1, n2_max + 1, s_max + 1)
     m_top = min(n1_max, n2_max)
-    d = exact.blank((min(n1_max, s_max) + 1, min(n2_max, s_max) + 1))  # D_r[P, Q]
+    d = count_mode("exact").blank((min(n1_max, s_max) + 1, min(n2_max, s_max) + 1))  # D_r[P, Q]
     d[0, 0] = 1
     fits = np.add.outer(np.arange(d.shape[0]), np.arange(d.shape[1])) <= s_max
     for r in range(1, r_max + 1):
@@ -233,13 +236,12 @@ def _tables(
             np.add.accumulate(d, axis=1, out=d)
         if r < r_first:
             continue
-        entries = exact.blank(shape)
+        entries = acc.blank(shape)
         support = fits & (d != 0)
         for m in range(r, m_top + 1):
             p, q = np.nonzero(support[: n1_max - m + 1, : n2_max - m + 1])
-            entries[m + p, m + q, p + q] = d[p, q] * math.comb(m - 1, r - 1)
-        entries = cm._from_exact(entries, n1_max + n2_max + 2)
-        yield PairCountTable(mode=cm, r=r, entries=entries)
+            entries[m + p, m + q, p + q] = acc._encode(d[p, q] * math.comb(m - 1, r - 1))
+        yield PairCountTable(mode=cm, r=r, entries=acc._finish(entries))
 
 
 def pair_count_table(
@@ -283,20 +285,17 @@ def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
             5 * 10^5, 10^5) would take minutes.
     """
     check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
-    cm = count_mode(mode)
-    if min(n1, n2, r, s) < 0 or s > n1 + n2 or r > min(n1, n2):
-        return cm.zero  # outside the support
-    if r == 0:
-        return cm.one if n1 == n2 == s == 0 else cm.zero
-    _check_table_cells((min(n1, n2) + 1, max(n1, n2) + 1, s + 1))
-    m, odd = divmod(n1 + n2 - s, 2)
-    p, q = n1 - m, n2 - m
-    if odd or p < 0 or q < 0 or m < r:
-        return cm.zero
-    count = _compositions_count(m, r) * sum(
-        math.comb(r, k) * _compositions_count(p, k) * _compositions_count(q + r - k, r - k)
-        for k in range(min(r, p) + 1)
-    )
+    _check_mode(mode)
+    count = int(n1 == n2 == r == s == 0)  # the pair of empty compositions
+    if 1 <= r <= min(n1, n2) and 0 <= s <= n1 + n2:
+        _check_table_cells((min(n1, n2) + 1, max(n1, n2) + 1, s + 1))
+        m, odd = divmod(n1 + n2 - s, 2)
+        p, q = n1 - m, n2 - m
+        if not (odd or p < 0 or q < 0 or m < r):
+            count = _compositions_count(m, r) * sum(
+                math.comb(r, k) * _compositions_count(p, k) * _compositions_count(q + r - k, r - k)
+                for k in range(min(r, p) + 1)
+            )
     if mode == "exact":
         return count
     return math.log2(count) if count else NEG_INF

@@ -35,6 +35,22 @@ def test_polynomial_merges_and_drops_terms():
     assert len(p.terms) == 2
 
 
+@pytest.mark.parametrize(
+    "coefficient",
+    [None, "x", object(), 1j, math.nan, math.inf, -math.inf, 10**400],
+    ids=["None", "str", "object", "complex", "nan", "inf", "-inf", "10**400"],
+)
+def test_polynomial_rejects_coefficients_that_are_not_finite_reals(coefficient):
+    # a NaN coefficient would make H nan and the solver fail with a misleading error
+    with pytest.raises(DomainError, match="^polynomial coefficients must be finite real numbers"):
+        SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((1, 0), coefficient), ((0, 1), -1.0)])
+
+
+def test_polynomial_rejects_like_terms_that_sum_past_float64():
+    with pytest.raises(DomainError, match="^polynomial coefficients must be finite real numbers"):
+        SparseMultivariatePolynomial(1, [((1,), 1e308), ((0,), 1.0), ((1,), 1e308)])
+
+
 def test_polynomial_validates_exponents():
     with pytest.raises(DimensionMismatchError):
         SparseMultivariatePolynomial(2, [((1,), 1.0)])

@@ -76,6 +76,18 @@ def test_curve_spec_rejects_bad_requests():
         CurveSpec("sticky", ("gv",), 0.0, 0.4, 5, tau=2.0).validate()
 
 
+def test_curve_spec_rejects_a_repeated_bound(tmp_path, capsys):
+    # a repeated bound would write two identical columns and two polylines
+    with pytest.raises(DomainError, match="each bound may be requested once, got gv,sp,gv"):
+        CurveSpec("sticky", ("gv", "sp", "gv"), 0.0, 0.4, 5).validate()
+    argv = ["curve", "--channel", "sticky", "--bounds", "gv,gv", "--beta-range", "0:0.4:5"]
+    assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: each bound may be requested once, got gv,gv\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_curve_spec_caps_steps_before_allocating():
     CurveSpec("sticky", ("gv",), 0.0, 0.4, MAX_STEPS).validate()
     with pytest.raises(DomainError):
@@ -523,6 +535,28 @@ def test_closed_form_commands_never_load_numpy(tmp_path):
     for step, code, numpy_loaded in _report_after_each_command(commands, "'numpy' in sys.modules"):
         assert code == 0, step
         assert not numpy_loaded, f"numpy loaded after {step}"
+
+
+def test_sticky_counts_never_load_numpy():
+    # count_pairs_exact sums a closed form; only a table needs numpy
+    script = (
+        "import json, sys\n"
+        "from gvbound import sticky\n"
+        "from gvbound.errors import DomainError\n"
+        "values = [sticky.count_pairs_exact(6, 6, 3, 2, mode) for mode in ('exact', 'log2')]\n"
+        "values += [sticky.count_pairs_exact(6, 6, 3, 3, mode) for mode in ('exact', 'log2')]\n"
+        "try:\n"
+        "    sticky.count_pairs_exact(6, 6, 3, 2, 'bogus')\n"
+        "except DomainError as exc:\n"
+        "    values.append(str(exc))\n"
+        "print(json.dumps([values, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    values, numpy_loaded = json.loads(proc.stdout)
+    bogus = "mode must be 'exact' or 'log2', got 'bogus'"
+    assert values == [36, math.log2(36), 0, -math.inf, bogus]
+    assert not numpy_loaded
 
 
 _BASE_MODULES = {"cli", "curves", "errors", "numeric"}

@@ -117,6 +117,23 @@ def test_linear_accumulator_finishes_as_log2_in_place():
         count_mode("linear")
 
 
+def test_encode_writes_exact_counts_as_each_mode_stores_them():
+    counts = np.array([1, 3, 2**1100], dtype=object)
+    exact, log2 = count_mode("exact"), count_mode("log2")
+    linear = log2._accumulator(0)
+    assert exact._encode(counts) is counts
+    assert linear._encode(counts) is counts
+    assert log2._encode(counts) == [0.0, math.log2(3), 1100.0]
+    table = linear.blank((3,))
+    table[:2] = linear._encode(counts[:2])  # float64 rounds each count on assignment
+    assert table.tolist() == [1.0, 3.0, 0.0]
+    with pytest.raises(OverflowError):
+        table[2:] = linear._encode(counts[2:])
+    logs = log2.blank((4,))
+    logs[1:] = log2._encode(counts)
+    assert logs.tolist() == [-math.inf, 0.0, math.log2(3), 1100.0]
+
+
 def test_bisection_finds_simple_root():
     result = find_root_bisection(lambda x: x * x - 2.0, 0.0, 2.0)
     assert isinstance(result, BracketedRoot)
@@ -144,6 +161,16 @@ def test_bisection_rejects_bad_bracket():
         find_root_bisection(lambda x: x - 0.3, 0.0, math.inf)
     with pytest.raises(DomainError):
         find_root_bisection(lambda x: x + 0.3, -math.inf, 0.0)
+
+
+@pytest.mark.parametrize(
+    "coefficient",
+    [None, "x", object(), 1j, math.nan, math.inf, -math.inf, 10**400],
+    ids=["None", "str", "object", "complex", "nan", "inf", "-inf", "10**400"],
+)
+def test_real_polynomial_rejects_coefficients_that_are_not_finite_reals(coefficient):
+    with pytest.raises(DomainError, match="^polynomial coefficients must be finite real numbers"):
+        RealPolynomial([1.0, coefficient, 2.0])
 
 
 def test_real_polynomial_trims_and_evaluates():

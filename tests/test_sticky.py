@@ -323,6 +323,23 @@ def test_both_log2_paths_track_the_exact_counts(monkeypatch, cutoff, shape):
         assert worst_log2_error(logs, exact) <= 1e-12
 
 
+@pytest.mark.parametrize("cutoff, table_mode", [(1000, "linear"), (-1, "log2")])
+def test_log2_tables_are_allocated_in_their_accumulator_mode(monkeypatch, cutoff, table_mode):
+    # no log2 table holds an object copy of itself: only the D_r plane is exact
+    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", cutoff)
+    blanks = []
+    blank = numeric.CountMode.blank
+
+    def recorded(mode, shape):
+        blanks.append((mode.name, shape))
+        return blank(mode, shape)
+
+    monkeypatch.setattr(numeric.CountMode, "blank", recorded)
+    list(iter_pair_layers(30, 24, 3, 40, "log2"))
+    assert [name for name, shape in blanks if shape == (31, 25, 41)] == [table_mode] * 3
+    assert [shape for name, shape in blanks if name == "exact"] == [(31, 25)]
+
+
 def test_log2_tables_past_float64_are_log2_of_the_exact_counts(monkeypatch):
     # the diagonal count C(1039, 519) is about 2^1033.7, past the largest float64
     shape = (1040, 1040, 520, 0)
