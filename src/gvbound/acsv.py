@@ -159,7 +159,8 @@ def _vector(H: SparseMultivariatePolynomial, values: Sequence[float], what: str)
     """values as a list of H.num_vars floats.
 
     DimensionMismatchError for a scalar, a nested sequence or another
-    length; DomainError for a coordinate that is not a real number.
+    length; DomainError for a coordinate that is not a real number, or
+    one too large for a float.
     """
     try:
         items = list(values)
@@ -181,6 +182,8 @@ def _vector(H: SparseMultivariatePolynomial, values: Sequence[float], what: str)
                     f"{what} must be a flat sequence of numbers, got {values!r}"
                 ) from None
             raise DomainError(f"{what} coordinates must be real numbers, got {c!r}") from None
+        except OverflowError:  # an integer past the float64 range
+            raise DomainError(f"{what} coordinates must be finite, got {c!r}") from None
     return vector
 
 

@@ -523,10 +523,14 @@ def gv_rate(beta: float) -> tuple[float, float]:
 
 
 def sp_rate(beta: float) -> float:
-    """Sphere-packing upper bound on the rate at insertion density beta."""
+    """Sphere-packing upper bound on the rate at insertion density beta.
+
+    The bound is (1 + 2 beta)(1 - H((1 + beta) / (1 + 2 beta))), computed
+    with H's symmetric argument beta / (1 + 2 beta), which keeps the digits
+    of a tiny beta that (1 + beta) / (1 + 2 beta) rounds away.
+    """
     _check_beta(beta)
-    arg = (1.0 + beta) / (1.0 + 2.0 * beta)
-    return (1.0 + 2.0 * beta) * (1.0 - entropy(arg))
+    return (1.0 + 2.0 * beta) * (1.0 - entropy(beta / (1.0 + 2.0 * beta)))
 
 
 def simple_lb_rate(beta: float) -> float:

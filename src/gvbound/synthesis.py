@@ -319,7 +319,6 @@ def _check_tau(tau: float) -> None:
         raise DomainError(f"tau must be > 1 and finite, got {tau}") from None
 
 
-@lru_cache(maxsize=None)
 def capacity(tau: float) -> float:
     """Exponent of the number of strands producible in tau cycles per symbol.
 
@@ -327,7 +326,12 @@ def capacity(tau: float) -> float:
     (4-tau) y^3 + (3-tau) y^2 + (2-tau) y + (1-tau); from 5/2 on every
     strand is producible and the rate is the full 2 bits.
     """
-    _check_tau(tau)
+    _check_tau(tau)  # before the cache, which cannot hash a list
+    return _capacity(tau)
+
+
+@lru_cache(maxsize=None)
+def _capacity(tau: float) -> float:
     if tau >= _TAU_FREE:
         return 2.0
     cubic = RealPolynomial([1.0 - tau, 2.0 - tau, 3.0 - tau, 4.0 - tau])
@@ -366,7 +370,6 @@ def critical_point(tau: float, delta: float) -> acsv.CriticalPoint:
     )
 
 
-@lru_cache(maxsize=None)
 def delta_max(tau: float) -> tuple[float, float]:
     """Distance density where the ball rate saturates, with its y root.
 
@@ -380,6 +383,11 @@ def delta_max(tau: float) -> tuple[float, float]:
             raise TypeError
     except TypeError:  # out of range, or not a real number
         raise DomainError(f"tau must be in (1, 2.5), got {tau}") from None
+    return _delta_max(tau)  # checked before the cache, which cannot hash a list
+
+
+@lru_cache(maxsize=None)
+def _delta_max(tau: float) -> tuple[float, float]:
     tg_minus_b = [tau * g - b for g, b in zip(_POLY_G, _POLY_B0)]
     lhs = _conv(_POLY_D.coefficients, tg_minus_b)
     rhs = [0.0] + _POLY_C

@@ -387,7 +387,8 @@ def test_badly_shaped_vectors_raise_dimension_mismatch(name, call, vector):
 
 @pytest.mark.parametrize("name, call", _ENTRY_POINTS, ids=[name for name, _ in _ENTRY_POINTS])
 @pytest.mark.parametrize(
-    "vector", [[None, 0.5], ["a", 0.5], [0.5, object()], [math.nan, 0.5], [0.5, math.inf]]
+    "vector",
+    [[None, 0.5], ["a", 0.5], [0.5, object()], [math.nan, 0.5], [0.5, math.inf], [10**400, 0.5]],
 )
 def test_non_numeric_or_non_finite_coordinates_raise_domain_error(name, call, vector):
     with pytest.raises(DomainError):

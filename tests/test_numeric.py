@@ -161,6 +161,11 @@ def test_bisection_rejects_bad_bracket():
         find_root_bisection(lambda x: x - 0.3, 0.0, math.inf)
     with pytest.raises(DomainError):
         find_root_bisection(lambda x: x + 0.3, -math.inf, 0.0)
+    # not numbers: the comparison's TypeError comes back as a DomainError
+    with pytest.raises(DomainError):
+        find_root_bisection(lambda x: x, None, 1.0)
+    with pytest.raises(DomainError):
+        find_root_bisection(lambda x: x, -1.0, "1")
 
 
 @pytest.mark.parametrize(
@@ -349,8 +354,8 @@ def _synthesis_scan_polynomials(taus, deltas) -> list[RealPolynomial]:
     synthesis.smallest_positive_root = recorded
     try:
         for tau in taus:
-            synthesis.capacity.__wrapped__(tau)
-            dm, _ = synthesis.delta_max.__wrapped__(tau)
+            synthesis._capacity.__wrapped__(tau)
+            dm, _ = synthesis._delta_max.__wrapped__(tau)
             for delta in deltas(dm):
                 synthesis.critical_point(tau, delta)
     finally:

@@ -187,6 +187,9 @@ def test_nan_and_inf_raise_domain_error(name, args):
         ("synthesis.critical_point", (2.0, "0.3")),
         ("synthesis.delta_max", ("2",)),
         ("synthesis.evaluate_point", ("2", 0.3)),
+        # checked before the lru_cache, which raises TypeError on a list
+        ("synthesis.capacity", ([2.0],)),
+        ("synthesis.delta_max", ([2.0],)),
     ],
 )
 def test_non_real_densities_raise_domain_error(name, args):

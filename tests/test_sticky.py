@@ -815,10 +815,15 @@ def test_bound_ordering():
         assert rate <= upper + 1e-12
 
 
+def test_sp_rate_stays_above_gv_rate_at_tiny_beta():
+    # (1+beta)/(1+2beta) rounds away most digits of these betas; an sp_rate
+    # computed from it falls below gv by up to 5.7e-15 in [5e-17, 1.1e-16]
+    betas = [1e-18 * 10 ** (3 * k / 300) for k in range(301)] + [1.0556173927526694e-16]
+    assert [beta for beta in betas if gv_rate(beta)[0] > sp_rate(beta)] == []
+
+
 # The properties below hold up to rounding, with test_bound_ordering's 1e-12 slack:
-# for beta in [5e-17, 1.1e-16], gv exceeds sp by up to 5.7e-15 (sp_rate's argument
-# (1+beta)/(1+2beta) rounds away most digits of beta),
-# and ball rates at adjacent floats fall by up to 1.1e-15.
+# ball rates at adjacent floats fall by up to 1.1e-15.
 @settings(max_examples=300, deadline=None)
 @given(beta=st.floats(0.0, 0.5))
 @example(beta=0.25)
