@@ -28,12 +28,11 @@ leading term, which need linear algebra, import numpy when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, NonConvergenceError
-from .numeric import _finite_float, check_sizes
+from .numeric import _FLOAT_MAX, _finite_float, check_sizes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,8 +53,39 @@ _MAX_NEWTON_ITER = 100
 _MAX_STEP_HALVINGS = 30
 
 
-@dataclass(frozen=True)
-class SparseMultivariatePolynomial:
+class _Record:
+    """An immutable record that can cache on the instance.
+
+    __init__ writes the fields into __dict__, as cached_property does its
+    values; assigning or deleting an attribute raises AttributeError.  The
+    names in _fields alone are compared, hashed and shown.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+
+class SparseMultivariatePolynomial(_Record):
     """Multivariate polynomial as a sparse list of monomial terms.
 
     Attributes:
@@ -68,6 +98,7 @@ class SparseMultivariatePolynomial:
             coefficient that is not a finite real number.
     """
 
+    _fields = ("num_vars", "terms")
     num_vars: int
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
@@ -90,8 +121,7 @@ class SparseMultivariatePolynomial:
             for exponents, coefficient in sorted(merged.items())
             if coefficient != 0.0
         )
-        object.__setattr__(self, "num_vars", int(num_vars))
-        object.__setattr__(self, "terms", cleaned)
+        self.__dict__.update(num_vars=int(num_vars), terms=cleaned)
 
     def partial(self, var: int) -> "SparseMultivariatePolynomial":
         """Exact partial derivative with respect to variable index var."""
@@ -122,8 +152,7 @@ class SparseMultivariatePolynomial:
         return _evaluate(self, _check_point(self, z))
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(_Record):
     """Positive solution of the critical-point system with diagnostics.
 
     Attributes:
@@ -135,10 +164,17 @@ class CriticalPoint:
             first access (a sweep that never reads it never pays for it).
     """
 
+    _fields = ("z", "direction", "iterations")
     z: tuple[float, ...]
     direction: tuple[float, ...]
     iterations: int
-    H: SparseMultivariatePolynomial = field(compare=False, repr=False)
+    H: SparseMultivariatePolynomial
+
+    def __init__(
+        self, z: tuple[float, ...], direction: tuple[float, ...], iterations: int,
+        H: SparseMultivariatePolynomial,
+    ):
+        self.__dict__.update(z=z, direction=direction, iterations=iterations, H=H)
 
     @classmethod
     def at(
@@ -283,14 +319,16 @@ def leading_term(
     minimal critical points, e.g. those given by a symmetry of H.
 
     Raises:
-        DomainError: if n is not a positive integer, n r is not integral
-            or has a coordinate that rounds below 1, w is not a positive
-            critical point in direction r, or the Hessian or the constant
-            is not positive there.
+        DomainError: if n is not a positive integer that fits a float64,
+            n r is not integral or has a coordinate that rounds below 1,
+            w is not a positive critical point in direction r, or the
+            Hessian or the constant is not positive there.
     """
     import numpy as np
 
     check_sizes(at_least=1, n=n)
+    if n > _FLOAT_MAX:
+        raise DomainError(f"n must fit a float64, got a {int(n).bit_length()}-bit integer")
     rv = np.array(_check_direction(H, r))
     zv = np.array(_check_point(H, w))
     if G.num_vars != H.num_vars:

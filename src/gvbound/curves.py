@@ -14,9 +14,8 @@ runs of the same spec produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DomainError
 from .numeric import check_sizes
@@ -64,8 +63,7 @@ BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple):
     """One sweep request: channel, bounds, sweep grid, and tau for synthesis."""
 
     channel: str
@@ -108,8 +106,13 @@ class CurveSpec:
             raise DomainError(
                 f"sweep needs 2 <= steps <= {MAX_STEPS}, got {self.steps}"
             )
-        if not self.lo < self.hi:
-            raise DomainError(f"sweep range must satisfy lo < hi, got {self.lo}:{self.hi}")
+        try:
+            if not self.lo < self.hi:
+                raise TypeError
+        except TypeError:  # out of order, or not comparable numbers
+            raise DomainError(
+                f"sweep range must satisfy lo < hi, got {self.lo}:{self.hi}"
+            ) from None
         # the channel rejects parameters outside its domain
         evaluate = self._evaluator()
         return evaluate(self.lo), evaluate(self.hi)
@@ -130,8 +133,7 @@ class CurveSpec:
         return partial(evaluate_point, self.tau)
 
 
-@dataclass(frozen=True)
-class RateCurve:
+class RateCurve(NamedTuple):
     """One bound evaluated over the sweep grid."""
 
     label: str

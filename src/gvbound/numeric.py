@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+import sys
 from functools import cache
 from numbers import Integral
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DomainError, MemoryBudgetError, NoRootFoundError, NoSignChangeError, NonConvergenceError,
@@ -49,6 +49,7 @@ __all__ = [
 
 NEG_INF = float("-inf")
 TABLE_CELL_BUDGET = 1 << 26
+_FLOAT_MAX = sys.float_info.max  # an int past it has no float64 value
 
 # Largest log2 count bound at which a log2 table is built in linear
 # float64 counts (CountMode._accumulator).  Far enough below the float64
@@ -127,8 +128,7 @@ def _check_table_cells(shape: tuple[int, ...]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CountMode:
+class CountMode(NamedTuple):
     """How a pair-count table stores counts: "exact" keeps Python integers
     in an object array and adds them with numpy.add; "log2" keeps float64
     log2 counts, -inf for zero, and adds them with numpy.logaddexp2.  add is
@@ -229,8 +229,7 @@ def count_mode(mode: str) -> CountMode:
     return _modes()[mode]
 
 
-@dataclass(frozen=True)
-class BracketedRoot:
+class BracketedRoot(NamedTuple):
     """A root of a scalar function together with its final bracket.
 
     Attributes:
@@ -244,8 +243,11 @@ class BracketedRoot:
     bracket: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class RealPolynomial:
+class _PolynomialFields(NamedTuple):
+    coefficients: tuple[float, ...]
+
+
+class RealPolynomial(_PolynomialFields):
     """Real polynomial with coefficients stored constant term first.
 
     Trailing zero coefficients are trimmed on construction so the leading
@@ -255,15 +257,15 @@ class RealPolynomial:
         DomainError: for a coefficient that is not a finite real number.
     """
 
-    coefficients: tuple[float, ...]
+    __slots__ = ()
 
-    def __init__(self, coefficients: Sequence[float]):
+    def __new__(cls, coefficients: Sequence[float]):
         coeffs = [_finite_float(c, "polynomial coefficients") for c in coefficients]
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs.pop()
         if not coeffs:
             coeffs = [0.0]
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        return super().__new__(cls, tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -302,9 +304,9 @@ def find_root_bisection(f: Callable[[float], float], lo: float, hi: float) -> Br
             iteration budget.
     """
     try:
-        if not -math.inf < lo < hi < math.inf:
+        if not -_FLOAT_MAX <= lo < hi <= _FLOAT_MAX:
             raise TypeError
-    except TypeError:  # out of order or not finite, or not real numbers
+    except TypeError:  # out of order or past float64, or not real numbers
         raise DomainError(
             f"bracket endpoints must be finite with lo < hi, got [{lo}, {hi}]"
         ) from None

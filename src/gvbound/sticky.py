@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
@@ -67,19 +66,22 @@ _LB_BOUNDARY = 0.25  # insertion density from which the crude bound is zero
 _CANCELLATION_RATIO = 1e-4  # density ratio below which root - rho (or - delta) loses half its digits
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Run-length vector: positive integer parts summing to n."""
-
+class _CompositionFields(NamedTuple):
     parts: tuple[int, ...]
 
-    def __init__(self, parts: Sequence[int]):
+
+class Composition(_CompositionFields):
+    """Run-length vector: positive integer parts summing to n."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Sequence[int]):
         for part in parts:
             check_sizes(at_least=1, part=part)
         cleaned = tuple(int(p) for p in parts)
         if not cleaned:
             raise DomainError("a composition needs at least one part")
-        object.__setattr__(self, "parts", cleaned)
+        return super().__new__(cls, cleaned)
 
     @property
     def n(self) -> int:
@@ -150,8 +152,7 @@ def confusable_bruteforce(u: Composition, v: Composition, b: int) -> bool:
     return not _inflations(u, b).isdisjoint(_inflations(v, b))
 
 
-@dataclass(frozen=True)
-class PairCountTable:
+class PairCountTable(NamedTuple):
     """One level r of the pair-count tables.
 
     entries[n1, n2, s] is the number of ordered composition pairs
@@ -553,8 +554,7 @@ def simple_lb_rate(beta: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class StickyPoint:
+class StickyPoint(NamedTuple):
     """One sticky-channel evaluation: every printed value, branch and flag.
 
     The bounds depend on beta alone; capacity is H(rho), or its maximum 1
@@ -593,7 +593,7 @@ def evaluate_point(beta: float, rho: float | None = None) -> StickyPoint:
     ball = ball_rate(rho, beta)  # checks rho before entropy does
     branch = _ball_branch(rho, beta)
     cp = critical_point_closed_form(rho, 2.0 * beta) if branch == "smooth" else None
-    return replace(
-        point, capacity=entropy(rho), rho=rho, branch=branch, ball_rate=ball,
+    return point._replace(
+        capacity=entropy(rho), rho=rho, branch=branch, ball_rate=ball,
         critical_point=cp, saturated=branch == "saturated",
     )

@@ -26,14 +26,14 @@ exact Hamming exponent (measured, not proven).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import acsv
 from .errors import DomainError, SizeLimitError
 from .numeric import (
+    _FLOAT_MAX,
     CountMode,
     RealPolynomial,
     check_sizes,
@@ -127,8 +127,7 @@ def count_words_exact(n: int, t_max: int) -> int:
     return sum(by_time[: max(t_max + 1, 0)])
 
 
-@dataclass(frozen=True)
-class SynthesisPairTable:
+class SynthesisPairTable(NamedTuple):
     """Pair counts at one strand length, resolved by combined time.
 
     entries[d, t, s] counts ordered strand pairs (u, v) of length n with
@@ -313,9 +312,9 @@ _POLY_D = RealPolynomial([1.0, 2.0, 2.0, 2.0, 1.0])  # (1+y^4)+2y(1+y+y^2)
 
 def _check_tau(tau: float) -> None:
     try:
-        if not 1.0 < tau < math.inf:
+        if not 1.0 < tau <= _FLOAT_MAX:
             raise TypeError
-    except TypeError:  # out of range, or not a real number
+    except TypeError:  # out of range or past float64, or not a real number
         raise DomainError(f"tau must be > 1 and finite, got {tau}") from None
 
 
@@ -397,8 +396,7 @@ def _delta_max(tau: float) -> tuple[float, float]:
     return dm, y
 
 
-@dataclass(frozen=True)
-class SynthesisPoint:
+class SynthesisPoint(NamedTuple):
     """One synthesis-channel evaluation: every printed value, branch and flag.
 
     branch is the piece of the ball rate bound taken (unconstrained,

@@ -10,9 +10,8 @@ any other exception propagates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import acsv, sticky, synthesis
 from .errors import GVBoundError
@@ -25,8 +24,7 @@ _RESIDUAL_TOL = 1e-9
 _ARGMAX_GRID_POINTS = 512
 _ARGMAX_ZOOMS = 4
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool

@@ -1,7 +1,5 @@
 """Fixtures shared by the pair-count table tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -29,5 +27,5 @@ def linear_adds(monkeypatch):
     calls = []
     modes = numeric._modes()
     add = _CountingAdd(calls)
-    monkeypatch.setitem(modes, "linear", dataclasses.replace(modes["linear"], add=add))
+    monkeypatch.setitem(modes, "linear", modes["linear"]._replace(add=add))
     return calls

@@ -88,6 +88,17 @@ def test_curve_spec_rejects_a_repeated_bound(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(None, 0.4), (0.0, None), (0.1, "0.4"), ("0.1", 0.4), ("0.1", "0.4")],
+    ids=["lo-None", "hi-None", "hi-str", "lo-str", "both-str"],
+)
+def test_curve_spec_rejects_a_range_that_is_not_numbers(lo, hi):
+    # None < 0.4 raised TypeError; two strings compare, and the channel rejects lo
+    with pytest.raises(DomainError):
+        CurveSpec("sticky", ("gv",), lo, hi, 10).validate()
+
+
 def test_curve_spec_caps_steps_before_allocating():
     CurveSpec("sticky", ("gv",), 0.0, 0.4, MAX_STEPS).validate()
     with pytest.raises(DomainError):
@@ -535,6 +546,22 @@ def test_closed_form_commands_never_load_numpy(tmp_path):
     for step, code, numpy_loaded in _report_after_each_command(commands, "'numpy' in sys.modules"):
         assert code == 0, step
         assert not numpy_loaded, f"numpy loaded after {step}"
+
+
+def test_cli_never_loads_dataclasses(tmp_path):
+    # the records are NamedTuples or plain classes; dataclasses would import
+    # inspect, ast, dis and tokenize at every start-up
+    commands = [
+        argv + ["--output", str(tmp_path / f"out{k}")] if argv[0] == "curve" else argv
+        for k, argv in enumerate(_CLOSED_FORM_COMMANDS)
+    ]
+    probe = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
+    for step, code, loaded in _report_after_each_command(commands, probe):
+        assert code == 0, step
+        assert loaded == [], f"{loaded} loaded after {step}"
+    # numpy itself imports inspect, so only dataclasses is checked here
+    report = _report_after_each_command([["verify", "all"]], "'dataclasses' in sys.modules")
+    assert [(code, loaded) for _, code, loaded in report] == [(0, False), (0, False)]
 
 
 def test_sticky_counts_never_load_numpy():

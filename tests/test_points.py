@@ -1,11 +1,10 @@
 """Tests for the per-point evaluation records and the input domains."""
 
-import dataclasses
 import math
 
 import pytest
 
-from gvbound import acsv, cli, numeric, sticky, synthesis
+from gvbound import acsv, cli, curves, numeric, sticky, synthesis, verify
 from gvbound.errors import DomainError, MemoryBudgetError
 from gvbound.numeric import entropy
 
@@ -53,7 +52,7 @@ def test_sticky_point_without_rho_has_no_ball():
     assert p.lb_boundary
     assert (p.rho, p.branch, p.ball_rate, p.critical_point) == (None,) * 4
     assert not p.saturated
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         p.gv_rate = 1.0
 
 
@@ -195,6 +194,28 @@ def test_nan_and_inf_raise_domain_error(name, args):
 def test_non_real_densities_raise_domain_error(name, args):
     module, fn = name.split(".")
     modules = {"numeric": numeric, "sticky": sticky, "synthesis": synthesis}
+    with pytest.raises(DomainError):
+        getattr(modules[module], fn)(*args)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        # the first bisection midpoint, or f at the bracket end, overflowed
+        ("numeric.find_root_bisection", (lambda x: x - 0.3, 0.0, 10**400)),
+        ("numeric.find_root_bisection", (lambda x: x + 0.3, -(10**400), 0.0)),
+        # an int tau past float64 passed the range check: the polynomial overflowed
+        ("synthesis.critical_point", (10**400, 0.3)),
+        ("synthesis.capacity", (10**400,)),
+        ("synthesis.evaluate_point", (10**400, 0.3)),
+        # n * r overflowed in the leading term
+        ("sticky.leading_pair_count_log2", (10**400, 0.5, 0.25)),
+        ("acsv.leading_term", (_H, _H, (1.0, 1.0), (0.5, 0.5), 10**400)),
+    ],
+)
+def test_integers_past_float64_raise_domain_error(name, args):
+    module, fn = name.split(".")
+    modules = {"acsv": acsv, "numeric": numeric, "sticky": sticky, "synthesis": synthesis}
     with pytest.raises(DomainError):
         getattr(modules[module], fn)(*args)
 
@@ -356,7 +377,7 @@ def _no_step(*args, **kwargs):
 def test_pair_tables_over_the_cell_budget_raise_before_allocating(monkeypatch):
     modes = numeric._modes()
     for name in ("exact", "log2"):
-        monkeypatch.setitem(modes, name, dataclasses.replace(modes[name], add=_no_step))
+        monkeypatch.setitem(modes, name, modes[name]._replace(add=_no_step))
     budget = f"budget is {numeric.TABLE_CELL_BUDGET}"
     with pytest.raises(MemoryBudgetError, match=budget):
         sticky.pair_count_table(1000, 1000, 1, 100)
@@ -392,3 +413,43 @@ def test_pair_tables_fit_a_budget_of_exactly_their_cells(monkeypatch, build, cel
     monkeypatch.setattr(numeric, "TABLE_CELL_BUDGET", cells - 1)
     with pytest.raises(MemoryBudgetError, match=f"needs {cells} cells"):
         build()
+
+
+# -------------------------------------------------------------- record semantics
+
+_MODE = numeric.CountMode("exact", 0, 1, object, sum)
+# cls, constructor arguments, a field and another value for it; an ndarray
+# has no hash, so a tuple stands in for a table's entries
+_RECORDS = [
+    (numeric.CountMode, tuple(_MODE), "name", "log2"),
+    (numeric.BracketedRoot, (0.5, 0.0, (0.0, 1.0)), "root", 0.25),
+    (numeric.RealPolynomial, ((1.0, -2.0),), "coefficients", (3.0,)),
+    (acsv.SparseMultivariatePolynomial, (2, _H.terms), "num_vars", 3),
+    (acsv.CriticalPoint, ((0.5, 0.5), (1.0, 1.0), 0, _H), "iterations", 1),
+    (sticky.Composition, ((2, 1),), "parts", (3,)),
+    (sticky.PairCountTable, (_MODE, 1, ((0, 1),)), "r", 2),
+    (sticky.StickyPoint, (0.125, 1.0, 0.28, 0.42, 0.66, 0.08, False, False), "rho", 0.3),
+    (synthesis.SynthesisPairTable, (_MODE, 2, ((0, 1),)), "n", 3),
+    (synthesis.SynthesisPoint, (2.0, 1.85, 0.3, "smooth", 3.17, 0.53, 0.5, False, False, False),
+     "delta", 0.2),
+    (curves.CurveSpec, ("sticky", ("gv",), 0.0, 0.4, 5), "steps", 7),
+    (curves.RateCurve, ("gv", ((0.0, 0.5, ()),)), "label", "sp"),
+    (verify.CheckResult, ("acsv", "check", True, "ok"), "passed", False),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, field, value", _RECORDS, ids=[record[0].__name__ for record in _RECORDS]
+)
+def test_records_are_immutable_values(cls, args, field, value):
+    a, b = cls(*args), cls(*args)
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, value)
+    with pytest.raises(AttributeError):
+        a.unknown = value
+    assert getattr(a, field) != value and a == b
+    if cls not in (acsv.SparseMultivariatePolynomial, acsv.CriticalPoint):  # the NamedTuples
+        changed = a._replace(**{field: value})
+        assert type(changed) is cls and getattr(changed, field) == value
+        assert changed != a and getattr(a, field) == getattr(b, field) != value
