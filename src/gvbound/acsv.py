@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, NonConvergenceError
-from .numeric import _FLOAT_MAX, _finite_float, check_sizes
+from .numeric import _ABOVE_0, _FLOAT_MAX, _items, _real, _shown, check_sizes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,6 +96,8 @@ class SparseMultivariatePolynomial(_Record):
     Raises:
         DomainError: for a negative or non-integer exponent, or a
             coefficient that is not a finite real number.
+        DimensionMismatchError: for terms that are not a sequence of
+            (exponents, coefficient) pairs, or exponents of another length.
     """
 
     _fields = ("num_vars", "terms")
@@ -105,17 +107,16 @@ class SparseMultivariatePolynomial(_Record):
     def __init__(self, num_vars: int, terms: Iterable[tuple[Sequence[int], float]]):
         check_sizes(at_least=1, num_vars=num_vars)
         merged: dict[tuple[int, ...], float] = {}
-        for exponents, coefficient in terms:
+        what = "polynomial coefficients must be finite real numbers"
+        shape = f"term exponents must be {_shown(num_vars)} integers"
+        for term in _items(terms, "terms must be a sequence of (exponents, coefficient) pairs"):
+            exponents, coefficient = _items(term, "a term must be (exponents, coefficient)", 2)
+            exponents = _items(exponents, shape, num_vars)
             for e in exponents:
                 check_sizes(exponent=e)
             key = tuple(int(e) for e in exponents)
-            if len(key) != num_vars:
-                raise DimensionMismatchError(
-                    f"term exponent vector {key} has length {len(key)}, expected {num_vars}"
-                )
-            term = _finite_float(coefficient, "polynomial coefficients")
             # like terms are summed, and a sum of finite floats can overflow
-            merged[key] = _finite_float(merged.get(key, 0.0) + term, "polynomial coefficients")
+            merged[key] = _real(merged.get(key, 0.0) + _real(coefficient, what), what)
         cleaned = tuple(
             (exponents, coefficient)
             for exponents, coefficient in sorted(merged.items())
@@ -191,50 +192,31 @@ class CriticalPoint(_Record):
         return _residual_norm(self.H, self.direction, self.z)
 
 
-def _vector(H: SparseMultivariatePolynomial, values: Sequence[float], what: str) -> list[float]:
-    """values as a list of H.num_vars floats.
+def _vector(
+    H: SparseMultivariatePolynomial, values: Sequence[float], name: str, what: str,
+    lo: float = -_FLOAT_MAX,
+) -> list[float]:
+    """values as a list of H.num_vars floats, each in [lo, float64 max].
 
-    DimensionMismatchError for a scalar, a nested sequence or another
-    length; DomainError for a coordinate that is not a real number, or
-    one too large for a float.
+    DimensionMismatchError for a scalar, a nested sequence or another length;
+    DomainError(f"{what}, got ...") for the first coordinate out of range.
     """
+    shape = f"{name} must be a sequence of {H.num_vars} numbers"
+    items = _items(values, shape, H.num_vars)
     try:
-        items = list(values)
-    except TypeError:
-        raise DimensionMismatchError(
-            f"{what} must be a sequence of {H.num_vars} numbers, got {values!r}"
-        ) from None
-    if len(items) != H.num_vars:
-        raise DimensionMismatchError(
-            f"{what} has {len(items)} coordinates, polynomial has {H.num_vars} variables"
-        )
-    vector = []
-    for c in items:
-        try:
-            vector.append(float(c))
-        except (TypeError, ValueError):
-            if isinstance(c, Iterable) and not isinstance(c, str):
-                raise DimensionMismatchError(
-                    f"{what} must be a flat sequence of numbers, got {values!r}"
-                ) from None
-            raise DomainError(f"{what} coordinates must be real numbers, got {c!r}") from None
-        except OverflowError:  # an integer past the float64 range
-            raise DomainError(f"{what} coordinates must be finite, got {c!r}") from None
-    return vector
+        return [_real(c, what, lo) for c in items]
+    except DomainError:
+        if any(isinstance(c, Iterable) and not isinstance(c, (str, bytes)) for c in items):
+            raise DimensionMismatchError(f"{shape}, got {_shown(values)}") from None
+        raise
 
 
 def _check_point(H: SparseMultivariatePolynomial, z: Sequence[float]) -> list[float]:
-    zv = _vector(H, z, "point")
-    if not all(map(math.isfinite, zv)):
-        raise DomainError(f"point coordinates must be finite, got {zv}")
-    return zv
+    return _vector(H, z, "point", "point coordinates must be finite")
 
 
 def _check_direction(H: SparseMultivariatePolynomial, r: Sequence[float]) -> list[float]:
-    rv = _vector(H, r, "direction")
-    if not all(0.0 < c < math.inf for c in rv):
-        raise DomainError(f"direction components must be positive and finite, got {r}")
-    return rv
+    return _vector(H, r, "direction", "direction components must be positive and finite", _ABOVE_0)
 
 
 def _power(base: float, e: int) -> float:
@@ -327,8 +309,7 @@ def leading_term(
     import numpy as np
 
     check_sizes(at_least=1, n=n)
-    if n > _FLOAT_MAX:
-        raise DomainError(f"n must fit a float64, got a {int(n).bit_length()}-bit integer")
+    _real(n, "n must fit a float64")
     rv = np.array(_check_direction(H, r))
     zv = np.array(_check_point(H, w))
     if G.num_vars != H.num_vars:
@@ -336,7 +317,7 @@ def leading_term(
             f"numerator has {G.num_vars} variables, denominator has {H.num_vars}"
         )
     if not np.all(zv > 0.0):
-        raise DomainError(f"point must be strictly positive, got {list(w)}")
+        raise DomainError(f"point must be strictly positive, got {zv.tolist()}")
     index = n * rv
     rounded = np.round(index)
     if np.any(np.abs(index - rounded) > _INTEGRAL_INDEX_TOL * np.maximum(index, 1.0)):

@@ -18,7 +18,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DomainError
-from .numeric import check_sizes
+from .numeric import _items, _real, _shown, check_sizes
 
 if TYPE_CHECKING:
     from .sticky import StickyPoint
@@ -85,33 +85,35 @@ class CurveSpec(NamedTuple):
         its domain before any other grid point is evaluated.
         """
         if self.channel not in ("sticky", "synthesis"):
-            raise DomainError(f"unknown channel {self.channel!r}")
+            raise DomainError(f"unknown channel {_shown(self.channel)}")
         if self.channel == "synthesis" and self.tau is None:
             raise DomainError("synthesis curves need --tau")
         if self.channel == "sticky" and self.tau is not None:
             raise DomainError("sticky curves take no --tau")
         allowed = BOUNDS[self.channel]
-        if not self.bounds:
+        bounds = _items(self.bounds, "bounds must be a sequence of names")
+        if not bounds:
             raise DomainError("at least one bound must be requested")
-        for b in self.bounds:
-            if b not in allowed:
+        for b in bounds:
+            if not isinstance(b, str) or b not in allowed:  # a list cannot be looked up
                 raise DomainError(
-                    f"bound {b!r} not available for {self.channel} "
+                    f"bound {_shown(b)} not available for {self.channel} "
                     f"(choose from {', '.join(allowed)})"
                 )
-        if len(set(self.bounds)) < len(self.bounds):
-            raise DomainError(f"each bound may be requested once, got {','.join(self.bounds)}")
+        if len(set(bounds)) < len(bounds):
+            raise DomainError(f"each bound may be requested once, got {','.join(bounds)}")
         check_sizes(at_least=None, steps=self.steps)
         if not 2 <= self.steps <= MAX_STEPS:
             raise DomainError(
-                f"sweep needs 2 <= steps <= {MAX_STEPS}, got {self.steps}"
+                f"sweep needs 2 <= steps <= {MAX_STEPS}, got {_shown(self.steps)}"
             )
-        try:
-            if not self.lo < self.hi:
-                raise TypeError
-        except TypeError:  # out of order, or not comparable numbers
+        try:  # an infinite end passes, for the channel to reject
+            lo = _real(self.lo, "lo", -math.inf, math.inf)
+            if not lo < _real(self.hi, "hi", -math.inf, math.inf):
+                raise DomainError
+        except DomainError:  # out of order, or not real numbers
             raise DomainError(
-                f"sweep range must satisfy lo < hi, got {self.lo}:{self.hi}"
+                f"sweep range must satisfy lo < hi, got {_shown(self.lo)}:{_shown(self.hi)}"
             ) from None
         # the channel rejects parameters outside its domain
         evaluate = self._evaluator()
@@ -119,8 +121,9 @@ class CurveSpec(NamedTuple):
 
     def grid(self) -> list[float]:
         """steps evenly spaced points from lo to hi; rounding never carries one past hi."""
-        step = (self.hi - self.lo) / (self.steps - 1)
-        return [min(self.lo + k * step, self.hi) for k in range(self.steps)]
+        lo, hi = float(self.lo), float(self.hi)
+        step = (hi - lo) / (self.steps - 1)
+        return [min(lo + k * step, hi) for k in range(self.steps)]
 
     def _evaluator(self) -> Callable[[float], StickyPoint | SynthesisPoint]:
         """The channel's evaluation record as a function of the sweep value."""
@@ -198,7 +201,7 @@ def render_svg(spec: CurveSpec, curves: list[RateCurve]) -> str:
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    x_lo, x_hi = spec.lo, spec.hi
+    x_lo, x_hi = float(spec.lo), float(spec.hi)
     y_values = [row[1] for c in curves for row in c.rows if math.isfinite(row[1])]
     y_lo = 0.0
     y_hi = max(y_values) if y_values else 1.0

@@ -1,7 +1,7 @@
 """Shared numeric primitives: entropy, exact binomials, count modes, 1-D root finding.
 
-Probabilities and densities are plain floats validated at the boundary
-(a value in [0, 1]); counts are arbitrary-precision Python integers, or
+Probabilities and densities are plain floats, converted and range-checked
+at the boundary by _real; counts are arbitrary-precision Python integers, or
 their log2 in the "log2" count mode of the pair-count tables (CountMode).
 All logarithms are base 2, so every rate in the package is measured in
 bits per symbol.
@@ -27,7 +27,8 @@ from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
-    DomainError, MemoryBudgetError, NoRootFoundError, NoSignChangeError, NonConvergenceError,
+    DimensionMismatchError, DomainError, MemoryBudgetError, NoRootFoundError, NoSignChangeError,
+    NonConvergenceError,
 )
 
 if TYPE_CHECKING:
@@ -50,6 +51,9 @@ __all__ = [
 NEG_INF = float("-inf")
 TABLE_CELL_BUDGET = 1 << 26
 _FLOAT_MAX = sys.float_info.max  # an int past it has no float64 value
+# an open end of a density range as the closed bound _real takes: x >= _ABOVE_0 is x > 0
+_ABOVE_0 = math.nextafter(0.0, 1.0)
+_BELOW_1 = math.nextafter(1.0, 0.0)
 
 # Largest log2 count bound at which a log2 table is built in linear
 # float64 counts (CountMode._accumulator).  Far enough below the float64
@@ -71,11 +75,7 @@ def entropy(p: float) -> float:
     Raises:
         DomainError: if p lies outside [0, 1].
     """
-    try:
-        if not 0.0 <= p <= 1.0:
-            raise TypeError
-    except TypeError:  # out of range, or not a real number
-        raise DomainError(f"entropy argument must lie in [0, 1], got {p}") from None
+    p = _real(p, "entropy argument must lie in [0, 1]", 0.0, 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -89,7 +89,7 @@ def binomial_exact(n: int, k: int) -> int:
     """
     check_sizes(n=n, k=k)
     if k > n:
-        raise DomainError(f"binomial_exact requires 0 <= k <= n, got n={n}, k={k}")
+        raise DomainError(f"binomial_exact requires 0 <= k <= n, got n={_shown(n)}, k={_shown(k)}")
     return math.comb(n, k)
 
 
@@ -104,19 +104,52 @@ def check_sizes(*, at_least: int | None = 0, **sizes) -> None:
     for name, value in sizes.items():
         # a plain int skips the abstract Integral test, about 1 microsecond each
         if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+            raise DomainError(f"{name} must be an integer, got {_shown(value)}")
         if at_least is not None and value < at_least:
-            raise DomainError(f"{name} must be >= {at_least}, got {value}")
+            raise DomainError(f"{name} must be >= {at_least}, got {_shown(value)}")
 
 
-def _finite_float(value, what: str) -> float:
-    """float(value); DomainError unless value is a real number with a finite float."""
+def _real(value, what: str, lo: float = -_FLOAT_MAX, hi: float = _FLOAT_MAX) -> float:
+    """value as a float in [lo, hi]; DomainError(f"{what}, got ...") for any other value.
+
+    An int, Fraction, Decimal or numpy scalar is computed as its float.  A
+    str or bytes, which float() would parse, defines no __float__; complex
+    numbers and arrays fail to convert; NaN, infinities and values past
+    float64 fall outside [lo, hi].  An open end is passed as the adjacent
+    float, such as _ABOVE_0.
+    """
+    x = value
+    if type(x) is not float:  # a float, the common case, needs no conversion
+        try:
+            x = float(value) if hasattr(value, "__float__") else math.nan
+        except (TypeError, ValueError, ArithmeticError):  # complex, array; past float64, sNaN
+            x = math.nan
+    if lo <= x <= hi:
+        return x
+    raise DomainError(f"{what}, got {_shown(value)}")
+
+
+def _items(values, what: str, length: int | None = None) -> list:
+    """values as a list; DimensionMismatchError for a scalar or a list of another length."""
     try:
-        if math.isfinite(x := float(value)):
-            return x
-    except (TypeError, ValueError, OverflowError):  # not a real number, or too large
-        pass
-    raise DomainError(f"{what} must be finite real numbers, got {value!r}")
+        items = list(values)
+    except TypeError:  # a scalar
+        items = None
+    if items is None or length is not None and len(items) != length:
+        raise DimensionMismatchError(f"{what}, got {_shown(values)}")
+    return items
+
+
+def _shown(value) -> str:
+    """A rejected value as a message shows it: repr capped at 80 characters, and an
+    int past 64 bits by its bit length, since Python prints no int past 4300 digits."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+    try:
+        text = repr(value)
+    except ValueError:  # a huge int inside a container or a Fraction
+        text = f"<{type(value).__name__}>"
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _check_table_cells(shape: tuple[int, ...]) -> None:
@@ -124,7 +157,7 @@ def _check_table_cells(shape: tuple[int, ...]) -> None:
     cells = math.prod(shape)
     if cells > TABLE_CELL_BUDGET:
         raise MemoryBudgetError(
-            f"pair table needs {cells} cells per layer, budget is {TABLE_CELL_BUDGET}"
+            f"pair table needs {_shown(cells)} cells per layer, budget is {TABLE_CELL_BUDGET}"
         )
 
 
@@ -220,7 +253,7 @@ def _modes() -> dict[str, CountMode]:
 def _check_mode(mode: str) -> None:
     """DomainError unless mode is "exact" or "log2"; loads no numpy."""
     if mode not in ("exact", "log2"):
-        raise DomainError(f"mode must be 'exact' or 'log2', got {mode!r}")
+        raise DomainError(f"mode must be 'exact' or 'log2', got {_shown(mode)}")
 
 
 def count_mode(mode: str) -> CountMode:
@@ -255,12 +288,14 @@ class RealPolynomial(_PolynomialFields):
 
     Raises:
         DomainError: for a coefficient that is not a finite real number.
+        DimensionMismatchError: for coefficients that are not a sequence.
     """
 
     __slots__ = ()
 
     def __new__(cls, coefficients: Sequence[float]):
-        coeffs = [_finite_float(c, "polynomial coefficients") for c in coefficients]
+        what = "polynomial coefficients must be finite real numbers"
+        coeffs = [_real(c, what) for c in _items(coefficients, "coefficients must be a sequence")]
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs.pop()
         if not coeffs:
@@ -304,11 +339,12 @@ def find_root_bisection(f: Callable[[float], float], lo: float, hi: float) -> Br
             iteration budget.
     """
     try:
-        if not -_FLOAT_MAX <= lo < hi <= _FLOAT_MAX:
-            raise TypeError
-    except TypeError:  # out of order or past float64, or not real numbers
+        lo, hi = _real(lo, "lo"), _real(hi, "hi")
+        if not lo < hi:
+            raise DomainError
+    except DomainError:  # out of order, or not finite real numbers
         raise DomainError(
-            f"bracket endpoints must be finite with lo < hi, got [{lo}, {hi}]"
+            f"bracket endpoints must be finite with lo < hi, got [{_shown(lo)}, {_shown(hi)}]"
         ) from None
     f_lo = f(lo)
     f_hi = f(hi)

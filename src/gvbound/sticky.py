@@ -21,16 +21,17 @@ insertions per symbol, with L1 radius density delta = 2*beta.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .numeric import (
-    NEG_INF, CountMode, _check_mode, _check_table_cells, binomial_exact, check_sizes, count_mode,
-    entropy,
+    _ABOVE_0, _BELOW_1, NEG_INF, CountMode, _check_mode, _check_table_cells, _items, _real, _shown,
+    binomial_exact, check_sizes, count_mode, entropy,
 )
 
 if TYPE_CHECKING:
@@ -76,6 +77,7 @@ class Composition(_CompositionFields):
     __slots__ = ()
 
     def __new__(cls, parts: Sequence[int]):
+        parts = _items(parts, "a composition must be a sequence of parts")
         for part in parts:
             check_sizes(at_least=1, part=part)
         cleaned = tuple(int(p) for p in parts)
@@ -99,6 +101,8 @@ def compositions(n: int, r: int) -> Iterator[Composition]:
     come in lexicographic order, and so do the parts.
     """
     check_sizes(n=n, r=r)
+    if n > sys.maxsize:  # before itertools.combinations, which cannot index past it
+        raise DomainError(f"n must be at most sys.maxsize, got {_shown(n)}")
     if not n >= r >= 1:
         return iter(())
     return (
@@ -147,7 +151,7 @@ def confusable_bruteforce(u: Composition, v: Composition, b: int) -> bool:
     _check_pair(u, v, b)
     if binomial_exact(b + u.r - 1, u.r - 1) > _CONFUSABLE_ENUM_LIMIT:
         raise SizeLimitError(
-            f"enumerating {b} insertions over {u.r} runs is too large"
+            f"enumerating {_shown(b)} insertions over {u.r} runs is too large"
         )
     return not _inflations(u, b).isdisjoint(_inflations(v, b))
 
@@ -174,7 +178,8 @@ class PairCountTable(NamedTuple):
         n1_max, n2_max, s_max = (dim - 1 for dim in self.entries.shape)
         if n1 > n1_max or n2 > n2_max or s > s_max:
             raise DomainError(
-                f"({n1},{n2},{s}) outside table dims ({n1_max},{n2_max},{s_max})"
+                f"({_shown(n1)},{_shown(n2)},{_shown(s)}) outside table dims "
+                f"({n1_max},{n2_max},{s_max})"
             )
         return True
 
@@ -219,7 +224,7 @@ def iter_pair_layers(
 def _tables(
     n1_max: int, n2_max: int, r_first: int, r_max: int, s_max: int, mode: str
 ) -> Iterator[PairCountTable]:
-    """The tables r = r_first .. r_max of iter_pair_layers; the sizes are checked on the first next."""
+    """The tables r = r_first .. r_max of iter_pair_layers; sizes are checked on the first next."""
     check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
     cm = count_mode(mode)
     import numpy as np
@@ -230,7 +235,8 @@ def _tables(
     d = count_mode("exact").blank((min(n1_max, s_max) + 1, min(n2_max, s_max) + 1))  # D_r[P, Q]
     d[0, 0] = 1
     fits = np.add.outer(np.arange(d.shape[0]), np.arange(d.shape[1])) <= s_max
-    for r in range(1, r_max + 1):
+    # a level past m_top is zero and leaves D_r as it is: skip those before r_first
+    for r in chain(range(1, min(r_first, m_top + 1)), range(r_first, r_max + 1)):
         if r <= m_top:  # times (1 - ab) / ((1 - a)(1 - b))
             d[1:, 1:] = d[1:, 1:] - d[:-1, :-1]
             np.add.accumulate(d, axis=0, out=d)
@@ -320,7 +326,7 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
     size2 = binomial_exact(n2 - 1, r - 1)
     if size1 * size2 > _BRUTEFORCE_PAIR_LIMIT:
         raise SizeLimitError(
-            f"{size1 * size2} composition pairs exceed the enumeration limit"
+            f"{_shown(size1 * size2)} composition pairs exceed the enumeration limit"
         )
     return _bruteforce_histogram(n1, n2, r).get(s, 0)
 
@@ -367,12 +373,8 @@ def pair_generating_denominator() -> acsv.SparseMultivariatePolynomial:
     )
 
 
-def _check_rho(rho: float) -> None:
-    try:
-        if not 0.0 < rho < 1.0:
-            raise TypeError
-    except TypeError:  # out of range, or not a real number
-        raise DomainError(f"rho must be in (0,1), got {rho}") from None
+def _check_rho(rho: float) -> float:
+    return _real(rho, "rho must be in (0,1)", _ABOVE_0, _BELOW_1)
 
 
 def critical_point_closed_form(rho: float, delta: float) -> acsv.CriticalPoint:
@@ -384,12 +386,8 @@ def critical_point_closed_form(rho: float, delta: float) -> acsv.CriticalPoint:
     2 - delta - 2*rho > 0 with delta > 0; the saturated regime is handled
     by ball_rate directly.
     """
-    _check_rho(rho)
-    try:
-        if not delta > 0.0:
-            raise TypeError
-    except TypeError:  # out of range, or not a real number
-        raise DomainError(f"delta must be > 0, got {delta}") from None
+    rho = _check_rho(rho)
+    delta = _real(delta, "delta must be > 0", _ABOVE_0, math.inf)  # the test below rejects inf
     if not 2.0 - delta - 2.0 * rho > 0.0:
         raise DomainError(
             f"point exists only for 2 - delta - 2*rho > 0, got rho={rho}, delta={delta}"
@@ -423,13 +421,15 @@ def leading_pair_count_log2(n: int, rho: float, delta: float) -> float:
             integer with rho n and delta n integral and at least 1
             (acsv.leading_term).
     """
+    rho = _check_rho(rho)
     try:
-        if not 0.0 < delta < math.inf or _ball_branch(rho, delta / 2.0) != "smooth":
-            raise TypeError
-    except TypeError:  # out of range, or not a real number
+        delta = _real(delta, "delta", _ABOVE_0)
+        if _ball_branch(rho, delta / 2.0) != "smooth":
+            raise DomainError
+    except DomainError:  # off the smooth branch, or not a finite real number
         raise DomainError(
             f"leading term needs the smooth branch 0 < delta < 2 beta_max(rho), "
-            f"got rho={rho}, delta={delta}"
+            f"got rho={rho}, delta={_shown(delta)}"
         ) from None
     cp = critical_point_closed_form(rho, delta)
     one_point = acsv.leading_term(
@@ -442,15 +442,15 @@ def leading_pair_count_log2(n: int, rho: float, delta: float) -> float:
 
 def beta_max(rho: float) -> float:
     """Insertion density at which the total ball saturates."""
-    _check_rho(rho)
+    rho = _check_rho(rho)
     return (1.0 - rho) / (2.0 - rho)
 
 
 def _ball_branch(rho: float, beta: float) -> str:
-    """Piece of ball_rate that applies at (rho, beta)."""
+    """Piece of ball_rate that applies at the checked (rho, beta)."""
     if beta == 0.0:
         return "diagonal"
-    if beta >= beta_max(rho):
+    if beta >= (1.0 - rho) / (2.0 - rho):  # beta_max(rho), without checking rho again
         return "saturated"
     return "smooth"
 
@@ -468,12 +468,8 @@ def ball_rate(rho: float, beta: float) -> float:
     the diagonal), twice H(rho) once beta reaches beta_max(rho) (the
     ball covers all pairs), and the smooth closed form in between.
     """
-    _check_rho(rho)
-    try:
-        if not 0.0 <= beta < math.inf:
-            raise TypeError
-    except TypeError:  # out of range, or not a real number
-        raise DomainError(f"beta must be finite and >= 0, got {beta}") from None
+    rho = _check_rho(rho)
+    beta = _real(beta, "beta must be finite and >= 0", 0.0)
     branch = _ball_branch(rho, beta)
     if branch == "diagonal":
         return entropy(rho)
@@ -492,12 +488,8 @@ def ball_rate(rho: float, beta: float) -> float:
     )
 
 
-def _check_beta(beta: float) -> None:
-    try:
-        if not 0.0 <= beta <= 0.5:
-            raise TypeError
-    except TypeError:  # out of range, or not a real number
-        raise DomainError(f"beta must be in [0, 0.5], got {beta}") from None
+def _check_beta(beta: float) -> float:
+    return _real(beta, "beta must be in [0, 0.5]", 0.0, 0.5)
 
 
 def _gv_objective(rho: float, beta: float) -> float:
@@ -516,7 +508,7 @@ def gv_rate(beta: float) -> tuple[float, float]:
     `gvbound verify sticky` checks it against a numeric argmax.  Returns
     (rate, rho_star), the rate floored at zero.
     """
-    _check_beta(beta)
+    beta = _check_beta(beta)
     if beta == 0.5:
         return 0.0, 0.0
     rho = _gv_closed_form_rho(beta)
@@ -530,7 +522,7 @@ def sp_rate(beta: float) -> float:
     with H's symmetric argument beta / (1 + 2 beta), which keeps the digits
     of a tiny beta that (1 + beta) / (1 + 2 beta) rounds away.
     """
-    _check_beta(beta)
+    beta = _check_beta(beta)
     return (1.0 + 2.0 * beta) * (1.0 - entropy(beta / (1.0 + 2.0 * beta)))
 
 
@@ -541,7 +533,7 @@ def simple_lb_rate(beta: float) -> float:
     that density leaves the valid range at beta = 1/4, where the formula
     value reaches zero, so the bound is zero from there on.
     """
-    _check_beta(beta)
+    beta = _check_beta(beta)
     if beta == 0.0:
         return math.log2(3.0) - 1.0
     if beta >= _LB_BOUNDARY:
@@ -582,6 +574,7 @@ class StickyPoint(NamedTuple):
 
 def evaluate_point(beta: float, rho: float | None = None) -> StickyPoint:
     """Evaluate every bound at insertion density beta, and the ball at rho."""
+    beta = _check_beta(beta)
     gv, rho_star = gv_rate(beta)
     point = StickyPoint(
         beta=beta, capacity=1.0, gv_rate=gv, gv_rho_star=rho_star,
@@ -590,7 +583,8 @@ def evaluate_point(beta: float, rho: float | None = None) -> StickyPoint:
     )
     if rho is None:
         return point
-    ball = ball_rate(rho, beta)  # checks rho before entropy does
+    rho = _check_rho(rho)  # before entropy checks it to [0, 1]
+    ball = ball_rate(rho, beta)
     branch = _ball_branch(rho, beta)
     cp = critical_point_closed_form(rho, 2.0 * beta) if branch == "smooth" else None
     return point._replace(

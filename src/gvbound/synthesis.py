@@ -33,9 +33,12 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import acsv
 from .errors import DomainError, SizeLimitError
 from .numeric import (
-    _FLOAT_MAX,
+    _ABOVE_0,
+    _BELOW_1,
     CountMode,
     RealPolynomial,
+    _real,
+    _shown,
     check_sizes,
     count_mode,
     entropy,
@@ -74,13 +77,16 @@ LOG2_3 = math.log2(3.0)
 # Step costs (a, b) of one position appended to both strands, each 1..4
 _STEP_PAIRS = tuple(product(range(1, 5), repeat=2))
 
-_BRUTEFORCE_WORD_LIMIT = 4096
+_BRUTEFORCE_MAX_N = 6  # 4^6 = 4096 strands, enumerated in pairs
 _TAU_FREE = 2.5  # cycle density from which every strand is producible
+_ABOVE_1 = math.nextafter(1.0, 2.0)
 
 Strand = str
 
 
 def _check_strand(w: Strand) -> str:
+    if not isinstance(w, str):
+        raise DomainError(f"a strand must be a string over ACGT, got {_shown(w)}")
     bad = set(w) - set(ALPHABET)
     if bad:
         raise DomainError(f"strand contains symbols outside ACGT: {sorted(bad)}")
@@ -258,8 +264,8 @@ def count_pairs_bruteforce(n: int, t: int, s: int) -> int:
     """
     check_sizes(n=n)
     check_sizes(at_least=None, t=t, s=s)
-    if 4 ** n > _BRUTEFORCE_WORD_LIMIT:
-        raise SizeLimitError(f"4^{n} strands exceed the enumeration limit")
+    if n > _BRUTEFORCE_MAX_N:  # before 4 ** n, which a huge n never finishes
+        raise SizeLimitError(f"4^{_shown(n)} strands exceed the enumeration limit")
     return _bruteforce_histogram(n).get((t, s), 0)
 
 
@@ -310,12 +316,8 @@ _POLY_C = _conv([1, 0, 0, 0, -1], [1, 2, 4, 2, 1])   # (1-y^4)(1+2y+4y^2+2y^3+y^
 _POLY_D = RealPolynomial([1.0, 2.0, 2.0, 2.0, 1.0])  # (1+y^4)+2y(1+y+y^2)
 
 
-def _check_tau(tau: float) -> None:
-    try:
-        if not 1.0 < tau <= _FLOAT_MAX:
-            raise TypeError
-    except TypeError:  # out of range or past float64, or not a real number
-        raise DomainError(f"tau must be > 1 and finite, got {tau}") from None
+def _check_tau(tau: float) -> float:
+    return _real(tau, "tau must be > 1 and finite", _ABOVE_1)
 
 
 def capacity(tau: float) -> float:
@@ -325,8 +327,7 @@ def capacity(tau: float) -> float:
     (4-tau) y^3 + (3-tau) y^2 + (2-tau) y + (1-tau); from 5/2 on every
     strand is producible and the rate is the full 2 bits.
     """
-    _check_tau(tau)  # before the cache, which cannot hash a list
-    return _capacity(tau)
+    return _capacity(_check_tau(tau))  # before the cache, which cannot hash a list
 
 
 @lru_cache(maxsize=None)
@@ -349,12 +350,8 @@ def critical_point(tau: float, delta: float) -> acsv.CriticalPoint:
     polynomial; x and z follow in closed form.  Valid for 0 < delta < 1,
     except at the smallest subnormal deltas, where z underflows.
     """
-    _check_tau(tau)
-    try:
-        if not 0.0 < delta < 1.0:
-            raise TypeError
-    except TypeError:  # out of range, or not a real number
-        raise DomainError(f"delta must be in (0,1), got {delta}") from None
+    tau = _check_tau(tau)
+    delta = _real(delta, "delta must be in (0,1)", _ABOVE_0, _BELOW_1)
     coeffs = [
         2.0 * tau * a - 2.0 * b - delta * c
         for a, b, c in zip(_POLY_A, _POLY_B, _POLY_C)
@@ -377,11 +374,7 @@ def delta_max(tau: float) -> tuple[float, float]:
     delta = 2 y (1 + y + y^2) / ((1 + y^4) + 2 y (1 + y + y^2)).
     Returns (delta_max, y_min).
     """
-    try:
-        if not 1.0 < tau < _TAU_FREE:
-            raise TypeError
-    except TypeError:  # out of range, or not a real number
-        raise DomainError(f"tau must be in (1, 2.5), got {tau}") from None
+    tau = _real(tau, "tau must be in (1, 2.5)", _ABOVE_1, math.nextafter(_TAU_FREE, 0.0))
     return _delta_max(tau)  # checked before the cache, which cannot hash a list
 
 
@@ -431,19 +424,15 @@ def evaluate_point(tau: float, delta: float) -> SynthesisPoint:
     capacity.  The crude bound subtracts the same capped Hamming-ball
     exponent, without the 2, from the capacity.
     """
-    _check_tau(tau)
-    try:
-        if not 0.0 <= delta <= 1.0:
-            raise TypeError
-    except TypeError:  # out of range, or not a real number
-        raise DomainError(f"delta must be in [0,1], got {delta}") from None
-    cap = capacity(tau)
+    tau = _check_tau(tau)
+    delta = _real(delta, "delta must be in [0,1]", 0.0, 1.0)
+    cap = _capacity(tau)  # tau and delta are checked floats from here on
     dm = cp = None
     if tau >= _TAU_FREE:
         branch = "unconstrained"
         ball = 4.0 if delta >= 0.75 else 2.0 + entropy(delta) + delta * LOG2_3
     else:
-        dm, _ = delta_max(tau)
+        dm, _ = _delta_max(tau)
         if delta == 0.0:
             branch, ball = "diagonal", cap
         elif delta >= dm:

@@ -188,8 +188,7 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         worst = 0.0
         for rho in np.arange(0.1, 0.46, 0.05):
             for beta in np.arange(0.1, 0.46, 0.05):
-                delta = 2.0 * float(beta)
-                cp = sticky.critical_point_closed_form(float(rho), delta)
+                cp = sticky.critical_point_closed_form(rho, 2.0 * beta)
                 worst = max(worst, cp.residual_norm)
         return worst <= tol, f"max closed-form residual {worst:.2e}"
 
@@ -197,13 +196,10 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         worst = 0.0
         for rho in np.arange(0.1, 0.46, 0.05):
             for beta in np.arange(0.05, 0.46, 0.05):
-                rho_f, beta_f = float(rho), float(beta)
-                if beta_f >= sticky.beta_max(rho_f):
+                if beta >= sticky.beta_max(rho):
                     continue
-                via_cp = acsv.growth_exponent(
-                    sticky.critical_point_closed_form(rho_f, 2.0 * beta_f)
-                )
-                worst = max(worst, abs(via_cp - sticky.ball_rate(rho_f, beta_f)))
+                via_cp = acsv.growth_exponent(sticky.critical_point_closed_form(rho, 2.0 * beta))
+                worst = max(worst, abs(via_cp - sticky.ball_rate(rho, beta)))
         return worst <= 1e-9, f"max explicit-vs-critical-point gap {worst:.2e}"
 
     def knee_continuity() -> tuple[bool, str]:
@@ -216,12 +212,11 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
 
     def bound_ordering() -> tuple[bool, str]:
         for beta in np.arange(0.01, 0.25, 0.01):
-            b = float(beta)
-            lb = sticky.simple_lb_rate(b)
-            gv, _ = sticky.gv_rate(b)
-            sp = sticky.sp_rate(b)
+            lb = sticky.simple_lb_rate(beta)
+            gv, _ = sticky.gv_rate(beta)
+            sp = sticky.sp_rate(beta)
             if not lb <= gv + 1e-12 or not gv <= sp + 1e-12:
-                return False, f"ordering broken at beta={b:.2f}: {lb} / {gv} / {sp}"
+                return False, f"ordering broken at beta={beta:.2f}: {lb} / {gv} / {sp}"
         return True, "lb <= gv <= sp on beta in 0.01..0.24"
 
     def gv_argmax() -> tuple[bool, str]:
@@ -308,7 +303,7 @@ def _synthesis_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         for tau in (1.5, 2.0):
             dm, _ = synthesis.delta_max(tau)
             for delta in np.arange(0.05, dm, 0.05):
-                cp = synthesis.critical_point(tau, float(delta))
+                cp = synthesis.critical_point(tau, delta)
                 worst = max(worst, cp.residual_norm)
         return worst <= tol, f"max residual {worst:.2e}"
 

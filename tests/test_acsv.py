@@ -37,8 +37,8 @@ def test_polynomial_merges_and_drops_terms():
 
 @pytest.mark.parametrize(
     "coefficient",
-    [None, "x", object(), 1j, math.nan, math.inf, -math.inf, 10**400],
-    ids=["None", "str", "object", "complex", "nan", "inf", "-inf", "10**400"],
+    [None, "x", "0.3", b"0.3", object(), 1j, math.nan, math.inf, -math.inf, 10**400],
+    ids=["None", "str", "numeric-str", "bytes", "object", "complex", "nan", "inf", "-inf", "10**400"],
 )
 def test_polynomial_rejects_coefficients_that_are_not_finite_reals(coefficient):
     # a NaN coefficient would make H nan and the solver fail with a misleading error

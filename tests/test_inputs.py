@@ -1,0 +1,265 @@
+"""One hostile-value sweep over the public entry points.
+
+Each site is one valid call of a public function of numeric, sticky,
+synthesis or acsv, or of CurveSpec.validate, with one argument left
+open.  The sweep puts each of the values in HOSTILE there in turn.  A
+call must return a result without a NaN or +inf in it, or raise a
+GVBoundError, within a 3-s alarm.  A returned iterator is advanced twice,
+since the pair-layer generators check their sizes on the first next.
+
+Two kinds of argument are never replaced: a function (the bisection's f)
+and an object of the package's own types (a polynomial, a composition or
+a critical point), whose methods the callee uses as they are.  Methods
+of the records and the NamedTuple records themselves are not swept.
+"""
+
+from __future__ import annotations
+
+import math
+import signal
+import sys
+from decimal import Decimal
+from fractions import Fraction
+from itertools import islice
+from typing import Iterator
+
+import numpy as np
+import pytest
+
+from gvbound import acsv, numeric, sticky, synthesis
+from gvbound.curves import CurveSpec
+from gvbound.errors import GVBoundError
+
+HOSTILE = {
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "-0.0": -0.0,
+    "5e-324": 5e-324,
+    "max-float": sys.float_info.max,
+    "0": 0,
+    "-1": -1,
+    "True": True,
+    "None": None,
+    "str": "0.3",
+    "complex": 0.3 + 0j,
+    "list": [0.3],
+    "Fraction": Fraction(3, 10),
+    "Decimal": Decimal("0.3"),
+    "Decimal-nan": Decimal("nan"),
+    "np.float64": np.float64(0.3),
+    "np.int64": np.int64(3),
+    "np.nan": np.float64("nan"),
+    "array": np.array([0.3]),
+    "10**400": 10**400,
+    "-10**400": -(10**400),
+    "10**5000": 10**5000,
+}
+
+# count_words_by_time has no size budget yet: it convolves n times, so a
+# huge n never returns (ROADMAP item 17)
+SKIPPED = {
+    (site, name)
+    for site in ("synthesis.count_words_by_time(n)", "synthesis.count_words_exact(n)")
+    for name in ("10**400", "10**5000")
+}
+
+_H = acsv.SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((1, 0), -1.0), ((0, 1), -1.0)])
+_U, _V = sticky.Composition([1, 2]), sticky.Composition([2, 1])
+_CP = sticky.critical_point_closed_form(0.5, 0.2)
+_H4, _G4 = sticky.pair_generating_denominator(), sticky.pair_generating_numerator()
+_TERMS = [((0,), 1.0), ((1,), -1.0)]
+_Poly = acsv.SparseMultivariatePolynomial
+_closed_form = sticky.critical_point_closed_form
+
+
+def _bisect(lo=0.0, hi=1.0):
+    return numeric.find_root_bisection(lambda x: x - 0.3, lo, hi)
+
+
+def _residual(r=(1.0, 1.0), z=(0.5, 0.5)):
+    return acsv.critical_system_residual(_H, r, z)
+
+
+def _solve(r=(1.0, 1.0), initial=(0.4, 0.4)):
+    return acsv.solve_critical_point(_H, r, initial)
+
+
+def _leading(r=_CP.direction, w=_CP.z, n=10):
+    return acsv.leading_term(_H4, _G4, r, w, n)
+
+
+def _spec(**fields):
+    base = {"channel": "sticky", "bounds": ("gv",), "lo": 0.1, "hi": 0.4, "steps": 5}
+    return CurveSpec(**{**base, **fields}).validate()
+
+
+def _synthesis_spec(**fields):
+    return _spec(**{"channel": "synthesis", "tau": 2.0, **fields})
+
+
+# one entry per (function, argument); the lambda's default is the valid value
+SITES = {
+    "numeric.entropy(p)": lambda v=0.3: numeric.entropy(v),
+    "numeric.binomial_exact(n)": lambda v=5: numeric.binomial_exact(v, 2),
+    "numeric.binomial_exact(k)": lambda v=2: numeric.binomial_exact(5, v),
+    "numeric.check_sizes(n)": lambda v=3: numeric.check_sizes(n=v),
+    "numeric.count_mode(mode)": lambda v="log2": numeric.count_mode(v),
+    "numeric.find_root_bisection(lo)": lambda v=0.0: _bisect(lo=v),
+    "numeric.find_root_bisection(hi)": lambda v=1.0: _bisect(hi=v),
+    "numeric.RealPolynomial(coefficients)": lambda v=(1.0, -2.0): numeric.RealPolynomial(v),
+    "numeric.RealPolynomial(coefficient)": lambda v=0.5: numeric.RealPolynomial([1.0, v, -2.0]),
+    "sticky.Composition(parts)": lambda v=(1, 2): sticky.Composition(v),
+    "sticky.Composition(part)": lambda v=2: sticky.Composition([1, v]),
+    "sticky.compositions(n)": lambda v=4: sticky.compositions(v, 2),
+    "sticky.compositions(r)": lambda v=2: sticky.compositions(4, v),
+    "sticky.is_confusable(b)": lambda v=1: sticky.is_confusable(_U, _V, v),
+    "sticky.confusable_bruteforce(b)": lambda v=1: sticky.confusable_bruteforce(_U, _V, v),
+    "sticky.pair_count_table(n1_max)": lambda v=6: sticky.pair_count_table(v, 6, 3, 4),
+    "sticky.pair_count_table(n2_max)": lambda v=6: sticky.pair_count_table(6, v, 3, 4),
+    "sticky.pair_count_table(r)": lambda v=3: sticky.pair_count_table(6, 6, v, 4),
+    "sticky.pair_count_table(s_max)": lambda v=4: sticky.pair_count_table(6, 6, 3, v),
+    "sticky.pair_count_table(mode)": lambda v="log2": sticky.pair_count_table(6, 6, 3, 4, v),
+    "sticky.iter_pair_layers(n1_max)": lambda v=6: sticky.iter_pair_layers(v, 6, 3, 4),
+    "sticky.iter_pair_layers(n2_max)": lambda v=6: sticky.iter_pair_layers(6, v, 3, 4),
+    "sticky.iter_pair_layers(r_max)": lambda v=3: sticky.iter_pair_layers(6, 6, v, 4),
+    "sticky.iter_pair_layers(s_max)": lambda v=4: sticky.iter_pair_layers(6, 6, 3, v),
+    "sticky.iter_pair_layers(mode)": lambda v="log2": sticky.iter_pair_layers(6, 6, 3, 4, v),
+    "sticky.count_pairs_exact(n1)": lambda v=6: sticky.count_pairs_exact(v, 6, 3, 2),
+    "sticky.count_pairs_exact(n2)": lambda v=6: sticky.count_pairs_exact(6, v, 3, 2),
+    "sticky.count_pairs_exact(r)": lambda v=3: sticky.count_pairs_exact(6, 6, v, 2),
+    "sticky.count_pairs_exact(s)": lambda v=2: sticky.count_pairs_exact(6, 6, 3, v),
+    "sticky.count_pairs_exact(mode)": lambda v="log2": sticky.count_pairs_exact(6, 6, 3, 2, v),
+    "sticky.count_pairs_bruteforce(n1)": lambda v=6: sticky.count_pairs_bruteforce(v, 6, 3, 2),
+    "sticky.count_pairs_bruteforce(n2)": lambda v=6: sticky.count_pairs_bruteforce(6, v, 3, 2),
+    "sticky.count_pairs_bruteforce(r)": lambda v=3: sticky.count_pairs_bruteforce(6, 6, v, 2),
+    "sticky.count_pairs_bruteforce(s)": lambda v=2: sticky.count_pairs_bruteforce(6, 6, 3, v),
+    "sticky.critical_point_closed_form(rho)": lambda v=0.3: _closed_form(v, 0.4),
+    "sticky.critical_point_closed_form(delta)": lambda v=0.4: _closed_form(0.3, v),
+    "sticky.leading_pair_count_log2(n)": lambda v=10: sticky.leading_pair_count_log2(v, 0.5, 0.2),
+    "sticky.leading_pair_count_log2(rho)": lambda v=0.5: sticky.leading_pair_count_log2(10, v, 0.2),
+    "sticky.leading_pair_count_log2(delta)":
+        lambda v=0.2: sticky.leading_pair_count_log2(10, 0.5, v),
+    "sticky.ball_rate(rho)": lambda v=0.3: sticky.ball_rate(v, 0.1),
+    "sticky.ball_rate(beta)": lambda v=0.1: sticky.ball_rate(0.3, v),
+    "sticky.beta_max(rho)": lambda v=0.3: sticky.beta_max(v),
+    "sticky.gv_rate(beta)": lambda v=0.1: sticky.gv_rate(v),
+    "sticky.sp_rate(beta)": lambda v=0.1: sticky.sp_rate(v),
+    "sticky.simple_lb_rate(beta)": lambda v=0.1: sticky.simple_lb_rate(v),
+    "sticky.evaluate_point(beta)": lambda v=0.1: sticky.evaluate_point(v, 0.3),
+    "sticky.evaluate_point(rho)": lambda v=0.3: sticky.evaluate_point(0.1, v),
+    "synthesis.synthesis_time(w)": lambda v="ACGT": synthesis.synthesis_time(v),
+    "synthesis.count_words_by_time(n)": lambda v=3: synthesis.count_words_by_time(v),
+    "synthesis.count_words_exact(n)": lambda v=3: synthesis.count_words_exact(v, 10),
+    "synthesis.count_words_exact(t_max)": lambda v=10: synthesis.count_words_exact(3, v),
+    "synthesis.pair_count_table(n)": lambda v=3: synthesis.pair_count_table(v),
+    "synthesis.pair_count_table(mode)": lambda v="log2": synthesis.pair_count_table(3, v),
+    "synthesis.count_pairs_exact(n)": lambda v=3: synthesis.count_pairs_exact(v, 12, 2),
+    "synthesis.count_pairs_exact(t)": lambda v=12: synthesis.count_pairs_exact(3, v, 2),
+    "synthesis.count_pairs_exact(s)": lambda v=2: synthesis.count_pairs_exact(3, 12, v),
+    "synthesis.count_pairs_exact(mode)": lambda v="log2": synthesis.count_pairs_exact(3, 12, 2, v),
+    "synthesis.count_pairs_bruteforce(n)": lambda v=3: synthesis.count_pairs_bruteforce(v, 12, 2),
+    "synthesis.count_pairs_bruteforce(t)": lambda v=12: synthesis.count_pairs_bruteforce(3, v, 2),
+    "synthesis.count_pairs_bruteforce(s)": lambda v=2: synthesis.count_pairs_bruteforce(3, 12, v),
+    "synthesis.capacity(tau)": lambda v=2.0: synthesis.capacity(v),
+    "synthesis.critical_point(tau)": lambda v=2.0: synthesis.critical_point(v, 0.3),
+    "synthesis.critical_point(delta)": lambda v=0.3: synthesis.critical_point(2.0, v),
+    "synthesis.delta_max(tau)": lambda v=2.0: synthesis.delta_max(v),
+    "synthesis.ball_rate_upper(tau)": lambda v=2.0: synthesis.ball_rate_upper(v, 0.3),
+    "synthesis.ball_rate_upper(delta)": lambda v=0.3: synthesis.ball_rate_upper(2.0, v),
+    "synthesis.gv_rate(tau)": lambda v=2.0: synthesis.gv_rate(v, 0.3),
+    "synthesis.gv_rate(delta)": lambda v=0.3: synthesis.gv_rate(2.0, v),
+    "synthesis.simple_lb_rate(tau)": lambda v=2.0: synthesis.simple_lb_rate(v, 0.3),
+    "synthesis.simple_lb_rate(delta)": lambda v=0.3: synthesis.simple_lb_rate(2.0, v),
+    "synthesis.evaluate_point(tau)": lambda v=2.0: synthesis.evaluate_point(v, 0.3),
+    "synthesis.evaluate_point(delta)": lambda v=0.3: synthesis.evaluate_point(2.0, v),
+    "acsv.SparseMultivariatePolynomial(num_vars)": lambda v=1: _Poly(v, _TERMS),
+    "acsv.SparseMultivariatePolynomial(terms)": lambda v=_TERMS: _Poly(1, v),
+    "acsv.SparseMultivariatePolynomial(term)": lambda v=((1,), -1.0): _Poly(1, [v]),
+    "acsv.SparseMultivariatePolynomial(exponent)": lambda v=1: _Poly(1, [((v,), 1.0)]),
+    "acsv.SparseMultivariatePolynomial(coefficient)": lambda v=-1.0: _Poly(1, [((1,), v)]),
+    "acsv.CriticalPoint.at(r)": lambda v=(1.0, 1.0): acsv.CriticalPoint.at(_H, v, (0.5, 0.5)),
+    "acsv.CriticalPoint.at(z)": lambda v=(0.5, 0.5): acsv.CriticalPoint.at(_H, (1.0, 1.0), v),
+    "acsv.critical_system_residual(r)": lambda v=(1.0, 1.0): _residual(r=v),
+    "acsv.critical_system_residual(z)": lambda v=(0.5, 0.5): _residual(z=v),
+    "acsv.critical_system_residual(r_1)": lambda v=1.0: _residual(r=(v, 1.0)),
+    "acsv.critical_system_residual(z_1)": lambda v=0.5: _residual(z=(v, 0.5)),
+    "acsv.solve_critical_point(r)": lambda v=(1.0, 1.0): _solve(r=v),
+    "acsv.solve_critical_point(initial)": lambda v=(0.4, 0.4): _solve(initial=v),
+    "acsv.solve_critical_point(initial_1)": lambda v=0.4: _solve(initial=(v, 0.4)),
+    "acsv.leading_term(r)": lambda v=_CP.direction: _leading(r=v),
+    "acsv.leading_term(w)": lambda v=_CP.z: _leading(w=v),
+    "acsv.leading_term(w_1)": lambda v=_CP.z[0]: _leading(w=(v, *_CP.z[1:])),
+    "acsv.leading_term(n)": lambda v=10: _leading(n=v),
+    "curves.CurveSpec.validate(channel)": lambda v="sticky": _spec(channel=v),
+    "curves.CurveSpec.validate(bounds)": lambda v=("gv", "sp"): _spec(bounds=v),
+    "curves.CurveSpec.validate(bound)": lambda v="sp": _spec(bounds=("gv", v)),
+    "curves.CurveSpec.validate(lo)": lambda v=0.1: _spec(lo=v),
+    "curves.CurveSpec.validate(hi)": lambda v=0.4: _spec(hi=v),
+    "curves.CurveSpec.validate(steps)": lambda v=5: _spec(steps=v),
+    "curves.CurveSpec.validate(tau)": lambda v=2.0: _synthesis_spec(tau=v),
+}
+
+class _Timeout(Exception):
+    pass
+
+
+def _on_alarm(signum, frame):
+    raise _Timeout
+
+
+def _bad_numbers(result) -> Iterator[float]:
+    """Each NaN or +inf in the result, its records, sequences and arrays included."""
+    if isinstance(result, float):
+        if math.isnan(result) or result == math.inf:
+            yield result
+    elif isinstance(result, np.ndarray):
+        if result.dtype.kind == "f" and (np.isnan(result).any() or np.isposinf(result).any()):
+            yield math.nan
+    elif isinstance(result, (tuple, list)):
+        for item in result:
+            yield from _bad_numbers(item)
+    elif isinstance(result, acsv.CriticalPoint):
+        yield from _bad_numbers((result.z, result.direction))
+
+
+def _outcome(call, value) -> str | None:
+    """None when the call behaves; otherwise what it did instead."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(3)
+    try:
+        result = call(value)
+        if isinstance(result, Iterator):
+            result = list(islice(result, 2))
+        bad = list(_bad_numbers(result))
+        return f"returned {bad[0]!r}" if bad else None
+    except GVBoundError:
+        return None
+    except _Timeout:
+        return "ran past 3 s"
+    except Exception as exc:  # the contract under test: nothing else escapes
+        return f"raised {type(exc).__name__}: {str(exc)[:80]}"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("site", list(SITES))
+def test_hostile_values_raise_gvbound_errors_or_return_numbers(site):
+    failures = {
+        name: outcome
+        for name, value in HOSTILE.items()
+        if (site, name) not in SKIPPED
+        and (outcome := _outcome(SITES[site], value)) is not None
+    }
+    assert failures == {}
+
+
+@pytest.mark.parametrize("site", list(SITES))
+def test_each_site_is_a_valid_call(site):
+    # the sweep only means something if the call it perturbs works: each
+    # site's default argument is its valid value
+    result = SITES[site]()
+    if isinstance(result, Iterator):
+        result = list(islice(result, 2))
+    assert list(_bad_numbers(result)) == []
