@@ -182,7 +182,8 @@ class CriticalPoint(_Record):
         cls, H: SparseMultivariatePolynomial, r: Sequence[float], z: Sequence[float],
         iterations: int = 0,
     ) -> "CriticalPoint":
-        """Record of the point z of H in direction r; z and r are checked here."""
+        """Record of the point z of H in direction r; H, z and r are checked here."""
+        _check_polynomial(H)
         zv = _check_point(H, z)
         rv = _check_direction(H, r)
         return cls(tuple(zv), tuple(rv), iterations, H)
@@ -209,6 +210,11 @@ def _vector(
         if any(isinstance(c, Iterable) and not isinstance(c, (str, bytes)) for c in items):
             raise DimensionMismatchError(f"{shape}, got {_shown(values)}") from None
         raise
+
+
+def _check_polynomial(H: SparseMultivariatePolynomial, name: str = "H") -> None:
+    if not isinstance(H, SparseMultivariatePolynomial):
+        raise DomainError(f"{name} must be a SparseMultivariatePolynomial, got {_shown(H)}")
 
 
 def _check_point(H: SparseMultivariatePolynomial, z: Sequence[float]) -> list[float]:
@@ -257,6 +263,7 @@ def critical_system_residual(
     Component 0 is H(z); component j (1 <= j <= l-1) is
     r_l * z_j * dH/dz_j - r_j * z_l * dH/dz_l, indexing variables from 1.
     """
+    _check_polynomial(H)
     zv = _check_point(H, z)
     rv = _check_direction(H, r)
     partials = [_evaluate(g, zv) for g in H.gradient]
@@ -276,6 +283,8 @@ def _residual_norm(
 
 def growth_exponent(cp: CriticalPoint) -> float:
     """Exponential rate -sum_i r_i log2 z_i* in bits per symbol."""
+    if not isinstance(cp, CriticalPoint):
+        raise DomainError(f"cp must be a CriticalPoint, got {_shown(cp)}")
     return -sum(ri * math.log2(zi) for ri, zi in zip(cp.direction, cp.z))
 
 
@@ -301,13 +310,16 @@ def leading_term(
     minimal critical points, e.g. those given by a symmetry of H.
 
     Raises:
-        DomainError: if n is not a positive integer that fits a float64,
+        DomainError: if H or G is not a SparseMultivariatePolynomial,
+            n is not a positive integer that fits a float64,
             n r is not integral or has a coordinate that rounds below 1,
             w is not a positive critical point in direction r, or the
             Hessian or the constant is not positive there.
     """
     import numpy as np
 
+    _check_polynomial(H)
+    _check_polynomial(G, "G")
     check_sizes(at_least=1, n=n)
     _real(n, "n must fit a float64")
     rv = np.array(_check_direction(H, r))
@@ -373,6 +385,7 @@ def solve_critical_point(
     """
     import numpy as np
 
+    _check_polynomial(H)
     rv = np.array(_check_direction(H, r))
     ell = H.num_vars
     z = np.full(ell, 0.5) if initial is None else np.array(_check_point(H, initial))

@@ -408,8 +408,10 @@ def smallest_positive_root(p: RealPolynomial) -> BracketedRoot:
 
     Raises:
         NoRootFoundError: if no grid cell shows a sign change.
-        DomainError: for a zero polynomial.
+        DomainError: for a zero polynomial, or a p that is not a RealPolynomial.
     """
+    if not isinstance(p, RealPolynomial):
+        raise DomainError(f"p must be a RealPolynomial, got {_shown(p)}")
     if p.is_zero():
         raise DomainError("smallest_positive_root requires a nonzero polynomial")
     signs = [math.copysign(1.0, c) for c in p.coefficients if c != 0.0]

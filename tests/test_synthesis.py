@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -146,6 +147,26 @@ def test_bruteforce_matches_nested_loop_definition(n):
     for t in range(0, 8 * n + 1):
         for s in range(0, n + 1):
             assert count_pairs_bruteforce(n, t, s) == hist.get((t, s), 0), (n, t, s)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_bruteforce_histogram_does_not_depend_on_the_block_size(monkeypatch, rows):
+    # n = 4 has 256 strands: 32 blocks at the default 8 rows
+    want = synthesis._bruteforce_histogram.__wrapped__(4)
+    monkeypatch.setattr(synthesis, "_BRUTEFORCE_BLOCK_ROWS", rows)
+    assert synthesis._bruteforce_histogram.__wrapped__(4) == want
+
+
+def test_bruteforce_histogram_stays_bounded_in_memory():
+    # one dense pass over the 4^5 x 4^5 pairs would hold an 8 MiB key array
+    # and its temporaries; a block of 8 rows holds 64 KiB of keys
+    tracemalloc.start()
+    try:
+        synthesis._bruteforce_histogram.__wrapped__(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_bruteforce_mass_and_out_of_support_buckets():

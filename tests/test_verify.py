@@ -1,8 +1,9 @@
 """Tests for the self-check suites."""
 
+import numpy as np
 import pytest
 
-from gvbound import cli
+from gvbound import cli, sticky, verify
 from gvbound.errors import DomainError, GVBoundError
 from gvbound.verify import CheckResult, run_suite
 
@@ -49,3 +50,32 @@ def test_cli_rejects_budget_below_one(capsys, n_budget):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: n_budget must be >= 1, got {n_budget}\n"
+
+
+def test_gv_argmax_check_fails_for_a_perturbed_closed_form(monkeypatch):
+    # a relative error of 1e-5 in rho moves the rate by about 7e-11, which
+    # the numeric argmax must resolve against its 1e-12 bound
+    closed_form_rho = sticky._gv_closed_form_rho
+    monkeypatch.setattr(
+        sticky, "_gv_closed_form_rho", lambda beta: closed_form_rho(beta) * (1.0 + 1e-5)
+    )
+    checks = dict(verify._sticky_checks(8, verify._RESIDUAL_TOL))
+    passed, detail = checks["closed-form GV argmax vs numeric argmax"]()
+    assert not passed, detail
+
+
+def test_gv_numeric_argmax_scans_all_of_0_1_and_ends_finer_than_1_17e_10(monkeypatch):
+    grids = []
+    linspace = np.linspace
+
+    def recorded(lo, hi, num):
+        grids.append((float(lo), float(hi), num))
+        return linspace(lo, hi, num)
+
+    monkeypatch.setattr(np, "linspace", recorded)
+    value, rho = verify._gv_numeric_argmax(0.1)
+    assert grids[0] == (1e-9, 1.0 - 1e-9, 512)
+    lo, hi, num = grids[-1]
+    assert (hi - lo) / (num - 1) <= 1.17e-10  # three 512-point zooms ended at 1.1727e-10
+    assert lo <= rho <= hi
+    assert abs(value - sticky.gv_rate(0.1)[0]) <= 1e-12
