@@ -12,7 +12,6 @@ __all__ = [
     "GVBoundError",
     "DomainError",
     "DimensionMismatchError",
-    "NoSignChangeError",
     "NoRootFoundError",
     "NonConvergenceError",
     "SizeLimitError",
@@ -30,10 +29,6 @@ class DomainError(GVBoundError, ValueError):
 
 class DimensionMismatchError(GVBoundError, ValueError):
     """Vector or sequence arguments have incompatible lengths."""
-
-
-class NoSignChangeError(GVBoundError):
-    """A root bracket does not actually bracket a sign change."""
 
 
 class NoRootFoundError(GVBoundError):

@@ -1,4 +1,4 @@
-"""Shared numeric primitives: entropy, exact binomials, count modes, 1-D root finding.
+"""Shared numeric primitives: entropy, count modes, the smallest-positive-root scan.
 
 Probabilities and densities are plain floats, converted and range-checked
 at the boundary by _real; counts are arbitrary-precision Python integers, or
@@ -24,11 +24,10 @@ import math
 import sys
 from functools import cache
 from numbers import Integral
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
-    DimensionMismatchError, DomainError, MemoryBudgetError, NoRootFoundError, NoSignChangeError,
-    NonConvergenceError,
+    DimensionMismatchError, DomainError, MemoryBudgetError, NoRootFoundError, NonConvergenceError,
 )
 
 if TYPE_CHECKING:
@@ -41,10 +40,8 @@ __all__ = [
     "CountMode",
     "RealPolynomial",
     "entropy",
-    "binomial_exact",
     "check_sizes",
     "count_mode",
-    "find_root_bisection",
     "smallest_positive_root",
 ]
 
@@ -79,18 +76,6 @@ def entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def binomial_exact(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) as an arbitrary-precision integer.
-
-    Raises:
-        DomainError: if n or k is not a non-negative integer, or k > n.
-    """
-    check_sizes(n=n, k=k)
-    if k > n:
-        raise DomainError(f"binomial_exact requires 0 <= k <= n, got n={_shown(n)}, k={_shown(k)}")
-    return math.comb(n, k)
 
 
 def check_sizes(*, at_least: int | None = 0, **sizes) -> None:
@@ -325,37 +310,29 @@ class RealPolynomial(_PolynomialFields):
         return [self.evaluate(x) for x in xs]
 
 
-def find_root_bisection(f: Callable[[float], float], lo: float, hi: float) -> BracketedRoot:
-    """Bisect a sign-changing bracket [lo, hi] down to a root of f.
+def _bisect(p: RealPolynomial, lo: float, hi: float) -> BracketedRoot:
+    """Bisect the scan cell [lo, hi] down to a root of p.
 
-    The returned root satisfies both |f(root)| <= 1e-12 and bracket width
-    <= 1e-12 (the bracket may collapse to adjacent floats first when f is
-    steep; the residual condition still decides success).
+    The returned root satisfies both |p(root)| <= 1e-12 and bracket width
+    <= 1e-12 (the bracket may collapse to adjacent floats first when p is
+    steep; the residual condition still decides success).  The end values
+    change sign or touch zero on each of the scan's three routes, and no
+    value is a NaN (see smallest_positive_root):
+      - the Descartes search: p(lo) has the sign of p(0), p(hi) has not;
+      - the walk: the first grid cell whose end signs multiply to <= 0;
+      - the halving: p(lo) has the sign of p(0+), p(hi) the other sign.
 
     Raises:
-        DomainError: unless lo < hi and both are finite.
-        NoSignChangeError: if f(lo) and f(hi) have the same sign.
         NonConvergenceError: if the tolerance is unreachable in the
             iteration budget.
     """
-    try:
-        lo, hi = _real(lo, "lo"), _real(hi, "hi")
-        if not lo < hi:
-            raise DomainError
-    except DomainError:  # out of order, or not finite real numbers
-        raise DomainError(
-            f"bracket endpoints must be finite with lo < hi, got [{_shown(lo)}, {_shown(hi)}]"
-        ) from None
+    f = p.evaluate
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:
         return BracketedRoot(root=lo, residual=0.0, bracket=(lo, hi))
     if f_hi == 0.0:
         return BracketedRoot(root=hi, residual=0.0, bracket=(lo, hi))
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise NoSignChangeError(
-            f"f({lo}) = {f_lo} and f({hi}) = {f_hi} have the same sign"
-        )
     best_x, best_f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
     for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -403,11 +380,13 @@ def smallest_positive_root(p: RealPolynomial) -> BracketedRoot:
     the first grid point without that sign in 11 evaluations.  Any other p
     is walked point by point from the left to its first sign change, and
     a sign change before the first grid point is bracketed by halving
-    towards 0.  Both routes bisect the same cell.  Each grid probe is one
+    towards 0 until p has its sign at 0+, down to the smallest float if
+    need be.  Both routes bisect the same cell.  Each grid probe is one
     evaluate_many call.
 
     Raises:
-        NoRootFoundError: if no grid cell shows a sign change.
+        NoRootFoundError: if no grid cell shows a sign change, or no
+            halving edge shows the sign of p at 0+.
         DomainError: for a zero polynomial, or a p that is not a RealPolynomial.
     """
     if not isinstance(p, RealPolynomial):
@@ -431,12 +410,15 @@ def smallest_positive_root(p: RealPolynomial) -> BracketedRoot:
         k = grid[0] + bisect.bisect_left(grid, True, key=lambda k: sign(k) != sign_left)
     else:
         if sign_lo != 0.0 and sign_lo != sign_left:
-            # a root hides between 0 and the first grid point
-            lo_edge = _SCAN_STEP
-            for _ in range(80):
-                lo_edge *= 0.5
+            # a root hides between 0 and the first grid point, left of any the walk finds
+            lo_edge = 0.5 * _SCAN_STEP
+            while lo_edge > 0.0:
                 if math.copysign(1.0, p.evaluate(lo_edge)) == sign_left:
-                    return find_root_bisection(p.evaluate, lo_edge, _SCAN_STEP)
+                    return _bisect(p, lo_edge, _SCAN_STEP)
+                lo_edge *= 0.5
+            raise NoRootFoundError(
+                f"no point of (0, {_SCAN_STEP:.3e}] shows the sign of the polynomial at 0+"
+            )
         for k in range(2, _SCAN_CELLS + 1):
             sign_hi = sign(k)
             if sign_lo * sign_hi <= 0.0:
@@ -449,4 +431,4 @@ def smallest_positive_root(p: RealPolynomial) -> BracketedRoot:
             f"no sign change of the polynomial found on (0, {_SCAN_MAX}] "
             f"at grid step {_SCAN_STEP:.3e}"
         )
-    return find_root_bisection(p.evaluate, (k - 1) * _SCAN_STEP, k * _SCAN_STEP)
+    return _bisect(p, (k - 1) * _SCAN_STEP, k * _SCAN_STEP)

@@ -31,7 +31,7 @@ from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .numeric import (
     _ABOVE_0, _BELOW_1, NEG_INF, CountMode, _check_mode, _check_table_cells, _items, _real, _shown,
-    binomial_exact, check_sizes, count_mode, entropy,
+    check_sizes, count_mode, entropy,
 )
 
 if TYPE_CHECKING:
@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _BRUTEFORCE_PAIR_LIMIT = 10 ** 7
+_BRUTEFORCE_SIDE_LIMIT = 10 ** 4  # compositions of one side: each is built as a Python object
 _BRUTEFORCE_BLOCK_CELLS = 1 << 14  # part differences |u_i - v_i| per block of the enumeration
 _CONFUSABLE_ENUM_LIMIT = 10 ** 6
 _LB_BOUNDARY = 0.25  # insertion density from which the crude bound is zero
@@ -157,7 +158,7 @@ def confusable_bruteforce(u: Composition, v: Composition, b: int) -> bool:
     Serves as the oracle for the L1 criterion of is_confusable.
     """
     _check_pair(u, v, b)
-    if binomial_exact(b + u.r - 1, u.r - 1) > _CONFUSABLE_ENUM_LIMIT:
+    if _compositions_count(b + u.r, u.r) > _CONFUSABLE_ENUM_LIMIT:  # weak compositions of b
         raise SizeLimitError(
             f"enumerating {_shown(b)} insertions over {u.r} runs is too large"
         )
@@ -322,6 +323,10 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
     Each (n1, n2, r) is enumerated once: the first call builds the whole
     L1-distance histogram of S(n1,r) x S(n2,r) and caches it, and later
     calls read their bucket from it.
+
+    Raises:
+        SizeLimitError: before any composition is built, if either side
+            has more than 10^4 compositions or the pairs number more than 10^7.
     """
     check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
     if min(n1, n2, r, s) < 0:
@@ -330,11 +335,10 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
         return 1 if n1 == 0 and n2 == 0 and s == 0 else 0
     if n1 < r or n2 < r:
         return 0
-    size1 = binomial_exact(n1 - 1, r - 1)
-    size2 = binomial_exact(n2 - 1, r - 1)
-    if size1 * size2 > _BRUTEFORCE_PAIR_LIMIT:
+    size1, size2 = _compositions_count(n1, r), _compositions_count(n2, r)
+    if max(size1, size2) > _BRUTEFORCE_SIDE_LIMIT or size1 * size2 > _BRUTEFORCE_PAIR_LIMIT:
         raise SizeLimitError(
-            f"{_shown(size1 * size2)} composition pairs exceed the enumeration limit"
+            f"{_shown(size1)} x {_shown(size2)} composition pairs exceed the enumeration limits"
         )
     return _bruteforce_histogram(n1, n2, r).get(s, 0)
 

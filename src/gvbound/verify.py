@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import acsv, sticky, synthesis
 from .errors import GVBoundError
-from .numeric import binomial_exact, check_sizes, entropy
+from .numeric import check_sizes, entropy
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
@@ -146,7 +146,7 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
             sticky.iter_pair_layers(n, n, n, 2 * n, "exact"), start=1
         ):
             for m in range(r, n + 1):
-                want = binomial_exact(m - 1, r - 1) ** 2
+                want = math.comb(m - 1, r - 1) ** 2
                 got = table.total(m, m, 2 * m)
                 if got != want:
                     return False, f"mass at (n={m}, r={r}): table {got}, binomial {want}"

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from gvbound import cli, sticky, synthesis
-from gvbound.numeric import binomial_exact, entropy
+from gvbound.numeric import entropy
 from gvbound.sticky import (
     _gv_closed_form_rho,
     _gv_objective,
@@ -69,7 +69,7 @@ def test_criterion_03_mass_identities():
         r = table.r
         for n in range(r, n_max + 1):
             mass = sum(table.entries[n, n, :].tolist())
-            assert mass == binomial_exact(n - 1, r - 1) ** 2, (n, r)
+            assert mass == math.comb(n - 1, r - 1) ** 2, (n, r)
     for n in range(0, 21):
         table = synthesis.pair_count_table(n)
         assert table.total(8 * n, n) == 16**n, n

@@ -8,9 +8,8 @@ GVBoundError, within a 3-s alarm.  A returned iterator is advanced twice,
 since the pair-layer generators check their sizes on the first next.
 
 An argument of the package's own types (a polynomial, a composition or
-a critical point) is swept too: each hostile value stands in for it.  A
-function argument (the bisection's f) is never replaced.  Methods of
-the records and the NamedTuple records themselves are not swept.
+a critical point) is swept too: each hostile value stands in for it.
+Methods of the records and the NamedTuple records themselves are not swept.
 """
 
 from __future__ import annotations
@@ -68,10 +67,6 @@ _closed_form = sticky.critical_point_closed_form
 _CUBIC = numeric.RealPolynomial([-1.0, 1.0, 1.0, 1.0])
 
 
-def _bisect(lo=0.0, hi=1.0):
-    return numeric.find_root_bisection(lambda x: x - 0.3, lo, hi)
-
-
 def _residual(r=(1.0, 1.0), z=(0.5, 0.5), H=_H):
     return acsv.critical_system_residual(H, r, z)
 
@@ -96,12 +91,8 @@ def _synthesis_spec(**fields):
 # one entry per (function, argument); the lambda's default is the valid value
 SITES = {
     "numeric.entropy(p)": lambda v=0.3: numeric.entropy(v),
-    "numeric.binomial_exact(n)": lambda v=5: numeric.binomial_exact(v, 2),
-    "numeric.binomial_exact(k)": lambda v=2: numeric.binomial_exact(5, v),
     "numeric.check_sizes(n)": lambda v=3: numeric.check_sizes(n=v),
     "numeric.count_mode(mode)": lambda v="log2": numeric.count_mode(v),
-    "numeric.find_root_bisection(lo)": lambda v=0.0: _bisect(lo=v),
-    "numeric.find_root_bisection(hi)": lambda v=1.0: _bisect(hi=v),
     "numeric.RealPolynomial(coefficients)": lambda v=(1.0, -2.0): numeric.RealPolynomial(v),
     "numeric.RealPolynomial(coefficient)": lambda v=0.5: numeric.RealPolynomial([1.0, v, -2.0]),
     "numeric.smallest_positive_root(p)": lambda v=_CUBIC: numeric.smallest_positive_root(v),

@@ -13,17 +13,15 @@ from gvbound.errors import (
     DomainError,
     MemoryBudgetError,
     NoRootFoundError,
-    NoSignChangeError,
     NonConvergenceError,
 )
 from gvbound.numeric import (
     TABLE_CELL_BUDGET,
     BracketedRoot,
     RealPolynomial,
-    binomial_exact,
+    _bisect,
     count_mode,
     entropy,
-    find_root_bisection,
     smallest_positive_root,
 )
 
@@ -46,36 +44,6 @@ def test_entropy_rejects_out_of_range():
         entropy(-0.01)
     with pytest.raises(DomainError):
         entropy(1.01)
-
-
-def test_binomial_exact_matches_pascal():
-    for n in range(0, 12):
-        for k in range(0, n + 1):
-            if 0 < k < n:
-                expected = binomial_exact(n - 1, k - 1) + binomial_exact(n - 1, k)
-                assert binomial_exact(n, k) == expected
-    assert binomial_exact(0, 0) == 1
-    assert binomial_exact(52, 5) == 2598960
-
-
-def test_binomial_exact_is_arbitrary_precision():
-    value = binomial_exact(200, 100)
-    assert isinstance(value, int)
-    assert value == math.comb(200, 100)
-    assert value > 2**195
-
-
-def test_binomial_exact_rejects_bad_arguments():
-    with pytest.raises(DomainError):
-        binomial_exact(-1, 0)
-    with pytest.raises(DomainError):
-        binomial_exact(3, 4)
-    with pytest.raises(DomainError):
-        binomial_exact(3, -1)
-    with pytest.raises(DomainError):
-        binomial_exact(3.5, 1)
-    with pytest.raises(DomainError):
-        binomial_exact(3, 1.0)
 
 
 def test_count_mode_tables_sums_and_cell_budget():
@@ -135,7 +103,7 @@ def test_encode_writes_exact_counts_as_each_mode_stores_them():
 
 
 def test_bisection_finds_simple_root():
-    result = find_root_bisection(lambda x: x * x - 2.0, 0.0, 2.0)
+    result = _bisect(RealPolynomial([-2.0, 0.0, 1.0]), 0.0, 2.0)
     assert isinstance(result, BracketedRoot)
     assert result.root == pytest.approx(math.sqrt(2.0), abs=1e-11)
     assert abs(result.residual) <= 1e-10
@@ -144,28 +112,10 @@ def test_bisection_finds_simple_root():
 
 
 def test_bisection_detects_exact_endpoint_root():
-    result = find_root_bisection(lambda x: x - 1.0, 1.0, 3.0)
-    assert result.root == 1.0
-    assert result.residual == 0.0
-
-
-def test_bisection_rejects_same_sign_bracket():
-    with pytest.raises(NoSignChangeError):
-        find_root_bisection(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_bisection_rejects_bad_bracket():
-    with pytest.raises(DomainError):
-        find_root_bisection(lambda x: x, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        find_root_bisection(lambda x: x - 0.3, 0.0, math.inf)
-    with pytest.raises(DomainError):
-        find_root_bisection(lambda x: x + 0.3, -math.inf, 0.0)
-    # not numbers: the comparison's TypeError comes back as a DomainError
-    with pytest.raises(DomainError):
-        find_root_bisection(lambda x: x, None, 1.0)
-    with pytest.raises(DomainError):
-        find_root_bisection(lambda x: x, -1.0, "1")
+    result = _bisect(RealPolynomial([-1.0, 1.0]), 1.0, 3.0)
+    assert result == BracketedRoot(root=1.0, residual=0.0, bracket=(1.0, 3.0))
+    result = _bisect(RealPolynomial([-3.0, 1.0]), 1.0, 3.0)
+    assert result == BracketedRoot(root=3.0, residual=0.0, bracket=(1.0, 3.0))
 
 
 @pytest.mark.parametrize(
@@ -258,13 +208,13 @@ def _recorded_scan():
         probes.extend(xs)
         return evaluate_many(self, xs)
 
-    def bisect(f, lo, hi):
+    def bisect(p, lo, hi):
         brackets.append((lo, hi))
-        return find_root_bisection(f, lo, hi)
+        return _bisect(p, lo, hi)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RealPolynomial, "evaluate_many", probe)
-        mp.setattr(numeric, "find_root_bisection", bisect)
+        mp.setattr(numeric, "_bisect", bisect)
         yield probes, brackets
 
 
@@ -313,6 +263,27 @@ def test_smallest_positive_root_stops_at_the_first_sign_change(coefficients, cel
     assert outcome == _outcome(_numpy_scan, p)
 
 
+@pytest.mark.parametrize("coefficients", [[-3e-30, 3.0, -4.0, 1.0], [-1e-30, 1.0]])
+def test_halving_brackets_a_root_below_80_halvings(coefficients):
+    # a root near 1e-30 lies below 10 / 1024 / 2^80, about 8e-27: 93 halvings
+    # reach it, where handing over to the walk found the root at 1, or none
+    p = RealPolynomial(coefficients)
+    with _recorded_scan() as (probes, brackets):
+        result = smallest_positive_root(p)
+    assert probes == [GRID_STEP]
+    assert brackets == [(GRID_STEP / 2**93, GRID_STEP)]
+    assert result.root == GRID_STEP / 2**93 == pytest.approx(1e-30, rel=0.02)
+    assert repr(result) == _outcome(_numpy_scan, p)
+
+
+def test_halving_to_0_without_the_sign_of_p_at_0_finds_no_root():
+    # x^2 (x - 1e-300): every halving edge underflows to +0.0, never negative
+    p = RealPolynomial([0.0, 0.0, -1e-300, 1.0])
+    with pytest.raises(NoRootFoundError, match=r"shows the sign of the polynomial at 0\+"):
+        smallest_positive_root(p)
+    assert _outcome(smallest_positive_root, p) == _outcome(_numpy_scan, p)
+
+
 def _numpy_scan(p: RealPolynomial) -> BracketedRoot:
     """The vectorized grid scan smallest_positive_root used to run: the test oracle.
 
@@ -327,15 +298,18 @@ def _numpy_scan(p: RealPolynomial) -> BracketedRoot:
         signs = np.sign(npoly.polyval(xs, np.asarray(p.coefficients)))
     if signs[0] != 0.0 and signs[0] != sign_left:
         hi_edge = float(xs[0])
-        lo_edge = hi_edge
-        for _ in range(80):
-            lo_edge *= 0.5
+        lo_edge = 0.5 * hi_edge
+        while lo_edge > 0.0:
             if math.copysign(1.0, p.evaluate(lo_edge)) == sign_left:
-                return find_root_bisection(p.evaluate, lo_edge, hi_edge)
+                return _bisect(p, lo_edge, hi_edge)
+            lo_edge *= 0.5
+        raise NoRootFoundError(
+            "no point of (0, 9.766e-03] shows the sign of the polynomial at 0+"
+        )
     change = np.flatnonzero(signs[:-1] * signs[1:] <= 0.0)
     if change.size:
         lo, hi = xs[change[0]], xs[change[0] + 1]
-        return find_root_bisection(p.evaluate, float(lo), float(hi))
+        return _bisect(p, float(lo), float(hi))
     raise NoRootFoundError(
         "no sign change of the polynomial found on (0, 10.0] at grid step 9.766e-03"
     )
@@ -367,7 +341,7 @@ def _outcome(scan, p: RealPolynomial) -> str:
     # repr round-trips every float, so equal reprs are equal bits
     try:
         return repr(scan(p))
-    except (NoRootFoundError, NoSignChangeError) as exc:
+    except NoRootFoundError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gvbound import cli, numeric, sticky
 from gvbound.acsv import growth_exponent
 from gvbound.errors import DimensionMismatchError, DomainError, MemoryBudgetError, SizeLimitError
-from gvbound.numeric import binomial_exact, entropy
+from gvbound.numeric import entropy
 from gvbound.sticky import (
     Composition,
     beta_max,
@@ -56,7 +56,7 @@ def test_compositions_enumeration_count():
     for n in range(1, 10):
         for r in range(1, n + 1):
             got = list(compositions(n, r))
-            assert len(got) == binomial_exact(n - 1, r - 1)
+            assert len(got) == math.comb(n - 1, r - 1)
             assert len(set(c.parts for c in got)) == len(got)
             assert all(c.n == n and c.r == r for c in got)
     assert list(compositions(3, 5)) == []
@@ -176,7 +176,7 @@ def test_bruteforce_mass_and_out_of_support_buckets():
         for n2 in range(0, 9):
             for r in range(1, min(n1, n2) + 1):
                 mass = sum(count_pairs_bruteforce(n1, n2, r, s) for s in range(n1 + n2 + 1))
-                assert mass == binomial_exact(n1 - 1, r - 1) * binomial_exact(n2 - 1, r - 1)
+                assert mass == math.comb(n1 - 1, r - 1) * math.comb(n2 - 1, r - 1)
     for args in ((4, 4, 2, -1), (4, 4, 2, 9), (4, 4, 5, 0), (3, 5, 4, 2), (-1, 2, 1, 0)):
         assert count_pairs_bruteforce(*args) == 0, args
 
@@ -189,6 +189,19 @@ def test_bruteforce_size_limit_comes_before_enumeration(monkeypatch):
     monkeypatch.setattr(sticky, "compositions", enumerate_never)
     with pytest.raises(SizeLimitError):
         count_pairs_bruteforce(60, 60, 30, 4)
+
+
+@pytest.mark.parametrize("args", [(5, 41, 5, 0), (8, 36, 8, 0)])
+def test_bruteforce_bounds_each_side_before_enumeration(monkeypatch, args):
+    # 1 x 91,390 and 1 x 6,724,520 pairs: under the pair limit, but one side
+    # has more than 10^4 compositions (0.68 s and about 36 s to enumerate)
+    def enumerate_never(*args):
+        raise AssertionError("enumerated past the size limit")
+
+    monkeypatch.setattr(sticky, "_bruteforce_histogram", enumerate_never)
+    monkeypatch.setattr(sticky, "compositions", enumerate_never)
+    with pytest.raises(SizeLimitError, match="^1 x .* composition pairs exceed"):
+        count_pairs_bruteforce(*args)
 
 
 @pytest.mark.parametrize("args", [(3, 3, 2, 10**6), (3, 3, 2, 10**8), (3, 3, 10**6, 0)])
@@ -270,7 +283,7 @@ def test_pair_mass_identity_moderate_n():
         r = table.r
         for n in range(r, n_max + 1):
             mass = sum(table.entries[n, n, :].tolist())
-            assert mass == binomial_exact(n - 1, r - 1) ** 2
+            assert mass == math.comb(n - 1, r - 1) ** 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -571,7 +584,7 @@ def test_total_ball_exact_values():
     assert pair_count_table(6, 6, 3, 12).total(6, 6, 12) == 100  # d = 2n holds every pair
     for n in range(2, 9):
         for r in range(1, n + 1):
-            assert pair_count_table(n, n, r, 0).total(n, n, 0) == binomial_exact(n - 1, r - 1)
+            assert pair_count_table(n, n, r, 0).total(n, n, 0) == math.comb(n - 1, r - 1)
 
 
 def test_table_count_bounds():
@@ -766,7 +779,7 @@ def test_capacity_runs_is_entropy():
 def test_capacity_runs_matches_counting():
     n, rho = 200, 0.3
     r = round(rho * n)
-    finite = math.log2(2 * binomial_exact(n - 1, r - 1)) / n
+    finite = math.log2(2 * math.comb(n - 1, r - 1)) / n
     assert abs(finite - sticky.evaluate_point(0.1, rho).capacity) <= 0.05
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gvbound import cli, sticky, verify
-from gvbound.errors import DomainError, GVBoundError
+from gvbound import cli, sticky, synthesis, verify
+from gvbound.errors import DomainError, GVBoundError, SizeLimitError
 from gvbound.verify import CheckResult, run_suite
 
 
@@ -79,3 +79,53 @@ def test_gv_numeric_argmax_scans_all_of_0_1_and_ends_finer_than_1_17e_10(monkeyp
     assert (hi - lo) / (num - 1) <= 1.17e-10  # three 512-point zooms ended at 1.1727e-10
     assert lo <= rho <= hi
     assert abs(value - sticky.gv_rate(0.1)[0]) <= 1e-12
+
+
+def test_a_check_that_raises_fails_its_row_and_the_rest_still_run(monkeypatch):
+    def refuse(n):
+        raise SizeLimitError("word counts refused")
+
+    monkeypatch.setattr(synthesis, "count_words_by_time", refuse)
+    results = {r.name: r for r in run_suite("synthesis", n_budget=2)}
+    refused = {"word mass identity", "capacity DP anchor"}
+    assert len(results) == 10
+    for name, result in results.items():
+        if name in refused:
+            assert result.detail == "resource/domain error: word counts refused"
+        assert result.passed == (name not in refused), (name, result.detail)
+
+
+def _off_by_one_at(count, bucket):
+    return lambda *args: count(*args) + (args == bucket)
+
+
+def test_sticky_oracle_check_fails_for_one_bucket_off_by_one(monkeypatch):
+    brute = _off_by_one_at(sticky.count_pairs_bruteforce, (3, 3, 2, 2))
+    monkeypatch.setattr(sticky, "count_pairs_bruteforce", brute)
+    checks = dict(verify._sticky_checks(4, verify._RESIDUAL_TOL))
+    passed, detail = checks["pair-count oracle equivalence"]()
+    assert not passed
+    assert detail.startswith("mismatch at (3,3,2,2): "), detail
+
+
+def test_synthesis_oracle_check_fails_for_one_bucket_off_by_one(monkeypatch):
+    brute = _off_by_one_at(synthesis.count_pairs_bruteforce, (2, 8, 1))
+    monkeypatch.setattr(synthesis, "count_pairs_bruteforce", brute)
+    checks = dict(verify._synthesis_checks(2, verify._RESIDUAL_TOL))
+    passed, detail = checks["pair-count oracle equivalence"]()
+    assert not passed
+    assert detail.startswith("mismatch at (n=2,t=8,s=1): "), detail
+
+
+def test_sticky_mass_check_fails_for_one_table_entry_off_by_one(monkeypatch):
+    layers = sticky.iter_pair_layers
+
+    def off_by_one(*args):
+        for table in layers(*args):
+            if table.r == 2:
+                table.entries[5, 5, 2] += 1
+            yield table
+
+    monkeypatch.setattr(sticky, "iter_pair_layers", off_by_one)
+    checks = dict(verify._sticky_checks(2, verify._RESIDUAL_TOL))
+    assert checks["pair mass identity"]() == (False, "mass at (n=5, r=2): table 17, binomial 16")
