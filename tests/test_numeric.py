@@ -118,6 +118,55 @@ def test_bisection_detects_exact_endpoint_root():
     assert result == BracketedRoot(root=3.0, residual=0.0, bracket=(1.0, 3.0))
 
 
+def test_bisection_returns_a_midpoint_root_exactly():
+    result = _bisect(RealPolynomial([-1.5, 1.0]), 1.0, 2.0)
+    assert result == BracketedRoot(root=1.5, residual=0.0, bracket=(1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "coefficients, lo, hi",
+    [
+        ([-2.0, 0.0, 1.0], 0.0, 2.0),
+        ([2.0, 0.0, -1.0], 0.0, 2.0),
+        # the cell the halving towards 0 hands over for a root near 1e-30
+        ([-1e-30, 1.0], 10.0 / 1024 / 2**93, 10.0 / 1024),
+    ],
+    ids=["rising", "falling", "halving-cell"],
+)
+def test_bisection_root_meets_both_tolerances(coefficients, lo, hi):
+    p = RealPolynomial(coefficients)
+    result = _bisect(p, lo, hi)
+    b_lo, b_hi = result.bracket
+    assert lo <= b_lo <= result.root <= b_hi <= hi
+    assert b_hi - b_lo <= 1e-12
+    assert abs(result.residual) <= 1e-12
+    assert result.residual == p.evaluate(result.root)
+
+
+def test_steep_bisection_narrows_past_the_width_tolerance():
+    # 100 x^2 - 200: at width 1e-12 |p| is still near 1e-10, so the bracket
+    # keeps halving until some probe has |p| <= 1e-12
+    result = _bisect(RealPolynomial([-200.0, 0.0, 100.0]), 0.0, 2.0)
+    lo, hi = result.bracket
+    assert hi - lo < 1e-13
+    assert abs(result.residual) <= 1e-12
+    assert result.root == pytest.approx(math.sqrt(2.0), abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [[-2e8, 0.0, 1e8], [2e8, 0.0, -1e8], [-2e4, 0.0, 1e4]],
+    ids=["rising", "falling", "just-too-steep"],
+)
+def test_bisection_stalls_when_no_float_meets_the_residual_tolerance(coefficients):
+    # the bracket collapses to adjacent floats about sqrt(2), where |p| > 1e-12
+    with pytest.raises(
+        NonConvergenceError,
+        match=r"^bisection stalled at bracket \[1.414213562373095, 1.4142135623730951\]",
+    ):
+        _bisect(RealPolynomial(coefficients), 0.0, 2.0)
+
+
 @pytest.mark.parametrize(
     "coefficient",
     [None, "x", "0.3", b"0.3", object(), 1j, math.nan, math.inf, -math.inf, 10**400],

@@ -63,6 +63,24 @@ def test_compositions_enumeration_count():
     assert list(compositions(3, 0)) == []
 
 
+@pytest.mark.parametrize(
+    "n, parts, expected",
+    [(0, 0, 1), (1, 0, 0), (0, 1, 0), (3, 5, 0), (1, 1, 1), (5, 2, 4), (9, 4, 56), (9, 9, 1)],
+)
+def test_compositions_count_matches_enumeration(n, parts, expected):
+    # no parts: only n = 0 has a composition, the empty one, which the
+    # weak-composition sums of count_pairs_exact need and compositions omits
+    assert sticky._compositions_count(n, parts) == expected
+    if parts >= 1:
+        assert len(list(compositions(n, parts))) == expected
+
+
+def test_compositions_count_is_exact_past_float64():
+    value = sticky._compositions_count(2001, 1001)
+    assert type(value) is int
+    assert value == math.comb(2000, 1000) > 2**1990
+
+
 def _compositions_by_recursion(n, r):
     # the first part ascending, then the compositions of the rest
     if r == 1:
