@@ -16,7 +16,8 @@ coefficient equals up to a factor 1 + O(1/n).
 
 The denominator is held as a sparse term list, so partial derivatives
 are exact and the Newton iteration below needs no finite differences.
-Each polynomial builds its gradient and Hessian once, on first use.
+The gradient table is built once per polynomial value, on first use,
+and equal polynomials share it.
 
 Evaluation, the critical-system residual and CriticalPoint records run
 on Python floats, so the closed-form critical points of the channels
@@ -28,8 +29,8 @@ leading term, which need linear algebra, import numpy when called.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, DomainError, NonConvergenceError
 from .numeric import _ABOVE_0, _FLOAT_MAX, _items, _real, _shown, check_sizes
@@ -53,39 +54,12 @@ _MAX_NEWTON_ITER = 100
 _MAX_STEP_HALVINGS = 30
 
 
-class _Record:
-    """An immutable record that can cache on the instance.
-
-    __init__ writes the fields into __dict__, as cached_property does its
-    values; assigning or deleting an attribute raises AttributeError.  The
-    names in _fields alone are compared, hashed and shown.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(self.__dict__[name] for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
-        return f"{type(self).__name__}({shown})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+class _PolynomialFields(NamedTuple):
+    num_vars: int
+    terms: tuple[tuple[tuple[int, ...], float], ...]
 
 
-class SparseMultivariatePolynomial(_Record):
+class SparseMultivariatePolynomial(_PolynomialFields):
     """Multivariate polynomial as a sparse list of monomial terms.
 
     Attributes:
@@ -100,11 +74,9 @@ class SparseMultivariatePolynomial(_Record):
             (exponents, coefficient) pairs, or exponents of another length.
     """
 
-    _fields = ("num_vars", "terms")
-    num_vars: int
-    terms: tuple[tuple[tuple[int, ...], float], ...]
+    __slots__ = ()
 
-    def __init__(self, num_vars: int, terms: Iterable[tuple[Sequence[int], float]]):
+    def __new__(cls, num_vars: int, terms: Iterable[tuple[Sequence[int], float]]):
         check_sizes(at_least=1, num_vars=num_vars)
         merged: dict[tuple[int, ...], float] = {}
         what = "polynomial coefficients must be finite real numbers"
@@ -122,12 +94,15 @@ class SparseMultivariatePolynomial(_Record):
             for exponents, coefficient in sorted(merged.items())
             if coefficient != 0.0
         )
-        self.__dict__.update(num_vars=int(num_vars), terms=cleaned)
+        return super().__new__(cls, int(num_vars), cleaned)
 
     def partial(self, var: int) -> "SparseMultivariatePolynomial":
         """Exact partial derivative with respect to variable index var."""
-        if not 0 <= var < self.num_vars:
-            raise DomainError(f"variable index {var} out of range for {self.num_vars} vars")
+        check_sizes(var=var)
+        if var >= self.num_vars:
+            raise DomainError(
+                f"variable index {_shown(var)} out of range for {self.num_vars} vars"
+            )
         new_terms = []
         for exponents, coefficient in self.terms:
             e = exponents[var]
@@ -138,14 +113,14 @@ class SparseMultivariatePolynomial(_Record):
             new_terms.append((lowered, coefficient * e))
         return SparseMultivariatePolynomial(self.num_vars, new_terms)
 
-    @cached_property
+    @property
     def gradient(self) -> tuple["SparseMultivariatePolynomial", ...]:
-        """First partials dH/dz_j, built once per polynomial."""
-        return tuple(self.partial(j) for j in range(self.num_vars))
+        """First partials dH/dz_j, built once per polynomial value."""
+        return _gradient(self)
 
-    @cached_property
+    @property
     def hessian(self) -> tuple[tuple["SparseMultivariatePolynomial", ...], ...]:
-        """Second partials, hessian[j][k] = d2H/dz_j dz_k, built once per polynomial."""
+        """Second partials, hessian[j][k] = d2H/dz_j dz_k."""
         return tuple(g.gradient for g in self.gradient)
 
     def __call__(self, z: Sequence[float]) -> float:
@@ -153,29 +128,28 @@ class SparseMultivariatePolynomial(_Record):
         return _evaluate(self, _check_point(self, z))
 
 
-class CriticalPoint(_Record):
+@cache
+def _gradient(H: SparseMultivariatePolynomial) -> tuple[SparseMultivariatePolynomial, ...]:
+    return tuple(H.partial(j) for j in range(H.num_vars))
+
+
+class CriticalPoint(NamedTuple):
     """Positive solution of the critical-point system with diagnostics.
 
     Attributes:
         z: the critical point coordinates, all strictly positive.
         direction: the direction vector r the system was solved for.
         iterations: Newton steps taken to reach z; 0 for a closed form.
-        H: the denominator z is a point of; not compared, hashed or shown.
+        H: the denominator z is a point of.
         residual_norm: max-norm of the system residual at z, computed on
-            first access (a sweep that never reads it never pays for it).
+            each access and never at construction (a sweep that never
+            reads it never pays for it).
     """
 
-    _fields = ("z", "direction", "iterations")
     z: tuple[float, ...]
     direction: tuple[float, ...]
     iterations: int
     H: SparseMultivariatePolynomial
-
-    def __init__(
-        self, z: tuple[float, ...], direction: tuple[float, ...], iterations: int,
-        H: SparseMultivariatePolynomial,
-    ):
-        self.__dict__.update(z=z, direction=direction, iterations=iterations, H=H)
 
     @classmethod
     def at(
@@ -188,7 +162,7 @@ class CriticalPoint(_Record):
         rv = _check_direction(H, r)
         return cls(tuple(zv), tuple(rv), iterations, H)
 
-    @cached_property
+    @property
     def residual_norm(self) -> float:
         return _residual_norm(self.H, self.direction, self.z)
 

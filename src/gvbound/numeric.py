@@ -287,10 +287,6 @@ class RealPolynomial(_PolynomialFields):
             coeffs = [0.0]
         return super().__new__(cls, tuple(coeffs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def is_zero(self) -> bool:
         return self.coefficients == (0.0,)
 

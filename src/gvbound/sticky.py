@@ -335,6 +335,13 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
         return 1 if n1 == 0 and n2 == 0 and s == 0 else 0
     if n1 < r or n2 < r:
         return 0
+    # with k = min(r - 1, n - r), a side has C(n - 1, r - 1) >= C(2k, k) compositions,
+    # and C(16, 8) > 10^4: from k = 8 on it is refused before its binomial is taken
+    if max(min(r - 1, n1 - r), min(r - 1, n2 - r)) >= 8:
+        raise SizeLimitError(
+            f"compositions of {_shown(n1)} or {_shown(n2)} into {_shown(r)} parts exceed the "
+            "enumeration limits"
+        )
     size1, size2 = _compositions_count(n1, r), _compositions_count(n2, r)
     if max(size1, size2) > _BRUTEFORCE_SIDE_LIMIT or size1 * size2 > _BRUTEFORCE_PAIR_LIMIT:
         raise SizeLimitError(

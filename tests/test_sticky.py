@@ -222,6 +222,30 @@ def test_bruteforce_bounds_each_side_before_enumeration(monkeypatch, args):
         count_pairs_bruteforce(*args)
 
 
+def test_bruteforce_refuses_a_huge_side_without_its_binomial():
+    # C(10^6 - 1, 5 * 10^5 - 1) has about 300,000 digits and takes seconds to compute
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        count_pairs_bruteforce(10**6, 10**6, 5 * 10**5, 0)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_bruteforce_refuses_exactly_the_requests_past_its_limits(monkeypatch):
+    # refusing a side from min(r - 1, n - r) = 8 on, before its binomial, keeps the limits
+    monkeypatch.setattr(sticky, "_bruteforce_histogram", lambda n1, n2, r: {})
+    for n1 in range(1, 31):
+        for n2 in range(1, 31):
+            for r in range(1, min(n1, n2) + 1):
+                size1, size2 = math.comb(n1 - 1, r - 1), math.comb(n2 - 1, r - 1)
+                over = max(size1, size2) > 10**4 or size1 * size2 > 10**7
+                try:
+                    count_pairs_bruteforce(n1, n2, r, 0)
+                    refused = False
+                except SizeLimitError:
+                    refused = True
+                assert refused == over, (n1, n2, r)
+
+
 @pytest.mark.parametrize("args", [(3, 3, 2, 10**6), (3, 3, 2, 10**8), (3, 3, 10**6, 0)])
 def test_count_pairs_exact_outside_support_builds_no_table(monkeypatch, args):
     def build_never(*args):
