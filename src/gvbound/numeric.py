@@ -11,6 +11,8 @@ accumulator mode from a bound on their counts (CountMode._accumulator),
 build the table in it and finish it once (CountMode._finish): a log2
 table whose counts fit float64 (at most 2^1000) is built in linear
 float64 counts and takes log2 at the end, a larger one in log2 counts.
+An exact table that a DP kernel sums is built in fixed-width limbs and
+becomes Python integers at the end.
 
 Everything here but the count modes runs on Python floats.  numpy is
 imported on the first count_mode() call, which only the pair-count tables
@@ -56,6 +58,16 @@ _BELOW_1 = math.nextafter(1.0, 0.0)
 # float64 counts (CountMode._accumulator).  Far enough below the float64
 # overflow at 2^1024 that no sum of counts under the bound can reach it.
 _LINEAR_LOG2_BITS = 1000
+
+# The private "limbs" count mode stores a count as uint64 limbs of radix
+# 2^56, lowest limb first (CountMode).  A carry leaves every limb below
+# 2^56, so limbwise sums may grow the limbs up to 2^_LIMB_HEADROOM-fold
+# before the next carry without wrapping.  A byte-aligned radix lets each
+# count leave as one int.from_bytes; radix 2^56 in uint64 summed the
+# synthesis DP faster than radix 2^24 in uint32 and held less memory.
+_LIMB_BITS = 56
+_LIMB_HEADROOM = 64 - _LIMB_BITS
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 _ROOT_TOL = 1e-12
 _SCAN_MAX = 10.0  # right end of the smallest-positive-root scan
@@ -155,11 +167,23 @@ class CountMode(NamedTuple):
     Both pair-count builders build a table in the mode _accumulator()
     gives for a bound on its counts and hand the result to that mode's
     _finish(): the synthesis DP sums with add, and the sticky builder
-    writes exact products through _encode.  For a log2 table whose counts
-    are at most 2^1000 this is a private "linear" mode, float64 counts
-    with 0 for zero and numpy.add, which rounds once per sum where
-    logaddexp2 rounds through exp2 and log2; _finish takes log2 in place.
-    count_mode() never returns the linear mode.
+    writes exact products through _encode.  Two private modes stand in
+    for the public ones, and count_mode() never returns either:
+
+    - "linear", for a log2 table whose counts are at most 2^1000: float64
+      counts with 0 for zero and numpy.add, which rounds once per sum where
+      logaddexp2 rounds through exp2 and log2; _finish takes log2 in place.
+    - "limbs", for an exact table that a DP kernel sums: a count is a
+      vector of uint64 limbs of radix 2^56, lowest first, on a trailing
+      axis of the table (one holds that many limbs), and numpy.add sums
+      limb by limb.  The table is stored limb-major: each limb is one
+      contiguous slab, so numpy sums a band slice along its rows rather
+      than across the short limb axis.  After a carry every limb is
+      below 2^56, and 8 bits of headroom let the limbs take sums that grow
+      them up to 2^8 = 16^2-fold, two synthesis steps of 16 step-cost pairs
+      each, before _carry must propagate the carries again.  _live slices
+      off the limbs that no count under a bound reaches yet, and _finish
+      turns each nonzero cell into a Python int once, at the end.
     """
 
     name: str
@@ -169,10 +193,15 @@ class CountMode(NamedTuple):
     add: np.ufunc
 
     def blank(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A table of zero counts; MemoryBudgetError above TABLE_CELL_BUDGET cells."""
+        """A table of zero counts; MemoryBudgetError above TABLE_CELL_BUDGET cells.
+
+        The budget counts cells, not the limbs of a limb table.
+        """
         _check_table_cells(shape)
         import numpy as np
 
+        if self.name == "limbs":
+            return np.moveaxis(np.zeros((len(self.one), *shape), dtype=self.dtype), 0, -1)
         return np.full(shape, self.zero, dtype=self.dtype)
 
     def sum(self, values: np.ndarray):
@@ -187,16 +216,22 @@ class CountMode(NamedTuple):
         m = float(finite.max())
         return m + math.log2(np.exp2(finite - m).sum())
 
-    def _accumulator(self, log2_bound: int) -> CountMode:
-        """The mode a DP kernel sums in when no count it holds exceeds 2^log2_bound.
+    def _accumulator(self, log2_bound: int, sums: bool = False) -> CountMode:
+        """The mode a builder fills a table in when no count it holds exceeds 2^log2_bound.
 
-        The linear mode for a log2 table with log2_bound <= 1000, and this
-        mode itself otherwise.  A table above the bound keeps logaddexp2:
+        The linear mode for a log2 table with log2_bound <= 1000.  For an
+        exact table that a DP kernel sums (sums=True), the limb mode with
+        the limbs a count of 2^log2_bound takes; the sticky builder writes
+        exact products, not sums, and keeps the object array.  This mode
+        itself otherwise.  A log2 table above the bound keeps logaddexp2:
         rescaling the linear counts per step instead would underflow the
         count-1 cells below the smallest float64, 2^-1074.
         """
         if self.name == "log2" and log2_bound <= _LINEAR_LOG2_BITS:
             return _modes()["linear"]
+        if self.name == "exact" and sums:
+            limbs = log2_bound // _LIMB_BITS + 1
+            return _modes()["limbs"]._replace(one=(1,) + (0,) * (limbs - 1))
         return self
 
     def _encode(self, counts: np.ndarray):
@@ -209,29 +244,65 @@ class CountMode(NamedTuple):
             return [math.log2(count) for count in counts.tolist()]
         return counts
 
+    def _live(self, table: np.ndarray, log2_bound: int) -> np.ndarray:
+        """A limb table cut to the limbs that a count of at most 2^log2_bound reaches.
+
+        A table of any other mode is returned as it is.
+        """
+        if self.name != "limbs":
+            return table
+        return table[..., : log2_bound // _LIMB_BITS + 1]
+
+    def _carry(self, table: np.ndarray) -> None:
+        """Propagate the carries of a limb table in place, leaving every limb below 2^56.
+
+        The counts must fit the table's limbs, so the top limb takes its
+        carry without overflow.  A table of any other mode is left as it is.
+        """
+        if self.name != "limbs":
+            return
+        for limb in range(table.shape[-1] - 1):
+            table[..., limb + 1] += table[..., limb] >> _LIMB_BITS
+            table[..., limb] &= _LIMB_MASK
+
     def _finish(self, table: np.ndarray) -> np.ndarray:
         """A table built in this mode, in the public mode it stands for.
 
-        Linear counts become log2 counts in place, 0 becoming -inf; a table
-        of a public mode is returned as it is.
+        Linear counts become log2 counts in place, 0 becoming -inf.  Carried
+        limb counts become a new object array: each nonzero cell is one
+        int.from_bytes of the low 7 bytes of its little-endian limbs, and
+        every other cell is 0.  A table of a public mode is returned as it is.
         """
-        if self.name != "linear":
-            return table
         import numpy as np
 
-        with np.errstate(divide="ignore"):
-            return np.log2(table, out=table)
+        if self.name == "linear":
+            with np.errstate(divide="ignore"):
+                return np.log2(table, out=table)
+        if self.name != "limbs":
+            return table
+        counts = np.zeros(table.shape[:-1], dtype=object)
+        cells = np.nonzero(table.any(axis=-1))
+        limbs = table[cells].astype("<u8", copy=False)  # a row of limbs per nonzero cell
+        raw = limbs.view(np.uint8).reshape(-1, 8)[:, : _LIMB_BITS // 8].tobytes()
+        del limbs
+        width = table.shape[-1] * _LIMB_BITS // 8  # bytes per count
+        ints = (int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
+        counts[cells] = np.fromiter(ints, dtype=object, count=len(cells[0]))
+        return counts
 
 
 @cache
 def _modes() -> dict[str, CountMode]:
-    """The count modes by name: the public "exact" and "log2", and the private "linear"."""
+    """The count modes by name: the public "exact" and "log2", and the private
+    "linear" and "limbs".  The limb mode's one, the count 1 as a vector of
+    limbs, gets as many limbs as a table's counts take from _accumulator."""
     import numpy as np
 
     return {
         "exact": CountMode("exact", 0, 1, object, np.add),
         "log2": CountMode("log2", NEG_INF, 0.0, np.float64, np.logaddexp2),
         "linear": CountMode("linear", 0.0, 1.0, np.float64, np.add),
+        "limbs": CountMode("limbs", 0, (1,), np.uint64, np.add),
     }
 
 

@@ -35,6 +35,7 @@ from .errors import DomainError, SizeLimitError
 from .numeric import (
     _ABOVE_0,
     _BELOW_1,
+    _LIMB_HEADROOM,
     CountMode,
     RealPolynomial,
     _real,
@@ -200,64 +201,84 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     s up by one unless d = 0.  Swapping the two words maps d to -d, so
     the d = 3 slab equals the d = 1 slab at every step; the kernel
     computes d = 0, 1, 2 only and copies entries[1] to entries[3] at the
-    end.  V is summed in place of L, the unused d = 3 slab holds
-    (1+x^2) 2 V_1, one scratch slab holds (1+x^2)(V_0 + V_2), and the
-    doubled term is added twice rather than stored: about 20 adds per
-    band cell and step, not 48.  Separate slabs for each factor would
-    hold several more big-integer slabs at once and raise the peak
-    memory of an exact table.
+    end.  V is summed in place of L, a band-sized scratch u holds
+    (1+x^2) 2 V_1, another w holds (1+x^2)(V_0 + V_2), and the doubled
+    term is added twice rather than stored: about 20 adds per band cell
+    and step, not 48.  Two level buffers take turns as the level and the
+    next level.
 
     Each step reads only the band where the level can be nonzero: after
     k positions the combined time is a sum of k step-cost pairs, each
     2..8, so t lies in [2k, 8k], and at most k positions mismatch, so
     s <= k.  The two (1+x^2) factors widen the t band by 4 cycles before
     the shifts.  Every cell outside the band is zero, and adding a zero
-    leaves a count unchanged.
+    leaves a count unchanged.  A buffer keeps stale sums below the band
+    it last held, which no later step reads, and only the final band is
+    copied out.
 
     Each pair also adds a + b = a - b (mod 2), so t = d (mod 2) in every
     slab d, and every other t is zero.  The kernel stores slab d on
     t = 2q + (d mod 2) only, at q: x^2 and x^4 shift q by 1 and 2, and
     x^3, which moves an odd slab into an even one or back, by 2 into an
     even slab and by 1 into slab 1, so every shift is a contiguous slice
-    of half the length.  The table is allocated before the first step,
-    so one over the cell budget fails before any sum, and the slabs are
-    expanded into it, to every t, once at the end.
+    of half the length.  The table is allocated before the level buffers
+    and the first step, so one over the cell budget fails before either,
+    and the final band is expanded into it, to every t, once at the end.
 
-    Every entry is at most 16^n, so a log2 table up to n = 250 sums
-    linear float64 counts and takes log2 once at the end (see
-    CountMode._accumulator); a larger one sums with logaddexp2.  Exact
-    tables hold the exact counts, and log2 tables match log2 of them
-    within about 1e-13.
+    Every entry is at most 16^n.  An exact table sums uint64 limbs of
+    radix 2^56 (see CountMode): step k works on the limbs that a count
+    of at most 16^(k+1) reaches, and since one step grows a count at
+    most 16-fold, the carries are propagated after every second step and
+    after the last, within the 2^8 headroom of the limbs.  The final
+    band becomes Python ints, one conversion per nonzero cell.  A log2
+    table up to n = 250 sums linear float64 counts and takes log2 once
+    at the end (see CountMode._accumulator); a larger one sums with
+    logaddexp2.  Exact tables hold the exact counts, and log2 tables
+    match log2 of them within about 1e-13.
     """
     check_sizes(n=n)
     cm = count_mode(mode)
-    acc = cm._accumulator(4 * n)
-    entries = acc.blank((4, 8 * n + 1, n + 1))  # before any step
-    level = acc.blank((4, 4 * n + 1, n + 1))  # slab d holds t = 2q + d % 2 at q
+    entries = cm.blank((4, 8 * n + 1, n + 1))  # before any buffer or step
+    acc = cm._accumulator(4 * n, sums=True)
+    # slab d holds t = 2q + d % 2 at q
+    level, nxt = acc.blank((3, 4 * n + 1, n + 1)), acc.blank((3, 4 * n + 1, n + 1))
     level[0, 0, 0] = acc.one
+    carry_steps = _LIMB_HEADROOM // 4  # a step grows a count at most 16 = 2^4-fold
     for k in range(n):
-        band = level[:, k : 4 * k + 3, : k + 1]  # q from k, room for the two (1 + x^2)
-        acc.add(band[:3, 1:], band[:3, :-1], out=band[:3, 1:])  # V = (1 + x^2) L
-        u = band[3]  # d = 3 repeats d = 1, so its slab holds (1 + x^2) 2 V_1
-        acc.add(band[1], band[1], out=u)
-        acc.add(u[1:], u[:-1], out=u[1:])
-        w = acc.add(band[0], band[2])  # (1 + x^2)(V_0 + V_2)
-        acc.add(w[1:], w[:-1], out=w[1:])
-        v = band[:, : 3 * k + 2]  # V_d is nonzero on q < 4k + 2
-        nxt = acc.blank(level.shape)
-        for d, cross, lag, far in ((0, u, 2, v[2]), (1, w, 1, v[1]), (2, u, 2, v[0])):
-            miss = int(d != 0)  # the position mismatches
-            dst = nxt[d, k:, miss : k + 1 + miss]
-            dst[1 : 3 * k + 3] = v[d]
-            acc.add(dst[3 : 3 * k + 5], v[d], out=dst[3 : 3 * k + 5])
-            acc.add(dst[lag : 3 * k + 3 + lag], cross, out=dst[lag : 3 * k + 3 + lag])
-            for _ in range(2):
-                acc.add(dst[2 : 3 * k + 4], far, out=dst[2 : 3 * k + 4])
-        level = nxt
-    level[3] = level[1]
-    for d in range(4):
-        entries[d, d % 2 :: 2] = level[d, : 4 * n + 1 - d % 2]
-    return SynthesisPairTable(mode=cm, n=n, entries=acc._finish(entries))
+        bits = 4 * k + 4  # no count after k + 1 positions exceeds 16^(k+1) = 2^bits
+        _step(acc, acc._live(level, bits), acc._live(nxt, bits), k)
+        if k % carry_steps == carry_steps - 1 or k == n - 1:
+            acc._carry(acc._live(nxt, bits)[:, k + 1 : 4 * k + 5, : k + 2])
+        level, nxt = nxt, level
+    del nxt  # one buffer fewer at the conversion, where an exact table peaks
+    final = acc._finish(level[:, n:])  # q from n: the rows below hold stale sums
+    for d in range(3):
+        entries[d, 2 * n + d % 2 :: 2] = final[d, : 3 * n + 1 - d % 2]
+    entries[3] = entries[1]
+    return SynthesisPairTable(mode=cm, n=n, entries=entries)
+
+
+def _step(acc: CountMode, level: np.ndarray, nxt: np.ndarray, k: int) -> None:
+    """One step of pair_count_table: the level after k + 1 positions, summed into nxt.
+
+    level holds the counts after k positions and is overwritten with V on
+    its band; nxt is written on the band of k + 1 positions, from q = k + 1.
+    """
+    band = level[:, k : 4 * k + 3, : k + 1]  # q from k, room for the two (1 + x^2)
+    acc.add(band[:, 1:], band[:, :-1], out=band[:, 1:])  # V = (1 + x^2) L
+    u = acc.add(band[1], band[1])  # d = 3 repeats d = 1: (1 + x^2) 2 V_1
+    acc.add(u[1:], u[:-1], out=u[1:])
+    w = acc.add(band[0], band[2])  # (1 + x^2)(V_0 + V_2)
+    acc.add(w[1:], w[:-1], out=w[1:])
+    v = band[:, : 3 * k + 2]  # V_d is nonzero on q < 4k + 2
+    for d, cross, lag, far in ((0, u, 2, v[2]), (1, w, 1, v[1]), (2, u, 2, v[0])):
+        miss = int(d != 0)  # the position mismatches
+        dst = nxt[d, k:, miss : k + 1 + miss]
+        dst[1 : 3 * k + 3] = v[d]
+        acc.add(dst[3 : 3 * k + 5], v[d], out=dst[3 : 3 * k + 5])
+        acc.add(dst[lag : 3 * k + 3 + lag], cross, out=dst[lag : 3 * k + 3 + lag])
+        for _ in range(2):
+            acc.add(dst[2 : 3 * k + 4], far, out=dst[2 : 3 * k + 4])
 
 
 def count_pairs_exact(n: int, t: int, s: int, mode: str = "exact"):

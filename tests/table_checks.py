@@ -51,16 +51,20 @@ def sticky_layers_by_full_slabs(n1_max, n2_max, r_max, s_max):
         yield level
 
 
-def synthesis_table_by_step_pairs(n):
-    """The exact entries of synthesis.pair_count_table(n), one step-cost pair at a time.
+def synthesis_tables_by_step_pairs(n_max):
+    """The exact entries of synthesis.pair_count_table(n) for n = 0 .. n_max, in order,
+    one step-cost pair at a time.
 
     Each step adds every level slab d to slab d + a - b (mod 4), shifted by
     a + b in t and by one in s unless the new slab is d = 0, for all 16
     pairs (a, b) and all four d: 64 adds per step, with no symmetry used.
     """
-    level = np.zeros((4, 8 * n + 1, n + 1), dtype=object)
+    level = np.zeros((4, 8 * n_max + 1, n_max + 1), dtype=object)
     level[0, 0, 0] = 1
-    for k in range(n):
+    for k in range(n_max + 1):
+        yield level[:, : 8 * k + 1, : k + 1].copy()
+        if k == n_max:
+            return
         nxt = np.zeros_like(level)
         for a, b in synthesis._STEP_PAIRS:
             for d in range(4):
@@ -69,7 +73,12 @@ def synthesis_table_by_step_pairs(n):
                     level[d, : 8 * k + 1, : k + 1]
                 )
         level = nxt
-    return level
+
+
+def synthesis_table_by_step_pairs(n):
+    """The exact entries of synthesis.pair_count_table(n), as synthesis_tables_by_step_pairs."""
+    *_, entries = synthesis_tables_by_step_pairs(n)
+    return entries
 
 
 def assert_matches_exact(entries, exact, mode, log2_bound):

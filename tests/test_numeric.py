@@ -85,6 +85,28 @@ def test_linear_accumulator_finishes_as_log2_in_place():
         count_mode("linear")
 
 
+def test_summed_exact_tables_take_limbs_that_carry_and_finish_as_python_ints():
+    exact, log2 = count_mode("exact"), count_mode("log2")
+    assert exact._accumulator(56) is exact  # the sticky builder writes products into objects
+    assert log2._accumulator(56, sums=True).name == "linear"
+    assert exact._accumulator(55, sums=True).one == (1,)
+    limbs = exact._accumulator(56, sums=True)  # 2^56 takes a second limb
+    assert (limbs.name, limbs.one, limbs.dtype, limbs.add) == ("limbs", (1, 0), np.uint64, np.add)
+    table = limbs.blank((3,))
+    assert table.shape == (3, 2) and not table.any()
+    assert limbs._live(table, 55).shape == (3, 1) and limbs._live(table, 56).shape == (3, 2)
+    assert exact._live(table, 0) is table
+    table[1] = limbs.one
+    table[2] = (2**64 - 1, 2**55)  # limb 0 past the radix: the count 2^111 + 2^64 - 1
+    limbs._carry(table)
+    assert table.tolist() == [[0, 0], [1, 0], [2**56 - 1, 2**55 + 2**8 - 1]]
+    counts = limbs._finish(table)
+    assert counts.tolist() == [0, 1, 2**111 + 2**64 - 1]
+    assert [type(count) for count in counts.tolist()] == [int] * 3
+    with pytest.raises(DomainError):
+        count_mode("limbs")
+
+
 def test_encode_writes_exact_counts_as_each_mode_stores_them():
     counts = np.array([1, 3, 2**1100], dtype=object)
     exact, log2 = count_mode("exact"), count_mode("log2")

@@ -369,13 +369,25 @@ def _no_step(*args, **kwargs):
 
 def test_pair_tables_over_the_cell_budget_raise_before_allocating(monkeypatch):
     modes = numeric._modes()
-    for name in ("exact", "log2"):
+    for name in list(modes):  # the private accumulators included
         monkeypatch.setitem(modes, name, modes[name]._replace(add=_no_step))
+    blanks = []
+    blank = numeric.CountMode.blank
+
+    def recorded(mode, shape):
+        blanks.append(mode.name)
+        return blank(mode, shape)
+
+    monkeypatch.setattr(numeric.CountMode, "blank", recorded)
     budget = f"budget is {numeric.TABLE_CELL_BUDGET}"
     with pytest.raises(MemoryBudgetError, match=budget):
         sticky.pair_count_table(1000, 1000, 1, 100)
     with pytest.raises(MemoryBudgetError, match=budget):
         synthesis.pair_count_table(3000, "log2")
+    for n in (2000, 3000):  # the table's cells fail before any limb buffer is made
+        with pytest.raises(MemoryBudgetError, match=budget):
+            synthesis.pair_count_table(n, "exact")
+    assert "limbs" not in blanks
     # the kernels' own slabs fit the budget here, only the tables do not
     with pytest.raises(MemoryBudgetError, match=budget):
         sticky.pair_count_table(1000, 1000, 500, 100, "log2")
@@ -398,6 +410,8 @@ def test_no_pair_layers_allocate_no_table():
         (lambda: sticky.pair_count_table(5, 3, 2, 6), 4 * 6 * 7),
         (lambda: next(sticky.iter_pair_layers(3, 5, 2, 6)), 4 * 6 * 7),
         (lambda: synthesis.pair_count_table(3), 4 * 25 * 4),
+        # 117,364 cells: the budget counts them, not the limbs the kernel sums in
+        (lambda: synthesis.pair_count_table(60), 4 * 481 * 61),
     ],
 )
 def test_pair_tables_fit_a_budget_of_exactly_their_cells(monkeypatch, build, cells):

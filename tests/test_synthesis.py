@@ -33,6 +33,7 @@ from table_checks import (
     assert_matches_exact,
     log2_of,
     synthesis_table_by_step_pairs,
+    synthesis_tables_by_step_pairs,
     worst_log2_error,
 )
 
@@ -257,6 +258,40 @@ def test_table_matches_the_step_pair_kernel(n, mode):
     # the reference adds each of the 16 step-cost pairs to all four d slabs
     entries = pair_count_table(n, mode).entries
     assert_matches_exact(entries, synthesis_table_by_step_pairs(n), mode, 4 * n + 1)
+
+
+def test_exact_tables_match_the_step_pair_kernel_at_every_n_to_28():
+    # exact tables sum uint64 limbs of radix 2^56: counts up to 16^n = 2^(4n)
+    # take n // 14 + 1 limbs, so the limb count grows at n = 14 and n = 28.
+    # Carries follow every second step and the last, so an even n ends on a
+    # carry after two steps' sums and an odd n on one after a single step's
+    for n, want in enumerate(synthesis_tables_by_step_pairs(28)):
+        entries = pair_count_table(n, "exact").entries
+        assert entries.tolist() == want.tolist(), n
+        assert all(type(count) is int for count in entries.ravel().tolist()), n
+
+
+@pytest.mark.parametrize("n", [60, 64, 100])
+def test_large_exact_tables_keep_the_pair_identities(n):
+    # past the reference kernel's reach: every marginal is a closed form
+    entries = pair_count_table(n, "exact").entries
+    assert all(type(count) is int for count in entries.ravel().tolist())
+    by_distance = entries.sum(axis=(0, 1)).tolist()
+    assert by_distance == [4**n * math.comb(n, s) * 3**s for s in range(n + 1)]
+    words = count_words_by_time(n)
+    assert entries.sum(axis=(0, 2)).tolist() == synthesis._conv(words, words)
+    assert sum(by_distance) == 16**n
+
+
+def test_an_exact_table_peaks_below_its_object_array_kernel():
+    # the object-array kernel this one replaced peaked at 7.56 MiB at n = 60
+    tracemalloc.start()
+    try:
+        pair_count_table(60, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20, peak
 
 
 def test_step_pair_classes_factor_as_the_kernel_applies_them():
