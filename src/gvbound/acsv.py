@@ -33,7 +33,7 @@ from functools import cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, DomainError, NonConvergenceError
-from .numeric import _ABOVE_0, _FLOAT_MAX, _items, _real, _shown, check_sizes
+from .numeric import _ABOVE_0, _FLOAT_MAX, _checked_make, _items, _real, _shown, check_sizes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,6 +75,7 @@ class SparseMultivariatePolynomial(_PolynomialFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, num_vars: int, terms: Iterable[tuple[Sequence[int], float]]):
         check_sizes(at_least=1, num_vars=num_vars)

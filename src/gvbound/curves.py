@@ -78,8 +78,8 @@ class CurveSpec(NamedTuple):
         """The swept parameter: beta for sticky curves, delta for synthesis."""
         return "beta" if self.channel == "sticky" else "delta"
 
-    def validate(self) -> tuple[StickyPoint | SynthesisPoint, StickyPoint | SynthesisPoint]:
-        """Raise DomainError for a bad spec; return the records at lo and hi.
+    def validate(self) -> None:
+        """Raise DomainError for a bad spec.
 
         The channel evaluates lo, then hi, which rejects a sweep outside
         its domain before any other grid point is evaluated.
@@ -117,7 +117,8 @@ class CurveSpec(NamedTuple):
             ) from None
         # the channel rejects parameters outside its domain
         evaluate = self._evaluator()
-        return evaluate(self.lo), evaluate(self.hi)
+        evaluate(self.lo)
+        evaluate(self.hi)
 
     def grid(self) -> list[float]:
         """steps evenly spaced points from lo to hi; rounding never carries one past hi."""
@@ -144,18 +145,10 @@ class RateCurve(NamedTuple):
 
 
 def build_curves(spec: CurveSpec) -> list[RateCurve]:
-    """Evaluate every requested bound over the sweep grid.
-
-    The records validate() made at lo and hi serve as the grid's first
-    and last points.  The first grid point is lo + 0.0: lo itself, or 0.0
-    for lo = -0.0, whose record has the same columns.  Rounding can leave
-    the last point below hi, and then it is evaluated again.
-    """
-    first, last = spec.validate()
+    """Evaluate every requested bound over the sweep grid."""
+    spec.validate()
     grid = spec.grid()
-    evaluate = spec._evaluator()
-    points = [first, *map(evaluate, grid[1:-1])]
-    points.append(last if grid[-1] == spec.hi else evaluate(grid[-1]))
+    points = list(map(spec._evaluator(), grid))
     columns = [BOUNDS[spec.channel][bound] for bound in spec.bounds]
     cells = [[column(p) for column in columns] for p in points]
     return [

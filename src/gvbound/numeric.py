@@ -6,13 +6,14 @@ their log2 in the "log2" count mode of the pair-count tables (CountMode).
 All logarithms are base 2, so every rate in the package is measured in
 bits per symbol.
 
-A log2 table is stored as log2 counts.  Both pair-count builders take an
-accumulator mode from a bound on their counts (CountMode._accumulator),
-build the table in it and finish it once (CountMode._finish): a log2
-table whose counts fit float64 (at most 2^1000) is built in linear
-float64 counts and takes log2 at the end, a larger one in log2 counts.
-An exact table that a DP kernel sums is built in fixed-width limbs and
-becomes Python integers at the end.
+A log2 table is stored as log2 counts.  The sticky builder forms each
+count once, as an exact product, and writes it, or math.log2 of it, into
+the table.  The synthesis DP sums counts: it takes an accumulator mode
+from a bound on its counts (CountMode._accumulator), sums in it and
+finishes the table once (CountMode._finish).  A log2 table whose counts
+fit float64 (at most 2^1000) is summed in linear float64 counts and
+takes log2 at the end, a larger one in log2 counts; an exact table is
+summed in fixed-width limbs and becomes Python integers at the end.
 
 Everything here but the count modes runs on Python floats.  numpy is
 imported on the first count_mode() call, which only the pair-count tables
@@ -164,21 +165,20 @@ class CountMode(NamedTuple):
     log2 counts, -inf for zero, and adds them with numpy.logaddexp2.  add is
     a plain attribute, so a DP kernel reads it once per table.
 
-    Both pair-count builders build a table in the mode _accumulator()
-    gives for a bound on its counts and hand the result to that mode's
-    _finish(): the synthesis DP sums with add, and the sticky builder
-    writes exact products through _encode.  Two private modes stand in
-    for the public ones, and count_mode() never returns either:
+    The synthesis DP sums its table in the mode _accumulator() gives for
+    a bound on its counts and hands the result to that mode's _finish().
+    Two private modes stand in for the public ones there, and count_mode()
+    never returns either:
 
     - "linear", for a log2 table whose counts are at most 2^1000: float64
       counts with 0 for zero and numpy.add, which rounds once per sum where
       logaddexp2 rounds through exp2 and log2; _finish takes log2 in place.
-    - "limbs", for an exact table that a DP kernel sums: a count is a
-      vector of uint64 limbs of radix 2^56, lowest first, on a trailing
-      axis of the table (one holds that many limbs), and numpy.add sums
-      limb by limb.  The table is stored limb-major: each limb is one
-      contiguous slab, so numpy sums a band slice along its rows rather
-      than across the short limb axis.  After a carry every limb is
+    - "limbs", for an exact table: a count is a vector of uint64 limbs
+      of radix 2^56, lowest first, on a trailing axis of the table (one
+      holds that many limbs), and numpy.add sums limb by limb.  The
+      table is stored limb-major: each limb is one contiguous slab, so
+      numpy sums a band slice along its rows rather than across the
+      short limb axis.  After a carry every limb is
       below 2^56, and 8 bits of headroom let the limbs take sums that grow
       them up to 2^8 = 16^2-fold, two synthesis steps of 16 step-cost pairs
       each, before _carry must propagate the carries again.  _live slices
@@ -216,33 +216,21 @@ class CountMode(NamedTuple):
         m = float(finite.max())
         return m + math.log2(np.exp2(finite - m).sum())
 
-    def _accumulator(self, log2_bound: int, sums: bool = False) -> CountMode:
-        """The mode a builder fills a table in when no count it holds exceeds 2^log2_bound.
+    def _accumulator(self, log2_bound: int) -> CountMode:
+        """The mode a DP kernel sums a table in when no count it holds exceeds 2^log2_bound.
 
-        The linear mode for a log2 table with log2_bound <= 1000.  For an
-        exact table that a DP kernel sums (sums=True), the limb mode with
-        the limbs a count of 2^log2_bound takes; the sticky builder writes
-        exact products, not sums, and keeps the object array.  This mode
-        itself otherwise.  A log2 table above the bound keeps logaddexp2:
-        rescaling the linear counts per step instead would underflow the
-        count-1 cells below the smallest float64, 2^-1074.
+        For an exact table, the limb mode with the limbs a count of
+        2^log2_bound takes.  For a log2 table, the linear mode while
+        log2_bound <= 1000, and this mode itself above: rescaling the
+        linear counts per step instead would underflow the count-1 cells
+        below the smallest float64, 2^-1074.
         """
-        if self.name == "log2" and log2_bound <= _LINEAR_LOG2_BITS:
-            return _modes()["linear"]
-        if self.name == "exact" and sums:
+        if self.name == "exact":
             limbs = log2_bound // _LIMB_BITS + 1
             return _modes()["limbs"]._replace(one=(1,) + (0,) * (limbs - 1))
+        if log2_bound <= _LINEAR_LOG2_BITS:
+            return _modes()["linear"]
         return self
-
-    def _encode(self, counts: np.ndarray):
-        """Nonzero exact counts (an object array) as values to write into a table of this mode.
-
-        A log2 table takes math.log2 of each; exact and linear tables take them
-        as they are, and a float64 one rounds each on assignment (OverflowError past 2^1024).
-        """
-        if self.name == "log2":
-            return [math.log2(count) for count in counts.tolist()]
-        return counts
 
     def _live(self, table: np.ndarray, log2_bound: int) -> np.ndarray:
         """A limb table cut to the limbs that a count of at most 2^log2_bound reaches.
@@ -318,6 +306,12 @@ def count_mode(mode: str) -> CountMode:
     return _modes()[mode]
 
 
+def _checked_make(cls, fields: Iterable):
+    """A record from its fields through cls(*fields), so _replace runs the checks
+    of a record's __new__ too; a checked record sets _make = classmethod(_checked_make)."""
+    return cls(*fields)
+
+
 class BracketedRoot(NamedTuple):
     """A root of a scalar function together with its final bracket.
 
@@ -348,6 +342,7 @@ class RealPolynomial(_PolynomialFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, coefficients: Sequence[float]):
         what = "polynomial coefficients must be finite real numbers"
@@ -362,11 +357,8 @@ class RealPolynomial(_PolynomialFields):
         return self.coefficients == (0.0,)
 
     def evaluate(self, x: float) -> float:
-        """Evaluate the polynomial at x by Horner's rule."""
-        value = 0.0
-        for c in reversed(self.coefficients):
-            value = value * x + c
-        return value
+        """The value at x by Horner's rule; DomainError unless x is a finite real number."""
+        return self._horner(_real(x, "a polynomial is evaluated at finite real numbers"))
 
     def evaluate_many(self, xs: Iterable[float]) -> list[float]:
         """Values at each of xs, in order, as evaluate gives them.
@@ -374,7 +366,14 @@ class RealPolynomial(_PolynomialFields):
         The root scan probes its grid points through this method, one
         point per call, so that one wrapper around it can count the probes.
         """
-        return [self.evaluate(x) for x in xs]
+        return [self.evaluate(x) for x in _items(xs, "xs must be a sequence of points")]
+
+    def _horner(self, x: float) -> float:
+        """The value at a float x, unchecked: the bisection's inner loop."""
+        value = 0.0
+        for c in reversed(self.coefficients):
+            value = value * x + c
+        return value
 
 
 def _bisect(p: RealPolynomial, lo: float, hi: float) -> BracketedRoot:
@@ -393,7 +392,7 @@ def _bisect(p: RealPolynomial, lo: float, hi: float) -> BracketedRoot:
         NonConvergenceError: if the tolerance is unreachable in the
             iteration budget.
     """
-    f = p.evaluate
+    f = p._horner
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:

@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .numeric import (
-    _ABOVE_0, _BELOW_1, NEG_INF, CountMode, _check_mode, _check_table_cells, _items, _real, _shown,
-    check_sizes, count_mode, entropy,
+    _ABOVE_0, _BELOW_1, NEG_INF, CountMode, _check_mode, _check_table_cells, _checked_make, _items,
+    _real, _shown, check_sizes, count_mode, entropy,
 )
 
 if TYPE_CHECKING:
@@ -77,6 +77,7 @@ class Composition(_CompositionFields):
     """Run-length vector: positive integer parts summing to n."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, parts: Sequence[int]):
         parts = _items(parts, "a composition must be a sequence of parts")
@@ -221,11 +222,9 @@ def iter_pair_layers(
     budget fails before any product.  It is then filled one M plane at a
     time: C(M - 1, r - 1) D_r[P, Q] goes to (M + P, M + Q, P + Q), on
     the support cells only (M >= r and D_r[P, Q] > 0); every other entry
-    is the mode's zero.  Exact tables hold the exact counts.  Every count
-    stays below 3 * 2^(n1_max + n2_max), the bound a table takes its
-    accumulator mode from (see CountMode._accumulator), and a log2 table
-    is log2 of the exact one: numpy.log2 of the float64 counts while
-    n1_max + n2_max <= 998, math.log2 of each exact count above.
+    is the mode's zero.  Exact tables hold the exact counts, and a log2
+    table holds math.log2 of each, at every size: the same float that
+    count_pairs_exact gives in log2 mode.
     """
     return _tables(n1_max, n2_max, 1, r_max, s_max, mode)
 
@@ -238,7 +237,6 @@ def _tables(
     cm = count_mode(mode)
     import numpy as np
 
-    acc = cm._accumulator(n1_max + n2_max + 2)
     shape = (n1_max + 1, n2_max + 1, s_max + 1)
     m_top = min(n1_max, n2_max)
     d = count_mode("exact").blank((min(n1_max, s_max) + 1, min(n2_max, s_max) + 1))  # D_r[P, Q]
@@ -252,12 +250,15 @@ def _tables(
             np.add.accumulate(d, axis=1, out=d)
         if r < r_first:
             continue
-        entries = acc.blank(shape)
+        entries = cm.blank(shape)
         support = fits & (d != 0)
         for m in range(r, m_top + 1):
             p, q = np.nonzero(support[: n1_max - m + 1, : n2_max - m + 1])
-            entries[m + p, m + q, p + q] = acc._encode(d[p, q] * math.comb(m - 1, r - 1))
-        yield PairCountTable(mode=cm, r=r, entries=acc._finish(entries))
+            counts = d[p, q] * math.comb(m - 1, r - 1)
+            if mode == "log2":
+                counts = [math.log2(count) for count in counts.tolist()]
+            entries[m + p, m + q, p + q] = counts
+        yield PairCountTable(mode=cm, r=r, entries=entries)
 
 
 def pair_count_table(

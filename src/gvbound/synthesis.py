@@ -239,7 +239,7 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     check_sizes(n=n)
     cm = count_mode(mode)
     entries = cm.blank((4, 8 * n + 1, n + 1))  # before any buffer or step
-    acc = cm._accumulator(4 * n, sums=True)
+    acc = cm._accumulator(4 * n)
     # slab d holds t = 2q + d % 2 at q
     level, nxt = acc.blank((3, 4 * n + 1, n + 1)), acc.blank((3, 4 * n + 1, n + 1))
     level[0, 0, 0] = acc.one

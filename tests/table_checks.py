@@ -9,9 +9,16 @@ from gvbound import synthesis
 
 
 def log2_of(entries):
-    """Elementwise float64 log2 of an exact table, -inf for zero counts."""
+    """numpy.log2 of an exact table's float64 counts, -inf for zero, as the synthesis
+    DP's linear float64 sums finish."""
     with np.errstate(divide="ignore"):
         return np.log2(entries.astype(np.float64))
+
+
+def log2_of_each(entries):
+    """math.log2 of each nonzero count of an exact table, -inf for zero, as float64."""
+    values = [math.log2(count) if count else -math.inf for count in entries.ravel().tolist()]
+    return np.array(values, dtype=np.float64).reshape(entries.shape)
 
 
 def worst_log2_error(logs, exact):
@@ -82,7 +89,7 @@ def synthesis_table_by_step_pairs(n):
 
 
 def assert_matches_exact(entries, exact, mode, log2_bound):
-    """A kernel table in `mode` against exact reference counts, all below 2^log2_bound.
+    """A synthesis table in `mode` against exact reference counts, all below 2^log2_bound.
 
     An exact table must be equal.  A log2 table must be log2 of the counts bit
     for bit while they are below 2^53, where every linear float64 sum is exact,

@@ -168,10 +168,8 @@ def test_build_curves_evaluates_each_grid_point_once(monkeypatch):
     calls = _evaluations(monkeypatch, sticky)
     spec = sticky_spec(steps=50)  # the README sweep 0:0.49:50
     build_curves(spec)
-    # the domain check evaluates lo, then hi, before the rest of the grid,
-    # and those two records serve as the grid's end points
-    assert len(calls) == 50
-    assert calls[:2] == [0.0, 0.49] and calls[2:] == spec.grid()[1:-1]
+    # the domain check evaluates lo, then hi, before the grid
+    assert calls == [0.0, 0.49, *spec.grid()]
 
 
 def test_build_curves_evaluates_a_last_grid_point_below_hi(monkeypatch):
@@ -182,7 +180,7 @@ def test_build_curves_evaluates_a_last_grid_point_below_hi(monkeypatch):
     curves = build_curves(spec)
     grid = spec.grid()
     assert grid[-1] == 0.44999999999999996  # rounds below hi
-    assert calls == [0.0, 0.45, *grid[1:]]
+    assert calls == [0.0, 0.45, *grid]
     for k, x in enumerate(grid):
         assert [c.rows[k] for c in curves] == [
             (x, *column(sticky.evaluate_point(x))) for column in
@@ -192,7 +190,7 @@ def test_build_curves_evaluates_a_last_grid_point_below_hi(monkeypatch):
 
 @pytest.mark.parametrize("channel, hi, tau", [("sticky", 0.49, None), ("synthesis", 0.6, 2.0)])
 def test_a_sweep_from_negative_zero_prints_as_one_from_zero(channel, hi, tau):
-    # the first row comes from the record at lo = -0.0, its x from the grid (0.0)
+    # the first grid point is lo + 0.0, which is 0.0 for lo = -0.0
     csv = [rows_to_csv(spec, build_curves(spec)) for spec in (
         CurveSpec(channel, tuple(BOUNDS[channel]), lo, hi, 5, tau) for lo in (-0.0, 0.0)
     )]

@@ -9,8 +9,10 @@ since the pair-layer generators check their sizes on the first next.
 
 An argument of the package's own types (a polynomial, a composition or
 a critical point) is swept too: each hostile value stands in for it.
-The records themselves are not swept, nor are their methods but one:
-SparseMultivariatePolynomial.partial, whose variable index is swept.
+The records themselves are not swept, nor are their methods but three:
+SparseMultivariatePolynomial.partial, whose variable index is swept, and
+RealPolynomial.evaluate and evaluate_many, whose points are.  A checked
+record's _replace runs its constructor's checks (tested below the sweep).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import pytest
 
 from gvbound import acsv, numeric, sticky, synthesis, verify
 from gvbound.curves import CurveSpec
-from gvbound.errors import GVBoundError
+from gvbound.errors import DomainError, GVBoundError
 
 HOSTILE = {
     "nan": math.nan,
@@ -66,6 +68,9 @@ _closed_form = sticky.critical_point_closed_form
 
 
 _CUBIC = numeric.RealPolynomial([-1.0, 1.0, 1.0, 1.0])
+# 1 - x: finite at every finite x, where a higher power can overflow to an infinite
+# value, which evaluate returns and the root scan reads as a sign
+_LINE = numeric.RealPolynomial([1.0, -1.0])
 
 
 def _residual(r=(1.0, 1.0), z=(0.5, 0.5), H=_H):
@@ -96,6 +101,9 @@ SITES = {
     "numeric.count_mode(mode)": lambda v="log2": numeric.count_mode(v),
     "numeric.RealPolynomial(coefficients)": lambda v=(1.0, -2.0): numeric.RealPolynomial(v),
     "numeric.RealPolynomial(coefficient)": lambda v=0.5: numeric.RealPolynomial([1.0, v, -2.0]),
+    "numeric.RealPolynomial.evaluate(x)": lambda v=0.5: _LINE.evaluate(v),
+    "numeric.RealPolynomial.evaluate_many(xs)": lambda v=(0.5,): _LINE.evaluate_many(v),
+    "numeric.RealPolynomial.evaluate_many(x)": lambda v=0.5: _LINE.evaluate_many([0.0, v]),
     "numeric.smallest_positive_root(p)": lambda v=_CUBIC: numeric.smallest_positive_root(v),
     "sticky.Composition(parts)": lambda v=(1, 2): sticky.Composition(v),
     "sticky.Composition(part)": lambda v=2: sticky.Composition([1, v]),
@@ -262,3 +270,18 @@ def test_each_site_is_a_valid_call(site):
     if isinstance(result, Iterator):
         result = list(islice(result, 2))
     assert list(_bad_numbers(result)) == []
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (_U, {"parts": (0, -1)}),
+        (_CUBIC, {"coefficients": (math.nan,)}),
+        (_H, {"terms": (((0, 0), math.inf),)}),
+    ],
+    ids=["Composition", "RealPolynomial", "SparseMultivariatePolynomial"],
+)
+def test_replace_checks_the_fields_as_the_constructor_does(record, fields):
+    assert record._replace() == record and type(record._replace()) is type(record)
+    with pytest.raises(DomainError):
+        record._replace(**fields)

@@ -63,7 +63,7 @@ def test_log2_accumulator_switches_to_logaddexp2_one_bit_above_the_cutoff(monkey
     exact, log2 = count_mode("exact"), count_mode("log2")
     assert log2._accumulator(1000).name == "linear"
     assert log2._accumulator(1001) is log2
-    assert exact._accumulator(0) is exact
+    assert exact._accumulator(0).name == "limbs"
     monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", 20)
     assert log2._accumulator(20).name == "linear"
     assert log2._accumulator(21) is log2
@@ -87,10 +87,9 @@ def test_linear_accumulator_finishes_as_log2_in_place():
 
 def test_summed_exact_tables_take_limbs_that_carry_and_finish_as_python_ints():
     exact, log2 = count_mode("exact"), count_mode("log2")
-    assert exact._accumulator(56) is exact  # the sticky builder writes products into objects
-    assert log2._accumulator(56, sums=True).name == "linear"
-    assert exact._accumulator(55, sums=True).one == (1,)
-    limbs = exact._accumulator(56, sums=True)  # 2^56 takes a second limb
+    assert log2._accumulator(56).name == "linear"
+    assert exact._accumulator(55).one == (1,)
+    limbs = exact._accumulator(56)  # 2^56 takes a second limb
     assert (limbs.name, limbs.one, limbs.dtype, limbs.add) == ("limbs", (1, 0), np.uint64, np.add)
     table = limbs.blank((3,))
     assert table.shape == (3, 2) and not table.any()
@@ -105,23 +104,6 @@ def test_summed_exact_tables_take_limbs_that_carry_and_finish_as_python_ints():
     assert [type(count) for count in counts.tolist()] == [int] * 3
     with pytest.raises(DomainError):
         count_mode("limbs")
-
-
-def test_encode_writes_exact_counts_as_each_mode_stores_them():
-    counts = np.array([1, 3, 2**1100], dtype=object)
-    exact, log2 = count_mode("exact"), count_mode("log2")
-    linear = log2._accumulator(0)
-    assert exact._encode(counts) is counts
-    assert linear._encode(counts) is counts
-    assert log2._encode(counts) == [0.0, math.log2(3), 1100.0]
-    table = linear.blank((3,))
-    table[:2] = linear._encode(counts[:2])  # float64 rounds each count on assignment
-    assert table.tolist() == [1.0, 3.0, 0.0]
-    with pytest.raises(OverflowError):
-        table[2:] = linear._encode(counts[2:])
-    logs = log2.blank((4,))
-    logs[1:] = log2._encode(counts)
-    assert logs.tolist() == [-math.inf, 0.0, math.log2(3), 1100.0]
 
 
 def test_bisection_finds_simple_root():
