@@ -195,13 +195,17 @@ class CountMode(NamedTuple):
     def blank(self, shape: tuple[int, ...]) -> np.ndarray:
         """A table of zero counts; MemoryBudgetError above TABLE_CELL_BUDGET cells.
 
-        The budget counts cells, not the limbs of a limb table.
+        The budget counts cells, not the limbs of a limb table.  An exact
+        table is filled with the int 0 in one pass, where numpy.full would
+        fill it with None first.
         """
         _check_table_cells(shape)
         import numpy as np
 
         if self.name == "limbs":
             return np.moveaxis(np.zeros((len(self.one), *shape), dtype=self.dtype), 0, -1)
+        if self.name == "exact":
+            return np.zeros(shape, dtype=object)
         return np.full(shape, self.zero, dtype=self.dtype)
 
     def sum(self, values: np.ndarray):

@@ -216,13 +216,17 @@ def iter_pair_layers(
     and negative entries to -Q.  Their generating function is
     ((1 - ab) / ((1 - a)(1 - b)))^r, so D_r follows from D_(r-1) by one
     shift-subtract and two cumulative sums on the (P, Q) plane, with
-    P <= min(n1_max, s_max) and Q <= min(n2_max, s_max).
+    P <= min(n1_max, s_max) and Q <= min(n2_max, s_max).  Levels from r
+    on read only P <= n1_max - r and Q <= n2_max - r, so D_r is advanced
+    on that block alone.
 
     Each table is allocated before it is written, so one over the cell
     budget fails before any product.  It is then filled one M plane at a
-    time: C(M - 1, r - 1) D_r[P, Q] goes to (M + P, M + Q, P + Q), on
-    the support cells only (M >= r and D_r[P, Q] > 0); every other entry
-    is the mode's zero.  Exact tables hold the exact counts, and a log2
+    time, for M >= r: C(M - 1, r - 1) D_r[P, Q] goes to (M + P, M + Q,
+    P + Q).  A plane whose every cell has P + Q <= s_max is written whole
+    through one strided view of the table; a plane that s_max cuts is
+    written on its support cells only (D_r[P, Q] > 0).  Every other
+    entry is the mode's zero.  Exact tables hold the exact counts, and a log2
     table holds math.log2 of each, at every size: the same float that
     count_pairs_exact gives in log2 mode.
     """
@@ -236,6 +240,7 @@ def _tables(
     check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
     cm = count_mode(mode)
     import numpy as np
+    from numpy.lib.stride_tricks import as_strided
 
     shape = (n1_max + 1, n2_max + 1, s_max + 1)
     m_top = min(n1_max, n2_max)
@@ -244,20 +249,38 @@ def _tables(
     fits = np.add.outer(np.arange(d.shape[0]), np.arange(d.shape[1])) <= s_max
     # a level past m_top is zero and leaves D_r as it is: skip those before r_first
     for r in chain(range(1, min(r_first, m_top + 1)), range(r_first, r_max + 1)):
-        if r <= m_top:  # times (1 - ab) / ((1 - a)(1 - b))
-            d[1:, 1:] = d[1:, 1:] - d[:-1, :-1]
-            np.add.accumulate(d, axis=0, out=d)
-            np.add.accumulate(d, axis=1, out=d)
+        if r <= m_top:  # times (1 - ab) / ((1 - a)(1 - b)), on the block levels >= r read
+            block = d[: n1_max - r + 1, : n2_max - r + 1]
+            block[1:, 1:] = block[1:, 1:] - block[:-1, :-1]
+            np.add.accumulate(block, axis=0, out=block)
+            np.add.accumulate(block, axis=1, out=block)
         if r < r_first:
             continue
         entries = cm.blank(shape)
+        s0, s1, s2 = entries.strides
         support = fits & (d != 0)
         for m in range(r, m_top + 1):
-            p, q = np.nonzero(support[: n1_max - m + 1, : n2_max - m + 1])
-            counts = d[p, q] * math.comb(m - 1, r - 1)
-            if mode == "log2":
-                counts = [math.log2(count) for count in counts.tolist()]
-            entries[m + p, m + q, p + q] = counts
+            comb = math.comb(m - 1, r - 1)
+            kp, kq = min(n1_max - m + 1, d.shape[0]), min(n2_max - m + 1, d.shape[1])
+            if kp + kq - 2 <= s_max:
+                # the view maps (P, Q) to cell (m + P, m + Q, P + Q) of the C-order
+                # entries.  Each index grows with P and Q, and the last cell,
+                # (m + kp - 1, m + kq - 1, kp + kq - 2), is inside by the bounds on kp
+                # and kq and the test above; distinct (P, Q) differ in the first two
+                # indices, so no two cells of the view share an address
+                plane = as_strided(entries[m, m], (kp, kq), (s0 + s2, s1 + s2))
+                if mode == "exact":
+                    np.multiply(d[:kp, :kq], comb, out=plane)
+                else:
+                    counts = d[:kp, :kq].ravel().tolist()
+                    logs = (math.log2(count * comb) if count else NEG_INF for count in counts)
+                    plane[...] = np.fromiter(logs, np.float64, kp * kq).reshape(kp, kq)
+            else:
+                p, q = np.nonzero(support[:kp, :kq])
+                counts = d[p, q] * comb
+                if mode == "log2":
+                    counts = [math.log2(count) for count in counts.tolist()]
+                entries[m + p, m + q, p + q] = counts
         yield PairCountTable(mode=cm, r=r, entries=entries)
 
 

@@ -446,9 +446,90 @@ def test_swapping_the_words_transposes_every_layer(n1_max, n2_max, r_max, s_max,
         assert np.array_equal(table.entries, other.entries.transpose(1, 0, 2)), table.r
 
 
+def _assert_exact_ints(entries):
+    """Every cell of an exact table is a Python int, not a float or a numpy integer."""
+    assert all(type(count) is int for count in entries.ravel().tolist())
+
+
 def _assert_matches_exact(entries, exact, mode):
     """A table in `mode` against exact reference counts: equal, or math.log2 of each."""
     assert np.array_equal(entries, exact if mode == "exact" else log2_of_each(exact))
+    if mode == "exact":
+        _assert_exact_ints(entries)
+
+
+def _whole_planes(n1_max, n2_max, r, s_max):
+    """The M planes of the level r table that s_max does not cut.
+
+    Plane M holds the cells (M + P, M + Q, P + Q) with P <= min(n1_max - M, s_max)
+    and Q <= min(n2_max - M, s_max); it is whole when every one has P + Q <= s_max.
+    """
+    planes = []
+    for m in range(r, min(n1_max, n2_max) + 1):
+        p_top, q_top = min(n1_max - m, s_max), min(n2_max - m, s_max)
+        if p_top + q_top <= s_max:
+            planes.append(m)
+    return planes
+
+
+# Shapes (n1_max, n2_max, r_max, s_max) by how s_max cuts the M planes.  A plane
+# s_max does not cut is written through one strided view, a cut one cell by cell.
+# The top plane, M = min(n1_max, n2_max), spans one row or column and is never cut.
+_PLANE_SHAPES = [
+    (9, 13, 9, 22),  # every plane whole: s_max = n1_max + n2_max
+    (13, 9, 9, 30),  # every plane whole: s_max > n1_max + n2_max
+    (11, 14, 7, 8),  # s_max < min(n1_max, n2_max): every plane cut but M >= 9
+    (13, 13, 6, 4),  # square, s_max < n: every plane cut but M >= 11
+    (9, 12, 7, 12),  # mixed, s_max = n2_max: M <= 4 cut, M >= 5 whole
+    (12, 9, 7, 9),  # mixed, s_max = n2_max: M <= 5 cut, M >= 6 whole
+    (10, 12, 4, 16),  # boundary: plane 3 reaches s = 16 = s_max, whole; plane 2 is cut
+    (10, 12, 4, 15),  # boundary: plane 3 reaches s = 16 = s_max + 1, cut; plane 4 whole
+]
+
+
+def test_plane_shapes_cover_whole_cut_and_boundary_planes():
+    # the classes the comments above name, so the tests below run both write paths
+    whole = [_whole_planes(n1, n2, 1, s) for n1, n2, _, s in _PLANE_SHAPES]
+    assert whole[0] == list(range(1, 10)) and whole[1] == list(range(1, 10))
+    assert whole[2] == [9, 10, 11] and whole[3] == [11, 12, 13]
+    assert whole[4] == list(range(5, 10)) and whole[5] == list(range(6, 10))
+    assert whole[6] == list(range(3, 11)) and whole[7] == list(range(4, 11))
+
+
+@pytest.mark.parametrize("mode", ["exact", "log2"])
+@pytest.mark.parametrize("shape", _PLANE_SHAPES)
+def test_strided_plane_views_stay_inside_the_table(monkeypatch, shape, mode):
+    # each view must hold the cells (M + P, M + Q, P + Q) of its own table, once
+    # each; it is checked before it is returned, as a write through a stray view
+    # would corrupt memory rather than fail
+    n1_max, n2_max, r_max, s_max = shape
+    real = np.lib.stride_tricks.as_strided
+    planes = []
+
+    def checked(x, view_shape, strides):
+        entries = x.base
+        assert entries.flags.c_contiguous and entries.shape == (n1_max + 1, n2_max + 1, s_max + 1)
+        s0, s1, _ = entries.strides
+        start = x.__array_interface__["data"][0] - entries.__array_interface__["data"][0]
+        m, rest = divmod(start, s0 + s1)  # x is entries[m, m]
+        assert rest == 0
+        (kp, kq), item = view_shape, entries.itemsize
+        last = (m + kp - 1, m + kq - 1, kp + kq - 2)
+        assert all(i < dim for i, dim in zip(last, entries.shape)), (m, last)
+        offsets = start + np.add.outer(np.arange(kp) * strides[0], np.arange(kq) * strides[1])
+        assert np.all(offsets % item == 0)
+        assert 0 <= offsets.min() and offsets.max() < entries.nbytes
+        assert len(np.unique(offsets)) == kp * kq  # no two cells share an address
+        cells = np.unravel_index(offsets.ravel() // item, entries.shape)
+        p, q = np.divmod(np.arange(kp * kq), kq)
+        assert all(np.array_equal(got, want) for got, want in zip(cells, (m + p, m + q, p + q)))
+        planes.append(m)
+        return real(x, view_shape, strides)
+
+    monkeypatch.setattr(np.lib.stride_tricks, "as_strided", checked)
+    tables = list(iter_pair_layers(*shape, mode))
+    expected = [m for t in tables for m in _whole_planes(n1_max, n2_max, t.r, s_max)]
+    assert planes == expected and planes
 
 
 @settings(max_examples=30, deadline=None)
@@ -463,6 +544,11 @@ def _assert_matches_exact(entries, exact, mode):
 @example(n1_max=24, n2_max=24, r_max=13, s_max=30, mode="log2")
 @example(n1_max=24, n2_max=9, r_max=11, s_max=33, mode="log2")
 @example(n1_max=9, n2_max=24, r_max=11, s_max=20, mode="exact")
+@example(n1_max=9, n2_max=13, r_max=9, s_max=22, mode="exact")  # every plane whole
+@example(n1_max=13, n2_max=9, r_max=9, s_max=30, mode="log2")  # every plane whole
+@example(n1_max=11, n2_max=14, r_max=7, s_max=8, mode="log2")  # every plane cut but M >= 9
+@example(n1_max=9, n2_max=12, r_max=7, s_max=12, mode="log2")  # mixed
+@example(n1_max=12, n2_max=9, r_max=7, s_max=9, mode="exact")  # mixed
 def test_layers_match_the_full_slab_kernel(n1_max, n2_max, r_max, s_max, mode):
     # the reference sums M1, M2 and P in full, with no symmetry or triangle
     shape = (n1_max, n2_max, r_max, s_max)
@@ -520,8 +606,8 @@ def _outside_sticky_support(n1, n2, r, s):
 @example(n1_max=0, n2_max=3, r_max=3, s_max=2, mode="log2")
 @example(n1_max=9, n2_max=5, r_max=9, s_max=20, mode="log2")
 def test_layers_vanish_outside_the_support(n1_max, n2_max, r_max, s_max, mode):
-    # the builder writes support cells only, so every other entry must be
-    # exactly the mode's zero
+    # a cut plane writes support cells only, and a whole plane writes a zero
+    # of D_r as the mode's zero, so every entry off the support must be it
     zero = 0 if mode == "exact" else -math.inf
     for table in iter_pair_layers(n1_max, n2_max, r_max, s_max, mode):
         for (n1, n2, s), value in np.ndenumerate(table.entries):
@@ -559,6 +645,10 @@ def test_layers_are_positive_on_the_whole_support(n1_max, n2_max, r_max, s_max):
         (9, 14, 9, 11),  # |n1 - n2| runs past s_max, n1_max < n2_max
         (6, 6, 8, 1),  # square, s_max = 1, r_max > n
         (11, 17, 11, 0),  # only s = 0 is stored
+        (11, 14, 7, 8),  # every plane cut but M >= 9
+        (13, 13, 6, 4),  # square, every plane cut but M >= 11
+        (10, 12, 4, 16),  # plane 3 reaches s = s_max, whole
+        (10, 12, 4, 15),  # plane 3 reaches s = s_max + 1, cut
     ],
 )
 def test_truncated_layers_match_the_full_slab_kernel(shape, mode):
@@ -577,6 +667,7 @@ def test_truncated_layers_match_the_full_slab_kernel(shape, mode):
         (9, 5, 5, 14),  # tall
         (10, 12, 6, 5),  # truncated in s
         (4, 7, 6, 11),  # r_max > min(n1_max, n2_max)
+        *_PLANE_SHAPES,
     ],
 )
 def test_pair_count_table_is_the_layer_of_iter_pair_layers_at_every_r(shape, mode):
@@ -591,6 +682,7 @@ def test_pair_count_table_is_the_layer_of_iter_pair_layers_at_every_r(shape, mod
             assert table.entries.tobytes() == layer.entries.tobytes(), layer.r
         else:
             assert table.entries.tolist() == layer.entries.tolist(), layer.r
+            _assert_exact_ints(table.entries)
 
 
 @pytest.mark.parametrize(
