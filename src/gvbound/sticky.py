@@ -223,12 +223,12 @@ def iter_pair_layers(
     Each table is allocated before it is written, so one over the cell
     budget fails before any product.  It is then filled one M plane at a
     time, for M >= r: C(M - 1, r - 1) D_r[P, Q] goes to (M + P, M + Q,
-    P + Q).  A plane whose every cell has P + Q <= s_max is written whole
-    through one strided view of the table; a plane that s_max cuts is
-    written on its support cells only (D_r[P, Q] > 0).  Every other
-    entry is the mode's zero.  Exact tables hold the exact counts, and a log2
-    table holds math.log2 of each, at every size: the same float that
-    count_pairs_exact gives in log2 mode.
+    P + Q).  An exact plane whose every cell has P + Q <= s_max is written
+    whole through one strided view of the table; a log2 plane, or one
+    that s_max cuts, is written on its support cells only (D_r[P, Q] > 0).
+    Every other entry is the mode's zero.  Exact tables hold the exact
+    counts, and a log2 table holds math.log2 of each, at every size: the
+    same float that count_pairs_exact gives in log2 mode.
     """
     return _tables(n1_max, n2_max, 1, r_max, s_max, mode)
 
@@ -258,29 +258,26 @@ def _tables(
             continue
         entries = cm.blank(shape)
         s0, s1, s2 = entries.strides
-        support = fits & (d != 0)
+        support = None
         for m in range(r, m_top + 1):
             comb = math.comb(m - 1, r - 1)
             kp, kq = min(n1_max - m + 1, d.shape[0]), min(n2_max - m + 1, d.shape[1])
-            if kp + kq - 2 <= s_max:
+            if mode == "exact" and kp + kq - 2 <= s_max:
                 # the view maps (P, Q) to cell (m + P, m + Q, P + Q) of the C-order
                 # entries.  Each index grows with P and Q, and the last cell,
                 # (m + kp - 1, m + kq - 1, kp + kq - 2), is inside by the bounds on kp
                 # and kq and the test above; distinct (P, Q) differ in the first two
                 # indices, so no two cells of the view share an address
                 plane = as_strided(entries[m, m], (kp, kq), (s0 + s2, s1 + s2))
-                if mode == "exact":
-                    np.multiply(d[:kp, :kq], comb, out=plane)
-                else:
-                    counts = d[:kp, :kq].ravel().tolist()
-                    logs = (math.log2(count * comb) if count else NEG_INF for count in counts)
-                    plane[...] = np.fromiter(logs, np.float64, kp * kq).reshape(kp, kq)
-            else:
-                p, q = np.nonzero(support[:kp, :kq])
-                counts = d[p, q] * comb
-                if mode == "log2":
-                    counts = [math.log2(count) for count in counts.tolist()]
-                entries[m + p, m + q, p + q] = counts
+                np.multiply(d[:kp, :kq], comb, out=plane)
+                continue
+            if support is None:  # read by log2 and cut planes only
+                support = fits & (d != 0)
+            p, q = np.nonzero(support[:kp, :kq])
+            counts = d[p, q] * comb
+            if mode == "log2":
+                counts = [math.log2(count) for count in counts.tolist()]
+            entries[m + p, m + q, p + q] = counts
         yield PairCountTable(mode=cm, r=r, entries=entries)
 
 

@@ -472,8 +472,8 @@ def _whole_planes(n1_max, n2_max, r, s_max):
     return planes
 
 
-# Shapes (n1_max, n2_max, r_max, s_max) by how s_max cuts the M planes.  A plane
-# s_max does not cut is written through one strided view, a cut one cell by cell.
+# Shapes (n1_max, n2_max, r_max, s_max) by how s_max cuts the M planes.  An exact
+# plane s_max does not cut is written through one strided view, a cut one cell by cell.
 # The top plane, M = min(n1_max, n2_max), spans one row or column and is never cut.
 _PLANE_SHAPES = [
     (9, 13, 9, 22),  # every plane whole: s_max = n1_max + n2_max
@@ -487,18 +487,8 @@ _PLANE_SHAPES = [
 ]
 
 
-def test_plane_shapes_cover_whole_cut_and_boundary_planes():
-    # the classes the comments above name, so the tests below run both write paths
-    whole = [_whole_planes(n1, n2, 1, s) for n1, n2, _, s in _PLANE_SHAPES]
-    assert whole[0] == list(range(1, 10)) and whole[1] == list(range(1, 10))
-    assert whole[2] == [9, 10, 11] and whole[3] == [11, 12, 13]
-    assert whole[4] == list(range(5, 10)) and whole[5] == list(range(6, 10))
-    assert whole[6] == list(range(3, 11)) and whole[7] == list(range(4, 11))
-
-
-@pytest.mark.parametrize("mode", ["exact", "log2"])
 @pytest.mark.parametrize("shape", _PLANE_SHAPES)
-def test_strided_plane_views_stay_inside_the_table(monkeypatch, shape, mode):
+def test_strided_plane_views_stay_inside_the_table(monkeypatch, shape):
     # each view must hold the cells (M + P, M + Q, P + Q) of its own table, once
     # each; it is checked before it is returned, as a write through a stray view
     # would corrupt memory rather than fail
@@ -527,9 +517,12 @@ def test_strided_plane_views_stay_inside_the_table(monkeypatch, shape, mode):
         return real(x, view_shape, strides)
 
     monkeypatch.setattr(np.lib.stride_tricks, "as_strided", checked)
-    tables = list(iter_pair_layers(*shape, mode))
+    tables = list(iter_pair_layers(*shape, "exact"))
     expected = [m for t in tables for m in _whole_planes(n1_max, n2_max, t.r, s_max)]
     assert planes == expected and planes
+    # the first two shapes have no cut plane; every other one cuts some, so runs both paths
+    every = [m for t in tables for m in range(t.r, min(n1_max, n2_max) + 1)]
+    assert (planes == every) == (s_max >= n1_max + n2_max)
 
 
 @settings(max_examples=30, deadline=None)
@@ -606,8 +599,8 @@ def _outside_sticky_support(n1, n2, r, s):
 @example(n1_max=0, n2_max=3, r_max=3, s_max=2, mode="log2")
 @example(n1_max=9, n2_max=5, r_max=9, s_max=20, mode="log2")
 def test_layers_vanish_outside_the_support(n1_max, n2_max, r_max, s_max, mode):
-    # a cut plane writes support cells only, and a whole plane writes a zero
-    # of D_r as the mode's zero, so every entry off the support must be it
+    # a cut or log2 plane writes support cells only, and a whole exact plane
+    # writes a zero of D_r as 0, so every entry off the support must be the zero
     zero = 0 if mode == "exact" else -math.inf
     for table in iter_pair_layers(n1_max, n2_max, r_max, s_max, mode):
         for (n1, n2, s), value in np.ndenumerate(table.entries):
