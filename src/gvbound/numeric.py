@@ -6,18 +6,10 @@ their log2 in the "log2" count mode of the pair-count tables (CountMode).
 All logarithms are base 2, so every rate in the package is measured in
 bits per symbol.
 
-A log2 table is stored as log2 counts.  The sticky builder forms each
-count once, as an exact product, and writes it, or math.log2 of it, into
-the table.  The synthesis DP sums counts: it takes an accumulator mode
-from a bound on its counts (CountMode._accumulator), sums in it and
-finishes the table once (CountMode._finish).  A log2 table whose counts
-fit float64 (at most 2^1000) is summed in linear float64 counts and
-takes log2 at the end, a larger one in log2 counts; an exact table is
-summed in fixed-width limbs and becomes Python integers at the end.
-
-Everything here but the count modes runs on Python floats.  numpy is
-imported on the first count_mode() call, which only the pair-count tables
-make, so the closed forms and the sticky count_pairs_exact never load it.
+Everything here runs on Python floats but the tables of a count mode.
+numpy is imported on the first blank() or sum() of a mode, which only the
+pair-count tables make, so the closed forms and the sticky
+count_pairs_exact never load it.
 """
 
 from __future__ import annotations
@@ -25,7 +17,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from functools import cache
 from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -54,21 +45,6 @@ _FLOAT_MAX = sys.float_info.max  # an int past it has no float64 value
 # an open end of a density range as the closed bound _real takes: x >= _ABOVE_0 is x > 0
 _ABOVE_0 = math.nextafter(0.0, 1.0)
 _BELOW_1 = math.nextafter(1.0, 0.0)
-
-# Largest log2 count bound at which a log2 table is built in linear
-# float64 counts (CountMode._accumulator).  Far enough below the float64
-# overflow at 2^1024 that no sum of counts under the bound can reach it.
-_LINEAR_LOG2_BITS = 1000
-
-# The private "limbs" count mode stores a count as uint64 limbs of radix
-# 2^56, lowest limb first (CountMode).  A carry leaves every limb below
-# 2^56, so limbwise sums may grow the limbs up to 2^_LIMB_HEADROOM-fold
-# before the next carry without wrapping.  A byte-aligned radix lets each
-# count leave as one int.from_bytes; radix 2^56 in uint64 summed the
-# synthesis DP faster than radix 2^24 in uint32 and held less memory.
-_LIMB_BITS = 56
-_LIMB_HEADROOM = 64 - _LIMB_BITS
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 _ROOT_TOL = 1e-12
 _SCAN_MAX = 10.0  # right end of the smallest-positive-root scan
@@ -150,7 +126,7 @@ def _shown(value) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
-def _check_table_cells(shape: tuple[int, ...]) -> None:
+def _check_table_cells(shape: Sequence[int]) -> None:
     """MemoryBudgetError if a table of this shape has more than TABLE_CELL_BUDGET cells."""
     cells = math.prod(shape)
     if cells > TABLE_CELL_BUDGET:
@@ -161,52 +137,30 @@ def _check_table_cells(shape: tuple[int, ...]) -> None:
 
 class CountMode(NamedTuple):
     """How a pair-count table stores counts: "exact" keeps Python integers
-    in an object array and adds them with numpy.add; "log2" keeps float64
-    log2 counts, -inf for zero, and adds them with numpy.logaddexp2.  add is
-    a plain attribute, so a DP kernel reads it once per table.
-
-    The synthesis DP sums its table in the mode _accumulator() gives for
-    a bound on its counts and hands the result to that mode's _finish().
-    Two private modes stand in for the public ones there, and count_mode()
-    never returns either:
-
-    - "linear", for a log2 table whose counts are at most 2^1000: float64
-      counts with 0 for zero and numpy.add, which rounds once per sum where
-      logaddexp2 rounds through exp2 and log2; _finish takes log2 in place.
-    - "limbs", for an exact table: a count is a vector of uint64 limbs
-      of radix 2^56, lowest first, on a trailing axis of the table (one
-      holds that many limbs), and numpy.add sums limb by limb.  The
-      table is stored limb-major: each limb is one contiguous slab, so
-      numpy sums a band slice along its rows rather than across the
-      short limb axis.  After a carry every limb is
-      below 2^56, and 8 bits of headroom let the limbs take sums that grow
-      them up to 2^8 = 16^2-fold, two synthesis steps of 16 step-cost pairs
-      each, before _carry must propagate the carries again.  _live slices
-      off the limbs that no count under a bound reaches yet, and _finish
-      turns each nonzero cell into a Python int once, at the end.
+    in an object array, and "log2" keeps float64 log2 counts, -inf for zero.
+    zero is the count 0 in the mode.  A builder forms or sums its counts in
+    its own way and hands them over in one of these two forms.
     """
 
     name: str
     zero: object
-    one: object
-    dtype: type
-    add: np.ufunc
 
     def blank(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A table of zero counts; MemoryBudgetError above TABLE_CELL_BUDGET cells.
+        """A table of zero counts.
 
-        The budget counts cells, not the limbs of a limb table.  An exact
-        table is filled with the int 0 in one pass, where numpy.full would
-        fill it with None first.
+        Every dimension is a size (check_sizes) and the table has at most
+        TABLE_CELL_BUDGET cells (MemoryBudgetError), both checked before
+        numpy allocates.  An exact table is filled with the int 0 in one
+        pass, where numpy.full would fill it with None first.
         """
-        _check_table_cells(shape)
+        sizes = _items(shape, "a table shape must be a sequence of sizes")
+        check_sizes(**{f"table dimension {axis}": size for axis, size in enumerate(sizes)})
+        _check_table_cells(sizes)
         import numpy as np
 
-        if self.name == "limbs":
-            return np.moveaxis(np.zeros((len(self.one), *shape), dtype=self.dtype), 0, -1)
         if self.name == "exact":
-            return np.zeros(shape, dtype=object)
-        return np.full(shape, self.zero, dtype=self.dtype)
+            return np.zeros(sizes, dtype=object)
+        return np.full(sizes, self.zero)
 
     def sum(self, values: np.ndarray):
         """Sum of table entries; log2 counts are summed relative to the largest."""
@@ -220,86 +174,12 @@ class CountMode(NamedTuple):
         m = float(finite.max())
         return m + math.log2(np.exp2(finite - m).sum())
 
-    def _accumulator(self, log2_bound: int) -> CountMode:
-        """The mode a DP kernel sums a table in when no count it holds exceeds 2^log2_bound.
 
-        For an exact table, the limb mode with the limbs a count of
-        2^log2_bound takes.  For a log2 table, the linear mode while
-        log2_bound <= 1000, and this mode itself above: rescaling the
-        linear counts per step instead would underflow the count-1 cells
-        below the smallest float64, 2^-1074.
-        """
-        if self.name == "exact":
-            limbs = log2_bound // _LIMB_BITS + 1
-            return _modes()["limbs"]._replace(one=(1,) + (0,) * (limbs - 1))
-        if log2_bound <= _LINEAR_LOG2_BITS:
-            return _modes()["linear"]
-        return self
-
-    def _live(self, table: np.ndarray, log2_bound: int) -> np.ndarray:
-        """A limb table cut to the limbs that a count of at most 2^log2_bound reaches.
-
-        A table of any other mode is returned as it is.
-        """
-        if self.name != "limbs":
-            return table
-        return table[..., : log2_bound // _LIMB_BITS + 1]
-
-    def _carry(self, table: np.ndarray) -> None:
-        """Propagate the carries of a limb table in place, leaving every limb below 2^56.
-
-        The counts must fit the table's limbs, so the top limb takes its
-        carry without overflow.  A table of any other mode is left as it is.
-        """
-        if self.name != "limbs":
-            return
-        for limb in range(table.shape[-1] - 1):
-            table[..., limb + 1] += table[..., limb] >> _LIMB_BITS
-            table[..., limb] &= _LIMB_MASK
-
-    def _finish(self, table: np.ndarray) -> np.ndarray:
-        """A table built in this mode, in the public mode it stands for.
-
-        Linear counts become log2 counts in place, 0 becoming -inf.  Carried
-        limb counts become a new object array: each nonzero cell is one
-        int.from_bytes of the low 7 bytes of its little-endian limbs, and
-        every other cell is 0.  A table of a public mode is returned as it is.
-        """
-        import numpy as np
-
-        if self.name == "linear":
-            with np.errstate(divide="ignore"):
-                return np.log2(table, out=table)
-        if self.name != "limbs":
-            return table
-        counts = np.zeros(table.shape[:-1], dtype=object)
-        cells = np.nonzero(table.any(axis=-1))
-        limbs = table[cells].astype("<u8", copy=False)  # a row of limbs per nonzero cell
-        raw = limbs.view(np.uint8).reshape(-1, 8)[:, : _LIMB_BITS // 8].tobytes()
-        del limbs
-        width = table.shape[-1] * _LIMB_BITS // 8  # bytes per count
-        ints = (int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
-        counts[cells] = np.fromiter(ints, dtype=object, count=len(cells[0]))
-        return counts
-
-
-@cache
-def _modes() -> dict[str, CountMode]:
-    """The count modes by name: the public "exact" and "log2", and the private
-    "linear" and "limbs".  The limb mode's one, the count 1 as a vector of
-    limbs, gets as many limbs as a table's counts take from _accumulator."""
-    import numpy as np
-
-    return {
-        "exact": CountMode("exact", 0, 1, object, np.add),
-        "log2": CountMode("log2", NEG_INF, 0.0, np.float64, np.logaddexp2),
-        "linear": CountMode("linear", 0.0, 1.0, np.float64, np.add),
-        "limbs": CountMode("limbs", 0, (1,), np.uint64, np.add),
-    }
+_MODES = {"exact": CountMode("exact", 0), "log2": CountMode("log2", NEG_INF)}
 
 
 def _check_mode(mode: str) -> None:
-    """DomainError unless mode is "exact" or "log2"; loads no numpy."""
+    """DomainError unless mode is "exact" or "log2"."""
     if mode not in ("exact", "log2"):
         raise DomainError(f"mode must be 'exact' or 'log2', got {_shown(mode)}")
 
@@ -307,7 +187,7 @@ def _check_mode(mode: str) -> None:
 def count_mode(mode: str) -> CountMode:
     """The count mode named "exact" or "log2"; DomainError for any other name."""
     _check_mode(mode)
-    return _modes()[mode]
+    return _MODES[mode]
 
 
 def _checked_make(cls, fields: Iterable):

@@ -449,7 +449,7 @@ def critical_point_closed_form(rho: float, delta: float) -> acsv.CriticalPoint:
             f"point exists only for 2 - delta - 2*rho > 0, got rho={rho}, delta={delta}"
         )
     x = math.sqrt(1.0 - 2.0 * rho / (2.0 - delta))
-    root = math.sqrt(rho * rho + delta * delta)
+    root = math.hypot(rho, delta)  # rho * rho underflows below about 1e-154
     # conjugate forms of root - rho and root - delta where one density is tiny
     tiny = _CANCELLATION_RATIO
     z = (root - rho) / (x * delta) if delta >= tiny * rho else delta / (x * (root + rho))

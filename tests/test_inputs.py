@@ -9,9 +9,10 @@ since the pair-layer generators check their sizes on the first next.
 
 An argument of the package's own types (a polynomial, a composition or
 a critical point) is swept too: each hostile value stands in for it.
-The records themselves are not swept, nor are their methods but three:
-SparseMultivariatePolynomial.partial, whose variable index is swept, and
-RealPolynomial.evaluate and evaluate_many, whose points are.  A checked
+The records themselves are not swept, nor are their methods but four:
+SparseMultivariatePolynomial.partial, whose variable index is swept,
+RealPolynomial.evaluate and evaluate_many, whose points are, and
+CountMode.blank, whose shape and one of its sizes are.  A checked
 record's _replace runs its constructor's checks (tested below the sweep).
 """
 
@@ -99,6 +100,8 @@ SITES = {
     "numeric.entropy(p)": lambda v=0.3: numeric.entropy(v),
     "numeric.check_sizes(n)": lambda v=3: numeric.check_sizes(n=v),
     "numeric.count_mode(mode)": lambda v="log2": numeric.count_mode(v),
+    "numeric.CountMode.blank(shape)": lambda v=(2, 3): numeric.count_mode("log2").blank(v),
+    "numeric.CountMode.blank(size)": lambda v=3: numeric.count_mode("log2").blank((2, v)),
     "numeric.RealPolynomial(coefficients)": lambda v=(1.0, -2.0): numeric.RealPolynomial(v),
     "numeric.RealPolynomial(coefficient)": lambda v=0.5: numeric.RealPolynomial([1.0, v, -2.0]),
     "numeric.RealPolynomial.evaluate(x)": lambda v=0.5: _LINE.evaluate(v),

@@ -1,6 +1,9 @@
 """Unit tests for the shared numeric primitives."""
 
+import json
 import math
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from gvbound import numeric, synthesis
 from gvbound.errors import (
+    DimensionMismatchError,
     DomainError,
     MemoryBudgetError,
     NoRootFoundError,
@@ -59,51 +63,41 @@ def test_count_mode_tables_sums_and_cell_budget():
         exact.blank((2, TABLE_CELL_BUDGET // 2 + 1))
 
 
-def test_log2_accumulator_switches_to_logaddexp2_one_bit_above_the_cutoff(monkeypatch):
-    exact, log2 = count_mode("exact"), count_mode("log2")
-    assert log2._accumulator(1000).name == "linear"
-    assert log2._accumulator(1001) is log2
-    assert exact._accumulator(0).name == "limbs"
-    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", 20)
-    assert log2._accumulator(20).name == "linear"
-    assert log2._accumulator(21) is log2
+def test_count_modes_are_the_two_public_ones():
+    assert numeric.CountMode._fields == ("name", "zero")
+    assert count_mode("exact") == ("exact", 0) and count_mode("log2") == ("log2", -math.inf)
+    for name in ("linear", "limbs", "bogus"):
+        with pytest.raises(DomainError, match="mode must be 'exact' or 'log2'"):
+            count_mode(name)
 
 
-def test_linear_accumulator_finishes_as_log2_in_place():
-    log2 = count_mode("log2")
-    linear = log2._accumulator(0)
-    assert (linear.zero, linear.one, linear.add) == (0.0, 1.0, np.add)
-    table = linear.blank((4,))
-    table[1:] = [1.0, 8.0, 2.0**1000]
-    assert linear._finish(table) is table
-    assert table.tolist() == [-math.inf, 0.0, 3.0, 1000.0]
-    for mode in (log2, count_mode("exact")):
-        untouched = mode.blank((2,))
-        assert mode._finish(untouched) is untouched
-        assert untouched.tolist() == [mode.zero] * 2
-    with pytest.raises(DomainError):
-        count_mode("linear")
+@pytest.mark.parametrize(
+    "shape, error",
+    [
+        ((-1,), DomainError),
+        ((2.5,), DomainError),
+        ((2, True), DomainError),
+        ((-(10**30), -(10**30)), DomainError),  # a positive product of negative sizes
+        (3, DimensionMismatchError),
+    ],
+)
+def test_blank_checks_every_dimension_before_the_cell_budget(shape, error):
+    for mode in ("exact", "log2"):
+        with pytest.raises(error):
+            count_mode(mode).blank(shape)
 
 
-def test_summed_exact_tables_take_limbs_that_carry_and_finish_as_python_ints():
-    exact, log2 = count_mode("exact"), count_mode("log2")
-    assert log2._accumulator(56).name == "linear"
-    assert exact._accumulator(55).one == (1,)
-    limbs = exact._accumulator(56)  # 2^56 takes a second limb
-    assert (limbs.name, limbs.one, limbs.dtype, limbs.add) == ("limbs", (1, 0), np.uint64, np.add)
-    table = limbs.blank((3,))
-    assert table.shape == (3, 2) and not table.any()
-    assert limbs._live(table, 55).shape == (3, 1) and limbs._live(table, 56).shape == (3, 2)
-    assert exact._live(table, 0) is table
-    table[1] = limbs.one
-    table[2] = (2**64 - 1, 2**55)  # limb 0 past the radix: the count 2^111 + 2^64 - 1
-    limbs._carry(table)
-    assert table.tolist() == [[0, 0], [1, 0], [2**56 - 1, 2**55 + 2**8 - 1]]
-    counts = limbs._finish(table)
-    assert counts.tolist() == [0, 1, 2**111 + 2**64 - 1]
-    assert [type(count) for count in counts.tolist()] == [int] * 3
-    with pytest.raises(DomainError):
-        count_mode("limbs")
+def test_count_modes_load_no_numpy():
+    # a fresh interpreter: the closed forms take a mode's zero without numpy
+    script = (
+        "import json, sys\n"
+        "from gvbound.numeric import count_mode\n"
+        "modes = [count_mode(mode) for mode in ('exact', 'log2')]\n"
+        "print(json.dumps([modes, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[["exact", 0], ["log2", -math.inf]], False]
 
 
 def test_bisection_finds_simple_root():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gvbound import acsv, cli, curves, numeric, sticky, synthesis, verify
@@ -368,33 +369,33 @@ def _no_step(*args, **kwargs):
 
 
 def test_pair_tables_over_the_cell_budget_raise_before_allocating(monkeypatch):
-    modes = numeric._modes()
-    for name in list(modes):  # the private accumulators included
-        monkeypatch.setitem(modes, name, modes[name]._replace(add=_no_step))
-    blanks = []
-    blank = numeric.CountMode.blank
+    monkeypatch.setattr(synthesis, "_step", _no_step)
+    allocations = []
+    for name in ("zeros", "full"):
+        allocate = getattr(np, name)
 
-    def recorded(mode, shape):
-        blanks.append(mode.name)
-        return blank(mode, shape)
+        def recorded(*args, _allocate=allocate, **kwargs):
+            allocations.append(args)
+            return _allocate(*args, **kwargs)
 
-    monkeypatch.setattr(numeric.CountMode, "blank", recorded)
+        monkeypatch.setattr(np, name, recorded)
     budget = f"budget is {numeric.TABLE_CELL_BUDGET}"
     with pytest.raises(MemoryBudgetError, match=budget):
         sticky.pair_count_table(1000, 1000, 1, 100)
+    allocations.clear()  # the sticky D_r plane is made before the table
     with pytest.raises(MemoryBudgetError, match=budget):
         synthesis.pair_count_table(3000, "log2")
     for n in (2000, 3000):  # the table's cells fail before any limb buffer is made
         with pytest.raises(MemoryBudgetError, match=budget):
             synthesis.pair_count_table(n, "exact")
-    assert "limbs" not in blanks
     # the kernels' own slabs fit the budget here, only the tables do not
+    with pytest.raises(MemoryBudgetError, match=budget):
+        synthesis.pair_count_table(2000, "log2")
+    assert allocations == []
     with pytest.raises(MemoryBudgetError, match=budget):
         sticky.pair_count_table(1000, 1000, 500, 100, "log2")
     with pytest.raises(MemoryBudgetError, match=budget):
         next(sticky.iter_pair_layers(1000, 1000, 500, 100, "log2"))
-    with pytest.raises(MemoryBudgetError, match=budget):
-        synthesis.pair_count_table(2000, "log2")
 
 
 def test_no_pair_layers_allocate_no_table():
@@ -424,7 +425,7 @@ def test_pair_tables_fit_a_budget_of_exactly_their_cells(monkeypatch, build, cel
 
 # -------------------------------------------------------------- record semantics
 
-_MODE = numeric.CountMode("exact", 0, 1, object, sum)
+_MODE = numeric.CountMode("exact", 0)
 # cls, constructor arguments, a field and another value for it; an ndarray
 # has no hash, so a tuple stands in for a table's entries
 _RECORDS = [

@@ -749,6 +749,15 @@ def test_closed_form_residual_small_on_grid():
             assert cp.residual_norm <= 1e-10, (rho, delta)
 
 
+@pytest.mark.parametrize("rho, delta", [(1e-300, 2e-300), (1e-160, 2e-160)])
+def test_closed_form_critical_point_at_tiny_densities(rho, delta):
+    # rho^2 + delta^2 underflows to 0 below about 1e-154; the root is
+    # sqrt(5) rho there, and z = (sqrt(5) rho - rho) / (2 rho)
+    cp = critical_point_closed_form(rho, delta)
+    assert all(c > 0.0 for c in cp.z), cp.z
+    assert cp.z[3] == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-15, abs=0.0)
+
+
 def test_closed_form_rejects_bad_arguments():
     with pytest.raises(DomainError):
         critical_point_closed_form(0.0, 0.3)

@@ -230,22 +230,67 @@ def test_small_log2_tables_are_log2_of_the_exact_counts_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("cutoff", [1000, -1])
-def test_both_log2_paths_track_the_exact_counts(monkeypatch, linear_adds, cutoff):
+def test_both_log2_paths_track_the_exact_counts(monkeypatch, step_adds, cutoff):
     # a cutoff of -1 forces the logaddexp2 path on every table
-    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", cutoff)
+    monkeypatch.setattr(synthesis, "_LINEAR_LOG2_BITS", cutoff)
     exact = pair_count_table(40, "exact").entries
+    step_adds.clear()
     logs = pair_count_table(40, "log2").entries
-    assert bool(linear_adds) == (cutoff == 1000)
+    assert step_adds == [np.add if cutoff == 1000 else np.logaddexp2] * 40
     assert worst_log2_error(logs, exact) <= 1e-12
 
 
 @pytest.mark.parametrize("cutoff, linear", [(20, True), (19, False)])
-def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, linear_adds, cutoff, linear):
+def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, step_adds, cutoff, linear):
     # the n = 5 table bounds its counts by 16^5 = 2^20
-    monkeypatch.setattr(numeric, "_LINEAR_LOG2_BITS", cutoff)
+    monkeypatch.setattr(synthesis, "_LINEAR_LOG2_BITS", cutoff)
     logs = pair_count_table(5, "log2").entries
-    assert bool(linear_adds) == linear
+    assert step_adds == [np.add if linear else np.logaddexp2] * 5
     assert worst_log2_error(logs, pair_count_table(5, "exact").entries) <= 1e-12
+
+
+def test_exact_tables_step_and_carry_on_the_limbs_their_counts_reach(monkeypatch, step_adds):
+    # after k + 1 positions a count is at most 2^(4k+4): one limb of 56 bits
+    # through k = 12, two from k = 13, where 2^56 takes a second limb
+    levels, carried = [], []
+    step, carry = synthesis._step, synthesis._carry
+
+    def recorded_step(add, level, *args):
+        levels.append(level)
+        step(add, level, *args)
+
+    def recorded_carry(limbs):
+        carried.append(limbs.shape)
+        carry(limbs)
+
+    monkeypatch.setattr(synthesis, "_step", recorded_step)
+    monkeypatch.setattr(synthesis, "_carry", recorded_carry)
+    entries = pair_count_table(15, "exact").entries
+    assert_matches_exact(entries, synthesis_table_by_step_pairs(15), "exact", 61)
+    assert step_adds == [np.add] * 15
+    live = [1] * 13 + [2] * 2
+    assert [(level.dtype, level.shape[-1]) for level in levels] == [(np.uint64, c) for c in live]
+    # every second step and the last: two 16-fold steps fill the 8 bits of headroom
+    assert carried == [(3, 3 * k + 4, k + 2, live[k]) for k in (1, 3, 5, 7, 9, 11, 13, 14)]
+
+
+def test_carry_leaves_every_limb_below_the_radix():
+    limbs = np.zeros((3, 2), dtype=np.uint64)
+    limbs[1] = (1, 0)
+    limbs[2] = (2**64 - 1, 2**55)  # limb 0 past the radix: the count 2^111 + 2^64 - 1
+    synthesis._carry(limbs)
+    assert limbs.tolist() == [[0, 0], [1, 0], [2**56 - 1, 2**55 + 2**8 - 1]]
+
+
+def test_carried_limbs_become_python_ints():
+    limbs = np.array([[0, 0], [1, 0], [2**56 - 1, 2**55 + 2**8 - 1]], dtype=np.uint64)
+    counts = synthesis._limbs_to_ints(limbs)
+    assert counts.dtype == object and counts.tolist() == [0, 1, 2**111 + 2**64 - 1]
+    assert [type(count) for count in counts.tolist()] == [int] * 3
+    # a limb-major buffer, as the DP holds it, converts the same way
+    buffer = np.moveaxis(np.zeros((2, 3), dtype=np.uint64), 0, -1)
+    buffer[...] = limbs
+    assert synthesis._limbs_to_ints(buffer).tolist() == counts.tolist()
 
 
 @settings(max_examples=15, deadline=None)
