@@ -162,11 +162,19 @@ def _fmt(value: float) -> str:
 
 
 def rows_to_csv(spec: CurveSpec, curves: list[RateCurve]) -> str:
-    """CSV text: sweep param, one value column per bound, merged flags."""
+    """CSV text: sweep param, one value column per bound, merged flags.
+
+    DomainError unless there is a curve and every curve has the same x column.
+    """
+    xs = {tuple(row[0] for row in c.rows) for c in curves}
+    if len(xs) != 1:
+        raise DomainError(
+            f"CSV needs one or more curves over one x column, got {len(curves)} curves "
+            f"over {len(xs)} x columns"
+        )
     header = [spec.sweep_param] + [c.label for c in curves] + ["flags"]
     lines = [",".join(header)]
-    for k in range(len(curves[0].rows)):
-        x = curves[0].rows[k][0]
+    for k, x in enumerate(xs.pop()):
         cells = [_fmt(x)]
         tokens: list[str] = []
         for c in curves:

@@ -178,15 +178,10 @@ class CountMode(NamedTuple):
 _MODES = {"exact": CountMode("exact", 0), "log2": CountMode("log2", NEG_INF)}
 
 
-def _check_mode(mode: str) -> None:
-    """DomainError unless mode is "exact" or "log2"."""
-    if mode not in ("exact", "log2"):
-        raise DomainError(f"mode must be 'exact' or 'log2', got {_shown(mode)}")
-
-
 def count_mode(mode: str) -> CountMode:
     """The count mode named "exact" or "log2"; DomainError for any other name."""
-    _check_mode(mode)
+    if mode not in ("exact", "log2"):
+        raise DomainError(f"mode must be 'exact' or 'log2', got {_shown(mode)}")
     return _MODES[mode]
 
 

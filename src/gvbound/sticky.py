@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .numeric import (
-    _ABOVE_0, _BELOW_1, NEG_INF, CountMode, _check_mode, _check_table_cells, _checked_make, _items,
+    _ABOVE_0, _BELOW_1, NEG_INF, CountMode, _check_table_cells, _checked_make, _items,
     _real, _shown, check_sizes, count_mode, entropy,
 )
 
@@ -195,7 +195,7 @@ class PairCountTable(NamedTuple):
 
     def count(self, n1: int, n2: int, s: int):
         """Table entry at (n1, n2, s)."""
-        return self.entries[n1, n2, s] if self._inside(n1, n2, s) else self.mode.zero
+        return self.entries.item(n1, n2, s) if self._inside(n1, n2, s) else self.mode.zero
 
     def total(self, n1: int, n2: int, s_cap: int):
         """Sum of entries over s <= s_cap at fixed (n1, n2)."""
@@ -322,7 +322,7 @@ def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
             5 * 10^5, 10^5) would take minutes.
     """
     check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
-    _check_mode(mode)
+    cm = count_mode(mode)
     count = int(n1 == n2 == r == s == 0)  # the pair of empty compositions
     if 1 <= r <= min(n1, n2) and 0 <= s <= n1 + n2:
         _check_table_cells((min(n1, n2) + 1, max(n1, n2) + 1, s + 1))
@@ -333,9 +333,9 @@ def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
                 math.comb(r, k) * _compositions_count(p, k) * _compositions_count(q + r - k, r - k)
                 for k in range(min(r, p) + 1)
             )
-    if mode == "exact":
-        return count
-    return math.log2(count) if count else NEG_INF
+    if not count:
+        return cm.zero
+    return count if mode == "exact" else math.log2(count)
 
 
 def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:

@@ -38,6 +38,7 @@ from .numeric import (
     NEG_INF,
     CountMode,
     RealPolynomial,
+    _check_table_cells,
     _real,
     _shown,
     check_sizes,
@@ -235,6 +236,9 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     of half the length.  The table is allocated before the level buffers
     and the first step, so one over the cell budget fails before either,
     and the final band is expanded into it, to every t, once at the end.
+    An exact table also counts the cells of its two limb buffers,
+    2 * limbs * 3 * (4n + 1) * (n + 1), against the budget before the
+    table is allocated: they outgrow it from n = 336.
 
     Every entry is at most 16^n, and the table is summed in one of three
     forms, chosen here from the mode and n:
@@ -257,13 +261,15 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     """
     check_sizes(n=n)
     cm = count_mode(mode)
+    exact, linear = mode == "exact", 4 * n <= _LINEAR_LOG2_BITS
+    shape = (3, 4 * n + 1, n + 1)  # slab d holds t = 2q + d % 2 at q
+    limbs = 4 * n // _LIMB_BITS + 1  # as many limbs as a count of 16^n = 2^(4n) takes
+    if exact:  # the two limb buffers, checked before the table is allocated
+        _check_table_cells((2, limbs, *shape))
     entries = cm.blank((4, 8 * n + 1, n + 1))  # before any buffer or step
     import numpy as np
 
-    exact, linear = mode == "exact", 4 * n <= _LINEAR_LOG2_BITS
-    shape = (3, 4 * n + 1, n + 1)  # slab d holds t = 2q + d % 2 at q
-    if exact:  # as many limbs as a count of 16^n = 2^(4n) takes
-        limbs = 4 * n // _LIMB_BITS + 1
+    if exact:
         level, nxt = (np.moveaxis(np.zeros((limbs, *shape), np.uint64), 0, -1) for _ in range(2))
         level[0, 0, 0, 0] = 1
     else:

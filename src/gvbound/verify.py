@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import acsv, sticky, synthesis
 from .errors import DomainError, GVBoundError
@@ -48,6 +48,21 @@ def _run_checks(
     return results
 
 
+def _cross_solver(closed_forms: Iterable[acsv.CriticalPoint]) -> tuple[bool, str]:
+    """Each closed-form point against Newton on its own system, from the default start."""
+    worst = 0.0
+    for cf in closed_forms:
+        cp = acsv.solve_critical_point(cf.H, cf.direction)
+        worst = max(worst, *(abs(a - b) for a, b in zip(cp.z, cf.z)))
+    return worst <= 1e-8, f"max coordinate gap {worst:.2e}"
+
+
+def _residuals(points: Iterable[acsv.CriticalPoint], tol: float, what: str) -> tuple[bool, str]:
+    """The worst residual_norm over the points, against tol."""
+    worst = max((cp.residual_norm for cp in points), default=0.0)
+    return worst <= tol, f"max {what} {worst:.2e}"
+
+
 # ----------------------------------------------------------------- acsv
 
 def _acsv_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
@@ -66,31 +81,16 @@ def _acsv_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         err = max(abs(res[0] - 0.2), abs(res[1] - 0.0))
         return err <= 1e-12, f"residual at (0.4,0.4) error {err:.2e}"
 
-    def sticky_cross_solver() -> tuple[bool, str]:
-        worst = 0.0
-        H = sticky.pair_generating_denominator()
-        for rho in (0.2, 0.3, 0.5):
-            for delta in (0.1, 0.2, 0.3):
-                cf = sticky.critical_point_closed_form(rho, delta)
-                cp = acsv.solve_critical_point(H, (1.0, 1.0, rho, delta))
-                worst = max(worst, *(abs(a - b) for a, b in zip(cp.z, cf.z)))
-        return worst <= 1e-8, f"max coordinate gap {worst:.2e}"
-
-    def synthesis_cross_solver() -> tuple[bool, str]:
-        worst = 0.0
-        H = synthesis.pair_generating_denominator()
-        for tau in (1.5, 2.0):
-            for delta in (0.1, 0.3):
-                cf = synthesis.critical_point(tau, delta)
-                cp = acsv.solve_critical_point(H, (1.0, 2.0 * tau, delta))
-                worst = max(worst, *(abs(a - b) for a, b in zip(cp.z, cf.z)))
-        return worst <= 1e-8, f"max coordinate gap {worst:.2e}"
-
     return [
         ("binomial-direction solve", binomial_direction),
         ("residual components", residual_components),
-        ("sticky closed form vs solver", sticky_cross_solver),
-        ("synthesis closed form vs solver", synthesis_cross_solver),
+        ("sticky closed form vs solver", lambda: _cross_solver(
+            sticky.critical_point_closed_form(rho, delta)
+            for rho in (0.2, 0.3, 0.5) for delta in (0.1, 0.2, 0.3)
+        )),
+        ("synthesis closed form vs solver", lambda: _cross_solver(
+            synthesis.critical_point(tau, delta) for tau in (1.5, 2.0) for delta in (0.1, 0.3)
+        )),
     ]
 
 
@@ -190,22 +190,14 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
                         return False, f"disagreement at u={u.parts}, v={v.parts}, b={b}"
         return True, "L1 criterion matches enumeration on S(6,3), b in 0..2"
 
-    def closed_form_residuals() -> tuple[bool, str]:
-        worst = 0.0
-        for rho in np.arange(0.1, 0.46, 0.05):
-            for beta in np.arange(0.1, 0.46, 0.05):
-                cp = sticky.critical_point_closed_form(rho, 2.0 * beta)
-                worst = max(worst, cp.residual_norm)
-        return worst <= tol, f"max closed-form residual {worst:.2e}"
-
     def dual_route() -> tuple[bool, str]:
         worst = 0.0
         for rho in np.arange(0.1, 0.46, 0.05):
             for beta in np.arange(0.05, 0.46, 0.05):
-                if beta >= sticky.beta_max(rho):
-                    continue
-                via_cp = acsv.growth_exponent(sticky.critical_point_closed_form(rho, 2.0 * beta))
-                worst = max(worst, abs(via_cp - sticky.ball_rate(rho, beta)))
+                point = sticky.evaluate_point(beta, rho)
+                if point.branch == "smooth":
+                    via_cp = acsv.growth_exponent(point.critical_point)
+                    worst = max(worst, abs(via_cp - point.ball_rate))
         return worst <= 1e-9, f"max explicit-vs-critical-point gap {worst:.2e}"
 
     def knee_continuity() -> tuple[bool, str]:
@@ -238,7 +230,10 @@ def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         ("pair tables vs direct sums", direct_sum),
         ("pair-count symmetry", symmetry),
         ("confusability oracle", confusable_oracle),
-        ("closed-form residuals", closed_form_residuals),
+        ("closed-form residuals", lambda: _residuals((
+            sticky.critical_point_closed_form(rho, 2.0 * beta)
+            for rho in np.arange(0.1, 0.46, 0.05) for beta in np.arange(0.1, 0.46, 0.05)
+        ), tol, "closed-form residual")),
         ("explicit vs critical-point rate", dual_route),
         ("knee continuity", knee_continuity),
         ("bound ordering", bound_ordering),
@@ -304,15 +299,6 @@ def _synthesis_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
                     return False, f"{w}: time test {via_time}, subsequence test {via_subseq}"
         return True, f"time criterion matches supersequence test up to n={n}"
 
-    def critical_residuals() -> tuple[bool, str]:
-        worst = 0.0
-        for tau in (1.5, 2.0):
-            dm, _ = synthesis.delta_max(tau)
-            for delta in np.arange(0.05, dm, 0.05):
-                cp = synthesis.critical_point(tau, delta)
-                worst = max(worst, cp.residual_norm)
-        return worst <= tol, f"max residual {worst:.2e}"
-
     def saturation_point() -> tuple[bool, str]:
         worst = 0.0
         for tau in (1.5, 2.0, 2.25):
@@ -356,7 +342,10 @@ def _synthesis_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
         ("word mass identity", word_mass),
         ("synthesis-time bounds", time_bounds),
         ("producibility criterion", producibility),
-        ("critical-point residuals", critical_residuals),
+        ("critical-point residuals", lambda: _residuals((
+            synthesis.critical_point(tau, delta)
+            for tau in (1.5, 2.0) for delta in np.arange(0.05, synthesis.delta_max(tau)[0], 0.05)
+        ), tol, "residual")),
         ("saturation z = 1", saturation_point),
         ("piecewise continuity", piecewise_continuity),
         ("capacity shape", capacity_shape),

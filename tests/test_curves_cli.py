@@ -200,6 +200,17 @@ def test_a_sweep_from_negative_zero_prints_as_one_from_zero(channel, hi, tau):
 # ------------------------------------------------------------------ csv output
 
 
+def test_csv_needs_a_curve_and_one_x_column():
+    spec = sticky_spec(steps=5)
+    gv, sp = build_curves(sticky_spec(steps=5, bounds=("gv", "sp")))
+    shorter = build_curves(sticky_spec(steps=4, bounds=("sp",)))[0]
+    moved = sp._replace(rows=((0.5, *sp.rows[0][1:]),) + sp.rows[1:])
+    for curves in ([], [gv, shorter], [gv, moved]):
+        with pytest.raises(DomainError, match="one x column"):
+            rows_to_csv(spec, curves)
+    assert rows_to_csv(spec, [gv, sp]).count("\n") == 6
+
+
 def test_csv_shape_and_formatting():
     spec = sticky_spec(steps=5)
     text = rows_to_csv(spec, build_curves(spec))

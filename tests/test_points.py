@@ -411,8 +411,7 @@ def test_no_pair_layers_allocate_no_table():
         (lambda: sticky.pair_count_table(5, 3, 2, 6), 4 * 6 * 7),
         (lambda: next(sticky.iter_pair_layers(3, 5, 2, 6)), 4 * 6 * 7),
         (lambda: synthesis.pair_count_table(3), 4 * 25 * 4),
-        # 117,364 cells: the budget counts them, not the limbs the kernel sums in
-        (lambda: synthesis.pair_count_table(60), 4 * 481 * 61),
+        (lambda: synthesis.pair_count_table(60, "log2"), 4 * 481 * 61),
     ],
 )
 def test_pair_tables_fit_a_budget_of_exactly_their_cells(monkeypatch, build, cells):
@@ -421,6 +420,27 @@ def test_pair_tables_fit_a_budget_of_exactly_their_cells(monkeypatch, build, cel
     monkeypatch.setattr(numeric, "TABLE_CELL_BUDGET", cells - 1)
     with pytest.raises(MemoryBudgetError, match=f"needs {cells} cells"):
         build()
+
+
+# an exact n = 60 table has 4 * 481 * 61 = 117,364 cells, and its two buffers
+# of 5 uint64 limbs 2 * 5 * 3 * 241 * 61 = 441,030
+@pytest.mark.parametrize("budget", [117_364, 441_029])
+def test_exact_synthesis_tables_count_their_limb_buffers(monkeypatch, budget):
+    monkeypatch.setattr(numeric, "TABLE_CELL_BUDGET", budget)
+    assert synthesis.pair_count_table(60, "log2").entries.size == 117_364
+
+    def refused(*args, **kwargs):
+        raise AssertionError("allocated or stepped past the cell budget")
+
+    monkeypatch.setattr(np, "zeros", refused)
+    monkeypatch.setattr(synthesis, "_step", refused)
+    with pytest.raises(MemoryBudgetError, match="needs 441030 cells"):
+        synthesis.pair_count_table(60, "exact")
+
+
+def test_exact_synthesis_tables_fit_a_budget_of_exactly_their_limb_buffers(monkeypatch):
+    monkeypatch.setattr(numeric, "TABLE_CELL_BUDGET", 441_030)
+    assert synthesis.pair_count_table(60, "exact").total(480, 60) == 16 ** 60  # every pair
 
 
 # -------------------------------------------------------------- record semantics

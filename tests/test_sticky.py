@@ -729,6 +729,19 @@ def test_table_count_bounds():
         small.total(6, 5, 4)
 
 
+@pytest.mark.parametrize("mode, kind", [("exact", int), ("log2", float)])
+def test_count_queries_return_python_scalars(mode, kind):
+    # numpy.float64 subclasses float, so the types are compared exactly;
+    # (4, 4, 2) holds 4 pairs at distance 2 and none at distance 1
+    table = pair_count_table(4, 4, 2, 8, mode)
+    values = [
+        table.count(4, 4, 2), table.count(4, 4, 1), table.total(4, 4, 8),
+        count_pairs_exact(4, 4, 2, 2, mode), count_pairs_exact(4, 4, 2, 1, mode),
+    ]
+    assert [type(value) for value in values] == [kind] * len(values)
+    assert values[0] == (4 if mode == "exact" else 2.0)
+
+
 # ------------------------------------------------------------- critical point
 
 

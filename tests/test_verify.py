@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gvbound import cli, sticky, synthesis, verify
+from gvbound import acsv, cli, sticky, synthesis, verify
 from gvbound.errors import DomainError, GVBoundError, SizeLimitError
 from gvbound.verify import CheckResult, run_suite
 
@@ -129,3 +129,32 @@ def test_sticky_mass_check_fails_for_one_table_entry_off_by_one(monkeypatch):
     monkeypatch.setattr(sticky, "iter_pair_layers", off_by_one)
     checks = dict(verify._sticky_checks(2, verify._RESIDUAL_TOL))
     assert checks["pair mass identity"]() == (False, "mass at (n=5, r=2): table 17, binomial 16")
+
+
+@pytest.mark.parametrize("module, name, suite, row", [
+    (sticky, "critical_point_closed_form", verify._acsv_checks, "sticky closed form vs solver"),
+    (synthesis, "critical_point", verify._acsv_checks, "synthesis closed form vs solver"),
+    (sticky, "critical_point_closed_form", verify._sticky_checks, "closed-form residuals"),
+    (synthesis, "critical_point", verify._synthesis_checks, "critical-point residuals"),
+])
+def test_closed_form_checks_fail_for_an_x_off_by_1e_6(monkeypatch, module, name, suite, row):
+    checks = dict(suite(2, verify._RESIDUAL_TOL))
+    assert checks[row]()[0]
+    closed_form = getattr(module, name)
+
+    def shifted(*args):
+        cp = closed_form(*args)
+        return acsv.CriticalPoint.at(cp.H, cp.direction, (cp.z[0] + 1e-6, *cp.z[1:]))
+
+    monkeypatch.setattr(module, name, shifted)
+    passed, detail = checks[row]()
+    assert not passed, detail
+
+def test_dual_route_check_fails_for_a_ball_rate_off_by_1e_8(monkeypatch):
+    checks = dict(verify._sticky_checks(2, verify._RESIDUAL_TOL))
+    assert checks["explicit vs critical-point rate"]()[0]
+    ball_rate = sticky.ball_rate
+    monkeypatch.setattr(sticky, "ball_rate", lambda rho, beta: ball_rate(rho, beta) + 1e-8)
+    passed, detail = checks["explicit vs critical-point rate"]()
+    assert not passed
+    assert detail == "max explicit-vs-critical-point gap 1.00e-08", detail
