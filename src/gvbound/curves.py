@@ -144,9 +144,16 @@ class RateCurve(NamedTuple):
     rows: tuple[tuple[float, float, tuple[str, ...]], ...]
 
 
+def _check_spec(spec: CurveSpec) -> None:
+    """DomainError unless spec is a CurveSpec that validates."""
+    if not isinstance(spec, CurveSpec):
+        raise DomainError(f"spec must be a CurveSpec, got {type(spec).__name__}")
+    spec.validate()
+
+
 def build_curves(spec: CurveSpec) -> list[RateCurve]:
     """Evaluate every requested bound over the sweep grid."""
-    spec.validate()
+    _check_spec(spec)
     grid = spec.grid()
     points = list(map(spec._evaluator(), grid))
     columns = [BOUNDS[spec.channel][bound] for bound in spec.bounds]
@@ -164,8 +171,9 @@ def _fmt(value: float) -> str:
 def rows_to_csv(spec: CurveSpec, curves: list[RateCurve]) -> str:
     """CSV text: sweep param, one value column per bound, merged flags.
 
-    DomainError unless there is a curve and every curve has the same x column.
+    DomainError for a bad spec, for no curve, or for curves over different x columns.
     """
+    _check_spec(spec)
     xs = {tuple(row[0] for row in c.rows) for c in curves}
     if len(xs) != 1:
         raise DomainError(
@@ -187,8 +195,9 @@ def rows_to_csv(spec: CurveSpec, curves: list[RateCurve]) -> str:
 
 
 def write_csv(path: str, spec: CurveSpec, curves: list[RateCurve]) -> None:
+    text = rows_to_csv(spec, curves)  # before the file is opened, which truncates it
     with open(path, "w", newline="\n") as fh:
-        fh.write(rows_to_csv(spec, curves))
+        fh.write(text)
 
 
 def _svg_escape(text: str) -> str:
@@ -196,7 +205,8 @@ def _svg_escape(text: str) -> str:
 
 
 def render_svg(spec: CurveSpec, curves: list[RateCurve]) -> str:
-    """Self-contained 800x600 line chart, one path per curve."""
+    """Self-contained 800x600 line chart, one path per curve; DomainError for a bad spec."""
+    _check_spec(spec)
     width, height = 800, 600
     left, right, top, bottom = 80, 30, 30, 60
     plot_w = width - left - right
@@ -290,5 +300,6 @@ def _fmt_tick(value: float) -> str:
 
 
 def write_svg(path: str, spec: CurveSpec, curves: list[RateCurve]) -> None:
+    text = render_svg(spec, curves)  # before the file is opened, which truncates it
     with open(path, "w", newline="\n") as fh:
-        fh.write(render_svg(spec, curves))
+        fh.write(text)

@@ -225,10 +225,10 @@ def iter_pair_layers(
     time, for M >= r: C(M - 1, r - 1) D_r[P, Q] goes to (M + P, M + Q,
     P + Q).  An exact plane whose every cell has P + Q <= s_max is written
     whole through one strided view of the table; a log2 plane, or one
-    that s_max cuts, is written on its support cells only (D_r[P, Q] > 0).
-    Every other entry is the mode's zero.  Exact tables hold the exact
-    counts, and a log2 table holds math.log2 of each, at every size: the
-    same float that count_pairs_exact gives in log2 mode.
+    that s_max cuts, on every cell with P + Q <= s_max, a zero product as
+    the mode's zero.  Every other entry is the mode's zero.  Exact tables
+    hold the exact counts, and a log2 table holds math.log2 of each, at
+    every size: the same float that count_pairs_exact gives in log2 mode.
     """
     return _tables(n1_max, n2_max, 1, r_max, s_max, mode)
 
@@ -258,7 +258,6 @@ def _tables(
             continue
         entries = cm.blank(shape)
         s0, s1, s2 = entries.strides
-        support = None
         for m in range(r, m_top + 1):
             comb = math.comb(m - 1, r - 1)
             kp, kq = min(n1_max - m + 1, d.shape[0]), min(n2_max - m + 1, d.shape[1])
@@ -271,12 +270,10 @@ def _tables(
                 plane = as_strided(entries[m, m], (kp, kq), (s0 + s2, s1 + s2))
                 np.multiply(d[:kp, :kq], comb, out=plane)
                 continue
-            if support is None:  # read by log2 and cut planes only
-                support = fits & (d != 0)
-            p, q = np.nonzero(support[:kp, :kq])
+            p, q = np.nonzero(fits[:kp, :kq])
             counts = d[p, q] * comb
-            if mode == "log2":
-                counts = [math.log2(count) for count in counts.tolist()]
+            if mode == "log2":  # a zero count (D_1 off the axes) is log2's zero
+                counts = [math.log2(count) if count else NEG_INF for count in counts.tolist()]
             entries[m + p, m + q, p + q] = counts
         yield PairCountTable(mode=cm, r=r, entries=entries)
 

@@ -92,8 +92,8 @@ _ABOVE_1 = math.nextafter(1.0, 2.0)
 # that no sum of counts under the bound can reach it.
 _LINEAR_LOG2_BITS = 1000
 
-# An exact pair_count_table sums uint64 limbs of radix 2^56.  A byte-aligned
-# radix lets each count leave as one int.from_bytes; radix 2^56 in uint64
+# An exact pair_count_table sums uint64 limbs of radix 2^56, which leaves 8
+# bits of headroom for two steps between carries; radix 2^56 in uint64
 # summed the DP faster than radix 2^24 in uint32 and held less memory.
 _LIMB_BITS = 56
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
@@ -247,9 +247,9 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
       as one contiguous slab.  A carry leaves every limb below 2^56, and
       since one step grows a count at most 16-fold, the 8 bits of headroom
       take two steps of sums: the carries are propagated after every second
-      step and after the last.  Step k works only on the limbs that a count
-      of 16^(k+1) reaches.  Each nonzero cell of the final band becomes a
-      Python int once, at the end.
+      step.  Step k works only on the limbs that a count of 16^(k+1)
+      reaches.  Each cell of the final band becomes a Python int at the end,
+      shifted and added limb by limb from the top, carried or not.
     - log2 while 4n <= 1000 (n <= 250): float64 counts summed with
       numpy.add, which rounds once per sum, and log2 taken once at the end.
     - log2 above: log2 counts summed with numpy.logaddexp2.  Linear counts
@@ -281,7 +281,7 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
         if exact:  # the limbs that a count after k + 1 positions, at most 2^(4k+4), reaches
             live = (4 * k + 4) // _LIMB_BITS + 1
             _step(add, level[..., :live], nxt[..., :live], k)
-            if k % 2 == 1 or k == n - 1:
+            if k % 2 == 1:
                 _carry(nxt[:, k + 1 : 4 * k + 5, : k + 2, :live])
         else:
             _step(add, level, nxt, k)
@@ -334,21 +334,11 @@ def _carry(limbs: np.ndarray) -> None:
 
 
 def _limbs_to_ints(limbs: np.ndarray) -> np.ndarray:
-    """Carried limb counts as a new object array of Python ints.
-
-    Each nonzero cell is one int.from_bytes of the low 7 bytes of its
-    little-endian limbs, and every other cell is 0.
-    """
-    import numpy as np
-
-    counts = np.zeros(limbs.shape[:-1], dtype=object)
-    cells = np.nonzero(limbs.any(axis=-1))
-    rows = limbs[cells].astype("<u8", copy=False)  # a row of limbs per nonzero cell
-    raw = rows.view(np.uint8).reshape(-1, 8)[:, : _LIMB_BITS // 8].tobytes()
-    del rows
-    width = limbs.shape[-1] * _LIMB_BITS // 8  # bytes per count
-    ints = (int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
-    counts[cells] = np.fromiter(ints, dtype=object, count=len(cells[0]))
+    """Limb counts, carried or not, as a new object array of Python ints, by shift-and-add."""
+    counts = limbs[..., -1].astype(object)
+    for limb in range(limbs.shape[-1] - 2, -1, -1):
+        counts <<= _LIMB_BITS
+        counts += limbs[..., limb]
     return counts
 
 

@@ -230,6 +230,34 @@ def test_leading_term_rejects_bad_input(r, w, n):
         leading_term(binomial_denominator(), ONE, r, w, n)
 
 
+def test_leading_term_rejects_a_numerator_in_other_variables():
+    G = SparseMultivariatePolynomial(3, [((0, 0, 0), 1.0)])
+    with pytest.raises(DimensionMismatchError, match="numerator has 3 variables"):
+        leading_term(binomial_denominator(), G, (1.0, 1.0), (0.5, 0.5), 4)
+
+
+def test_leading_term_rejects_a_vanishing_last_partial():
+    # (1 - x - y)^2 and its gradient vanish on the line x + y = 1: a critical point with dH/dy = 0
+    H = SparseMultivariatePolynomial(
+        2, [((0, 0), 1.0), ((1, 0), -2.0), ((0, 1), -2.0), ((2, 0), 1.0), ((1, 1), 2.0), ((0, 2), 1.0)]
+    )
+    with pytest.raises(DomainError, match="dH/dz_d vanishes"):
+        leading_term(H, ONE, (1.0, 1.0), (0.5, 0.5), 4)
+
+
+def test_leading_term_rejects_a_negative_constant():
+    G = SparseMultivariatePolynomial(2, [((0, 0), -1.0)])
+    with pytest.raises(DomainError, match="no positive leading term"):
+        leading_term(binomial_denominator(), G, (1.0, 1.0), (0.5, 0.5), 4)
+
+
+def test_solve_critical_point_reports_a_singular_jacobian():
+    # H = 1 - x does not depend on y, so the Jacobian has a zero column
+    H = SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((1, 0), -1.0)])
+    with pytest.raises(NonConvergenceError, match="singular Jacobian"):
+        solve_critical_point(H, (1.0, 1.0))
+
+
 # ------------------------------------------------------- float error contract
 
 

@@ -16,6 +16,7 @@ from gvbound.curves import (
     BOUNDS,
     MAX_STEPS,
     CurveSpec,
+    RateCurve,
     build_curves,
     render_svg,
     rows_to_csv,
@@ -74,6 +75,8 @@ def test_curve_spec_rejects_bad_requests():
         CurveSpec("synthesis", ("gv",), 0.0, 0.5, 5, tau=1.0).validate()
     with pytest.raises(DomainError, match="sticky curves take no --tau"):
         CurveSpec("sticky", ("gv",), 0.0, 0.4, 5, tau=2.0).validate()
+    with pytest.raises(DomainError, match="at least one bound must be requested"):
+        CurveSpec("sticky", (), 0.0, 0.4, 5).validate()
 
 
 def test_curve_spec_rejects_a_repeated_bound(tmp_path, capsys):
@@ -248,6 +251,46 @@ def test_svg_structure():
     assert svg.count("<polyline") == 2
     assert "delta" in svg
     assert "rate (bits/symbol)" in svg
+
+
+def test_svg_of_all_zero_curves_draws_its_y_axis_to_1_05():
+    spec = sticky_spec(steps=3, bounds=("sp",))
+    svg = render_svg(spec, [RateCurve("sp", tuple((x, 0.0, ()) for x in spec.grid()))])
+    y_ticks = [line.split(">")[1].split("<")[0] for line in svg.splitlines() if '"end"' in line]
+    assert y_ticks == ["0", "0.21", "0.42", "0.63", "0.84", "1.05"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(hi=0.0), dict(lo=math.nan), dict(hi=math.inf), dict(lo=0.4, hi=0.1), dict(channel="bogus")],
+    ids=["lo-equals-hi", "nan-end", "inf-end", "hi-below-lo", "unknown-channel"],
+)
+def test_writers_reject_a_spec_that_does_not_validate(tmp_path, change):
+    # unchecked, render_svg would divide by zero or draw nan coordinates or a
+    # mirrored chart, and rows_to_csv would head an unknown channel's sweep "delta"
+    spec = sticky_spec(steps=5)
+    curves, bad = build_curves(spec), spec._replace(**change)
+    for render in (rows_to_csv, render_svg):
+        with pytest.raises(DomainError):
+            render(bad, curves)
+    kept = tmp_path / "kept"
+    kept.write_text("earlier output\n")
+    for write in (write_csv, write_svg):
+        with pytest.raises(DomainError):
+            write(str(tmp_path / "out"), bad, curves)
+        with pytest.raises(DomainError):
+            write(str(kept), bad, curves)
+    assert not (tmp_path / "out").exists()
+    assert kept.read_text() == "earlier output\n"
+
+
+def test_curve_functions_need_a_curve_spec():
+    curves = build_curves(sticky_spec(steps=5))
+    calls = (build_curves, lambda s: rows_to_csv(s, curves), lambda s: render_svg(s, curves))
+    for spec in (None, tuple(sticky_spec(steps=5))):
+        for call in calls:
+            with pytest.raises(DomainError, match="spec must be a CurveSpec"):
+                call(spec)
 
 
 def test_svg_output_is_deterministic(tmp_path):

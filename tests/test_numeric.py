@@ -192,6 +192,7 @@ def test_real_polynomial_zero_handling():
     z = RealPolynomial([0.0, 0.0])
     assert z.is_zero()
     assert len(z.coefficients) == 1
+    assert RealPolynomial([]) == z  # no coefficients: the zero polynomial
     with pytest.raises(DomainError):
         smallest_positive_root(z)
 

@@ -45,6 +45,10 @@ def test_composition_validates_parts():
     assert c.r == 3
     with pytest.raises(DomainError):
         Composition((2, 0, 3))
+    with pytest.raises(DomainError, match="at least one part"):
+        Composition([])
+    with pytest.raises(DimensionMismatchError):  # the L1 distance needs equal run counts
+        is_confusable(Composition((1, 2)), Composition((3,)), 1)
 
 
 def test_compositions_enumeration_count():

@@ -199,6 +199,14 @@ def test_pair_counts_match_bruteforce_up_to_n4():
                 assert table.count(t, s) == count_pairs_bruteforce(n, t, s), (n, t, s)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 20, 60])
+def test_time_marginal_is_the_word_counts_convolved_with_themselves(n):
+    # exact in every limb, where a log2 comparison sees only the top bits
+    words = synthesis.count_words_by_time(n)
+    entries = pair_count_table(n).entries
+    assert entries.sum(axis=(0, 2)).tolist() == synthesis._conv(words, words)
+
+
 def test_pair_mass_identity():
     for n in (8, 14, 20):
         table = pair_count_table(n)
@@ -270,8 +278,9 @@ def test_exact_tables_step_and_carry_on_the_limbs_their_counts_reach(monkeypatch
     assert step_adds == [np.add] * 15
     live = [1] * 13 + [2] * 2
     assert [(level.dtype, level.shape[-1]) for level in levels] == [(np.uint64, c) for c in live]
-    # every second step and the last: two 16-fold steps fill the 8 bits of headroom
-    assert carried == [(3, 3 * k + 4, k + 2, live[k]) for k in (1, 3, 5, 7, 9, 11, 13, 14)]
+    # every second step: two 16-fold steps fill the 8 bits of headroom, and the
+    # last step, k = 14, stays uncarried, which the conversion sums exactly
+    assert carried == [(3, 3 * k + 4, k + 2, live[k]) for k in (1, 3, 5, 7, 9, 11, 13)]
 
 
 def test_carry_leaves_every_limb_below_the_radix():
@@ -282,11 +291,14 @@ def test_carry_leaves_every_limb_below_the_radix():
     assert limbs.tolist() == [[0, 0], [1, 0], [2**56 - 1, 2**55 + 2**8 - 1]]
 
 
-def test_carried_limbs_become_python_ints():
+def test_carried_and_uncarried_limbs_become_python_ints():
     limbs = np.array([[0, 0], [1, 0], [2**56 - 1, 2**55 + 2**8 - 1]], dtype=np.uint64)
     counts = synthesis._limbs_to_ints(limbs)
     assert counts.dtype == object and counts.tolist() == [0, 1, 2**111 + 2**64 - 1]
     assert [type(count) for count in counts.tolist()] == [int] * 3
+    # the same counts before the carry: limb 0 past the radix
+    uncarried = np.array([[0, 0], [1, 0], [2**64 - 1, 2**55]], dtype=np.uint64)
+    assert synthesis._limbs_to_ints(uncarried).tolist() == counts.tolist()
     # a limb-major buffer, as the DP holds it, converts the same way
     buffer = np.moveaxis(np.zeros((2, 3), dtype=np.uint64), 0, -1)
     buffer[...] = limbs

@@ -158,3 +158,86 @@ def test_dual_route_check_fails_for_a_ball_rate_off_by_1e_8(monkeypatch):
     passed, detail = checks["explicit vs critical-point rate"]()
     assert not passed
     assert detail == "max explicit-vs-critical-point gap 1.00e-08", detail
+
+
+def test_direct_sum_check_fails_for_one_sum_off_by_one(monkeypatch):
+    direct = _off_by_one_at(sticky.count_pairs_exact, (3, 3, 2, 2))
+    monkeypatch.setattr(sticky, "count_pairs_exact", direct)
+    checks = dict(verify._sticky_checks(2, verify._RESIDUAL_TOL))
+    passed, detail = checks["pair tables vs direct sums"]()
+    want = sticky.pair_count_table(3, 3, 2, 2).count(3, 3, 2)
+    assert (passed, detail) == (False, f"mismatch at (3,3,2,2): table {want}, sum {want + 1}")
+
+
+def test_direct_sum_check_fails_for_a_count_off_the_support(monkeypatch):
+    layers = sticky.iter_pair_layers
+
+    def off_support(*args):
+        for table in layers(*args):
+            if table.r == 2:
+                table.entries[5, 5, 1] = 1  # n1 + n2 - s is odd: no pair lies there
+            yield table
+
+    monkeypatch.setattr(sticky, "iter_pair_layers", off_support)
+    checks = dict(verify._sticky_checks(2, verify._RESIDUAL_TOL))
+    passed, detail = checks["pair tables vs direct sums"]()
+    assert (passed, detail) == (False, "layer r=2 is nonzero where the sum is 0")
+
+
+def test_symmetry_check_fails_for_one_entry_off_by_one(monkeypatch):
+    table_at = sticky.pair_count_table
+
+    def skewed(n1, n2, r, s_max, mode):
+        table = table_at(n1, n2, r, s_max, mode)
+        if (n1, n2, r) == (4, 3, 2):
+            table.entries[4, 3, 3] += 1
+        return table
+
+    monkeypatch.setattr(sticky, "pair_count_table", skewed)
+    checks = dict(verify._sticky_checks(4, verify._RESIDUAL_TOL))
+    assert checks["pair-count symmetry"]() == (False, "asymmetry at r=2, s=3")
+
+
+def test_confusability_check_fails_for_a_strict_l1_criterion(monkeypatch):
+    # L1 < 2b misses every pair at L1 = 2b, first u = v at b = 0
+    monkeypatch.setattr(sticky, "is_confusable", lambda u, v, b: sticky.l1_distance(u, v) < 2 * b)
+    checks = dict(verify._sticky_checks(2, verify._RESIDUAL_TOL))
+    passed, detail = checks["confusability oracle"]()
+    assert (passed, detail) == (False, "disagreement at u=(1, 1, 4), v=(1, 1, 4), b=0")
+
+
+def test_bound_ordering_check_fails_for_an_sp_rate_below_gv(monkeypatch):
+    sp_rate = sticky.sp_rate
+    monkeypatch.setattr(sticky, "sp_rate", lambda beta: sp_rate(beta) - 1.0)
+    checks = dict(verify._sticky_checks(2, verify._RESIDUAL_TOL))
+    passed, detail = checks["bound ordering"]()
+    assert not passed
+    assert detail.startswith("ordering broken at beta=0.01: "), detail
+
+
+@pytest.mark.parametrize("row, shift, want", [
+    ("synthesis-time bounds", lambda t: -t, "time 0 outside [2, 8] for AC"),
+    ("producibility criterion", lambda t: 1, "AC: time test False, subsequence test True"),
+])
+def test_synthesis_time_checks_fail_for_one_strand_off(monkeypatch, row, shift, want):
+    # the closures are called directly: the brute-force oracle reads synthesis_time too
+    synthesis_time = synthesis.synthesis_time
+
+    def off(w):
+        t = synthesis_time(w)
+        return t + shift(t) if w == "AC" else t
+
+    monkeypatch.setattr(synthesis, "synthesis_time", off)
+    checks = dict(verify._synthesis_checks(2, verify._RESIDUAL_TOL))
+    assert checks[row]() == (False, want)
+
+
+def test_capacity_shape_check_fails_for_a_dip_and_for_a_plateau_below_2(monkeypatch):
+    capacity = synthesis.capacity
+    checks = dict(verify._synthesis_checks(2, verify._RESIDUAL_TOL))
+    monkeypatch.setattr(synthesis, "capacity", lambda tau: capacity(tau) - (tau == 2.0))
+    passed, detail = checks["capacity shape"]()
+    assert not passed
+    assert detail.startswith("capacity not nondecreasing: "), detail
+    monkeypatch.setattr(synthesis, "capacity", lambda tau: min(capacity(tau), 1.99))
+    assert checks["capacity shape"]() == (False, "capacity differs from 2 beyond tau = 5/2")
