@@ -5,12 +5,17 @@ Subcommands:
     verify  run the self-check suites and print a pass/fail table
     point   print one full evaluation as a key-value block
 
-All configuration is via flags; there is no config file.
+All configuration is via flags; there is no config file.  main loads
+numpy, when a command needs it, with one OpenBLAS thread unless the
+caller set OPENBLAS_NUM_THREADS: gvbound's largest BLAS call is a 4x4
+solve, and the worker pool that OpenBLAS starts during `import numpy`
+only costs CPU time.  Importing this module changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -187,6 +192,14 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one gvbound command; return its exit code.
+
+    Before numpy loads, OPENBLAS_NUM_THREADS defaults to 1 in os.environ
+    (a value already set is kept).  A process that loaded numpy first
+    keeps its BLAS pool and its environment unchanged.
+    """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

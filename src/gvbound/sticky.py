@@ -326,10 +326,13 @@ def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
         m, odd = divmod(n1 + n2 - s, 2)
         p, q = n1 - m, n2 - m
         if not (odd or p < 0 or q < 0 or m < r):
-            count = _compositions_count(m, r) * sum(
-                math.comb(r, k) * _compositions_count(p, k) * _compositions_count(q + r - k, r - k)
-                for k in range(min(r, p) + 1)
-            )
+            # comp(P, 0) = [P = 0]; weak(Q, 0) = [Q = 0]; every other factor is a binomial
+            total = math.comb(q + r - 1, r - 1) if p == 0 else 0
+            for k in range(1, min(r, p) + 1):
+                j = r - k
+                weak = math.comb(q + j - 1, j - 1) if j else q == 0
+                total += math.comb(r, k) * math.comb(p - 1, k - 1) * weak
+            count = math.comb(m - 1, r - 1) * total
     if not count:
         return cm.zero
     return count if mode == "exact" else math.log2(count)

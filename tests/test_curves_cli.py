@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import pkgutil
 import subprocess
 import sys
@@ -563,14 +564,15 @@ _CLOSED_FORM_COMMANDS = [
 ]
 
 
-def _report_after_each_command(commands, probe):
+def _report_after_each_command(commands, probe, env=None):
     """(step, exit code, probe value) after the import and after each command.
 
-    One fresh interpreter runs `import gvbound, gvbound.cli` and then every
-    command in turn; probe is a Python expression evaluated after each.
+    One fresh interpreter, with environment `env` (this process's if None),
+    runs `import gvbound, gvbound.cli` and then every command in turn; probe
+    is a Python expression evaluated after each.
     """
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, os, sys\n"
         "import gvbound, gvbound.cli\n"
         f"report = [('import', 0, {probe})]\n"
         "for argv in json.loads(sys.argv[1]):\n"
@@ -583,6 +585,7 @@ def _report_after_each_command(commands, probe):
         [sys.executable, "-c", script, json.dumps(commands)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -666,6 +669,58 @@ def test_commands_load_only_the_modules_they_run(tmp_path, command, loaded):
     for step, code, modules in report[1:]:
         assert code == 0, step
         assert set(modules) == loaded, step
+
+
+def _env_without_blas_threads(**extra):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, **extra}
+
+
+# the thread count of this process, from /proc on Linux and None elsewhere
+_THREADS_PROBE = (
+    "[line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')]"
+    " if sys.platform == 'linux' else None"
+)
+
+
+def test_verify_loads_numpy_with_one_blas_thread():
+    probe = f"(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, {_THREADS_PROBE})"
+    report = _report_after_each_command(
+        [["verify", "acsv"]], probe, env=_env_without_blas_threads()
+    )
+    (_, _, (imported, numpy_at_import, _)), (_, code, (pinned, numpy_loaded, threads)) = report
+    assert (imported, numpy_at_import) == (None, False)  # importing gvbound.cli sets nothing
+    assert (code, pinned, numpy_loaded) == (0, "1", True)
+    if sys.platform == "linux":
+        assert threads == ["1"]
+
+
+def test_verify_keeps_a_callers_blas_thread_count():
+    probe = "os.environ.get('OPENBLAS_NUM_THREADS')"
+    preset = _env_without_blas_threads(OPENBLAS_NUM_THREADS="2")
+    report = _report_after_each_command([["verify", "acsv"]], probe, env=preset)
+    assert [(code, value) for _, code, value in report] == [(0, "2"), (0, "2")]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "gvbound.cli", "verify", "acsv"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for env in (_env_without_blas_threads(), preset)
+    ]
+    assert [proc.returncode for proc in outputs] == [0, 0], [p.stderr for p in outputs]
+    assert "checks passed" in outputs[0].stdout
+    assert outputs[0].stdout == outputs[1].stdout
+
+
+def test_verify_after_numpy_loaded_leaves_the_environment(monkeypatch, capsys):
+    import numpy  # noqa: F401  the BLAS pool of this process already exists
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert cli.main(["verify", "acsv"]) == 0
+    assert "checks passed" in capsys.readouterr().out
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_table_commands_still_load_numpy():

@@ -67,8 +67,8 @@ def test_compositions_enumeration_count():
     [(0, 0, 1), (1, 0, 0), (0, 1, 0), (3, 5, 0), (1, 1, 1), (5, 2, 4), (9, 4, 56), (9, 9, 1)],
 )
 def test_compositions_count_matches_enumeration(n, parts, expected):
-    # no parts: only n = 0 has a composition, the empty one, which the
-    # weak-composition sums of count_pairs_exact need and compositions omits
+    # no parts: only n = 0 has a composition, the empty one, which
+    # compositions omits
     assert sticky._compositions_count(n, parts) == expected
     if parts >= 1:
         assert len(list(compositions(n, parts))) == expected
@@ -267,6 +267,41 @@ def test_direct_sums_match_bruteforce_up_to_n7():
                     assert log2 == (math.log2(want) if want else -math.inf), (n1, n2, r, s)
 
 
+def test_direct_sums_match_every_exact_layer_to_n20():
+    # every support cell of the r = 1 .. 20 tables: n1, n2 >= r and s of the
+    # parity of n1 + n2 between |n1 - n2| and n1 + n2, the M < r zeros included
+    n_max, s_max = 20, 40
+    seen = set()
+    for table in iter_pair_layers(n_max, n_max, n_max, s_max, "exact"):
+        r = table.r
+        for n1 in range(r, n_max + 1):
+            for n2 in range(r, n_max + 1):
+                for s in range(abs(n1 - n2), min(n1 + n2, s_max) + 1, 2):
+                    want = table.entries.item(n1, n2, s)
+                    cell = (n1, n2, r, s)
+                    assert count_pairs_exact(*cell) == want, cell
+                    log2 = count_pairs_exact(*cell, mode="log2")
+                    assert log2 == (math.log2(want) if want else -math.inf), cell
+                    m = (n1 + n2 - s) // 2
+                    if want:
+                        seen.update(
+                            edge for edge, hit in (
+                                ("p = 0", n1 == m), ("q = 0", n2 == m),
+                                ("r = 1", r == 1), ("r = min(n1, n2)", r == min(n1, n2)),
+                            ) if hit
+                        )
+    assert seen == {"p = 0", "q = 0", "r = 1", "r = min(n1, n2)"}
+    # the edges in closed form: with P = 0, u <= v coordinatewise, and v - u is a
+    # weak composition of Q into r parts; with r = 1 only s = |n1 - n2| is reached;
+    # with r = n1 = n2 both sides are all ones
+    assert count_pairs_exact(12, 17, 5, 5) == math.comb(11, 4) * math.comb(5 + 4, 4)
+    assert count_pairs_exact(17, 12, 5, 5) == math.comb(11, 4) * math.comb(5 + 4, 4)
+    assert [count_pairs_exact(9, 14, 1, s) for s in range(4, 7)] == [0, 1, 0]
+    assert count_pairs_exact(20, 20, 20, 0) == 1
+    assert count_pairs_exact(20, 20, 20, 2) == 0
+    assert count_pairs_exact(20, 20, 20, 0, mode="log2") == 0.0
+
+
 def _count_by_inclusion_exclusion(n1, n2, r, s):
     """The pair count from the alternating expansion of ((1 - ab) / ((1 - a)(1 - b)))^r.
 
@@ -303,7 +338,7 @@ def test_count_pairs_exact_keeps_the_table_cell_budget(monkeypatch):
     def sum_never(*args):
         raise AssertionError("summed past the cell budget")
 
-    monkeypatch.setattr(sticky, "_compositions_count", sum_never)
+    monkeypatch.setattr(math, "comb", sum_never)  # every term of the sum takes a binomial
     for mode in ("exact", "log2"):
         with pytest.raises(MemoryBudgetError):
             count_pairs_exact(1000, 1000, 500, 100, mode=mode)
