@@ -1,7 +1,7 @@
 """Command-line interface: curve sweeps, verification suites, point queries.
 
 Subcommands:
-    curve   evaluate bound curves over a parameter sweep, write CSV or SVG
+    curve   render bound curves over a parameter sweep as CSV or SVG, write it
     verify  run the self-check suites and print a pass/fail table
     point   print one full evaluation as a key-value block
 
@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Sequence
 
-from .curves import BOUNDS, CurveSpec, _flags, _fmt, build_curves, write_csv, write_svg
+from .curves import BOUNDS, CurveSpec, _flags, _fmt, render_svg, rows_to_csv
 from .errors import DomainError, GVBoundError
 
 __all__ = ["main", "build_parser"]
@@ -114,12 +114,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         steps=steps,
         tau=args.tau,
     )
-    curves = build_curves(spec)
-    if args.format == "csv":
-        write_csv(args.output, spec, curves)
-    else:
-        write_svg(args.output, spec, curves)
-    print(f"wrote {len(curves)} curves x {steps} points to {args.output}")
+    text = (rows_to_csv if args.format == "csv" else render_svg)(spec)
+    with open(args.output, "w", newline="\n") as fh:  # opening truncates the file
+        fh.write(text)
+    print(f"wrote {len(spec.bounds)} curves x {steps} points to {args.output}")
     return 0
 
 

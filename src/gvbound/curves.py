@@ -1,14 +1,15 @@
 """Bound-curve evaluation and CSV/SVG rendering.
 
 A CurveSpec names a channel, a set of bounds, a sweep over beta (sticky)
-or delta (synthesis), and tau for synthesis; build_curves evaluates the
-channel's evaluate_point record at every sweep point, serially and in
-grid order, and returns one RateCurve per requested bound with the
-record's value and flags for that bound.
+or delta (synthesis), and tau for synthesis; build_curves checks it, then
+evaluates the channel's evaluate_point record at every sweep point,
+serially and in grid order, and returns one RateCurve per requested bound
+with the record's value and flags for that bound.
 
-The writers are deliberately plain: CSV with %.12g values and UNIX
-newlines, and a fixed-size self-contained SVG line chart, so repeated
-runs of the same spec produce byte-identical files.
+rows_to_csv and render_svg take the spec and call build_curves on it, so
+a sweep is checked and evaluated once per rendering.  The text is
+deliberately plain: CSV with %.12g values, and a fixed-size
+self-contained SVG line chart, so the same spec renders the same bytes.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ __all__ = [
     "BOUNDS",
     "build_curves",
     "rows_to_csv",
-    "write_csv",
     "render_svg",
-    "write_svg",
 ]
 
 MAX_STEPS = 100_000  # largest sweep, checked before the grid is allocated
@@ -144,16 +143,14 @@ class RateCurve(NamedTuple):
     rows: tuple[tuple[float, float, tuple[str, ...]], ...]
 
 
-def _check_spec(spec: CurveSpec) -> None:
-    """DomainError unless spec is a CurveSpec that validates."""
+def build_curves(spec: CurveSpec) -> list[RateCurve]:
+    """Evaluate every requested bound over the sweep grid.
+
+    DomainError unless spec is a CurveSpec that validates.
+    """
     if not isinstance(spec, CurveSpec):
         raise DomainError(f"spec must be a CurveSpec, got {type(spec).__name__}")
     spec.validate()
-
-
-def build_curves(spec: CurveSpec) -> list[RateCurve]:
-    """Evaluate every requested bound over the sweep grid."""
-    _check_spec(spec)
     grid = spec.grid()
     points = list(map(spec._evaluator(), grid))
     columns = [BOUNDS[spec.channel][bound] for bound in spec.bounds]
@@ -168,25 +165,15 @@ def _fmt(value: float) -> str:
     return "%.12g" % value
 
 
-def rows_to_csv(spec: CurveSpec, curves: list[RateCurve]) -> str:
-    """CSV text: sweep param, one value column per bound, merged flags.
-
-    DomainError for a bad spec, for no curve, or for curves over different x columns.
-    """
-    _check_spec(spec)
-    xs = {tuple(row[0] for row in c.rows) for c in curves}
-    if len(xs) != 1:
-        raise DomainError(
-            f"CSV needs one or more curves over one x column, got {len(curves)} curves "
-            f"over {len(xs)} x columns"
-        )
+def rows_to_csv(spec: CurveSpec) -> str:
+    """CSV text of build_curves(spec): sweep param, one value column per bound, merged flags."""
+    curves = build_curves(spec)
     header = [spec.sweep_param] + [c.label for c in curves] + ["flags"]
     lines = [",".join(header)]
-    for k, x in enumerate(xs.pop()):
-        cells = [_fmt(x)]
+    for row in zip(*(c.rows for c in curves)):
+        cells = [_fmt(row[0][0])]
         tokens: list[str] = []
-        for c in curves:
-            _, y, flags = c.rows[k]
+        for c, (_, y, flags) in zip(curves, row):
             cells.append(_fmt(y))
             tokens.extend(f"{c.label}:{f}" for f in flags)
         cells.append(";".join(tokens))
@@ -194,19 +181,9 @@ def rows_to_csv(spec: CurveSpec, curves: list[RateCurve]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str, spec: CurveSpec, curves: list[RateCurve]) -> None:
-    text = rows_to_csv(spec, curves)  # before the file is opened, which truncates it
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
-def _svg_escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def render_svg(spec: CurveSpec, curves: list[RateCurve]) -> str:
-    """Self-contained 800x600 line chart, one path per curve; DomainError for a bad spec."""
-    _check_spec(spec)
+def render_svg(spec: CurveSpec) -> str:
+    """Self-contained 800x600 line chart of build_curves(spec), one path per curve."""
+    curves = build_curves(spec)
     width, height = 800, 600
     left, right, top, bottom = 80, 30, 30, 60
     plot_w = width - left - right
@@ -256,10 +233,9 @@ def render_svg(spec: CurveSpec, curves: list[RateCurve]) -> str:
             f'font-family="sans-serif" text-anchor="end">{_fmt_tick(yv)}</text>'
         )
 
-    x_label = spec.sweep_param
     parts.append(
         f'<text x="{left + plot_w / 2:.2f}" y="{height - 15}" font-size="15" '
-        f'font-family="sans-serif" text-anchor="middle">{_svg_escape(x_label)}</text>'
+        f'font-family="sans-serif" text-anchor="middle">{spec.sweep_param}</text>'
     )
     parts.append(
         f'<text x="22" y="{top + plot_h / 2:.2f}" font-size="15" '
@@ -288,7 +264,7 @@ def render_svg(spec: CurveSpec, curves: list[RateCurve]) -> str:
         )
         parts.append(
             f'<text x="{legend_x + 34}" y="{y0 + 4}" font-size="13" '
-            f'font-family="sans-serif">{_svg_escape(curve.label)}</text>'
+            f'font-family="sans-serif">{curve.label}</text>'
         )
 
     parts.append("</svg>")
@@ -297,9 +273,3 @@ def render_svg(spec: CurveSpec, curves: list[RateCurve]) -> str:
 
 def _fmt_tick(value: float) -> str:
     return "%.4g" % value
-
-
-def write_svg(path: str, spec: CurveSpec, curves: list[RateCurve]) -> None:
-    text = render_svg(spec, curves)  # before the file is opened, which truncates it
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)

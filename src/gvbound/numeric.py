@@ -236,19 +236,25 @@ class RealPolynomial(_PolynomialFields):
         return self.coefficients == (0.0,)
 
     def evaluate(self, x: float) -> float:
-        """The value at x by Horner's rule; DomainError unless x is a finite real number."""
-        return self._horner(_real(x, "a polynomial is evaluated at finite real numbers"))
+        """The value at x by Horner's rule; DomainError unless x and the value are finite."""
+        value = self._horner(_real(x, "a polynomial is evaluated at finite real numbers"))
+        if not math.isfinite(value):
+            raise DomainError(f"the polynomial overflows float64 at x = {_shown(x)}")
+        return value
 
     def evaluate_many(self, xs: Iterable[float]) -> list[float]:
-        """Values at each of xs, in order, as evaluate gives them.
+        """Horner values at each of xs, in order; DomainError unless each x is finite and real.
 
-        The root scan probes its grid points through this method, one
-        point per call, so that one wrapper around it can count the probes.
+        A value that overflows comes back as +-inf, unlike evaluate: the
+        root scan reads it as a sign.  The scan probes its grid points
+        through this method, one point per call, so that one wrapper
+        around it can count the probes.
         """
-        return [self.evaluate(x) for x in _items(xs, "xs must be a sequence of points")]
+        what = "a polynomial is evaluated at finite real numbers"
+        return [self._horner(_real(x, what)) for x in _items(xs, "xs must be a sequence of points")]
 
     def _horner(self, x: float) -> float:
-        """The value at a float x, unchecked: the bisection's inner loop."""
+        """The value at a float x, unchecked: the root scan's probes and bisection."""
         value = 0.0
         for c in reversed(self.coefficients):
             value = value * x + c
@@ -358,7 +364,7 @@ def smallest_positive_root(p: RealPolynomial) -> BracketedRoot:
             # a root hides between 0 and the first grid point, left of any the walk finds
             lo_edge = 0.5 * _SCAN_STEP
             while lo_edge > 0.0:
-                if math.copysign(1.0, p.evaluate(lo_edge)) == sign_left:
+                if math.copysign(1.0, p._horner(lo_edge)) == sign_left:
                     return _bisect(p, lo_edge, _SCAN_STEP)
                 lo_edge *= 0.5
             raise NoRootFoundError(

@@ -12,17 +12,14 @@ from pathlib import Path
 import pytest
 
 import gvbound
-from gvbound import cli, synthesis, verify
+from gvbound import cli, sticky, synthesis, verify
 from gvbound.curves import (
     BOUNDS,
     MAX_STEPS,
     CurveSpec,
-    RateCurve,
     build_curves,
     render_svg,
     rows_to_csv,
-    write_csv,
-    write_svg,
 )
 from gvbound.errors import DomainError
 
@@ -167,8 +164,6 @@ def _evaluations(monkeypatch, module) -> list[float]:
 
 
 def test_build_curves_evaluates_each_grid_point_once(monkeypatch):
-    from gvbound import sticky
-
     calls = _evaluations(monkeypatch, sticky)
     spec = sticky_spec(steps=50)  # the README sweep 0:0.49:50
     build_curves(spec)
@@ -177,8 +172,6 @@ def test_build_curves_evaluates_each_grid_point_once(monkeypatch):
 
 
 def test_build_curves_evaluates_a_last_grid_point_below_hi(monkeypatch):
-    from gvbound import sticky
-
     spec = CurveSpec("sticky", ("gv", "sp", "lb"), 0.0, 0.45, 4)
     calls = _evaluations(monkeypatch, sticky)
     curves = build_curves(spec)
@@ -195,7 +188,7 @@ def test_build_curves_evaluates_a_last_grid_point_below_hi(monkeypatch):
 @pytest.mark.parametrize("channel, hi, tau", [("sticky", 0.49, None), ("synthesis", 0.6, 2.0)])
 def test_a_sweep_from_negative_zero_prints_as_one_from_zero(channel, hi, tau):
     # the first grid point is lo + 0.0, which is 0.0 for lo = -0.0
-    csv = [rows_to_csv(spec, build_curves(spec)) for spec in (
+    csv = [rows_to_csv(spec) for spec in (
         CurveSpec(channel, tuple(BOUNDS[channel]), lo, hi, 5, tau) for lo in (-0.0, 0.0)
     )]
     assert csv[0] == csv[1]
@@ -204,20 +197,8 @@ def test_a_sweep_from_negative_zero_prints_as_one_from_zero(channel, hi, tau):
 # ------------------------------------------------------------------ csv output
 
 
-def test_csv_needs_a_curve_and_one_x_column():
-    spec = sticky_spec(steps=5)
-    gv, sp = build_curves(sticky_spec(steps=5, bounds=("gv", "sp")))
-    shorter = build_curves(sticky_spec(steps=4, bounds=("sp",)))[0]
-    moved = sp._replace(rows=((0.5, *sp.rows[0][1:]),) + sp.rows[1:])
-    for curves in ([], [gv, shorter], [gv, moved]):
-        with pytest.raises(DomainError, match="one x column"):
-            rows_to_csv(spec, curves)
-    assert rows_to_csv(spec, [gv, sp]).count("\n") == 6
-
-
 def test_csv_shape_and_formatting():
-    spec = sticky_spec(steps=5)
-    text = rows_to_csv(spec, build_curves(spec))
+    text = rows_to_csv(sticky_spec(steps=5))
     lines = text.splitlines()
     assert lines[0] == "beta,gv,sp,lb,flags"
     assert len(lines) == 6
@@ -231,21 +212,22 @@ def test_csv_shape_and_formatting():
     assert "lb:boundary" in last[4].split(";")
 
 
-def test_csv_file_uses_unix_newlines(tmp_path):
-    spec = sticky_spec(steps=5)
-    path = tmp_path / "out.csv"
-    write_csv(str(path), spec, build_curves(spec))
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_cli_curve_file_uses_unix_newlines(tmp_path, fmt):
+    path = tmp_path / f"out.{fmt}"
+    argv = ["curve", "--channel", "sticky", "--beta-range", "0:0.49:5", "--format", fmt]
+    assert cli.main(argv + ["--output", str(path)]) == 0
     data = path.read_bytes()
     assert b"\r" not in data
     assert data.endswith(b"\n")
+    assert data == (rows_to_csv if fmt == "csv" else render_svg)(sticky_spec(steps=5)).encode()
 
 
 # ------------------------------------------------------------------ svg output
 
 
 def test_svg_structure():
-    spec = synthesis_spec(steps=12)
-    svg = render_svg(spec, build_curves(spec))
+    svg = render_svg(synthesis_spec(steps=12))
     assert svg.startswith("<svg")
     assert 'width="800"' in svg
     assert 'height="600"' in svg
@@ -255,8 +237,10 @@ def test_svg_structure():
 
 
 def test_svg_of_all_zero_curves_draws_its_y_axis_to_1_05():
-    spec = sticky_spec(steps=3, bounds=("sp",))
-    svg = render_svg(spec, [RateCurve("sp", tuple((x, 0.0, ()) for x in spec.grid()))])
+    # the sticky lower bound is 0 from beta = 0.3 on
+    spec = CurveSpec("sticky", ("lb",), 0.3, 0.49, 3)
+    assert {row[1] for row in build_curves(spec)[0].rows} == {0.0}
+    svg = render_svg(spec)
     y_ticks = [line.split(">")[1].split("<")[0] for line in svg.splitlines() if '"end"' in line]
     assert y_ticks == ["0", "0.21", "0.42", "0.63", "0.84", "1.05"]
 
@@ -266,42 +250,48 @@ def test_svg_of_all_zero_curves_draws_its_y_axis_to_1_05():
     [dict(hi=0.0), dict(lo=math.nan), dict(hi=math.inf), dict(lo=0.4, hi=0.1), dict(channel="bogus")],
     ids=["lo-equals-hi", "nan-end", "inf-end", "hi-below-lo", "unknown-channel"],
 )
-def test_writers_reject_a_spec_that_does_not_validate(tmp_path, change):
+def test_renderers_reject_a_spec_that_does_not_validate(change):
     # unchecked, render_svg would divide by zero or draw nan coordinates or a
     # mirrored chart, and rows_to_csv would head an unknown channel's sweep "delta"
-    spec = sticky_spec(steps=5)
-    curves, bad = build_curves(spec), spec._replace(**change)
-    for render in (rows_to_csv, render_svg):
+    bad = sticky_spec(steps=5)._replace(**change)
+    for render in (build_curves, rows_to_csv, render_svg):
         with pytest.raises(DomainError):
-            render(bad, curves)
+            render(bad)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+@pytest.mark.parametrize(
+    "sweep",
+    ["0:0:5", "nan:0.49:5", "0:inf:5", "0.4:0.1:5", "0:0.6:5"],
+    ids=["lo-equals-hi", "nan-end", "inf-end", "hi-below-lo", "past-the-domain"],
+)
+def test_cli_curve_keeps_the_output_file_when_the_spec_is_rejected(tmp_path, capsys, sweep, fmt):
+    # the text is rendered before --output is opened, which would create or truncate it
     kept = tmp_path / "kept"
     kept.write_text("earlier output\n")
-    for write in (write_csv, write_svg):
-        with pytest.raises(DomainError):
-            write(str(tmp_path / "out"), bad, curves)
-        with pytest.raises(DomainError):
-            write(str(kept), bad, curves)
+    argv = ["curve", "--channel", "sticky", "--beta-range", sweep, "--format", fmt]
+    for path in (tmp_path / "out", kept):
+        assert cli.main(argv + ["--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
     assert kept.read_text() == "earlier output\n"
 
 
 def test_curve_functions_need_a_curve_spec():
-    curves = build_curves(sticky_spec(steps=5))
-    calls = (build_curves, lambda s: rows_to_csv(s, curves), lambda s: render_svg(s, curves))
     for spec in (None, tuple(sticky_spec(steps=5))):
-        for call in calls:
+        for call in (build_curves, rows_to_csv, render_svg):
             with pytest.raises(DomainError, match="spec must be a CurveSpec"):
                 call(spec)
 
 
 def test_svg_output_is_deterministic(tmp_path):
-    spec = sticky_spec(steps=9)
-    curves = build_curves(spec)
-    a = tmp_path / "a.svg"
-    b = tmp_path / "b.svg"
-    write_svg(str(a), spec, curves)
-    write_svg(str(b), spec, build_curves(spec))
-    assert a.read_bytes() == b.read_bytes()
+    paths = [tmp_path / "a.svg", tmp_path / "b.svg"]
+    argv = ["curve", "--channel", "sticky", "--beta-range", "0:0.49:9", "--format", "svg"]
+    for path in paths:
+        assert cli.main(argv + ["--output", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ------------------------------------------------------------------------- cli
@@ -548,6 +538,35 @@ def test_readme_outputs_match_reference_bytes(tmp_path, capsys, name, argv):
     if argv[0] == "point":
         out.write_text(capsys.readouterr().out)
     assert out.read_bytes() == (REFERENCE / name).read_bytes()
+
+
+# the README curve commands as specs, with the format each renders
+_README_SPECS = [
+    ("sticky_bounds.csv", sticky_spec(steps=50), "csv"),
+    ("sticky_bounds.svg", sticky_spec(steps=50), "svg"),
+    ("synth_t15.csv", synthesis_spec(steps=76, tau=1.5), "csv"),
+    ("synth_t20.csv", synthesis_spec(steps=76, tau=2.0), "csv"),
+]
+
+
+@pytest.mark.parametrize("name, spec, fmt", _README_SPECS)
+def test_renderers_of_the_readme_specs_match_reference_bytes(name, spec, fmt):
+    text = (rows_to_csv if fmt == "csv" else render_svg)(spec)
+    assert text.encode() == (REFERENCE / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, spec, fmt", _README_SPECS)
+def test_cli_curve_evaluates_lo_hi_and_each_grid_point_once(
+    tmp_path, monkeypatch, name, spec, fmt
+):
+    calls = _evaluations(monkeypatch, sticky if spec.channel == "sticky" else synthesis)
+    flag = "--beta-range" if spec.channel == "sticky" else "--delta-range"
+    tau = [] if spec.tau is None else ["--tau", str(spec.tau)]
+    argv = ["curve", "--channel", spec.channel, *tau, flag, f"{spec.lo}:{spec.hi}:{spec.steps}"]
+    assert cli.main(argv + ["--format", fmt, "--output", str(tmp_path / name)]) == 0
+    # the domain check evaluates lo, then hi; then build_curves walks the grid
+    assert calls == [spec.lo, spec.hi, *spec.grid()]
+    assert len(calls) == spec.steps + 2
 
 
 _CLOSED_FORM_COMMANDS = [

@@ -68,9 +68,10 @@ _Poly = acsv.SparseMultivariatePolynomial
 _closed_form = sticky.critical_point_closed_form
 
 
+# overflows at max-float, where evaluate raises DomainError
 _CUBIC = numeric.RealPolynomial([-1.0, 1.0, 1.0, 1.0])
-# 1 - x: finite at every finite x, where a higher power can overflow to an infinite
-# value, which evaluate returns and the root scan reads as a sign
+# 1 - x: finite at every finite x; evaluate_many returns an overflowing value as
+# an infinite one, which the root scan reads as a sign
 _LINE = numeric.RealPolynomial([1.0, -1.0])
 
 
@@ -104,7 +105,7 @@ SITES = {
     "numeric.CountMode.blank(size)": lambda v=3: numeric.count_mode("log2").blank((2, v)),
     "numeric.RealPolynomial(coefficients)": lambda v=(1.0, -2.0): numeric.RealPolynomial(v),
     "numeric.RealPolynomial(coefficient)": lambda v=0.5: numeric.RealPolynomial([1.0, v, -2.0]),
-    "numeric.RealPolynomial.evaluate(x)": lambda v=0.5: _LINE.evaluate(v),
+    "numeric.RealPolynomial.evaluate(x)": lambda v=0.5: _CUBIC.evaluate(v),
     "numeric.RealPolynomial.evaluate_many(xs)": lambda v=(0.5,): _LINE.evaluate_many(v),
     "numeric.RealPolynomial.evaluate_many(x)": lambda v=0.5: _LINE.evaluate_many([0.0, v]),
     "numeric.smallest_positive_root(p)": lambda v=_CUBIC: numeric.smallest_positive_root(v),

@@ -188,6 +188,15 @@ def test_real_polynomial_trims_and_evaluates():
     assert type(p.evaluate_many(xs)) is list
 
 
+def test_evaluate_rejects_an_overflowing_value_that_evaluate_many_returns():
+    # the root scan reads an infinite value as a sign, so only evaluate checks it
+    p = RealPolynomial([-1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(DomainError, match="^the polynomial overflows float64 at x = 1.797"):
+        p.evaluate(1.7976931348623157e308)
+    assert p.evaluate_many([1.7976931348623157e308]) == [math.inf]
+    assert p.evaluate_many([-1.7976931348623157e308]) == [-math.inf]
+
+
 def test_real_polynomial_zero_handling():
     z = RealPolynomial([0.0, 0.0])
     assert z.is_zero()
@@ -242,7 +251,7 @@ def _one_sign_change(coefficients) -> bool:
         all(map(math.isfinite, coefficients))
         and coefficients[0] != 0.0
         and sum((a > 0.0) != (b > 0.0) for a, b in zip(nonzero, nonzero[1:])) == 1
-        and np.sign(RealPolynomial(coefficients).evaluate(GRID_STEP)) == np.sign(coefficients[0])
+        and np.sign(RealPolynomial(coefficients)._horner(GRID_STEP)) == np.sign(coefficients[0])
     )
 
 
@@ -348,7 +357,7 @@ def _numpy_scan(p: RealPolynomial) -> BracketedRoot:
         hi_edge = float(xs[0])
         lo_edge = 0.5 * hi_edge
         while lo_edge > 0.0:
-            if math.copysign(1.0, p.evaluate(lo_edge)) == sign_left:
+            if math.copysign(1.0, p._horner(lo_edge)) == sign_left:
                 return _bisect(p, lo_edge, hi_edge)
             lo_edge *= 0.5
         raise NoRootFoundError(
@@ -463,6 +472,7 @@ def _one_sign_change_polynomials():
 @example(coefficients=[-10.5, 1.0])  # root past the grid
 @example(coefficients=[1e300, 1e300, -1e-300])  # values overflow to inf
 @example(coefficients=[5e-324, -5e-324])  # subnormal coefficients
+@example(coefficients=[1.0, -1.7976931348623157e308, -1.0218702384817766e294])  # -inf at grid 1
 def test_one_sign_change_roots_match_the_numpy_scan_bit_for_bit(coefficients):
     p = RealPolynomial(coefficients)
     with _recorded_scan() as (probes, _):
