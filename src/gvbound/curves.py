@@ -1,9 +1,9 @@
 """Bound-curve evaluation and CSV/SVG rendering.
 
 A CurveSpec names a channel, a set of bounds, a sweep over beta (sticky)
-or delta (synthesis), and tau for synthesis; build_curves checks it, then
-evaluates the channel's evaluate_point record at every sweep point,
-serially and in grid order, and returns one RateCurve per requested bound
+or delta (synthesis), and tau for synthesis; build_curves is its one
+check, then evaluates the channel's evaluate_point record once per sweep
+point, lo and hi first, and returns one RateCurve per requested bound
 with the record's value and flags for that bound.
 
 rows_to_csv and render_svg take the spec and call build_curves on it, so
@@ -16,14 +16,10 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError
 from .numeric import _items, _real, _shown, check_sizes
-
-if TYPE_CHECKING:
-    from .sticky import StickyPoint
-    from .synthesis import SynthesisPoint
 
 __all__ = [
     "CurveSpec",
@@ -77,63 +73,11 @@ class CurveSpec(NamedTuple):
         """The swept parameter: beta for sticky curves, delta for synthesis."""
         return "beta" if self.channel == "sticky" else "delta"
 
-    def validate(self) -> None:
-        """Raise DomainError for a bad spec.
-
-        The channel evaluates lo, then hi, which rejects a sweep outside
-        its domain before any other grid point is evaluated.
-        """
-        if self.channel not in ("sticky", "synthesis"):
-            raise DomainError(f"unknown channel {_shown(self.channel)}")
-        if self.channel == "synthesis" and self.tau is None:
-            raise DomainError("synthesis curves need --tau")
-        if self.channel == "sticky" and self.tau is not None:
-            raise DomainError("sticky curves take no --tau")
-        allowed = BOUNDS[self.channel]
-        bounds = _items(self.bounds, "bounds must be a sequence of names")
-        if not bounds:
-            raise DomainError("at least one bound must be requested")
-        for b in bounds:
-            if not isinstance(b, str) or b not in allowed:  # a list cannot be looked up
-                raise DomainError(
-                    f"bound {_shown(b)} not available for {self.channel} "
-                    f"(choose from {', '.join(allowed)})"
-                )
-        if len(set(bounds)) < len(bounds):
-            raise DomainError(f"each bound may be requested once, got {','.join(bounds)}")
-        check_sizes(at_least=None, steps=self.steps)
-        if not 2 <= self.steps <= MAX_STEPS:
-            raise DomainError(
-                f"sweep needs 2 <= steps <= {MAX_STEPS}, got {_shown(self.steps)}"
-            )
-        try:  # an infinite end passes, for the channel to reject
-            lo = _real(self.lo, "lo", -math.inf, math.inf)
-            if not lo < _real(self.hi, "hi", -math.inf, math.inf):
-                raise DomainError
-        except DomainError:  # out of order, or not real numbers
-            raise DomainError(
-                f"sweep range must satisfy lo < hi, got {_shown(self.lo)}:{_shown(self.hi)}"
-            ) from None
-        # the channel rejects parameters outside its domain
-        evaluate = self._evaluator()
-        evaluate(self.lo)
-        evaluate(self.hi)
-
     def grid(self) -> list[float]:
-        """steps evenly spaced points from lo to hi; rounding never carries one past hi."""
+        """steps evenly spaced points from lo + 0.0 to hi; the last one is hi itself."""
         lo, hi = float(self.lo), float(self.hi)
         step = (hi - lo) / (self.steps - 1)
-        return [min(lo + k * step, hi) for k in range(self.steps)]
-
-    def _evaluator(self) -> Callable[[float], StickyPoint | SynthesisPoint]:
-        """The channel's evaluation record as a function of the sweep value."""
-        if self.channel == "sticky":
-            from .sticky import evaluate_point
-
-            return evaluate_point
-        from .synthesis import evaluate_point
-
-        return partial(evaluate_point, self.tau)
+        return [lo + k * step for k in range(self.steps - 1)] + [hi]
 
 
 class RateCurve(NamedTuple):
@@ -144,20 +88,57 @@ class RateCurve(NamedTuple):
 
 
 def build_curves(spec: CurveSpec) -> list[RateCurve]:
-    """Evaluate every requested bound over the sweep grid.
+    """Check spec, then evaluate every requested bound over its sweep grid.
 
-    DomainError unless spec is a CurveSpec that validates.
+    The channel evaluates lo, then hi, which rejects a sweep outside its
+    domain before any other grid point; those two records are the first
+    and last rows, so a sweep costs steps evaluations.
     """
     if not isinstance(spec, CurveSpec):
         raise DomainError(f"spec must be a CurveSpec, got {type(spec).__name__}")
-    spec.validate()
+    if spec.channel not in ("sticky", "synthesis"):
+        raise DomainError(f"unknown channel {_shown(spec.channel)}")
+    if spec.channel == "synthesis" and spec.tau is None:
+        raise DomainError("synthesis curves need --tau")
+    if spec.channel == "sticky" and spec.tau is not None:
+        raise DomainError("sticky curves take no --tau")
+    allowed = BOUNDS[spec.channel]
+    bounds = _items(spec.bounds, "bounds must be a sequence of names")
+    if not bounds:
+        raise DomainError("at least one bound must be requested")
+    for b in bounds:
+        if not isinstance(b, str) or b not in allowed:  # a list cannot be looked up
+            raise DomainError(
+                f"bound {_shown(b)} not available for {spec.channel} "
+                f"(choose from {', '.join(allowed)})"
+            )
+    if len(set(bounds)) < len(bounds):
+        raise DomainError(f"each bound may be requested once, got {','.join(bounds)}")
+    check_sizes(at_least=None, steps=spec.steps)
+    if not 2 <= spec.steps <= MAX_STEPS:
+        raise DomainError(f"sweep needs 2 <= steps <= {MAX_STEPS}, got {_shown(spec.steps)}")
+    try:  # an infinite end passes, for the channel to reject
+        lo = _real(spec.lo, "lo", -math.inf, math.inf)
+        if not lo < _real(spec.hi, "hi", -math.inf, math.inf):
+            raise DomainError
+    except DomainError:  # out of order, or not real numbers
+        raise DomainError(
+            f"sweep range must satisfy lo < hi, got {_shown(spec.lo)}:{_shown(spec.hi)}"
+        ) from None
+    if spec.channel == "sticky":
+        from .sticky import evaluate_point as evaluate
+    else:
+        from .synthesis import evaluate_point
+
+        evaluate = partial(evaluate_point, spec.tau)
+    first, last = evaluate(spec.lo), evaluate(spec.hi)
     grid = spec.grid()
-    points = list(map(spec._evaluator(), grid))
-    columns = [BOUNDS[spec.channel][bound] for bound in spec.bounds]
+    points = [first, *map(evaluate, grid[1:-1]), last]
+    columns = [allowed[bound] for bound in bounds]
     cells = [[column(p) for column in columns] for p in points]
     return [
         RateCurve(label=bound, rows=tuple((x, *c[k]) for x, c in zip(grid, cells)))
-        for k, bound in enumerate(spec.bounds)
+        for k, bound in enumerate(bounds)
     ]
 
 

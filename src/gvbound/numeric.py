@@ -300,8 +300,7 @@ def _bisect(p: RealPolynomial, lo: float, hi: float) -> BracketedRoot:
             hi, f_hi = mid, f_mid
         if hi - lo <= _ROOT_TOL and abs(best_f) <= _ROOT_TOL:
             return BracketedRoot(root=best_x, residual=best_f, bracket=(lo, hi))
-    if abs(best_f) <= _ROOT_TOL:
-        return BracketedRoot(root=best_x, residual=best_f, bracket=(lo, hi))
+    # the last pass left a bracket narrower than _ROOT_TOL, so |best_f| > _ROOT_TOL here
     raise NonConvergenceError(
         f"bisection stalled at bracket [{lo}, {hi}] with residual {best_f}"
     )

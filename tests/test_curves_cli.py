@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gvbound
 from gvbound import cli, sticky, synthesis, verify
@@ -56,31 +58,31 @@ def synthesis_spec(steps: int = 11, tau: float = 2.0) -> CurveSpec:
 
 def test_curve_spec_rejects_bad_requests():
     with pytest.raises(DomainError):
-        CurveSpec("nvm", ("gv",), 0.0, 0.4, 5).validate()
+        build_curves(CurveSpec("nvm", ("gv",), 0.0, 0.4, 5))
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv", "what"), 0.0, 0.4, 5).validate()
+        build_curves(CurveSpec("sticky", ("gv", "what"), 0.0, 0.4, 5))
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), 0.0, 0.4, 1).validate()
+        build_curves(CurveSpec("sticky", ("gv",), 0.0, 0.4, 1))
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), 0.0, 0.4, 2.5).validate()
+        build_curves(CurveSpec("sticky", ("gv",), 0.0, 0.4, 2.5))
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), 0.4, 0.1, 5).validate()
+        build_curves(CurveSpec("sticky", ("gv",), 0.4, 0.1, 5))
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), 0.0, 0.6, 5).validate()
+        build_curves(CurveSpec("sticky", ("gv",), 0.0, 0.6, 5))
     with pytest.raises(DomainError, match="synthesis curves need --tau"):
-        CurveSpec("synthesis", ("gv",), 0.0, 0.5, 5).validate()
+        build_curves(CurveSpec("synthesis", ("gv",), 0.0, 0.5, 5))
     with pytest.raises(DomainError):
-        CurveSpec("synthesis", ("gv",), 0.0, 0.5, 5, tau=1.0).validate()
+        build_curves(CurveSpec("synthesis", ("gv",), 0.0, 0.5, 5, tau=1.0))
     with pytest.raises(DomainError, match="sticky curves take no --tau"):
-        CurveSpec("sticky", ("gv",), 0.0, 0.4, 5, tau=2.0).validate()
+        build_curves(CurveSpec("sticky", ("gv",), 0.0, 0.4, 5, tau=2.0))
     with pytest.raises(DomainError, match="at least one bound must be requested"):
-        CurveSpec("sticky", (), 0.0, 0.4, 5).validate()
+        build_curves(CurveSpec("sticky", (), 0.0, 0.4, 5))
 
 
 def test_curve_spec_rejects_a_repeated_bound(tmp_path, capsys):
     # a repeated bound would write two identical columns and two polylines
     with pytest.raises(DomainError, match="each bound may be requested once, got gv,sp,gv"):
-        CurveSpec("sticky", ("gv", "sp", "gv"), 0.0, 0.4, 5).validate()
+        build_curves(CurveSpec("sticky", ("gv", "sp", "gv"), 0.0, 0.4, 5))
     argv = ["curve", "--channel", "sticky", "--bounds", "gv,gv", "--beta-range", "0:0.4:5"]
     assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
     captured = capsys.readouterr()
@@ -97,13 +99,13 @@ def test_curve_spec_rejects_a_repeated_bound(tmp_path, capsys):
 def test_curve_spec_rejects_a_range_that_is_not_numbers(lo, hi):
     # None < 0.4 raised TypeError; two strings compare, and the channel rejects lo
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), lo, hi, 10).validate()
+        build_curves(CurveSpec("sticky", ("gv",), lo, hi, 10))
 
 
 def test_curve_spec_caps_steps_before_allocating():
-    CurveSpec("sticky", ("gv",), 0.0, 0.4, MAX_STEPS).validate()
+    build_curves(CurveSpec("sticky", ("gv",), 0.0, 0.4, MAX_STEPS))
     with pytest.raises(DomainError):
-        CurveSpec("sticky", ("gv",), 0.0, 0.4, 10 ** 9).validate()
+        build_curves(CurveSpec("sticky", ("gv",), 0.0, 0.4, 10 ** 9))
     assert MAX_STEPS >= 10 * 2000
 
 
@@ -112,7 +114,22 @@ def test_grid_includes_both_endpoints():
     grid = spec.grid()
     assert len(grid) == 8
     assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(0.49, abs=1e-15)
+    assert grid[-1] == 0.49
+
+
+_ENDS = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=_ENDS, hi=_ENDS, steps=st.integers(2, 10_000))
+def test_grid_runs_nondecreasing_from_lo_to_exactly_hi(lo, hi, steps):
+    assume(lo != hi)
+    lo, hi = min(lo, hi), max(lo, hi)
+    grid = CurveSpec("sticky", ("gv",), lo, hi, steps).grid()
+    assert len(grid) == steps
+    assert repr(grid[0]) == repr(lo + 0.0)  # so -0.0 starts at 0.0
+    assert grid[-1] == hi
+    assert all(a <= b for a, b in zip(grid, grid[1:]))
 
 
 # ---------------------------------------------------------------------- curves
@@ -167,22 +184,37 @@ def test_build_curves_evaluates_each_grid_point_once(monkeypatch):
     calls = _evaluations(monkeypatch, sticky)
     spec = sticky_spec(steps=50)  # the README sweep 0:0.49:50
     build_curves(spec)
-    # the domain check evaluates lo, then hi, before the grid
-    assert calls == [0.0, 0.49, *spec.grid()]
+    # lo, then hi, then the interior of the grid
+    assert calls == [0.0, 0.49, *spec.grid()[1:-1]]
+    assert len(calls) == spec.steps
 
 
-def test_build_curves_evaluates_a_last_grid_point_below_hi(monkeypatch):
+def test_build_curves_of_a_sweep_whose_last_step_rounds_below_hi_ends_on_hi(monkeypatch):
     spec = CurveSpec("sticky", ("gv", "sp", "lb"), 0.0, 0.45, 4)
     calls = _evaluations(monkeypatch, sticky)
     curves = build_curves(spec)
     grid = spec.grid()
-    assert grid[-1] == 0.44999999999999996  # rounds below hi
-    assert calls == [0.0, 0.45, *grid]
+    assert 3 * (0.45 / 3) == 0.44999999999999996  # lo + 3 * step rounds below hi
+    assert grid[-1] == 0.45
+    assert calls == [0.0, 0.45, *grid[1:-1]]
     for k, x in enumerate(grid):
         assert [c.rows[k] for c in curves] == [
             (x, *column(sticky.evaluate_point(x))) for column in
             (BOUNDS["sticky"][b] for b in ("gv", "sp", "lb"))
         ]
+
+
+def test_a_sweep_ends_on_the_point_value_at_hi():
+    # lo + 8 * step rounded 1 ulp below hi, where gv_rate differs in the 12th digit
+    spec = CurveSpec("sticky", ("gv",), 0.080568, 0.472744, 9)
+    assert rows_to_csv(spec).splitlines()[-1] == "0.472744,%.12g," % sticky.gv_rate(0.472744)[0]
+
+
+def test_a_sweep_past_the_domain_fails_after_evaluating_lo_and_hi(monkeypatch):
+    calls = _evaluations(monkeypatch, sticky)
+    with pytest.raises(DomainError):
+        build_curves(CurveSpec("sticky", ("gv",), 0.1, 0.6, 5))
+    assert calls == [0.1, 0.6]
 
 
 @pytest.mark.parametrize("channel, hi, tau", [("sticky", 0.49, None), ("synthesis", 0.6, 2.0)])
@@ -564,9 +596,9 @@ def test_cli_curve_evaluates_lo_hi_and_each_grid_point_once(
     tau = [] if spec.tau is None else ["--tau", str(spec.tau)]
     argv = ["curve", "--channel", spec.channel, *tau, flag, f"{spec.lo}:{spec.hi}:{spec.steps}"]
     assert cli.main(argv + ["--format", fmt, "--output", str(tmp_path / name)]) == 0
-    # the domain check evaluates lo, then hi; then build_curves walks the grid
-    assert calls == [spec.lo, spec.hi, *spec.grid()]
-    assert len(calls) == spec.steps + 2
+    # lo, then hi, then the interior of the grid: steps evaluations
+    assert calls == [spec.lo, spec.hi, *spec.grid()[1:-1]]
+    assert len(calls) == spec.steps
 
 
 _CLOSED_FORM_COMMANDS = [

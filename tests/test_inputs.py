@@ -1,11 +1,12 @@
 """One hostile-value sweep over the public entry points.
 
 Each site is one valid call of a public function of numeric, sticky,
-synthesis, acsv or verify, or of CurveSpec.validate, with one argument
-left open.  The sweep puts each of the values in HOSTILE there in turn.  A
-call must return a result without a NaN or +inf in it, or raise a
-GVBoundError, within a 3-s alarm.  A returned iterator is advanced twice,
-since the pair-layer generators check their sizes on the first next.
+synthesis, acsv or verify, or of curves.build_curves on a CurveSpec,
+with one argument or field left open.  The sweep puts each of the values
+in HOSTILE there in turn.  A call must return a result without a NaN or
++inf in it, or raise a GVBoundError, within a 3-s alarm.  A returned
+iterator is advanced twice, since the pair-layer generators check their
+sizes on the first next.
 
 An argument of the package's own types (a polynomial, a composition or
 a critical point) is swept too: each hostile value stands in for it.
@@ -30,7 +31,7 @@ import numpy as np
 import pytest
 
 from gvbound import acsv, numeric, sticky, synthesis, verify
-from gvbound.curves import CurveSpec
+from gvbound.curves import CurveSpec, build_curves
 from gvbound.errors import DomainError, GVBoundError
 
 HOSTILE = {
@@ -57,6 +58,7 @@ HOSTILE = {
     "10**400": 10**400,
     "-10**400": -(10**400),
     "10**5000": 10**5000,
+    "[10**5000]": [10**5000],
 }
 
 _H = acsv.SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((1, 0), -1.0), ((0, 1), -1.0)])
@@ -89,7 +91,7 @@ def _leading(r=_CP.direction, w=_CP.z, n=10, H=_H4, G=_G4):
 
 def _spec(**fields):
     base = {"channel": "sticky", "bounds": ("gv",), "lo": 0.1, "hi": 0.4, "steps": 5}
-    return CurveSpec(**{**base, **fields}).validate()
+    return build_curves(CurveSpec(**{**base, **fields}))
 
 
 def _synthesis_spec(**fields):
@@ -205,13 +207,13 @@ SITES = {
     "acsv.leading_term(n)": lambda v=10: _leading(n=v),
     "verify.run_suite(suite)": lambda v="acsv": verify.run_suite(v),
     "verify.run_suite(n_budget)": lambda v=8: verify.run_suite("acsv", v),
-    "curves.CurveSpec.validate(channel)": lambda v="sticky": _spec(channel=v),
-    "curves.CurveSpec.validate(bounds)": lambda v=("gv", "sp"): _spec(bounds=v),
-    "curves.CurveSpec.validate(bound)": lambda v="sp": _spec(bounds=("gv", v)),
-    "curves.CurveSpec.validate(lo)": lambda v=0.1: _spec(lo=v),
-    "curves.CurveSpec.validate(hi)": lambda v=0.4: _spec(hi=v),
-    "curves.CurveSpec.validate(steps)": lambda v=5: _spec(steps=v),
-    "curves.CurveSpec.validate(tau)": lambda v=2.0: _synthesis_spec(tau=v),
+    "curves.build_curves(CurveSpec(channel))": lambda v="sticky": _spec(channel=v),
+    "curves.build_curves(CurveSpec(bounds))": lambda v=("gv", "sp"): _spec(bounds=v),
+    "curves.build_curves(CurveSpec(bound))": lambda v="sp": _spec(bounds=("gv", v)),
+    "curves.build_curves(CurveSpec(lo))": lambda v=0.1: _spec(lo=v),
+    "curves.build_curves(CurveSpec(hi))": lambda v=0.4: _spec(hi=v),
+    "curves.build_curves(CurveSpec(steps))": lambda v=5: _spec(steps=v),
+    "curves.build_curves(CurveSpec(tau))": lambda v=2.0: _synthesis_spec(tau=v),
 }
 
 class _Timeout(Exception):

@@ -955,6 +955,21 @@ def test_ball_rate_matches_critical_point_growth(point):
     assert ball_rate(rho, beta) == pytest.approx(growth, abs=1e-9)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=DomainError,
+    reason="ROADMAP item 4: the closed form's 2 - delta - 2 rho rounds to 0.0 as rho -> 1",
+)
+def test_a_smooth_point_next_to_rho_1_evaluates():
+    # 2 - 2 rho - 2 beta is 1.19e-19 > 0, so ball_rate takes the smooth branch,
+    # but the closed form rounds 2 - delta - 2 rho to 0.0 and rejects the point
+    beta, rho = 2.442450685549901e-10, 0.9999999997557549
+    assert sticky._ball_branch(rho, beta) == "smooth"
+    point = sticky.evaluate_point(beta, rho)
+    assert point.branch == "smooth"
+    assert point.critical_point is not None
+
+
 def test_capacity_runs_is_entropy():
     # the capacity at run density rho is H(rho), whatever beta
     assert sticky.evaluate_point(0.1, 0.3).capacity == pytest.approx(entropy(0.3), abs=1e-15)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvbound import numeric, synthesis
-from gvbound.errors import DomainError, SizeLimitError
+from gvbound.errors import DomainError, NoRootFoundError, SizeLimitError
 from gvbound.numeric import entropy
 from gvbound.synthesis import (
     ALPHABET,
@@ -528,6 +528,20 @@ def test_smooth_ball_rate_is_critical_point_growth(point):
     assert p.branch == "smooth"
     x, y, z = p.critical_point.z
     assert p.ball_rate_upper == -math.log2(x) - 2.0 * tau * math.log2(y) - delta * math.log2(z)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NoRootFoundError,
+    reason="ROADMAP item 16: delta_max's absolute 1e-12 root stop overshoots near tau = 1",
+)
+def test_a_point_just_below_the_computed_delta_max_near_tau_1_evaluates():
+    # delta_max(tau) is 5.54337e-9 where a 60-digit capacity root gives
+    # 5.54327070059514e-9, so this delta, past the true delta_max, takes the
+    # smooth branch, and its critical polynomial has no positive root
+    tau, delta = 1.0000000027716354, 5.543369980522079e-09
+    assert delta < delta_max(tau)[0]
+    assert synthesis.evaluate_point(tau, delta).branch == "saturated"
 
 
 def test_critical_point_residuals_on_grid():
