@@ -372,10 +372,21 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
 
 
 @cache
+def _composition_parts(n: int, r: int) -> np.ndarray:
+    """The parts of compositions(n, r), one read-only int64 row per composition."""
+    import numpy as np
+
+    parts = np.array([w.parts for w in compositions(n, r)], dtype=np.int64)
+    parts.flags.writeable = False
+    return parts
+
+
+@cache
 def _bruteforce_histogram(n1: int, n2: int, r: int) -> Counter[int]:
     """Ordered pairs in S(n1,r) x S(n2,r) by L1 distance.
 
-    The parts of each side form an array with one row per composition.
+    The parts of each side come from _composition_parts, which enumerates
+    each (n, r) once per process, however many partner lengths read it.
     The pairs go by blocks of left rows, each with at most
     _BRUTEFORCE_BLOCK_CELLS part differences unless one row has more:
     one broadcast |u - v| summed over the r parts gives the block's
@@ -383,9 +394,7 @@ def _bruteforce_histogram(n1: int, n2: int, r: int) -> Counter[int]:
     """
     import numpy as np
 
-    left, right = (
-        np.array([w.parts for w in compositions(n, r)], dtype=np.int64) for n in (n1, n2)
-    )
+    left, right = _composition_parts(n1, r), _composition_parts(n2, r)
     counts = np.zeros(n1 + n2 + 1, dtype=np.int64)
     rows = max(1, _BRUTEFORCE_BLOCK_CELLS // right.size)
     for start in range(0, len(left), rows):

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -186,6 +187,32 @@ def test_bruteforce_histogram_does_not_depend_on_the_block_size(monkeypatch, cel
     want = sticky._bruteforce_histogram.__wrapped__(9, 8, 3)
     monkeypatch.setattr(sticky, "_BRUTEFORCE_BLOCK_CELLS", cells)
     assert sticky._bruteforce_histogram.__wrapped__(9, 8, 3) == want
+
+
+def test_bruteforce_histograms_enumerate_each_composition_set_once(monkeypatch):
+    # the oracle check's 204 (n1, n2, r) with n1, n2 <= 8 read 36 distinct
+    # composition sets (n, r); each is enumerated once, whichever partner reads it
+    enumerated = Counter()
+
+    def counted(n, r):
+        enumerated[n, r] += 1
+        return compositions(n, r)
+
+    monkeypatch.setattr(sticky, "compositions", counted)
+    sticky._bruteforce_histogram.cache_clear()
+    sticky._composition_parts.cache_clear()
+    keys = [
+        (n1, n2, r)
+        for n1 in range(9) for n2 in range(9) for r in range(1, min(n1, n2) + 1)
+    ]
+    histograms = {key: sticky._bruteforce_histogram(*key) for key in keys}
+    assert len(keys) == 204
+    assert enumerated == {(n, r): 1 for n in range(1, 9) for r in range(1, n + 1)}
+    # the rebuild enumerates every side afresh
+    monkeypatch.setattr(sticky, "_composition_parts", sticky._composition_parts.__wrapped__)
+    for key, histogram in histograms.items():
+        assert sticky._bruteforce_histogram.__wrapped__(*key) == histogram, key
+    assert sum(enumerated.values()) == 36 + 2 * 204
 
 
 def test_bruteforce_mass_and_out_of_support_buckets():

@@ -82,6 +82,14 @@ def test_count_words_by_time_matches_enumeration():
         assert counts == observed
 
 
+def test_count_words_by_time_equals_repeated_convolution():
+    # each step's prefix-sum window equals one product by y + y^2 + y^3 + y^4
+    reference = [1]
+    for n in range(101):
+        assert count_words_by_time(n) == reference, n
+        reference = synthesis._conv(reference, [0, 1, 1, 1, 1])
+
+
 def test_count_words_mass_identity():
     for n in (10, 20, 30):
         assert sum(count_words_by_time(n)) == 4**n
