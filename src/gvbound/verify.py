@@ -121,24 +121,22 @@ def _gv_numeric_argmax(beta: float) -> tuple[float, float]:
     k = max(range(len(values)), key=values.__getitem__)
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
 
-    def objective(rho: float) -> float:
-        return 2.0 * entropy(rho) - sticky.ball_rate(rho, beta)
-
+    objective = sticky._gv_objective  # calls ball_rate through the module
     x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
+    f1, f2 = objective(x1, beta), objective(x2, beta)
     while True:
         if f1 >= f2:  # the maximum lies in [lo, x2]
             hi, x2, f2 = x2, x1, f1
             if hi - lo <= _ARGMAX_BRACKET:
                 return f2, x2
             x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
+            f1 = objective(x1, beta)
         else:  # the maximum lies in [x1, hi]
             lo, x1, f1 = x1, x2, f2
             if hi - lo <= _ARGMAX_BRACKET:
                 return f1, x1
             x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
+            f2 = objective(x2, beta)
 
 
 def _sticky_checks(n_budget: int, tol: float) -> list[tuple[str, Callable]]:
