@@ -98,6 +98,12 @@ _LINEAR_LOG2_BITS = 1000
 _LIMB_BITS = 56
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
+# Steps k below this sum the whole band of a pair_count_table level, and the
+# later ones its lower half and a margin.  Below k = 8 a step's two mirror
+# copies cost about what the rows they spare save (exact tables, 2 cores), and
+# from k = 3 on every mirrored row lies in the support.
+_FULL_BAND_STEPS = 8
+
 Strand = str
 
 
@@ -230,8 +236,7 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     s <= k.  The two (1+x^2) factors widen the t band by 4 cycles before
     the shifts.  Every cell outside the band is zero, and adding a zero
     leaves a count unchanged.  A buffer keeps stale sums below the band
-    it last held, which no later step reads, and only the final band is
-    copied out.
+    it last held, which no later step reads.
 
     Each pair also adds a + b = a - b (mod 2), so t = d (mod 2) in every
     slab d, and every other t is zero.  The kernel stores slab d on
@@ -245,6 +250,24 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
     2 * limbs * 3 * (4n + 1) * (n + 1), against the budget before the
     table is allocated: they outgrow it from n = 336.
 
+    Each level is mirror-symmetric in t, and most steps sum only the lower
+    half of its band.  Reflecting both words' step costs, a -> 5 - a, maps
+    the combined time t to 10k - t after k positions and d to -d, and keeps
+    every match and mismatch; swapping the two words maps d back with t
+    and s kept.  So each slab holds N_k(d, t, s) = N_k(d, 10k - t, s): in
+    rows counted from q = k, row i of slab d mirrors row c - i, with
+    c = 3k - d % 2.  The float sums are symmetric too, bit for bit: at
+    mirrored cells each sum adds the same two operands, and numpy.add and
+    numpy.logaddexp2 are commutative.  Step k sums the whole band, 3k + 3
+    rows, while k < _FULL_BAND_STEPS, and from there floor(3k/2) + 4
+    rows, the lower half and a margin.  Every shift moves counts to a
+    larger q, so the first `rows` rows of level k + 1 are the full sums of
+    the rows step k read (and after a whole band so is every row).  The
+    rows above hold stale sums until the next step fills the ones it reads
+    from their mirrors, each of which lies in the summed rows.  At the end
+    only the summed rows are converted, and the table's entries from
+    t = 2n + 2 rows - 1 on are copied from t' = 10n - t.
+
     Every entry is at most 16^n, and the table is summed in one of three
     forms, chosen here from the mode and n:
     - exact: uint64 limbs of radix 2^56, lowest first, on a trailing axis
@@ -252,9 +275,10 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
       as one contiguous slab.  A carry leaves every limb below 2^56, and
       since one step grows a count at most 16-fold, the 8 bits of headroom
       take two steps of sums: the carries are propagated after every second
-      step.  Step k works only on the limbs that a count of 16^(k+1)
-      reaches.  Each cell of the final band becomes a Python int at the end,
-      shifted and added limb by limb from the top, carried or not.
+      step, on every row the next step reads or fills from its mirror.
+      Step k works only on the limbs that a count of 16^(k+1) reaches.  Each
+      summed cell of the final band becomes a Python int at the end, shifted
+      and added limb by limb from the top, carried or not.
     - log2 while 4n <= 1000 (n <= 250): float64 counts summed with
       numpy.add, which rounds once per sum, and log2 taken once at the end.
     - log2 above: log2 counts summed with numpy.logaddexp2.  Linear counts
@@ -282,50 +306,69 @@ def pair_count_table(n: int, mode: str = "exact") -> SynthesisPairTable:
         level, nxt = np.full(shape, zero), np.full(shape, zero)
         level[0, 0, 0] = one
     add = np.add if exact or linear else np.logaddexp2
+    rows = 1  # level 0 is whole: its one row of support, and zeros above
     for k in range(n):
+        # the rows of level k that step k reads, from q = k
+        summed, rows = rows, 3 * k + 3 if k < _FULL_BAND_STEPS else 3 * k // 2 + 4
         if exact:  # the limbs that a count after k + 1 positions, at most 2^(4k+4), reaches
             live = (4 * k + 4) // _LIMB_BITS + 1
-            _step(add, level[..., :live], nxt[..., :live], k)
-            if k % 2 == 1:
-                _carry(nxt[:, k + 1 : 4 * k + 5, : k + 2, :live])
+            _step(add, level[..., :live], nxt[..., :live], k, summed, rows)
+            if k % 2 == 1:  # and one row more: the top of level k + 1 after a whole band
+                _carry(nxt[:, k + 1 : k + 2 + rows, : k + 2, :live])
         else:
-            _step(add, level, nxt, k)
+            _step(add, level, nxt, k, summed, rows)
         level, nxt = nxt, level
     del nxt  # one buffer fewer at the conversion, where an exact table peaks
-    final = level[:, n:]  # q from n: the rows below hold stale sums
+    final = level[:, n : n + rows]  # the rows the last step summed, from q = n
     if exact:
         final = _limbs_to_ints(final)
     elif linear:
         with np.errstate(divide="ignore"):
             np.log2(final, out=final)
+    top = 2 * n + 2 * rows - 1  # from this t on, each entry is copied from t' = 10n - t
     for d in range(3):
-        entries[d, 2 * n + d % 2 :: 2] = final[d, : 3 * n + 1 - d % 2]
+        entries[d, 2 * n + d % 2 : top : 2] = final[d, : rows - d % 2]
+    entries[:3, top:] = entries[:3, 2 * n : 10 * n + 1 - top][:, ::-1]
     entries[3] = entries[1]
     return SynthesisPairTable(mode=cm, n=n, entries=entries)
 
 
-def _step(add: np.ufunc, level: np.ndarray, nxt: np.ndarray, k: int) -> None:
+def _step(
+    add: np.ufunc, level: np.ndarray, nxt: np.ndarray, k: int, summed: int, rows: int
+) -> None:
     """One step of pair_count_table: the level after k + 1 positions, summed into nxt.
 
-    level holds the counts after k positions and is overwritten with V on
-    its band; nxt is written on the band of k + 1 positions, from q = k + 1.
-    add is the sum of two counts in the table's summing form.
+    level holds the counts after k positions from q = k: on every row if
+    step k - 1 summed its whole band (summed = 3k), and otherwise only on
+    its first `summed` rows; then the rows from `summed` to `rows` are
+    filled first, from their mirrors: row i of slab d from row c - i with
+    c = 3k - d % 2, which lies below `summed`.  The first `rows` rows are
+    then overwritten with V, and nxt gets the level after k + 1 positions
+    on its first `rows` rows from q = k + 1, or on every row after a whole
+    band, rows = 3k + 3.  A few rows of nxt above those get part of their
+    sums added to stale values, and hold no counts until the next step
+    fills them from their mirrors.  add is the sum of two counts in the
+    table's summing form.
     """
-    band = level[:, k : 4 * k + 3, : k + 1]  # q from k, room for the two (1 + x^2)
+    band = level[:, k : k + rows, : k + 1]  # q from k
+    if summed < 3 * k:  # step k - 1 summed part of its band
+        for slabs, c in ((band[::2], 3 * k), (band[1:2], 3 * k - 1)):
+            slabs[:, summed:] = slabs[:, c + 1 - rows : c + 1 - summed][:, ::-1]
     add(band[:, 1:], band[:, :-1], out=band[:, 1:])  # V = (1 + x^2) L
     u = add(band[1], band[1])  # d = 3 repeats d = 1: (1 + x^2) 2 V_1
     add(u[1:], u[:-1], out=u[1:])
     w = add(band[0], band[2])  # (1 + x^2)(V_0 + V_2)
     add(w[1:], w[:-1], out=w[1:])
     v = band[:, : 3 * k + 2]  # V_d is nonzero on q < 4k + 2
+    m = v.shape[1]
     for d, cross, lag, far in ((0, u, 2, v[2]), (1, w, 1, v[1]), (2, u, 2, v[0])):
         miss = int(d != 0)  # the position mismatches
         dst = nxt[d, k:, miss : k + 1 + miss]
-        dst[1 : 3 * k + 3] = v[d]
-        add(dst[3 : 3 * k + 5], v[d], out=dst[3 : 3 * k + 5])
-        add(dst[lag : 3 * k + 3 + lag], cross, out=dst[lag : 3 * k + 3 + lag])
+        dst[1 : m + 1] = v[d]
+        add(dst[3 : m + 3], v[d], out=dst[3 : m + 3])
+        add(dst[lag : rows + lag], cross, out=dst[lag : rows + lag])
         for _ in range(2):
-            add(dst[2 : 3 * k + 4], far, out=dst[2 : 3 * k + 4])
+            add(dst[2 : m + 2], far, out=dst[2 : m + 2])
 
 
 def _carry(limbs: np.ndarray) -> None:

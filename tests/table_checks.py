@@ -1,5 +1,5 @@
 """Comparisons of log2 pair-count tables with exact ones, shared by the kernel tests,
-and slower reference kernels for both pair-count DPs."""
+and slower or fuller reference kernels for both pair-count DPs."""
 
 import math
 
@@ -86,6 +86,82 @@ def synthesis_table_by_step_pairs(n):
     """The exact entries of synthesis.pair_count_table(n), as synthesis_tables_by_step_pairs."""
     *_, entries = synthesis_tables_by_step_pairs(n)
     return entries
+
+
+def full_band_step(add, level, nxt, k):
+    """The level after k + 1 positions, summed into nxt from the whole band of level k.
+
+    synthesis._step with every level summed on all of its 3k + 3 rows from
+    q = k, so that no row comes from its mirror t -> 10k - t.
+    """
+    band = level[:, k : 4 * k + 3, : k + 1]
+    add(band[:, 1:], band[:, :-1], out=band[:, 1:])
+    u = add(band[1], band[1])
+    add(u[1:], u[:-1], out=u[1:])
+    w = add(band[0], band[2])
+    add(w[1:], w[:-1], out=w[1:])
+    v = band[:, : 3 * k + 2]
+    for d, cross, lag, far in ((0, u, 2, v[2]), (1, w, 1, v[1]), (2, u, 2, v[0])):
+        miss = int(d != 0)
+        dst = nxt[d, k:, miss : k + 1 + miss]
+        dst[1 : 3 * k + 3] = v[d]
+        add(dst[3 : 3 * k + 5], v[d], out=dst[3 : 3 * k + 5])
+        add(dst[lag : 3 * k + 3 + lag], cross, out=dst[lag : 3 * k + 3 + lag])
+        for _ in range(2):
+            add(dst[2 : 3 * k + 4], far, out=dst[2 : 3 * k + 4])
+
+
+def synthesis_tables_by_full_band(ns, mode):
+    """The entries of synthesis.pair_count_table(n, mode) for each n of the ascending ns,
+    in order, from one run of full_band_step.
+
+    The run has the kernel's buffers, summing form (chosen for the largest n),
+    live limbs and carries, and converts each wanted level's whole band, so
+    every entry is summed and none is copied from its mirror.
+    """
+    n_max = ns[-1]
+    cm = synthesis.count_mode(mode)
+    exact, linear = mode == "exact", 4 * n_max <= synthesis._LINEAR_LOG2_BITS
+    shape = (3, 4 * n_max + 1, n_max + 1)
+    if exact:
+        limbs = 4 * n_max // synthesis._LIMB_BITS + 1
+        level, nxt = (np.moveaxis(np.zeros((limbs, *shape), np.uint64), 0, -1) for _ in range(2))
+        level[0, 0, 0, 0] = 1
+    else:
+        zero, one = (0.0, 1.0) if linear else (-math.inf, 0.0)
+        level, nxt = np.full(shape, zero), np.full(shape, zero)
+        level[0, 0, 0] = one
+    add = np.add if exact or linear else np.logaddexp2
+    for k in range(n_max + 1):
+        if k in ns:
+            final = level[:, k : 4 * k + 1, : k + 1]
+            if exact:
+                final = synthesis._limbs_to_ints(final)
+            elif linear:
+                with np.errstate(divide="ignore"):
+                    final = np.log2(final)
+            entries = cm.blank((4, 8 * k + 1, k + 1))
+            for d in range(3):
+                entries[d, 2 * k + d % 2 :: 2] = final[d, : 3 * k + 1 - d % 2]
+            entries[3] = entries[1]
+            yield entries
+        if k == n_max:
+            return
+        if exact:
+            live = (4 * k + 4) // synthesis._LIMB_BITS + 1
+            full_band_step(add, level[..., :live], nxt[..., :live], k)
+            if k % 2 == 1:
+                synthesis._carry(nxt[:, k + 1 : 4 * k + 5, : k + 2, :live])
+        else:
+            full_band_step(add, level, nxt, k)
+        level, nxt = nxt, level
+
+
+def same_bits(a, b):
+    """Whether two tables hold the same entries: equal ints, or floats equal bit for bit."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    return a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
 
 
 def assert_matches_exact(entries, exact, mode, log2_bound):

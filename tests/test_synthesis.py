@@ -32,7 +32,9 @@ from gvbound.synthesis import (
 from table_checks import (
     assert_matches_exact,
     log2_of,
+    same_bits,
     synthesis_table_by_step_pairs,
+    synthesis_tables_by_full_band,
     synthesis_tables_by_step_pairs,
     worst_log2_error,
 )
@@ -268,12 +270,13 @@ def test_log2_tables_sum_linear_counts_up_to_the_cutoff(monkeypatch, step_adds, 
 def test_exact_tables_step_and_carry_on_the_limbs_their_counts_reach(monkeypatch, step_adds):
     # after k + 1 positions a count is at most 2^(4k+4): one limb of 56 bits
     # through k = 12, two from k = 13, where 2^56 takes a second limb
-    levels, carried = [], []
+    levels, bands, carried = [], [], []
     step, carry = synthesis._step, synthesis._carry
 
-    def recorded_step(add, level, *args):
+    def recorded_step(add, level, nxt, k, summed, rows):
         levels.append(level)
-        step(add, level, *args)
+        bands.append((summed, rows))
+        step(add, level, nxt, k, summed, rows)
 
     def recorded_carry(limbs):
         carried.append(limbs.shape)
@@ -286,9 +289,26 @@ def test_exact_tables_step_and_carry_on_the_limbs_their_counts_reach(monkeypatch
     assert step_adds == [np.add] * 15
     live = [1] * 13 + [2] * 2
     assert [(level.dtype, level.shape[-1]) for level in levels] == [(np.uint64, c) for c in live]
+    # step k reads the whole band of 3k + 3 rows through k = 7, then the lower
+    # half and a margin; it takes as summed the rows that step k - 1 read
+    rows = [3 * k + 3 if k < 8 else 3 * k // 2 + 4 for k in range(15)]
+    assert bands == list(zip([1, *rows], rows))
     # every second step: two 16-fold steps fill the 8 bits of headroom, and the
-    # last step, k = 14, stays uncarried, which the conversion sums exactly
-    assert carried == [(3, 3 * k + 4, k + 2, live[k]) for k in (1, 3, 5, 7, 9, 11, 13)]
+    # last step, k = 14, stays uncarried, which the conversion sums exactly.
+    # A carry covers the rows step k read and one more, the top row of level
+    # k + 1 after a whole band
+    odd = (1, 3, 5, 7, 9, 11, 13)
+    assert carried == [(3, rows[k] + 1, k + 2, live[k]) for k in odd]
+    # so each carry covers every row the next step reads: after a whole band,
+    # level k + 1's 3k + 4 rows of support (zeros above them), and after a half
+    # band the rows step k read, which hold the mirror of every row above them
+    for k, (_, covered, *_) in zip(odd, carried):
+        summed, read = bands[k + 1]
+        if summed == 3 * k + 3:
+            assert covered == 3 * k + 4
+        else:
+            mirrors = [c - i for c in (3 * k + 3, 3 * k + 2) for i in range(summed, read)]
+            assert covered > summed > max(mirrors) and min(mirrors) >= 0
 
 
 def test_carry_leaves_every_limb_below_the_radix():
@@ -334,6 +354,36 @@ def test_exact_tables_match_the_step_pair_kernel_at_every_n_to_28():
         entries = pair_count_table(n, "exact").entries
         assert entries.tolist() == want.tolist(), n
         assert all(type(count) is int for count in entries.ravel().tolist()), n
+
+
+# n = 0..64 take 1 to 5 limbs and the linear float64 sums; n = 100 takes 8
+# limbs; the cutoff -1 sends the log2 sums through logaddexp2
+_FULL_BAND_CASES = [
+    ("exact", 1000, [*range(65), 100]),
+    ("log2", 1000, [*range(65), 100]),
+    ("log2", -1, [40]),
+]
+
+
+@pytest.mark.parametrize("mode, cutoff, sizes", _FULL_BAND_CASES)
+def test_full_band_tables_are_mirror_symmetric_bit_for_bit(monkeypatch, mode, cutoff, sizes):
+    # the premise of the half-band kernel: reflecting both words' step costs,
+    # a -> 5 - a, maps t to 10n - t, and each float sum at the mirrored cell
+    # adds the same two operands
+    monkeypatch.setattr(synthesis, "_LINEAR_LOG2_BITS", cutoff)
+    for n, entries in zip(sizes, synthesis_tables_by_full_band(sizes, mode)):
+        band = entries[:, 2 * n : 8 * n + 1]
+        assert same_bits(band, band[:, ::-1]), n
+
+
+@pytest.mark.parametrize("mode, cutoff, sizes", _FULL_BAND_CASES)
+def test_tables_equal_the_full_band_kernel_bit_for_bit(monkeypatch, mode, cutoff, sizes):
+    # the conclusion: summing half of each band and copying the rest from its
+    # mirror changes no bit, where the step-pair reference bounds log2 tables
+    # above 2^53 only within 1e-12
+    monkeypatch.setattr(synthesis, "_LINEAR_LOG2_BITS", cutoff)
+    for n, want in zip(sizes, synthesis_tables_by_full_band(sizes, mode)):
+        assert same_bits(pair_count_table(n, mode).entries, want), n
 
 
 @pytest.mark.parametrize("n", [60, 64, 100])
