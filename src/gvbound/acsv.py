@@ -16,8 +16,8 @@ coefficient equals up to a factor 1 + O(1/n).
 
 The denominator is held as a sparse term list, so partial derivatives
 are exact and the Newton iteration below needs no finite differences.
-The gradient table is built once per polynomial value, on first use,
-and equal polynomials share it.
+The gradient and Hessian tables are built once per polynomial value, on
+first use, and equal polynomials share them.
 
 Evaluation, the critical-system residual and CriticalPoint records run
 on Python floats, so the closed-form critical points of the channels
@@ -165,7 +165,7 @@ class CriticalPoint(NamedTuple):
 
     @property
     def residual_norm(self) -> float:
-        return _residual_norm(self.H, self.direction, self.z)
+        return _max_norm(critical_system_residual(self.H, self.direction, self.z))
 
 
 def _vector(
@@ -214,9 +214,22 @@ def _evaluate(H: SparseMultivariatePolynomial, zv: Sequence[float]) -> float:
         term = coefficient
         for base, e in zip(zv, exponents):
             if e:
-                term *= _power(base, e)
+                try:
+                    term *= base ** e
+                except OverflowError:
+                    term *= _power(base, e)
         total += term
     return total
+
+
+@cache
+def _hessian_table(H: SparseMultivariatePolynomial) -> tuple[tuple, tuple[int, ...]]:
+    """The distinct second partials of H, and each hessian[j][k]'s index among them, row-major:
+    d2H/dz_j dz_k and d2H/dz_k dz_j share one only where they are equal, which a fractional
+    coefficient, rounded in another order, can keep them from."""
+    distinct: dict[SparseMultivariatePolynomial, int] = {}
+    index = tuple(distinct.setdefault(h, len(distinct)) for row in H.hessian for h in row)
+    return tuple(distinct), index
 
 
 def _derivatives(H: SparseMultivariatePolynomial, zv: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +237,9 @@ def _derivatives(H: SparseMultivariatePolynomial, zv: list[float]) -> tuple[np.n
     import numpy as np
 
     grad = np.array([_evaluate(g, zv) for g in H.gradient])
-    hess = np.array([[_evaluate(h, zv) for h in row] for row in H.hessian])
+    partials, index = _hessian_table(H)
+    values = [_evaluate(h, zv) for h in partials]
+    hess = np.array([values[i] for i in index]).reshape(H.num_vars, H.num_vars)
     return grad, hess
 
 
@@ -248,11 +263,9 @@ def critical_system_residual(
     ]
 
 
-def _residual_norm(
-    H: SparseMultivariatePolynomial, r: Sequence[float], z: Sequence[float]
-) -> float:
-    """Max-norm of the residual; NaN when any component is NaN."""
-    norms = [abs(c) for c in critical_system_residual(H, r, z)]
+def _max_norm(residual: list[float]) -> float:
+    """Max-norm of a residual vector; NaN when any component is NaN."""
+    norms = [abs(c) for c in residual]
     return math.nan if any(map(math.isnan, norms)) else max(norms)
 
 
@@ -311,7 +324,7 @@ def leading_term(
         raise DomainError(f"n * r must be integral, got {index.tolist()}")
     if np.any(rounded < 1.0):  # r > 0, but an n r_i near 0 passes the test above as 0
         raise DomainError(f"n * r must be at least 1 in every coordinate, got {index.tolist()}")
-    residual = _residual_norm(H, rv, zv)
+    residual = _max_norm(critical_system_residual(H, rv, zv))
     if not residual <= _LEADING_RESIDUAL_TOL:
         raise DomainError(
             f"point is not critical in direction {rv.tolist()} (residual {residual:.2e})"
@@ -373,7 +386,8 @@ def solve_critical_point(
         scaled = zv[:, None] * hess + np.diag(grad)
         return np.vstack((grad, rv[-1] * scaled[:-1] - np.outer(rv[:-1], scaled[-1])))
 
-    norm = _residual_norm(H, rv, z)
+    residual = critical_system_residual(H, rv, z)
+    norm = _max_norm(residual)
     iterations = 0
     while not norm <= _SOLVE_TOL:
         if iterations == _MAX_NEWTON_ITER:
@@ -382,7 +396,7 @@ def solve_critical_point(
                 f"(final residual norm {norm:.3e})"
             )
         try:
-            step = np.linalg.solve(jacobian(z), -np.array(critical_system_residual(H, rv, z)))
+            step = np.linalg.solve(jacobian(z), -np.array(residual))
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(
                 f"singular Jacobian at iterate {z.tolist()}"
@@ -391,9 +405,10 @@ def solve_critical_point(
         for _ in range(_MAX_STEP_HALVINGS):
             candidate = z + scale * step
             if np.all(candidate > 0.0):
-                cand_norm = _residual_norm(H, rv, candidate)
-                if cand_norm < norm or cand_norm <= _SOLVE_TOL:
-                    z, norm = candidate, cand_norm
+                cand_residual = critical_system_residual(H, rv, candidate)
+                cand_norm = _max_norm(cand_residual)
+                if cand_norm < norm or cand_norm <= _SOLVE_TOL:  # its residual is the next rhs
+                    z, residual, norm = candidate, cand_residual, cand_norm
                     break
             scale *= 0.5
         else:

@@ -61,7 +61,8 @@ def entropy(p: float) -> float:
     Raises:
         DomainError: if p lies outside [0, 1].
     """
-    p = _real(p, "entropy argument must lie in [0, 1]", 0.0, 1.0)
+    if not (type(p) is float and 0.0 <= p <= 1.0):  # a float in range needs no _real
+        p = _real(p, "entropy argument must lie in [0, 1]", 0.0, 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)

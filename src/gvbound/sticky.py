@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 from . import acsv
 from .errors import DimensionMismatchError, DomainError, SizeLimitError
 from .numeric import (
-    _ABOVE_0, _BELOW_1, NEG_INF, CountMode, _check_table_cells, _checked_make, _items,
-    _real, _shown, check_sizes, count_mode, entropy,
+    _ABOVE_0, _BELOW_1, _FLOAT_MAX, NEG_INF, TABLE_CELL_BUDGET, CountMode, _check_table_cells,
+    _checked_make, _items, _real, _shown, check_sizes, count_mode, entropy,
 )
 
 if TYPE_CHECKING:
@@ -182,7 +182,8 @@ class PairCountTable(NamedTuple):
 
     def _inside(self, n1: int, n2: int, s: int) -> bool:
         """Whether (n1, n2, s) is stored; False below zero, DomainError beyond the dims."""
-        check_sizes(at_least=None, n1=n1, n2=n2, s=s)
+        if not type(n1) is type(n2) is type(s) is int:  # plain ints need no check_sizes
+            check_sizes(at_least=None, n1=n1, n2=n2, s=s)
         if min(n1, n2, s) < 0:
             return False
         n1_max, n2_max, s_max = (dim - 1 for dim in self.entries.shape)
@@ -318,11 +319,13 @@ def count_pairs_exact(n1: int, n2: int, r: int, s: int, mode: str = "exact"):
             built, but the work grows with the same sizes: (10^6, 10^6,
             5 * 10^5, 10^5) would take minutes.
     """
-    check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
+    if not type(n1) is type(n2) is type(r) is type(s) is int:  # plain ints need no check_sizes
+        check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
     cm = count_mode(mode)
     count = int(n1 == n2 == r == s == 0)  # the pair of empty compositions
     if 1 <= r <= min(n1, n2) and 0 <= s <= n1 + n2:
-        _check_table_cells((min(n1, n2) + 1, max(n1, n2) + 1, s + 1))
+        if (n1 + 1) * (n2 + 1) * (s + 1) > TABLE_CELL_BUDGET:  # one product before the call
+            _check_table_cells((n1 + 1, n2 + 1, s + 1))
         m, odd = divmod(n1 + n2 - s, 2)
         p, q = n1 - m, n2 - m
         if not (odd or p < 0 or q < 0 or m < r):
@@ -349,7 +352,8 @@ def count_pairs_bruteforce(n1: int, n2: int, r: int, s: int) -> int:
         SizeLimitError: before any composition is built, if either side
             has more than 10^4 compositions or the pairs number more than 10^7.
     """
-    check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
+    if not type(n1) is type(n2) is type(r) is type(s) is int:  # plain ints need no check_sizes
+        check_sizes(at_least=None, n1=n1, n2=n2, r=r, s=s)
     if min(n1, n2, r, s) < 0:
         return 0
     if r == 0:
@@ -512,18 +516,12 @@ def beta_max(rho: float) -> float:
 
 
 def _ball_branch(rho: float, beta: float) -> str:
-    """Piece of ball_rate that applies at the checked (rho, beta)."""
+    """Piece of ball_rate that applies at the checked (rho, beta), whose tests ball_rate inlines."""
     if beta == 0.0:
         return "diagonal"
     if beta >= (1.0 - rho) / (2.0 - rho):  # beta_max(rho), without checking rho again
         return "saturated"
     return "smooth"
-
-
-def _log2_square_over(a: float, b: float) -> float:
-    """log2(a^2 / b) for a, b > 0, also where the quotient underflows to 0."""
-    q = a * a / b
-    return math.log2(q) if q > 0.0 else 2.0 * math.log2(a) - math.log2(b)
 
 
 def ball_rate(rho: float, beta: float) -> float:
@@ -533,21 +531,27 @@ def ball_rate(rho: float, beta: float) -> float:
     the diagonal), twice H(rho) once beta reaches beta_max(rho) (the
     ball covers all pairs), and the smooth closed form in between.
     """
-    rho = _check_rho(rho)
-    beta = _real(beta, "beta must be finite and >= 0", 0.0)
-    branch = _ball_branch(rho, beta)
-    if branch == "diagonal":
+    if not (type(rho) is float and 0.0 < rho < 1.0):  # the GV argmax's floats skip _real
+        rho = _check_rho(rho)
+    if not (type(beta) is float and 0.0 <= beta <= _FLOAT_MAX):
+        beta = _real(beta, "beta must be finite and >= 0", 0.0)
+    if beta == 0.0:  # the diagonal
         return entropy(rho)
-    if branch == "saturated":
+    if beta >= (1.0 - rho) / (2.0 - rho):  # saturated, from beta_max(rho) on
         return 2.0 * entropy(rho)
-    root = math.hypot(rho, 2.0 * beta)
+    delta = 2.0 * beta
+    root = math.hypot(rho, delta)
     # conjugate forms keep the differences root - 2 beta and root - rho
-    # positive for extreme rho/beta ratios
+    # positive for extreme rho/beta ratios: log2(rho^2 / (root + delta)) and
+    # log2(delta^2 / (root + rho)), also where the quotients underflow to 0
+    q_r, q_d = rho * rho / (root + delta), delta * delta / (root + rho)
+    log_r = math.log2(q_r) if q_r > 0.0 else 2.0 * math.log2(rho) - math.log2(root + delta)
+    log_d = math.log2(q_d) if q_d > 0.0 else 2.0 * math.log2(delta) - math.log2(root + rho)
     return (
         -rho
-        + 2.0 * beta * math.log2(2.0 * beta)
-        - rho * _log2_square_over(rho, root + 2.0 * beta)
-        - 2.0 * beta * _log2_square_over(2.0 * beta, root + rho)
+        + delta * math.log2(delta)
+        - rho * log_r
+        - delta * log_d
         + (-1.0 + rho + beta) * math.log2(2.0 - 2.0 * rho - 2.0 * beta)
         + (1.0 - beta) * math.log2(2.0 - 2.0 * beta)
     )

@@ -80,9 +80,10 @@ LOG2_3 = math.log2(3.0)
 _STEP_PAIRS = tuple(product(range(1, 5), repeat=2))
 
 _BRUTEFORCE_MAX_N = 6  # 4^6 = 4096 strands, enumerated in pairs
-# strands u per block of pairs (u, all v): 64 KiB of int64 keys at n = 5.
-# 64 rows saved about 3 ms of `verify all` and raised its peak RSS by 1.3 MB
-_BRUTEFORCE_BLOCK_ROWS = 8
+# strands u per block of pairs (u, all v) with one-byte keys, fewer with wider ones: at n = 5,
+# 8-row blocks of int64 keys took 14.1 ms, of uint8 10.8 ms, and 64-row ones 6.3 ms, for
+# about 0.5 MB more peak RSS of `verify all` (bincount widens each block to int64)
+_BRUTEFORCE_BLOCK_ROWS = 64
 _WORD_COUNT_MAX_N = 1000  # strand length limit of count_words_by_time
 _TAU_FREE = 2.5  # cycle density from which every strand is producible
 _ABOVE_1 = math.nextafter(1.0, 2.0)
@@ -110,9 +111,8 @@ Strand = str
 def _check_strand(w: Strand) -> str:
     if not isinstance(w, str):
         raise DomainError(f"a strand must be a string over ACGT, got {_shown(w)}")
-    bad = set(w) - set(ALPHABET)
-    if bad:
-        raise DomainError(f"strand contains symbols outside ACGT: {sorted(bad)}")
+    if w.strip(ALPHABET):  # strip stops at a symbol outside ACGT, from either end
+        raise DomainError(f"strand contains symbols outside ACGT: {sorted(set(w) - set(ALPHABET))}")
     return w
 
 
@@ -191,7 +191,8 @@ class SynthesisPairTable(NamedTuple):
 
     def count(self, t: int, s: int):
         """Pairs at combined time t and distance s (d summed out)."""
-        check_sizes(at_least=None, t=t, s=s)
+        if not type(t) is type(s) is int:  # plain ints need no check_sizes
+            check_sizes(at_least=None, t=t, s=s)
         if not (0 <= t < self.entries.shape[1] and 0 <= s < self.entries.shape[2]):
             return self.mode.zero
         return self.mode.sum(self.entries[:, t, s])
@@ -407,8 +408,9 @@ def count_pairs_bruteforce(n: int, t: int, s: int) -> int:
     histogram of the 4^n x 4^n pairs and caches it, and later calls at
     the same n read their bucket from it.
     """
-    check_sizes(n=n)
-    check_sizes(at_least=None, t=t, s=s)
+    if not (type(n) is type(t) is type(s) is int and n >= 0):  # plain ints need no check_sizes
+        check_sizes(n=n)
+        check_sizes(at_least=None, t=t, s=s)
     if n > _BRUTEFORCE_MAX_N:  # before 4 ** n, which a huge n never finishes
         raise SizeLimitError(f"4^{_shown(n)} strands exceed the enumeration limit")
     return _bruteforce_histogram(n).get((t, s), 0)
@@ -418,23 +420,26 @@ def count_pairs_bruteforce(n: int, t: int, s: int) -> int:
 def _bruteforce_histogram(n: int) -> dict[tuple[int, int], int]:
     """Ordered length-n strand pairs by (combined time, Hamming distance).
 
-    Every pair is keyed time_sum * (n + 1) + distance.  The pairs go by
-    blocks of _BRUTEFORCE_BLOCK_ROWS rows (u, all v): each position adds
-    its u != v comparison to the block's keys, and one bincount counts
-    them, so memory stays at O(4^n) (256 KiB of keys at n = 6).
+    Every pair is keyed time_sum * (n + 1) + distance in the smallest dtype
+    that holds (8n + 1)(n + 1) - 1, uint8 up to n = 5 and uint16 at n = 6.
+    The pairs go by blocks of _BRUTEFORCE_BLOCK_ROWS // itemsize rows (u,
+    all v): each position adds its u != v comparison to the block's keys,
+    and one bincount counts them: 64 KiB of keys at n = 5, 256 KiB at n = 6.
     """
     import numpy as np
 
     strands = ["".join(w) for w in product(ALPHABET, repeat=n)]
-    times = np.array([synthesis_time(w) for w in strands], dtype=np.int64)
+    width = n + 1  # distances 0..n
+    flat = np.zeros((8 * n + 1) * width, dtype=np.int64)
+    key_type = np.min_scalar_type(flat.size - 1)
+    times = np.array([synthesis_time(w) for w in strands], dtype=key_type)
     # the ASCII code of each symbol, one row per position (none when n = 0)
     codes = np.frombuffer("".join(strands).encode("ascii"), dtype=np.uint8)
     columns = codes.reshape(len(strands), n).T
-    width = n + 1  # distances 0..n
-    flat = np.zeros((8 * n + 1) * width, dtype=np.int64)
     keys = times * width
-    for start in range(0, len(strands), _BRUTEFORCE_BLOCK_ROWS):
-        rows = slice(start, start + _BRUTEFORCE_BLOCK_ROWS)
+    block_rows = _BRUTEFORCE_BLOCK_ROWS // key_type.itemsize
+    for start in range(0, len(strands), block_rows):
+        rows = slice(start, start + block_rows)
         block = keys[rows, None] + keys
         for column in columns:
             block += column[rows, None] != column

@@ -118,7 +118,7 @@ def _gv_numeric_argmax(beta: float) -> tuple[float, float]:
     """
     grid, twice_h = _argmax_scan()
     values = [t - sticky.ball_rate(g, beta) for g, t in zip(grid, twice_h)]
-    k = max(range(len(values)), key=values.__getitem__)
+    k = values.index(max(values))  # the first maximum
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
 
     objective = sticky._gv_objective  # calls ball_rate through the module

@@ -1,11 +1,14 @@
 """Comparisons of log2 pair-count tables with exact ones, shared by the kernel tests,
-and slower or fuller reference kernels for both pair-count DPs."""
+and slower or fuller reference kernels: both pair-count DPs, the synthesis brute-force
+histogram, the sticky ball rate and the Newton solver, each in a plainer form that the
+fast one must equal bit for bit."""
 
 import math
+from itertools import product
 
 import numpy as np
 
-from gvbound import synthesis
+from gvbound import acsv, numeric, sticky, synthesis
 
 
 def log2_of(entries):
@@ -111,9 +114,9 @@ def full_band_step(add, level, nxt, k):
             add(dst[2 : 3 * k + 4], far, out=dst[2 : 3 * k + 4])
 
 
-def synthesis_tables_by_full_band(ns, mode):
+def synthesis_tables_by_full_band(ns, mode, cutoff):
     """The entries of synthesis.pair_count_table(n, mode) for each n of the ascending ns,
-    in order, from one run of full_band_step.
+    in order, from one run of full_band_step, with synthesis._LINEAR_LOG2_BITS = cutoff.
 
     The run has the kernel's buffers, summing form (chosen for the largest n),
     live limbs and carries, and converts each wanted level's whole band, so
@@ -121,7 +124,7 @@ def synthesis_tables_by_full_band(ns, mode):
     """
     n_max = ns[-1]
     cm = synthesis.count_mode(mode)
-    exact, linear = mode == "exact", 4 * n_max <= synthesis._LINEAR_LOG2_BITS
+    exact, linear = mode == "exact", 4 * n_max <= cutoff
     shape = (3, 4 * n_max + 1, n_max + 1)
     if exact:
         limbs = 4 * n_max // synthesis._LIMB_BITS + 1
@@ -155,6 +158,125 @@ def synthesis_tables_by_full_band(ns, mode):
         else:
             full_band_step(add, level, nxt, k)
         level, nxt = nxt, level
+
+
+_FULL_BAND_TABLES = {}
+
+
+def full_band_tables(mode, cutoff, sizes):
+    """synthesis_tables_by_full_band(sizes, mode, cutoff) as a tuple, built once for the two
+    tests that compare it: the second call takes it out of the cache, since the exact
+    tables at n = 0..64 and 100 hold about 90 MB."""
+    key = (mode, cutoff, tuple(sizes))
+    if key in _FULL_BAND_TABLES:
+        return _FULL_BAND_TABLES.pop(key)
+    tables = _FULL_BAND_TABLES[key] = tuple(synthesis_tables_by_full_band(sizes, mode, cutoff))
+    return tables
+
+
+def synthesis_histogram_by_int64_keys(n):
+    """synthesis._bruteforce_histogram(n) with int64 keys in blocks of 8 strands u."""
+    strands = ["".join(w) for w in product(synthesis.ALPHABET, repeat=n)]
+    times = np.array([synthesis.synthesis_time(w) for w in strands], dtype=np.int64)
+    codes = np.frombuffer("".join(strands).encode("ascii"), dtype=np.uint8)
+    columns = codes.reshape(len(strands), n).T
+    width = n + 1
+    flat = np.zeros((8 * n + 1) * width, dtype=np.int64)
+    keys = times * width
+    for start in range(0, len(strands), 8):
+        rows = slice(start, start + 8)
+        block = keys[rows, None] + keys
+        for column in columns:
+            block += column[rows, None] != column
+        flat += np.bincount(block.ravel(), minlength=flat.size)
+    return {divmod(int(k), width): int(flat[k]) for k in np.flatnonzero(flat)}
+
+
+def log2_square_over(a, b):
+    """log2(a^2 / b) for a, b > 0, also where the quotient underflows to 0."""
+    q = a * a / b
+    return math.log2(q) if q > 0.0 else 2.0 * math.log2(a) - math.log2(b)
+
+
+def sticky_ball_rate_by_helpers(rho, beta):
+    """sticky.ball_rate with every argument through numeric._real, the branch from
+    sticky._ball_branch and each conjugate logarithm from log2_square_over."""
+    rho = numeric._real(rho, "rho", numeric._ABOVE_0, numeric._BELOW_1)
+    beta = numeric._real(beta, "beta", 0.0)
+    branch = sticky._ball_branch(rho, beta)
+    if branch == "diagonal":
+        return numeric.entropy(rho)
+    if branch == "saturated":
+        return 2.0 * numeric.entropy(rho)
+    root = math.hypot(rho, 2.0 * beta)
+    return (
+        -rho
+        + 2.0 * beta * math.log2(2.0 * beta)
+        - rho * log2_square_over(rho, root + 2.0 * beta)
+        - 2.0 * beta * log2_square_over(2.0 * beta, root + rho)
+        + (-1.0 + rho + beta) * math.log2(2.0 - 2.0 * rho - 2.0 * beta)
+        + (1.0 - beta) * math.log2(2.0 - 2.0 * beta)
+    )
+
+
+def evaluate_by_powers(H, zv):
+    """H at the float list zv, each power through acsv._power."""
+    total = 0.0
+    for exponents, coefficient in H.terms:
+        term = coefficient
+        for base, e in zip(zv, exponents):
+            if e:
+                term *= acsv._power(base, e)
+        total += term
+    return total
+
+
+def residual_by_powers(H, rv, zv):
+    """acsv.critical_system_residual at the float lists rv and zv, by evaluate_by_powers."""
+    partials = [evaluate_by_powers(g, zv) for g in H.gradient]
+    last = zv[-1] * partials[-1]
+    return [evaluate_by_powers(H, zv)] + [
+        rv[-1] * zj * pj - rj * last for zj, pj, rj in zip(zv[:-1], partials, rv)
+    ]
+
+
+def solve_by_full_evaluations(H, r, initial=None):
+    """(z, iterations) of acsv.solve_critical_point, with every second partial evaluated,
+    d2H/dz_j dz_k and d2H/dz_k dz_j each in turn, and the residual recomputed at each
+    iterate before it is solved for."""
+    rv = np.array(r, dtype=float)
+    z = np.full(H.num_vars, 0.5) if initial is None else np.array(initial, dtype=float)
+
+    def norm_at(zv):
+        norms = [abs(c) for c in residual_by_powers(H, rv.tolist(), zv.tolist())]
+        return math.nan if any(map(math.isnan, norms)) else max(norms)
+
+    def jacobian(zv):
+        values = zv.tolist()
+        grad = np.array([evaluate_by_powers(g, values) for g in H.gradient])
+        hess = np.array([[evaluate_by_powers(h, values) for h in row] for row in H.hessian])
+        scaled = zv[:, None] * hess + np.diag(grad)
+        return np.vstack((grad, rv[-1] * scaled[:-1] - np.outer(rv[:-1], scaled[-1])))
+
+    norm = norm_at(z)
+    iterations = 0
+    while not norm <= acsv._SOLVE_TOL:
+        assert iterations < acsv._MAX_NEWTON_ITER
+        residual = residual_by_powers(H, rv.tolist(), z.tolist())
+        step = np.linalg.solve(jacobian(z), -np.array(residual))
+        scale = 1.0
+        for _ in range(acsv._MAX_STEP_HALVINGS):
+            candidate = z + scale * step
+            if np.all(candidate > 0.0):
+                cand_norm = norm_at(candidate)
+                if cand_norm < norm or cand_norm <= acsv._SOLVE_TOL:
+                    z, norm = candidate, cand_norm
+                    break
+            scale *= 0.5
+        else:
+            raise AssertionError(f"no residual-decreasing step at {z.tolist()}")
+        iterations += 1
+    return tuple(z.tolist()), iterations
 
 
 def same_bits(a, b):

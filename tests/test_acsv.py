@@ -19,6 +19,7 @@ from gvbound.errors import (
     DomainError,
     NonConvergenceError,
 )
+from table_checks import evaluate_by_powers, solve_by_full_evaluations
 
 
 def binomial_denominator() -> SparseMultivariatePolynomial:
@@ -159,7 +160,8 @@ def test_solver_reaches_channel_closed_forms_from_default_start():
 NEWTON_STEP_BOUND = 8
 
 
-def test_solver_converges_within_pinned_steps_on_verify_grids():
+def verify_solves() -> list:
+    """(H, r, initial) of each Newton solve of `gvbound verify acsv`."""
     solves = [(binomial_denominator(), (1.0, 1.0), (0.3, 0.7))]
     solves += [
         (sticky.pair_generating_denominator(), (1.0, 1.0, rho, delta), None)
@@ -171,6 +173,11 @@ def test_solver_converges_within_pinned_steps_on_verify_grids():
         for tau in (1.5, 2.0)
         for delta in (0.1, 0.3)
     ]
+    return solves
+
+
+def test_solver_converges_within_pinned_steps_on_verify_grids():
+    solves = verify_solves()
     assert len(solves) == 14
     for H, r, initial in solves:
         cp = solve_critical_point(H, r, initial=initial)
@@ -361,7 +368,8 @@ _RECORDS = {
 def test_each_residual_norm_access_is_the_norm_of_its_record(name):
     cp = _RECORDS[name]()
     first, second = cp.residual_norm, cp.residual_norm
-    assert repr(first) == repr(second) == repr(acsv._residual_norm(cp.H, cp.direction, cp.z))
+    norm = acsv._max_norm(critical_system_residual(cp.H, cp.direction, cp.z))
+    assert repr(first) == repr(second) == repr(norm)
 
 
 def test_records_of_different_polynomials_differ():
@@ -446,10 +454,15 @@ def test_non_numeric_or_non_finite_coordinates_raise_domain_error(name, call, ve
         call(vector)
 
 
+def steep_denominator() -> SparseMultivariatePolynomial:
+    """H(x, y) = 1 - x^200 - y, whose x^200 overflows from x = 36 on."""
+    return SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((200, 0), -1.0), ((0, 1), -1.0)])
+
+
 def test_newton_halves_a_step_whose_evaluation_overflows():
     # from (0.9, 0.1) the first full steps on 1 - x^200 - y land where x^200
     # overflows; the residual there is not finite, so the step is halved
-    H = SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((200, 0), -1.0), ((0, 1), -1.0)])
+    H = steep_denominator()
     overflows = []
     power = acsv._power
 
@@ -467,3 +480,36 @@ def test_newton_halves_a_step_whose_evaluation_overflows():
     # critical point: y = 200 x^200 = 1 - x^200
     np.testing.assert_allclose(cp.z, [(1.0 / 201.0) ** (1.0 / 200.0), 200.0 / 201.0], rtol=1e-12)
     assert cp.residual_norm <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "H, r, initial",
+    [*verify_solves(), (steep_denominator(), (1.0, 1.0), (0.9, 0.1))],
+    ids=[*(f"verify-{k}" for k in range(14)), "steep-overflowing"],
+)
+def test_solver_equals_the_full_evaluation_route_bit_for_bit(H, r, initial):
+    # the solver evaluates each distinct second partial once and solves for the
+    # residual its last accepted candidate left; the reference evaluates all l^2
+    # partials and recomputes the residual at each iterate
+    cp = solve_critical_point(H, r, initial=initial)
+    z, iterations = solve_by_full_evaluations(H, r, initial)
+    assert [c.hex() for c in cp.z] == [c.hex() for c in z]
+    assert cp.iterations == iterations
+
+
+def test_hessian_table_shares_only_equal_mixed_partials():
+    # 0.1 x^3 y^5: d/dy d/dx gives (0.1 * 3) * 5 = 1.5000000000000002 and d/dx d/dy
+    # (0.1 * 5) * 3 = 1.5, so the two mixed partials keep an evaluation each
+    skew = SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((3, 5), 0.1)])
+    assert skew.hessian[0][1] != skew.hessian[1][0]
+    # the sticky H's 16 second partials hold 10 distinct ones; the synthesis H's 9
+    # hold 5, since d2H/dx2 and d2H/dz2 are both the zero polynomial
+    for H, distinct in ((skew, 4), (sticky.pair_generating_denominator(), 10),
+                        (synthesis.pair_generating_denominator(), 5)):
+        partials, index = acsv._hessian_table(H)
+        assert len(partials) == distinct
+        assert [partials[i] for i in index] == [h for row in H.hessian for h in row]
+    zv = [0.7, 1.3]
+    _, hess = acsv._derivatives(skew, zv)
+    want = [[evaluate_by_powers(h, zv) for h in row] for row in skew.hessian]
+    assert hess.tolist() == want and want[0][1] != want[1][0]

@@ -10,11 +10,13 @@ sizes on the first next.
 
 An argument of the package's own types (a polynomial, a composition or
 a critical point) is swept too: each hostile value stands in for it.
-The records themselves are not swept, nor are their methods but four:
+The records themselves are not swept, nor are their methods but eight:
 SparseMultivariatePolynomial.partial, whose variable index is swept,
-RealPolynomial.evaluate and evaluate_many, whose points are, and
-CountMode.blank, whose shape and one of its sizes are.  A checked
-record's _replace runs its constructor's checks (tested below the sweep).
+RealPolynomial.evaluate and evaluate_many, whose points are,
+CountMode.blank, whose shape and one of its sizes are, and the count and
+total queries of sticky.PairCountTable and synthesis.SynthesisPairTable,
+whose indices are.  A checked record's _replace runs its constructor's
+checks (tested below the sweep).
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ _H4, _G4 = sticky.pair_generating_denominator(), sticky.pair_generating_numerato
 _TERMS = [((0,), 1.0), ((1,), -1.0)]
 _Poly = acsv.SparseMultivariatePolynomial
 _closed_form = sticky.critical_point_closed_form
+_PAIRS = sticky.pair_count_table(6, 6, 3, 8)
+_SYNTH = synthesis.pair_count_table(3)
 
 
 # overflows at max-float, where evaluate raises DomainError
@@ -141,6 +145,12 @@ SITES = {
     "sticky.count_pairs_bruteforce(n2)": lambda v=6: sticky.count_pairs_bruteforce(6, v, 3, 2),
     "sticky.count_pairs_bruteforce(r)": lambda v=3: sticky.count_pairs_bruteforce(6, 6, v, 2),
     "sticky.count_pairs_bruteforce(s)": lambda v=2: sticky.count_pairs_bruteforce(6, 6, 3, v),
+    "sticky.PairCountTable.count(n1)": lambda v=6: _PAIRS.count(v, 6, 2),
+    "sticky.PairCountTable.count(n2)": lambda v=6: _PAIRS.count(6, v, 2),
+    "sticky.PairCountTable.count(s)": lambda v=2: _PAIRS.count(6, 6, v),
+    "sticky.PairCountTable.total(n1)": lambda v=6: _PAIRS.total(v, 6, 2),
+    "sticky.PairCountTable.total(n2)": lambda v=6: _PAIRS.total(6, v, 2),
+    "sticky.PairCountTable.total(s_cap)": lambda v=2: _PAIRS.total(6, 6, v),
     "sticky.critical_point_closed_form(rho)": lambda v=0.3: _closed_form(v, 0.4),
     "sticky.critical_point_closed_form(delta)": lambda v=0.4: _closed_form(0.3, v),
     "sticky.leading_pair_count_log2(n)": lambda v=10: sticky.leading_pair_count_log2(v, 0.5, 0.2),
@@ -168,6 +178,10 @@ SITES = {
     "synthesis.count_pairs_bruteforce(n)": lambda v=3: synthesis.count_pairs_bruteforce(v, 12, 2),
     "synthesis.count_pairs_bruteforce(t)": lambda v=12: synthesis.count_pairs_bruteforce(3, v, 2),
     "synthesis.count_pairs_bruteforce(s)": lambda v=2: synthesis.count_pairs_bruteforce(3, 12, v),
+    "synthesis.SynthesisPairTable.count(t)": lambda v=12: _SYNTH.count(v, 2),
+    "synthesis.SynthesisPairTable.count(s)": lambda v=2: _SYNTH.count(12, v),
+    "synthesis.SynthesisPairTable.total(t_cap)": lambda v=12: _SYNTH.total(v, 2),
+    "synthesis.SynthesisPairTable.total(s_cap)": lambda v=2: _SYNTH.total(12, v),
     "synthesis.capacity(tau)": lambda v=2.0: synthesis.capacity(v),
     "synthesis.critical_point(tau)": lambda v=2.0: synthesis.critical_point(v, 0.3),
     "synthesis.critical_point(delta)": lambda v=0.3: synthesis.critical_point(2.0, v),
@@ -266,6 +280,28 @@ def test_hostile_values_raise_gvbound_errors_or_return_numbers(site):
         if (outcome := _outcome(SITES[site], value)) is not None
     }
     assert failures == {}
+
+
+# the hostile values that are integers, which a table query takes as an index
+_INTEGER_VALUES = {"0", "-1", "np.int64", "10**400", "-10**400", "10**5000"}
+
+
+@pytest.mark.parametrize("site", [site for site in SITES if "Table." in site])
+def test_table_queries_take_integers_and_reject_the_rest_with_domain_error(site):
+    # count and total skip check_sizes when every index is a plain int; any
+    # other index still goes through it, to the DomainError it raised before.
+    # A sticky table also raises it past its dims, where a synthesis table
+    # counts zero
+    returned = set()
+    for name, value in HOSTILE.items():
+        try:
+            SITES[site](value)
+        except GVBoundError as exc:
+            assert type(exc) is DomainError, (name, exc)
+        else:
+            returned.add(name)
+    beyond = {"10**400", "10**5000"} if site.startswith("sticky.") else set()
+    assert returned == _INTEGER_VALUES - beyond
 
 
 @pytest.mark.parametrize("site", list(SITES))

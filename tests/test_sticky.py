@@ -34,7 +34,7 @@ from gvbound.sticky import (
     simple_lb_rate,
     sp_rate,
 )
-from table_checks import log2_of_each, sticky_layers_by_full_slabs
+from table_checks import log2_of_each, sticky_ball_rate_by_helpers, sticky_layers_by_full_slabs
 
 
 # ---------------------------------------------------------------- compositions
@@ -954,6 +954,30 @@ def test_ball_rate_survives_extreme_density_ratios(capsys):
     assert growth_exponent(cp) == pytest.approx(ball_rate(1e-9, 0.1), abs=1e-12)
     assert cli.main(["point", "--channel", "sticky", "--rho", "0.5", "--beta", "1e-300"]) == 0
     assert "ball_rate = 1\n" in capsys.readouterr().out
+
+
+# densities in (0, 1), and every power of 2 down to the smallest subnormal: a
+# rho/beta ratio past about 1e-150 either way underflows a conjugate quotient,
+# rho^2 / (root + 2 beta) or (2 beta)^2 / (root + rho)
+DENSITIES = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(-1074, -1).map(lambda e: 2.0**e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=DENSITIES, beta=st.one_of(st.just(0.0), DENSITIES.map(lambda x: x / 2.0)))
+@example(rho=1e-200, beta=0.1)  # rho^2 underflows
+@example(rho=0.5, beta=1e-170)  # (2 beta)^2 underflows
+@example(rho=1e-160, beta=1e-9)
+@example(rho=0.3, beta=0.1)
+@example(rho=0.3, beta=0.0)  # the diagonal
+@example(rho=0.3, beta=0.45)  # saturated
+@example(rho=0.3, beta=0.7 / 1.7)  # beta_max(0.3), where the smooth form is 1 ulp off 2 H(rho)
+def test_ball_rate_equals_its_helper_route_bit_for_bit(rho, beta):
+    # ball_rate skips _real for a float in range and inlines the branch test and
+    # both log2(a^2 / b) helpers; no bit of the rate may move
+    assert ball_rate(rho, beta).hex() == sticky_ball_rate_by_helpers(rho, beta).hex()
 
 
 # (rho, beta) on the smooth branch: rho in (0.01, 0.99), 0 < beta < beta_max(rho)

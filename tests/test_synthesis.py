@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -31,10 +32,11 @@ from gvbound.synthesis import (
 )
 from table_checks import (
     assert_matches_exact,
+    full_band_tables,
     log2_of,
     same_bits,
+    synthesis_histogram_by_int64_keys,
     synthesis_table_by_step_pairs,
-    synthesis_tables_by_full_band,
     synthesis_tables_by_step_pairs,
     worst_log2_error,
 )
@@ -59,9 +61,12 @@ def test_synthesis_time_bounds_hold_everywhere():
             assert n <= t <= 4 * n
 
 
-def test_synthesis_time_rejects_bad_symbols():
-    with pytest.raises(DomainError):
-        synthesis_time("ACGX")
+@pytest.mark.parametrize("strand", ["ACGX", "XACG", "AXCG", "AxG", "A G", "ACG\n", "AéG", "acgt"])
+def test_synthesis_time_rejects_bad_symbols(strand):
+    # a bad symbol at either end or inside, named in the message
+    bad = sorted(set(strand) - set(ALPHABET))
+    with pytest.raises(DomainError, match=re.escape(str(bad))):
+        synthesis_time(strand)
 
 
 # ----------------------------------------------------------------- word counts
@@ -162,15 +167,24 @@ def test_bruteforce_matches_nested_loop_definition(n):
 
 @pytest.mark.parametrize("rows", [1, 7])
 def test_bruteforce_histogram_does_not_depend_on_the_block_size(monkeypatch, rows):
-    # n = 4 has 256 strands: 32 blocks at the default 8 rows
+    # n = 4 has 256 strands: 4 blocks at the default 64 rows of uint8 keys
     want = synthesis._bruteforce_histogram.__wrapped__(4)
     monkeypatch.setattr(synthesis, "_BRUTEFORCE_BLOCK_ROWS", rows)
     assert synthesis._bruteforce_histogram.__wrapped__(4) == want
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_bruteforce_histogram_equals_the_int64_key_route(n):
+    # the keys fit a uint8 up to n = 5 and a uint16 at n = 6, whose blocks
+    # have half the rows
+    key_type = np.min_scalar_type((8 * n + 1) * (n + 1) - 1)
+    assert key_type == (np.uint8 if n <= 5 else np.uint16)
+    assert synthesis._bruteforce_histogram.__wrapped__(n) == synthesis_histogram_by_int64_keys(n)
+
+
 def test_bruteforce_histogram_stays_bounded_in_memory():
     # one dense pass over the 4^5 x 4^5 pairs would hold an 8 MiB key array
-    # and its temporaries; a block of 8 rows holds 64 KiB of keys
+    # and its temporaries; a block of 64 rows holds 64 KiB of uint8 keys
     tracemalloc.start()
     try:
         synthesis._bruteforce_histogram.__wrapped__(5)
@@ -366,12 +380,11 @@ _FULL_BAND_CASES = [
 
 
 @pytest.mark.parametrize("mode, cutoff, sizes", _FULL_BAND_CASES)
-def test_full_band_tables_are_mirror_symmetric_bit_for_bit(monkeypatch, mode, cutoff, sizes):
+def test_full_band_tables_are_mirror_symmetric_bit_for_bit(mode, cutoff, sizes):
     # the premise of the half-band kernel: reflecting both words' step costs,
     # a -> 5 - a, maps t to 10n - t, and each float sum at the mirrored cell
     # adds the same two operands
-    monkeypatch.setattr(synthesis, "_LINEAR_LOG2_BITS", cutoff)
-    for n, entries in zip(sizes, synthesis_tables_by_full_band(sizes, mode)):
+    for n, entries in zip(sizes, full_band_tables(mode, cutoff, sizes)):
         band = entries[:, 2 * n : 8 * n + 1]
         assert same_bits(band, band[:, ::-1]), n
 
@@ -382,7 +395,7 @@ def test_tables_equal_the_full_band_kernel_bit_for_bit(monkeypatch, mode, cutoff
     # mirror changes no bit, where the step-pair reference bounds log2 tables
     # above 2^53 only within 1e-12
     monkeypatch.setattr(synthesis, "_LINEAR_LOG2_BITS", cutoff)
-    for n, want in zip(sizes, synthesis_tables_by_full_band(sizes, mode)):
+    for n, want in zip(sizes, full_band_tables(mode, cutoff, sizes)):
         assert same_bits(pair_count_table(n, mode).entries, want), n
 
 
