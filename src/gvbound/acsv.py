@@ -19,24 +19,19 @@ are exact and the Newton iteration below needs no finite differences.
 The gradient and Hessian tables are built once per polynomial value, on
 first use, and equal polynomials share them.
 
-Evaluation, the critical-system residual and CriticalPoint records run
-on Python floats, so the closed-form critical points of the channels
-never load numpy.  A power that overflows gives an infinity, as it would
-in IEEE arithmetic, instead of raising.  Only the Newton solver and the
-leading term, which need linear algebra, import numpy when called.
+Everything runs on Python floats and lists: one Gaussian elimination,
+with partial pivoting, gives the Newton step and the Hessian determinant
+(at most 4 x 4), and an overflowing power gives an infinity, not an error.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, DomainError, NonConvergenceError
 from .numeric import _ABOVE_0, _FLOAT_MAX, _checked_make, _items, _real, _shown, check_sizes
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SparseMultivariatePolynomial",
@@ -223,24 +218,41 @@ def _evaluate(H: SparseMultivariatePolynomial, zv: Sequence[float]) -> float:
 
 
 @cache
-def _hessian_table(H: SparseMultivariatePolynomial) -> tuple[tuple, tuple[int, ...]]:
-    """The distinct second partials of H, and each hessian[j][k]'s index among them, row-major:
+def _hessian_table(H: SparseMultivariatePolynomial) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The distinct second partials of H, and each hessian[j][k]'s index among them, by rows:
     d2H/dz_j dz_k and d2H/dz_k dz_j share one only where they are equal, which a fractional
     coefficient, rounded in another order, can keep them from."""
     distinct: dict[SparseMultivariatePolynomial, int] = {}
-    index = tuple(distinct.setdefault(h, len(distinct)) for row in H.hessian for h in row)
+    index = tuple(tuple(distinct.setdefault(h, len(distinct)) for h in row) for row in H.hessian)
     return tuple(distinct), index
 
 
-def _derivatives(H: SparseMultivariatePolynomial, zv: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient vector and Hessian matrix of H at the checked point zv."""
-    import numpy as np
-
-    grad = np.array([_evaluate(g, zv) for g in H.gradient])
+def _derivatives(H: SparseMultivariatePolynomial, zv: list[float]) -> tuple[list, list]:
+    """Gradient vector and Hessian matrix (a list of rows) of H at the checked point zv."""
     partials, index = _hessian_table(H)
     values = [_evaluate(h, zv) for h in partials]
-    hess = np.array([values[i] for i in index]).reshape(H.num_vars, H.num_vars)
-    return grad, hess
+    return [_evaluate(g, zv) for g in H.gradient], [[values[i] for i in row] for row in index]
+
+
+def _eliminate(a: list[list[float]], b: list[float]) -> tuple[float, list[float] | None]:
+    """(det a, x with a x = b) by Gaussian elimination with partial pivoting, a and b kept, or
+    (0.0, None) where a pivot is exactly 0.0: each is tested, since their product can underflow."""
+    rows = [[*row, bi] for row, bi in zip(a, b)]
+    det = 1.0
+    for k in range(len(rows)):
+        p = max(range(k, len(rows)), key=lambda i: abs(rows[i][k]))  # the first largest, as idamax
+        if rows[p][k] == 0.0:
+            return 0.0, None
+        rows[k], rows[p] = rows[p], rows[k]
+        det *= rows[k][k] if p == k else -rows[k][k]
+        for row in rows[k + 1 :]:
+            f = row[k] / rows[k][k]
+            row[k + 1 :] = [c - f * t for c, t in zip(row[k + 1 :], rows[k][k + 1 :])]
+    x = [row[-1] for row in rows]
+    for k in reversed(range(len(x))):  # back substitution by columns, as LAPACK's trsv
+        x[k] /= rows[k][k]
+        x[:k] = [xi - row[k] * x[k] for xi, row in zip(x[:k], rows)]
+    return det, x
 
 
 def critical_system_residual(
@@ -300,59 +312,52 @@ def leading_term(
     Raises:
         DomainError: if H or G is not a SparseMultivariatePolynomial,
             n is not a positive integer that fits a float64,
-            n r is not integral or has a coordinate that rounds below 1,
+            n r is not finite and integral or has a coordinate that rounds below 1,
             w is not a positive critical point in direction r, or the
             Hessian or the constant is not positive there.
     """
-    import numpy as np
-
     _check_polynomial(H)
     _check_polynomial(G, "G")
     check_sizes(at_least=1, n=n)
     _real(n, "n must fit a float64")
-    rv = np.array(_check_direction(H, r))
-    zv = np.array(_check_point(H, w))
+    rv = _check_direction(H, r)
+    zv = _check_point(H, w)
     if G.num_vars != H.num_vars:
         raise DimensionMismatchError(
             f"numerator has {G.num_vars} variables, denominator has {H.num_vars}"
         )
-    if not np.all(zv > 0.0):
-        raise DomainError(f"point must be strictly positive, got {zv.tolist()}")
-    index = n * rv
-    rounded = np.round(index)
-    if np.any(np.abs(index - rounded) > _INTEGRAL_INDEX_TOL * np.maximum(index, 1.0)):
-        raise DomainError(f"n * r must be integral, got {index.tolist()}")
-    if np.any(rounded < 1.0):  # r > 0, but an n r_i near 0 passes the test above as 0
-        raise DomainError(f"n * r must be at least 1 in every coordinate, got {index.tolist()}")
+    if not all(c > 0.0 for c in zv):
+        raise DomainError(f"point must be strictly positive, got {zv}")
+    index = [_real(n * ri, "n * r must be finite") for ri in rv]
+    if any(abs(c - round(c)) > _INTEGRAL_INDEX_TOL * max(c, 1.0) for c in index):
+        raise DomainError(f"n * r must be integral, got {index}")
+    if min(map(round, index)) < 1:  # r > 0, but an n r_i near 0 passes the test above as 0
+        raise DomainError(f"n * r must be at least 1 in every coordinate, got {index}")
     residual = _max_norm(critical_system_residual(H, rv, zv))
     if not residual <= _LEADING_RESIDUAL_TOL:
-        raise DomainError(
-            f"point is not critical in direction {rv.tolist()} (residual {residual:.2e})"
-        )
-    d = H.num_vars
-    grad, second = _derivatives(H, zv.tolist())
+        raise DomainError(f"point is not critical in direction {rv} (residual {residual:.2e})")
+    grad, second = _derivatives(H, zv)
     scale = zv[-1] * grad[-1]
     if scale == 0.0:
         raise DomainError("dH/dz_d vanishes at the point; choose another last variable")
-    u = np.outer(zv, zv) * second / scale
-    v = rv[:-1] / rv[-1]
-    u_d = u[:-1, -1]
-    hess = (
-        (1.0 + u[-1, -1]) * np.outer(v, v)
-        + u[:-1, :-1]
-        - np.outer(u_d, v)
-        - np.outer(v, u_d)
-        + np.diag(v)
-    )
-    det = float(np.linalg.det(hess))
-    constant = -_evaluate(G, zv.tolist()) / scale
+    u = [[zi * zj * s / scale for zj, s in zip(zv, row)] for zi, row in zip(zv, second)]
+    v = [ri / rv[-1] for ri in rv[:-1]]
+    c = 1.0 + u[-1][-1]
+    hess = [
+        [c * (vi * vj) + u[i][j] - u[i][-1] * vj - vi * u[j][-1] for j, vj in enumerate(v)]
+        for i, vi in enumerate(v)
+    ]
+    for i, vi in enumerate(v):
+        hess[i][i] += vi
+    det, _ = _eliminate(hess, [0.0] * len(v))
+    constant = -_evaluate(G, zv) / scale
     if not (det > 0.0 and constant > 0.0):
         raise DomainError(
             f"no positive leading term at this point (det Hess {det:.3e}, constant {constant:.3e})"
         )
     return (
-        -n * float(np.dot(rv, np.log2(zv)))
-        + 0.5 * (1 - d) * math.log2(2.0 * math.pi * rv[-1] * n)
+        -n * sum(ri * math.log2(zi) for ri, zi in zip(rv, zv))
+        + 0.5 * (1 - len(zv)) * math.log2(2.0 * math.pi * rv[-1] * n)
         - 0.5 * math.log2(det)
         + math.log2(constant)
     )
@@ -371,20 +376,11 @@ def solve_critical_point(
         NonConvergenceError: if no iterate reaches the tolerance; try a
             different initial point.
     """
-    import numpy as np
-
     _check_polynomial(H)
-    rv = np.array(_check_direction(H, r))
-    ell = H.num_vars
-    z = np.full(ell, 0.5) if initial is None else np.array(_check_point(H, initial))
-    if np.any(z <= 0.0):
+    rv = _check_direction(H, r)
+    z = [0.5] * H.num_vars if initial is None else _check_point(H, initial)
+    if not all(c > 0.0 for c in z):
         raise DomainError("initial point must be strictly positive")
-
-    def jacobian(zv: np.ndarray) -> np.ndarray:
-        # scaled[j, k] = d/dz_k (z_j dH/dz_j); row 0 is grad H, row j+1 the gradient of residual j+1
-        grad, hess = _derivatives(H, zv.tolist())
-        scaled = zv[:, None] * hess + np.diag(grad)
-        return np.vstack((grad, rv[-1] * scaled[:-1] - np.outer(rv[:-1], scaled[-1])))
 
     residual = critical_system_residual(H, rv, z)
     norm = _max_norm(residual)
@@ -395,16 +391,22 @@ def solve_critical_point(
                 f"Newton iteration did not reach tolerance {_SOLVE_TOL} "
                 f"(final residual norm {norm:.3e})"
             )
-        try:
-            step = np.linalg.solve(jacobian(z), -np.array(residual))
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(
-                f"singular Jacobian at iterate {z.tolist()}"
-            ) from exc
+        # scaled[j][k] = d/dz_k (z_j dH/dz_j); row 0 is grad H, row j+1 the gradient of residual j+1
+        grad, hess = _derivatives(H, z)
+        scaled = [[zj * h for h in row] for zj, row in zip(z, hess)]
+        for j, g in enumerate(grad):
+            scaled[j][j] += g
+        jacobian = [grad] + [
+            [rv[-1] * s - rj * t for s, t in zip(row, scaled[-1])]
+            for row, rj in zip(scaled[:-1], rv)
+        ]
+        _, step = _eliminate(jacobian, [-c for c in residual])
+        if step is None:
+            raise NonConvergenceError(f"singular Jacobian at iterate {z}")
         scale = 1.0
         for _ in range(_MAX_STEP_HALVINGS):
-            candidate = z + scale * step
-            if np.all(candidate > 0.0):
+            candidate = [zi + scale * si for zi, si in zip(z, step)]
+            if all(c > 0.0 for c in candidate):
                 cand_residual = critical_system_residual(H, rv, candidate)
                 cand_norm = _max_norm(cand_residual)
                 if cand_norm < norm or cand_norm <= _SOLVE_TOL:  # its residual is the next rhs
@@ -413,8 +415,7 @@ def solve_critical_point(
             scale *= 0.5
         else:
             raise NonConvergenceError(
-                f"no residual-decreasing step found at iterate {z.tolist()} "
-                f"(residual norm {norm:.3e})"
+                f"no residual-decreasing step found at iterate {z} (residual norm {norm:.3e})"
             )
         iterations += 1
     return CriticalPoint.at(H, rv, z, iterations)

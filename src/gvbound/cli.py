@@ -5,11 +5,10 @@ Subcommands:
     verify  run the self-check suites and print a pass/fail table
     point   print one full evaluation as a key-value block
 
-All configuration is via flags; there is no config file.  main loads
-numpy, when a command needs it, with one OpenBLAS thread unless the
-caller set OPENBLAS_NUM_THREADS: gvbound's largest BLAS call is a 4x4
-solve, and the worker pool that OpenBLAS starts during `import numpy`
-only costs CPU time.  Importing this module changes nothing.
+All configuration is via flags; there is no config file.  gvbound makes no
+BLAS call, so main loads numpy, when a command needs it, with one OpenBLAS
+thread unless the caller set OPENBLAS_NUM_THREADS: the pool that `import
+numpy` starts only costs CPU time.  Importing this module changes nothing.
 """
 
 from __future__ import annotations

@@ -240,10 +240,10 @@ def residual_by_powers(H, rv, zv):
     ]
 
 
-def solve_by_full_evaluations(H, r, initial=None):
+def solve_by_full_evaluations(H, r, initial, solve):
     """(z, iterations) of acsv.solve_critical_point, with every second partial evaluated,
-    d2H/dz_j dz_k and d2H/dz_k dz_j each in turn, and the residual recomputed at each
-    iterate before it is solved for."""
+    d2H/dz_j dz_k and d2H/dz_k dz_j each in turn, the residual recomputed at each
+    iterate, and each Newton step from solve(jacobian, rhs) on float lists."""
     rv = np.array(r, dtype=float)
     z = np.full(H.num_vars, 0.5) if initial is None else np.array(initial, dtype=float)
 
@@ -263,7 +263,7 @@ def solve_by_full_evaluations(H, r, initial=None):
     while not norm <= acsv._SOLVE_TOL:
         assert iterations < acsv._MAX_NEWTON_ITER
         residual = residual_by_powers(H, rv.tolist(), z.tolist())
-        step = np.linalg.solve(jacobian(z), -np.array(residual))
+        step = np.array(solve(jacobian(z).tolist(), (-np.array(residual)).tolist()))
         scale = 1.0
         for _ in range(acsv._MAX_STEP_HALVINGS):
             candidate = z + scale * step

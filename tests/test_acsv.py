@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gvbound import acsv, sticky, synthesis
 from gvbound.acsv import (
@@ -230,6 +232,7 @@ def test_leading_term_central_delannoy():
         ((1.0, 1.0), (0.4, 0.4), 4),  # not on the variety
         ((1.0, 1.0), (0.25, 0.75), 4),  # on the variety, not critical
         ((1.0, 1.0), (-0.5, 1.5), 4),  # not positive
+        ((1e10, 1e10), (0.5, 0.5), 10**300),  # n * r overflows to inf
     ],
 )
 def test_leading_term_rejects_bad_input(r, w, n):
@@ -256,6 +259,14 @@ def test_leading_term_rejects_a_negative_constant():
     G = SparseMultivariatePolynomial(2, [((0, 0), -1.0)])
     with pytest.raises(DomainError, match="no positive leading term"):
         leading_term(binomial_denominator(), G, (1.0, 1.0), (0.5, 0.5), 4)
+
+
+def test_leading_term_rejects_a_determinant_that_reads_zero(monkeypatch):
+    # a Hessian whose pivots are nonzero but whose determinant underflows to 0.0
+    eliminate = acsv._eliminate
+    monkeypatch.setattr(acsv, "_eliminate", lambda a, b: (0.0, eliminate(a, b)[1]))
+    with pytest.raises(DomainError, match="^no positive leading term at this point"):
+        leading_term(binomial_denominator(), ONE, (1.0, 1.0), (0.5, 0.5), 4)
 
 
 def test_solve_critical_point_reports_a_singular_jacobian():
@@ -482,19 +493,102 @@ def test_newton_halves_a_step_whose_evaluation_overflows():
     assert cp.residual_norm <= 1e-12
 
 
-@pytest.mark.parametrize(
+_SOLVES = pytest.mark.parametrize(
     "H, r, initial",
     [*verify_solves(), (steep_denominator(), (1.0, 1.0), (0.9, 0.1))],
     ids=[*(f"verify-{k}" for k in range(14)), "steep-overflowing"],
 )
+
+
+def _eliminate_solve(a, b):
+    return acsv._eliminate(a, b)[1]
+
+
+@_SOLVES
 def test_solver_equals_the_full_evaluation_route_bit_for_bit(H, r, initial):
     # the solver evaluates each distinct second partial once and solves for the
     # residual its last accepted candidate left; the reference evaluates all l^2
-    # partials and recomputes the residual at each iterate
+    # partials, recomputes the residual at each iterate and builds the Jacobian on
+    # numpy arrays, whose elementwise float64 arithmetic rounds as Python's
     cp = solve_critical_point(H, r, initial=initial)
-    z, iterations = solve_by_full_evaluations(H, r, initial)
+    z, iterations = solve_by_full_evaluations(H, r, initial, _eliminate_solve)
     assert [c.hex() for c in cp.z] == [c.hex() for c in z]
     assert cp.iterations == iterations
+
+
+@_SOLVES
+def test_solver_takes_the_steps_of_a_lapack_solve(H, r, initial):
+    # LAPACK's getrf and getrs round in another order than _eliminate, so the
+    # points may differ in their last bits, but not the steps taken
+    cp = solve_critical_point(H, r, initial=initial)
+    z, iterations = solve_by_full_evaluations(H, r, initial, np.linalg.solve)
+    assert cp.iterations == iterations
+    np.testing.assert_allclose(cp.z, z, rtol=1e-14, atol=0.0)
+
+
+def test_solver_hands_the_residual_a_list_of_floats(monkeypatch):
+    # a numpy candidate would take _real's slow path once per coordinate
+    points = []
+    residual = acsv.critical_system_residual
+
+    def recorded(H, r, z):
+        points.append(z)
+        return residual(H, r, z)
+
+    monkeypatch.setattr(acsv, "critical_system_residual", recorded)
+    for H, r, initial in verify_solves():
+        solve_critical_point(H, r, initial=initial)
+    assert len(points) > 2 * 14
+    assert all(type(z) is list and all(type(c) is float for c in z) for z in points)
+
+
+# ------------------------------------------------------- Gaussian elimination
+
+
+def _square_systems(m):
+    # no tiny entries, which make a well-conditioned system of huge or subnormal values
+    entries = st.one_of(st.just(0.0), st.floats(0.125, 10.0), st.floats(-10.0, -0.125))
+    return st.tuples(
+        st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m),
+        st.lists(entries, min_size=m, max_size=m),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(_square_systems))
+def test_eliminate_agrees_with_lapack_on_well_conditioned_systems(system):
+    a, b = system
+    singular_values = np.linalg.svd(np.array(a), compute_uv=False)
+    assume(singular_values[-1] * 100.0 > singular_values[0])  # condition number below 100
+    kept = ([row[:] for row in a], b[:])
+    det, x = acsv._eliminate(a, b)
+    assert (a, b) == kept
+    want = np.linalg.solve(a, b).tolist()
+    assert max(abs(c - w) for c, w in zip(x, want)) <= 1e-12 * max(map(abs, want))
+    want_det = float(np.linalg.det(a))
+    assert abs(det - want_det) <= 1e-12 * abs(want_det)
+
+
+def test_eliminate_swaps_rows_for_a_zero_leading_entry():
+    # det [[0, 1], [2, 3]] = -2: the swap flips the sign of the pivot product
+    assert acsv._eliminate([[0.0, 1.0], [2.0, 3.0]], [1.0, 5.0]) == (-2.0, [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 2.0]], [[0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+    ids=["dependent-rows", "zero-column", "zero", "zero-last-pivot"],
+)
+def test_eliminate_reports_an_exact_zero_pivot(a):
+    assert acsv._eliminate(a, [1.0] * len(a)) == (0.0, None)
+
+
+def test_eliminate_solves_when_only_the_pivot_product_underflows():
+    # each pivot is 1e-200; their product 1e-400 is below the smallest float
+    tiny = 1e-200
+    det, x = acsv._eliminate([[tiny, 0.0], [0.0, tiny]], [tiny, 2.0 * tiny])
+    assert det == 0.0
+    assert x == [1.0, 2.0]
 
 
 def test_hessian_table_shares_only_equal_mixed_partials():
@@ -508,8 +602,9 @@ def test_hessian_table_shares_only_equal_mixed_partials():
                         (synthesis.pair_generating_denominator(), 5)):
         partials, index = acsv._hessian_table(H)
         assert len(partials) == distinct
-        assert [partials[i] for i in index] == [h for row in H.hessian for h in row]
+        assert [[partials[i] for i in row] for row in index] == [list(row) for row in H.hessian]
     zv = [0.7, 1.3]
-    _, hess = acsv._derivatives(skew, zv)
+    grad, hess = acsv._derivatives(skew, zv)
+    assert grad == [evaluate_by_powers(g, zv) for g in skew.gradient]
     want = [[evaluate_by_powers(h, zv) for h in row] for row in skew.hessian]
-    assert hess.tolist() == want and want[0][1] != want[1][0]
+    assert hess == want and want[0][1] != want[1][0]

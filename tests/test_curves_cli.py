@@ -654,6 +654,31 @@ def test_closed_form_commands_never_load_numpy(tmp_path):
         assert not numpy_loaded, f"numpy loaded after {step}"
 
 
+def test_newton_solves_leading_terms_and_verify_acsv_never_load_numpy():
+    # acsv runs on Python floats: its linear algebra is one elimination on lists
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from gvbound import acsv, cli, sticky\n"
+        "H = acsv.SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((1, 0), -1.0), ((0, 1), -1.0)])\n"
+        "ONE = acsv.SparseMultivariatePolynomial(2, [((0, 0), 1.0)])\n"
+        "z = acsv.solve_critical_point(H, (1.0, 1.0), initial=(0.3, 0.7)).z\n"
+        "values = [z, acsv.leading_term(H, ONE, (1.0, 1.0), (0.5, 0.5), 16)]\n"
+        "values.append(sticky.leading_pair_count_log2(48, 0.5, 0.25))\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', 'acsv'])\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps([values, code, loaded]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    (z, binomial, sticky_term), code, loaded = json.loads(proc.stdout)
+    assert z == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert binomial == pytest.approx(32.0 - 0.5 * math.log2(16.0 * math.pi), abs=1e-12)
+    assert math.isfinite(sticky_term)
+    assert (code, loaded) == (0, [False, False])
+
+
 def test_cli_never_loads_dataclasses(tmp_path):
     # the records are NamedTuples or plain classes; dataclasses would import
     # inspect, ast, dis and tokenize at every start-up
@@ -735,9 +760,10 @@ _THREADS_PROBE = (
 
 
 def test_verify_loads_numpy_with_one_blas_thread():
+    # the sticky suite builds tables, so it loads numpy; the acsv suite loads none
     probe = f"(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, {_THREADS_PROBE})"
     report = _report_after_each_command(
-        [["verify", "acsv"]], probe, env=_env_without_blas_threads()
+        [["verify", "sticky"]], probe, env=_env_without_blas_threads()
     )
     (_, _, (imported, numpy_at_import, _)), (_, code, (pinned, numpy_loaded, threads)) = report
     assert (imported, numpy_at_import) == (None, False)  # importing gvbound.cli sets nothing
