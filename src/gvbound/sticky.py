@@ -221,8 +221,8 @@ def iter_pair_layers(
     on read only P <= n1_max - r and Q <= n2_max - r, so D_r is advanced
     on that block alone.
 
-    Each table is allocated before it is written, so one over the cell
-    budget fails before any product.  It is then filled one M plane at a
+    A table over the cell budget fails on the first next, before D_r is
+    made or any product formed.  Each table is filled one M plane at a
     time, for M >= r: C(M - 1, r - 1) D_r[P, Q] goes to (M + P, M + Q,
     P + Q).  An exact plane whose every cell has P + Q <= s_max is written
     whole through one strided view of the table; a log2 plane, or one
@@ -230,6 +230,18 @@ def iter_pair_layers(
     the mode's zero.  Every other entry is the mode's zero.  Exact tables
     hold the exact counts, and a log2 table holds math.log2 of each, at
     every size: the same float that count_pairs_exact gives in log2 mode.
+
+    The generator keeps the entries of the last two tables it yielded, so
+    a suspended generator holds at most two earlier tables.  Level r
+    reuses the entries of level r - 2 instead of allocating when nothing
+    outside the generator refers to them: a kept table, its bare entries
+    or any view of them (a view keeps its base alive) blocks the reuse.
+    The test compares sys.getrefcount of those entries with its count on
+    a fresh table held by one name.  A plane's cells depend on M alone,
+    so level r overwrites every cell that level r - 2 wrote on the planes
+    M >= r; the planes M = r - 2 and r - 1 are written again with
+    C(M - 1, r - 1) = 0, the mode's zero.  The entries of a table that
+    was dropped can thus change; a table that is kept never does.
     """
     return _tables(n1_max, n2_max, 1, r_max, s_max, mode)
 
@@ -244,10 +256,13 @@ def _tables(
     from numpy.lib.stride_tricks import as_strided
 
     shape = (n1_max + 1, n2_max + 1, s_max + 1)
+    if r_first <= r_max:  # before D_r is made and advanced through the levels below r_first
+        _check_table_cells(shape)
     m_top = min(n1_max, n2_max)
     d = count_mode("exact").blank((min(n1_max, s_max) + 1, min(n2_max, s_max) + 1))  # D_r[P, Q]
     d[0, 0] = 1
     fits = np.add.outer(np.arange(d.shape[0]), np.arange(d.shape[1])) <= s_max
+    held = []  # the entries of the last two tables yielded, the older first
     # a level past m_top is zero and leaves D_r as it is: skip those before r_first
     for r in chain(range(1, min(r_first, m_top + 1)), range(r_first, r_max + 1)):
         if r <= m_top:  # times (1 - ab) / ((1 - a)(1 - b)), on the block levels >= r read
@@ -257,25 +272,34 @@ def _tables(
             np.add.accumulate(block, axis=1, out=block)
         if r < r_first:
             continue
-        entries = cm.blank(shape)
+        entries = held.pop(0) if len(held) == 2 else None
+        if entries is not None and sys.getrefcount(entries) == free:
+            m_first = r - 2  # level r - 2's buffer: its planes r - 2 and r - 1 are cleared
+        else:
+            entries = cm.blank(shape)
+            free = sys.getrefcount(entries)  # a buffer that only this name refers to
+            m_first = r
         s0, s1, s2 = entries.strides
-        for m in range(r, m_top + 1):
-            comb = math.comb(m - 1, r - 1)
+        for m in range(m_first, m_top + 1):
+            comb = math.comb(m - 1, r - 1)  # 0 on a cleared plane, m < r
             kp, kq = min(n1_max - m + 1, d.shape[0]), min(n2_max - m + 1, d.shape[1])
             if mode == "exact" and kp + kq - 2 <= s_max:
                 # the view maps (P, Q) to cell (m + P, m + Q, P + Q) of the C-order
                 # entries.  Each index grows with P and Q, and the last cell,
                 # (m + kp - 1, m + kq - 1, kp + kq - 2), is inside by the bounds on kp
                 # and kq and the test above; distinct (P, Q) differ in the first two
-                # indices, so no two cells of the view share an address
-                plane = as_strided(entries[m, m], (kp, kq), (s0 + s2, s1 + s2))
-                np.multiply(d[:kp, :kq], comb, out=plane)
+                # indices, so no two cells of the view share an address.  No name
+                # keeps the view, which would keep entries from being reused
+                np.multiply(
+                    d[:kp, :kq], comb, out=as_strided(entries[m, m], (kp, kq), (s0 + s2, s1 + s2))
+                )
                 continue
             p, q = np.nonzero(fits[:kp, :kq])
             counts = d[p, q] * comb
             if mode == "log2":  # a zero count (D_1 off the axes) is log2's zero
                 counts = [math.log2(count) if count else NEG_INF for count in counts.tolist()]
             entries[m + p, m + q, p + q] = counts
+        held.append(entries)
         yield PairCountTable(mode=cm, r=r, entries=entries)
 
 

@@ -382,7 +382,6 @@ def test_pair_tables_over_the_cell_budget_raise_before_allocating(monkeypatch):
     budget = f"budget is {numeric.TABLE_CELL_BUDGET}"
     with pytest.raises(MemoryBudgetError, match=budget):
         sticky.pair_count_table(1000, 1000, 1, 100)
-    allocations.clear()  # the sticky D_r plane is made before the table
     with pytest.raises(MemoryBudgetError, match=budget):
         synthesis.pair_count_table(3000, "log2")
     for n in (2000, 3000):  # the table's cells fail before any limb buffer is made

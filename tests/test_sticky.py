@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -450,8 +451,8 @@ def test_log2_layers_equal_the_log2_closed_form_bit_for_bit():
             assert value == count_pairs_exact(int(n1), int(n2), logs.r, int(s), "log2")
 
 
-def test_log2_tables_are_allocated_in_log2(monkeypatch):
-    # no log2 table holds an object copy of itself: only the D_r plane is exact
+def _record_blanks(monkeypatch):
+    """The (mode name, shape) of every CountMode.blank from here on, as a list that grows."""
     blanks = []
     blank = numeric.CountMode.blank
 
@@ -460,6 +461,12 @@ def test_log2_tables_are_allocated_in_log2(monkeypatch):
         return blank(mode, shape)
 
     monkeypatch.setattr(numeric.CountMode, "blank", recorded)
+    return blanks
+
+
+def test_log2_tables_are_allocated_in_log2(monkeypatch):
+    # no log2 table holds an object copy of itself: only the D_r plane is exact
+    blanks = _record_blanks(monkeypatch)
     list(iter_pair_layers(30, 24, 3, 40, "log2"))
     assert [name for name, shape in blanks if shape == (31, 25, 41)] == ["log2"] * 3
     assert [shape for name, shape in blanks if name == "exact"] == [(31, 25)]
@@ -742,6 +749,79 @@ def test_pair_count_table_is_the_layer_of_iter_pair_layers_at_every_r(shape, mod
         else:
             assert table.entries.tolist() == layer.entries.tolist(), layer.r
             _assert_exact_ints(table.entries)
+
+
+_REUSE_SHAPES = [
+    (8, 8, 8, 16),  # square, every plane whole
+    (9, 6, 6, 15),  # tall, every plane whole
+    (6, 9, 6, 4),  # wide, every plane cut but M = 6
+    (12, 12, 12, 5),  # square, every plane cut but M >= 10
+    (10, 7, 7, 17),  # tall, every plane whole, an odd r_max
+    (5, 7, 9, 6),  # r_max > min(n1_max, n2_max): the last levels only clear planes
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "log2"])
+@pytest.mark.parametrize("shape", _REUSE_SHAPES)
+def test_reused_buffers_never_change_a_kept_table(shape, mode):
+    # by r % 4 the loop keeps the table, its bare entries, a view of them or
+    # nothing; only a level kept in no way gives its buffer back, two levels on
+    n1_max, n2_max, r_max, s_max = shape
+    kept, dropped, reused = [], {}, []
+    for table in iter_pair_layers(*shape, mode):
+        fresh = pair_count_table(n1_max, n2_max, table.r, s_max, mode).entries
+        assert table.entries.dtype == fresh.dtype
+        assert table.entries.tolist() == fresh.tolist(), table.r
+        if table.r - 2 in dropped and dropped[table.r - 2]() is table.entries:
+            reused.append(table.r)
+        kind = ("table", "entries", "view", None)[table.r % 4]
+        if kind == "table":
+            kept.append((table.r, kind, table))
+        elif kind == "entries":
+            kept.append((table.r, kind, table.entries))
+        elif kind == "view":
+            kept.append((table.r, kind, table.entries[:, 1:, :]))
+        else:
+            dropped[table.r] = weakref.ref(table.entries)
+    assert reused == list(range(5, r_max + 1, 4))  # each level after a dropped one
+    for r, kind, held in kept:
+        fresh = pair_count_table(n1_max, n2_max, r, s_max, mode).entries
+        got = held.entries if kind == "table" else held
+        want = fresh[:, 1:, :] if kind == "view" else fresh
+        assert got.tolist() == want.tolist(), (r, kind)
+
+
+@pytest.mark.parametrize("mode", ["exact", "log2"])
+@pytest.mark.parametrize("shape", [(10, 10, 10, 20), (7, 11, 9, 5), (4, 6, 8, 10)])
+def test_a_streaming_loop_gets_each_buffer_back_two_levels_on(monkeypatch, shape, mode):
+    # a weak reference keeps nothing alive, so each level's entries are free
+    # once the loop moves on; only levels 1 and 2 allocate a table
+    blanks = _record_blanks(monkeypatch)
+    refs = {}
+    for table in iter_pair_layers(*shape, mode):
+        refs[table.r] = weakref.ref(table.entries)
+        if table.r > 2:
+            assert refs[table.r - 2]() is table.entries, table.r
+            assert refs[table.r - 1]() is not table.entries, table.r
+    table_shape = (shape[0] + 1, shape[1] + 1, shape[3] + 1)
+    assert blanks.count((mode, table_shape)) == 2
+
+
+def test_pair_count_table_keeps_the_cell_budget_before_d_r_or_any_product(monkeypatch):
+    # every plane product takes a binomial, and D_r is a blank of its own; the
+    # D_r plane would fit the budget, the table does not
+    def product_never(*args):
+        raise AssertionError("a level product ran before the cell budget was checked")
+
+    blanks = _record_blanks(monkeypatch)
+    monkeypatch.setattr(numeric, "TABLE_CELL_BUDGET", 10 * 10 * 10 - 1)
+    monkeypatch.setattr(math, "comb", product_never)
+    for mode in ("exact", "log2"):
+        with pytest.raises(MemoryBudgetError, match="needs 1000 cells"):
+            pair_count_table(9, 9, 5, 9, mode)
+        with pytest.raises(MemoryBudgetError, match="needs 1000 cells"):
+            next(iter_pair_layers(9, 9, 5, 9, mode))
+    assert blanks == []
 
 
 @pytest.mark.parametrize(
