@@ -16,8 +16,9 @@ coefficient equals up to a factor 1 + O(1/n).
 
 The denominator is held as a sparse term list, so partial derivatives
 are exact and the Newton iteration below needs no finite differences.
-The gradient and Hessian tables are built once per polynomial value, on
-first use, and equal polynomials share them.
+The gradient table is built once per polynomial value, on first use, and
+equal polynomials share it; the Hessian is read from it, row by row, as
+the gradients of the first partials.
 
 Everything runs on Python floats and lists: one Gaussian elimination,
 with partial pivoting, gives the Newton step and the Hessian determinant
@@ -209,29 +210,15 @@ def _evaluate(H: SparseMultivariatePolynomial, zv: Sequence[float]) -> float:
         term = coefficient
         for base, e in zip(zv, exponents):
             if e:
-                try:
-                    term *= base ** e
-                except OverflowError:
-                    term *= _power(base, e)
+                term *= _power(base, e)
         total += term
     return total
 
 
-@cache
-def _hessian_table(H: SparseMultivariatePolynomial) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """The distinct second partials of H, and each hessian[j][k]'s index among them, by rows:
-    d2H/dz_j dz_k and d2H/dz_k dz_j share one only where they are equal, which a fractional
-    coefficient, rounded in another order, can keep them from."""
-    distinct: dict[SparseMultivariatePolynomial, int] = {}
-    index = tuple(tuple(distinct.setdefault(h, len(distinct)) for h in row) for row in H.hessian)
-    return tuple(distinct), index
-
-
 def _derivatives(H: SparseMultivariatePolynomial, zv: list[float]) -> tuple[list, list]:
     """Gradient vector and Hessian matrix (a list of rows) of H at the checked point zv."""
-    partials, index = _hessian_table(H)
-    values = [_evaluate(h, zv) for h in partials]
-    return [_evaluate(g, zv) for g in H.gradient], [[values[i] for i in row] for row in index]
+    hessian = [[_evaluate(h, zv) for h in row] for row in H.hessian]
+    return [_evaluate(g, zv) for g in H.gradient], hessian
 
 
 def _eliminate(a: list[list[float]], b: list[float]) -> tuple[float, list[float] | None]:

@@ -1,7 +1,8 @@
 """Comparisons of log2 pair-count tables with exact ones, shared by the kernel tests,
 and slower or fuller reference kernels: both pair-count DPs, the synthesis brute-force
 histogram, the sticky ball rate and the Newton solver, each in a plainer form that the
-fast one must equal bit for bit."""
+fast one must equal bit for bit.  Synthesis tables are also fingerprinted against the
+symbol-pair transfer matrix, which shares no code with the DP."""
 
 import math
 from itertools import product
@@ -33,6 +34,84 @@ def worst_log2_error(logs, exact):
         else:
             worst = max(worst, abs(value - math.log2(count)))
     return worst
+
+
+# A Mersenne prime: exact tables are fingerprinted in GF(p).  Two distinct polynomials of
+# degree at most 9n agree at a uniform point of GF(p) with probability at most 9n / p
+# (Schwartz-Zippel), about 1.3e-15 at n = 335.
+FINGERPRINT_PRIME = 2**61 - 1
+
+
+def _cost(p, q):
+    """Cycles that symbol q takes after symbol p, by synthesis_time's own rule."""
+    return synthesis.synthesis_time(p + q) - synthesis.synthesis_time(p)
+
+
+# The 16 states (last symbol of u, last symbol of v), and the exponents (t, s) of the step
+# from state (a, b) to state (a', b'): y^(c(a, a') + c(b, b')) z^[a' != b'].  The walk
+# starts at (T, T), since the first symbol q costs _cost("T", q) = rank(q), and the sum
+# over t and s of N(n, t, s) y^t z^s is e_(T,T)^T M(y, z)^n 1.
+SYMBOL_PAIRS = tuple(product(synthesis.ALPHABET, repeat=2))
+TRANSFER_EXPONENTS = tuple(
+    tuple((_cost(a, a2) + _cost(b, b2), int(a2 != b2)) for a2, b2 in SYMBOL_PAIRS)
+    for a, b in SYMBOL_PAIRS
+)
+
+
+def _transfer_walk(n, weights, step):
+    """The row vector e_(T,T)^T W^n for the 16 x 16 weights W, each product passed to step."""
+    x = [int(pair == ("T", "T")) for pair in SYMBOL_PAIRS]
+    for _ in range(n):
+        x = step([sum(xi * row[j] for xi, row in zip(x, weights)) for j in range(len(x))])
+    return x
+
+
+def transfer_fingerprint(n, y0, z0):
+    """e_(T,T)^T M(y0, z0)^n 1 mod FINGERPRINT_PRIME, for y0 and z0 in GF(p)."""
+    p = FINGERPRINT_PRIME
+    weights = [[pow(y0, t, p) * pow(z0, s, p) % p for t, s in row] for row in TRANSFER_EXPONENTS]
+    return sum(_transfer_walk(n, weights, lambda x: [c % p for c in x])) % p
+
+
+def table_fingerprint(entries, y0, z0):
+    """The sum of entries[d, t, s] y0^t z0^s mod FINGERPRINT_PRIME over an exact
+    synthesis table, by Horner's rule in z0 and then y0."""
+    p = FINGERPRINT_PRIME
+    total = 0
+    for row in reversed(entries.sum(axis=0).tolist()):
+        inner = 0
+        for count in reversed(row):
+            inner = (inner * z0 + count) % p
+        total = (total * y0 + inner) % p
+    return total
+
+
+def log2_fingerprint_gap(logs, y0, z0):
+    """|a - b| / max(|b|, n, 1) for a log2 synthesis table at length n and real y0, z0 in
+    (0, 1], with a the log-sum-exp of logs[d, t, s] + t log2 y0 + s log2 z0 and b log2 of
+    e_(T,T)^T M(y0, z0)^n 1, each step's vector rescaled by a power of two.
+
+    Both sides weigh a step by 2^(t log2 y0 + s log2 z0), so they evaluate at one point.
+    The gap is relative to n as well as |b|: log2 terms of magnitude up to about 4n are
+    rounded to their last bit, and cancel to a small b where the point's weights balance
+    the counts.
+    """
+    n = logs.shape[2] - 1
+    ly, lz = math.log2(y0), math.log2(z0)
+    scale = 0
+
+    def rescaled(x):
+        nonlocal scale
+        _, e = math.frexp(max(x))
+        scale += e
+        return [math.ldexp(c, -e) for c in x]
+
+    weights = [[2.0 ** (t * ly + s * lz) for t, s in row] for row in TRANSFER_EXPONENTS]
+    x = _transfer_walk(n, weights, rescaled)  # before scale is read
+    b = scale + math.log2(sum(x))
+    t, s = np.arange(logs.shape[1])[:, None], np.arange(n + 1)
+    a = synthesis.count_mode("log2").sum(logs + t * ly + s * lz)
+    return abs(a - b) / max(abs(b), n, 1)
 
 
 def sticky_layers_by_full_slabs(n1_max, n2_max, r_max, s_max):

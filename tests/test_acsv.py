@@ -506,9 +506,8 @@ def _eliminate_solve(a, b):
 
 @_SOLVES
 def test_solver_equals_the_full_evaluation_route_bit_for_bit(H, r, initial):
-    # the solver evaluates each distinct second partial once and solves for the
-    # residual its last accepted candidate left; the reference evaluates all l^2
-    # partials, recomputes the residual at each iterate and builds the Jacobian on
+    # the solver solves for the residual its last accepted candidate left; the
+    # reference recomputes the residual at each iterate and builds the Jacobian on
     # numpy arrays, whose elementwise float64 arithmetic rounds as Python's
     cp = solve_critical_point(H, r, initial=initial)
     z, iterations = solve_by_full_evaluations(H, r, initial, _eliminate_solve)
@@ -591,18 +590,11 @@ def test_eliminate_solves_when_only_the_pivot_product_underflows():
     assert x == [1.0, 2.0]
 
 
-def test_hessian_table_shares_only_equal_mixed_partials():
+def test_derivatives_evaluate_both_unequal_mixed_partials():
     # 0.1 x^3 y^5: d/dy d/dx gives (0.1 * 3) * 5 = 1.5000000000000002 and d/dx d/dy
     # (0.1 * 5) * 3 = 1.5, so the two mixed partials keep an evaluation each
     skew = SparseMultivariatePolynomial(2, [((0, 0), 1.0), ((3, 5), 0.1)])
     assert skew.hessian[0][1] != skew.hessian[1][0]
-    # the sticky H's 16 second partials hold 10 distinct ones; the synthesis H's 9
-    # hold 5, since d2H/dx2 and d2H/dz2 are both the zero polynomial
-    for H, distinct in ((skew, 4), (sticky.pair_generating_denominator(), 10),
-                        (synthesis.pair_generating_denominator(), 5)):
-        partials, index = acsv._hessian_table(H)
-        assert len(partials) == distinct
-        assert [[partials[i] for i in row] for row in index] == [list(row) for row in H.hessian]
     zv = [0.7, 1.3]
     grad, hess = acsv._derivatives(skew, zv)
     assert grad == [evaluate_by_powers(g, zv) for g in skew.gradient]

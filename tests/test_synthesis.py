@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gvbound import numeric, synthesis
+from gvbound import acsv, numeric, synthesis
 from gvbound.errors import DomainError, NoRootFoundError, SizeLimitError
 from gvbound.numeric import entropy
 from gvbound.synthesis import (
@@ -31,13 +32,17 @@ from gvbound.synthesis import (
     synthesis_time,
 )
 from table_checks import (
+    FINGERPRINT_PRIME,
     assert_matches_exact,
     full_band_tables,
+    log2_fingerprint_gap,
     log2_of,
     same_bits,
     synthesis_histogram_by_int64_keys,
     synthesis_table_by_step_pairs,
     synthesis_tables_by_step_pairs,
+    table_fingerprint,
+    transfer_fingerprint,
     worst_log2_error,
 )
 
@@ -519,6 +524,82 @@ def test_table_count_bounds():
     assert table.count(24, 0) == 1
 
 
+# ------------------------------------------- fingerprints against the transfer matrix
+
+# every n to 40, past k = 8 where the mirror fill starts, and n = 100, whose exact
+# counts take 8 limbs; each table is evaluated as a polynomial in y (time) and z (distance)
+_FINGERPRINT_SIZES = [*range(41), 100]
+
+
+@cache
+def _fingerprinted_table(n, mode):
+    """The entries of one small table, built once for all of a property's examples."""
+    return pair_count_table(n, mode).entries
+
+
+@pytest.mark.parametrize("n", _FINGERPRINT_SIZES)
+def test_exact_tables_equal_the_transfer_matrix_fingerprint(n):
+    entries = pair_count_table(n, "exact").entries
+    rng = random.Random(n)
+    for _ in range(2):
+        y0, z0 = rng.randrange(FINGERPRINT_PRIME), rng.randrange(FINGERPRINT_PRIME)
+        assert table_fingerprint(entries, y0, z0) == transfer_fingerprint(n, y0, z0)
+
+
+@pytest.mark.parametrize("cutoff", [1000, -1])
+@pytest.mark.parametrize("n", _FINGERPRINT_SIZES)
+def test_log2_tables_match_the_transfer_matrix_fingerprint(monkeypatch, n, cutoff):
+    # a cutoff of -1 sums every table with logaddexp2, as from n = 251
+    monkeypatch.setattr(synthesis, "_LINEAR_LOG2_BITS", cutoff)
+    logs = pair_count_table(n, "log2").entries
+    rng = random.Random(n)
+    for _ in range(2):
+        assert log2_fingerprint_gap(logs, 1.0 - rng.random(), 1.0 - rng.random()) <= 1e-13
+
+
+def test_the_fingerprint_sees_a_moved_pair_that_keeps_both_marginals():
+    # one pair each moves from (t, s) and (t + 2, s + 1) of slab 0 to (t, s + 1) and
+    # (t + 2, s): every time and distance marginal stays, and the fingerprint moves by
+    # y0^t z0^s (y0^2 - 1)(1 - z0)
+    n, t, s = 30, 140, 10
+    entries = pair_count_table(n, "exact").entries
+    moved = entries.copy()
+    moved[0, [t, t + 2], [s, s + 1]] -= 1
+    moved[0, [t, t + 2], [s + 1, s]] += 1
+    for axes in ((0, 2), (0, 1)):
+        assert moved.sum(axis=axes).tolist() == entries.sum(axis=axes).tolist()
+    y0, z0 = random.Random(n).randrange(2, FINGERPRINT_PRIME), 2
+    assert table_fingerprint(entries, y0, z0) == transfer_fingerprint(n, y0, z0)
+    assert table_fingerprint(moved, y0, z0) != transfer_fingerprint(n, y0, z0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    y0=st.integers(0, FINGERPRINT_PRIME - 1),
+    z0=st.integers(0, FINGERPRINT_PRIME - 1),
+    n=st.sampled_from([1, 9, 30]),
+)
+@example(y0=0, z0=0, n=9)
+@example(y0=1, z0=1, n=30)
+@example(y0=FINGERPRINT_PRIME - 1, z0=FINGERPRINT_PRIME - 1, n=30)
+def test_exact_fingerprints_agree_at_any_point_of_the_field(y0, z0, n):
+    entries = _fingerprinted_table(n, "exact")
+    assert table_fingerprint(entries, y0, z0) == transfer_fingerprint(n, y0, z0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    y0=st.floats(2.0**-30, 1.0),
+    z0=st.floats(2.0**-30, 1.0),
+    n=st.sampled_from([1, 9, 30]),
+)
+@example(y0=1.0, z0=1.0, n=30)
+@example(y0=2.0**-30, z0=2.0**-30, n=30)
+@example(y0=0.5188, z0=1.0, n=30)  # p(y0)^2 is about 1: the log2 terms cancel
+def test_log2_fingerprints_agree_at_any_real_point(y0, z0, n):
+    assert log2_fingerprint_gap(_fingerprinted_table(n, "log2"), y0, z0) <= 1e-13
+
+
 # -------------------------------------------------------------------- capacity
 
 
@@ -547,6 +628,36 @@ def test_capacity_rejects_trivial_budget():
         capacity(1.0)
     with pytest.raises(DomainError):
         capacity(0.5)
+
+
+def _word_denominator():
+    """H(x, y) = 1 - x p(y) with p(y) = y + y^2 + y^3 + y^4: 1 / H counts strands by
+    length (x) and synthesis time (y), each step costing 1 to 4 cycles."""
+    return acsv.SparseMultivariatePolynomial(
+        2, [((0, 0), 1.0), *(((1, e), -1.0) for e in range(1, 5))]
+    )
+
+
+@pytest.mark.parametrize("tau", [1.25, 1.5, 2.0, 2.25])
+def test_word_counts_at_time_tau_n_match_the_capacity_leading_term(tau):
+    # the critical point in direction (1, tau) has y on the capacity cubic and
+    # x = 1 / p(y); the exponents 1..4 of p have gcd 1, so it is the only minimal
+    # one.  (1 - count / L_n) n measured 0.439, 0.284, 0.191 and 0.175
+    n = 256
+    cubic = numeric.RealPolynomial([1.0 - tau, 2.0 - tau, 3.0 - tau, 4.0 - tau])
+    y = numeric.smallest_positive_root(cubic).root
+    x = 1.0 / (y + y**2 + y**3 + y**4)
+    one = acsv.SparseMultivariatePolynomial(2, [((0, 0), 1.0)])
+    log2_leading = acsv.leading_term(_word_denominator(), one, (1.0, tau), (x, y), n)
+    count = count_words_by_time(n)[round(tau * n)]
+    assert abs(2.0 ** (math.log2(count) - log2_leading) - 1.0) <= 1.0 / n
+
+
+@pytest.mark.parametrize("tau", [1.05, 1.25, 1.5, 2.0, 2.25, 2.45, 2.49])
+def test_newton_on_the_word_denominator_gives_the_capacity(tau):
+    # measured: within 9.35e-14, in 5 to 13 steps from the default start
+    cp = acsv.solve_critical_point(_word_denominator(), (1.0, tau))
+    assert abs(acsv.growth_exponent(cp) - capacity(tau)) <= 1e-12
 
 
 # -------------------------------------------------------------- critical point
