@@ -224,10 +224,14 @@ def iter_pair_layers(
     A table over the cell budget fails on the first next, before D_r is
     made or any product formed.  Each table is filled one M plane at a
     time, for M >= r: C(M - 1, r - 1) D_r[P, Q] goes to (M + P, M + Q,
-    P + Q).  An exact plane whose every cell has P + Q <= s_max is written
-    whole through one strided view of the table; a log2 plane, or one
-    that s_max cuts, on every cell with P + Q <= s_max, a zero product as
-    the mode's zero.  Every other entry is the mode's zero.  Exact tables
+    P + Q) on every cell with P + Q <= s_max, a zero product as the mode's
+    zero.  The (P, Q) cells are listed once per call, ordered by the last
+    plane that holds them, so plane M gathers a prefix of them from D_r,
+    multiplies it by the binomial once and writes it through flat indices.
+    D_r(P, Q) = D_r(Q, P), as its generating function is symmetric, so a
+    square table forms the products of P <= Q only and writes each to
+    (M + Q, M + P, P + Q) as well: mirrored cells of a square exact table
+    hold one int.  Every other entry is the mode's zero.  Exact tables
     hold the exact counts, and a log2 table holds math.log2 of each, at
     every size: the same float that count_pairs_exact gives in log2 mode.
 
@@ -252,16 +256,31 @@ def _tables(
     """The tables r = r_first .. r_max of iter_pair_layers; sizes are checked on the first next."""
     check_sizes(n1_max=n1_max, n2_max=n2_max, r_max=r_max, s_max=s_max)
     cm = count_mode(mode)
+    if r_first > r_max:
+        return
     import numpy as np
-    from numpy.lib.stride_tricks import as_strided
 
-    shape = (n1_max + 1, n2_max + 1, s_max + 1)
-    if r_first <= r_max:  # before D_r is made and advanced through the levels below r_first
-        _check_table_cells(shape)
+    n2, s = n2_max + 1, s_max + 1
+    shape = (n1_max + 1, n2, s)
+    _check_table_cells(shape)  # before D_r is made and advanced through the levels below r_first
     m_top = min(n1_max, n2_max)
     d = count_mode("exact").blank((min(n1_max, s_max) + 1, min(n2_max, s_max) + 1))  # D_r[P, Q]
     d[0, 0] = 1
-    fits = np.add.outer(np.arange(d.shape[0]), np.arange(d.shape[1])) <= s_max
+    # the cells (P, Q) of D with P + Q <= s_max, by the last plane M that holds them,
+    # min(n1_max - P, n2_max - Q), from the top down: plane M's cells are a prefix.  A
+    # square table lists P <= Q only and writes each product to its mirror as well
+    square = n1_max == n2_max
+    p, q = np.nonzero(np.add.outer(np.arange(d.shape[0]), np.arange(d.shape[1])) <= s_max)
+    if square:
+        p, q = p[p <= q], q[p <= q]
+    key = -np.minimum(n1_max - p, n2_max - q)  # minus the last plane that holds (P, Q)
+    order = np.argsort(key, kind="stable")
+    p, q, key = p[order], q[order], key[order]
+    ends = np.searchsorted(key, -np.arange(m_top + 1), side="right").tolist()  # plane M: ends[M]
+    at = p * d.shape[1] + q  # flat index of D[P, Q]
+    cells = p * (n2 * s + 1) + q * (s + 1)  # flat index of (P, Q, P + Q); plane M adds M * step
+    mirrors = q * (n2 * s + 1) + p * (s + 1)
+    step = n2 * s + s
     held = []  # the entries of the last two tables yielded, the older first
     # a level past m_top is zero and leaves D_r as it is: skip those before r_first
     for r in chain(range(1, min(r_first, m_top + 1)), range(r_first, r_max + 1)):
@@ -279,26 +298,17 @@ def _tables(
             entries = cm.blank(shape)
             free = sys.getrefcount(entries)  # a buffer that only this name refers to
             m_first = r
-        s0, s1, s2 = entries.strides
         for m in range(m_first, m_top + 1):
-            comb = math.comb(m - 1, r - 1)  # 0 on a cleared plane, m < r
-            kp, kq = min(n1_max - m + 1, d.shape[0]), min(n2_max - m + 1, d.shape[1])
-            if mode == "exact" and kp + kq - 2 <= s_max:
-                # the view maps (P, Q) to cell (m + P, m + Q, P + Q) of the C-order
-                # entries.  Each index grows with P and Q, and the last cell,
-                # (m + kp - 1, m + kq - 1, kp + kq - 2), is inside by the bounds on kp
-                # and kq and the test above; distinct (P, Q) differ in the first two
-                # indices, so no two cells of the view share an address.  No name
-                # keeps the view, which would keep entries from being reused
-                np.multiply(
-                    d[:kp, :kq], comb, out=as_strided(entries[m, m], (kp, kq), (s0 + s2, s1 + s2))
-                )
-                continue
-            p, q = np.nonzero(fits[:kp, :kq])
-            counts = d[p, q] * comb
+            k = ends[m]
+            counts = d.take(at[:k]) * math.comb(m - 1, r - 1)  # 0 on a cleared plane, m < r
             if mode == "log2":  # a zero count (D_1 off the axes) is log2's zero
-                counts = [math.log2(count) if count else NEG_INF for count in counts.tolist()]
-            entries[m + p, m + q, p + q] = counts
+                counts = np.array(
+                    [math.log2(count) if count else NEG_INF for count in counts.tolist()]
+                )
+            # flat indices, bounds-checked; no view of entries outlives the level to block its reuse
+            entries.put(cells[:k] + m * step, counts)
+            if square:
+                entries.put(mirrors[:k] + m * step, counts)
         held.append(entries)
         yield PairCountTable(mode=cm, r=r, entries=entries)
 

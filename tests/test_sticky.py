@@ -1,6 +1,7 @@
 """Unit tests for the duplication-channel combinatorics and rate bounds."""
 
 import math
+import operator
 import random
 import time
 import weakref
@@ -531,23 +532,10 @@ def _assert_matches_exact(entries, exact, mode):
         _assert_exact_ints(entries)
 
 
-def _whole_planes(n1_max, n2_max, r, s_max):
-    """The M planes of the level r table that s_max does not cut.
-
-    Plane M holds the cells (M + P, M + Q, P + Q) with P <= min(n1_max - M, s_max)
-    and Q <= min(n2_max - M, s_max); it is whole when every one has P + Q <= s_max.
-    """
-    planes = []
-    for m in range(r, min(n1_max, n2_max) + 1):
-        p_top, q_top = min(n1_max - m, s_max), min(n2_max - m, s_max)
-        if p_top + q_top <= s_max:
-            planes.append(m)
-    return planes
-
-
-# Shapes (n1_max, n2_max, r_max, s_max) by how s_max cuts the M planes.  An exact
-# plane s_max does not cut is written through one strided view, a cut one cell by cell.
-# The top plane, M = min(n1_max, n2_max), spans one row or column and is never cut.
+# Shapes (n1_max, n2_max, r_max, s_max) by how s_max cuts the M planes.  Plane M
+# writes the prefix of the listed (P, Q) cells whose last plane is M or later; a
+# cut plane drops the cells with P + Q > s_max.  The top plane,
+# M = min(n1_max, n2_max), spans one row or column and is never cut.
 _PLANE_SHAPES = [
     (9, 13, 9, 22),  # every plane whole: s_max = n1_max + n2_max
     (13, 9, 9, 30),  # every plane whole: s_max > n1_max + n2_max
@@ -560,42 +548,35 @@ _PLANE_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("shape", _PLANE_SHAPES)
-def test_strided_plane_views_stay_inside_the_table(monkeypatch, shape):
-    # each view must hold the cells (M + P, M + Q, P + Q) of its own table, once
-    # each; it is checked before it is returned, as a write through a stray view
-    # would corrupt memory rather than fail
-    n1_max, n2_max, r_max, s_max = shape
-    real = np.lib.stride_tricks.as_strided
-    planes = []
-
-    def checked(x, view_shape, strides):
-        entries = x.base
-        assert entries.flags.c_contiguous and entries.shape == (n1_max + 1, n2_max + 1, s_max + 1)
-        s0, s1, _ = entries.strides
-        start = x.__array_interface__["data"][0] - entries.__array_interface__["data"][0]
-        m, rest = divmod(start, s0 + s1)  # x is entries[m, m]
-        assert rest == 0
-        (kp, kq), item = view_shape, entries.itemsize
-        last = (m + kp - 1, m + kq - 1, kp + kq - 2)
-        assert all(i < dim for i, dim in zip(last, entries.shape)), (m, last)
-        offsets = start + np.add.outer(np.arange(kp) * strides[0], np.arange(kq) * strides[1])
-        assert np.all(offsets % item == 0)
-        assert 0 <= offsets.min() and offsets.max() < entries.nbytes
-        assert len(np.unique(offsets)) == kp * kq  # no two cells share an address
-        cells = np.unravel_index(offsets.ravel() // item, entries.shape)
-        p, q = np.divmod(np.arange(kp * kq), kq)
-        assert all(np.array_equal(got, want) for got, want in zip(cells, (m + p, m + q, p + q)))
-        planes.append(m)
-        return real(x, view_shape, strides)
-
-    monkeypatch.setattr(np.lib.stride_tricks, "as_strided", checked)
-    tables = list(iter_pair_layers(*shape, "exact"))
-    expected = [m for t in tables for m in _whole_planes(n1_max, n2_max, t.r, s_max)]
-    assert planes == expected and planes
-    # the first two shapes have no cut plane; every other one cuts some, so runs both paths
-    every = [m for t in tables for m in range(t.r, min(n1_max, n2_max) + 1)]
-    assert (planes == every) == (s_max >= n1_max + n2_max)
+@pytest.mark.parametrize("mode", ["exact", "log2"])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        *_PLANE_SHAPES,
+        (10, 10, 10, 20),  # square, every plane whole
+        (11, 11, 8, 30),  # square, s_max > 2n
+        (12, 12, 12, 5),  # square, every plane cut but M >= 10
+        (9, 9, 12, 11),  # square, r_max > n: the last levels only clear planes
+    ],
+)
+def test_plane_writes_equal_the_direct_sums_and_share_mirrored_products(shape, mode):
+    # every stored cell against count_pairs_exact in the same mode.  A square
+    # table forms the product of P <= Q only and writes it to (M + P, M + Q, s)
+    # and (M + Q, M + P, s): in an exact table both hold the same int
+    n1_max, n2_max, _, s_max = shape
+    shared = 0
+    for table in iter_pair_layers(*shape, mode):
+        entries = table.entries
+        for (n1, n2, s), value in np.ndenumerate(entries):
+            assert value == count_pairs_exact(n1, n2, table.r, s, mode), (table.r, n1, n2, s)
+        if mode == "exact":
+            _assert_exact_ints(entries)
+        if n1_max == n2_max and mode == "exact":
+            i, j, s = np.nonzero(entries)
+            cells, mirrors = entries[i, j, s].tolist(), entries[j, i, s].tolist()
+            assert all(map(operator.is_, cells, mirrors)), table.r
+            shared += sum(count > 256 for count in cells)  # past the ints Python keeps one copy of
+    assert (shared > 0) == (n1_max == n2_max and mode == "exact")
 
 
 @settings(max_examples=30, deadline=None)
@@ -672,8 +653,8 @@ def _outside_sticky_support(n1, n2, r, s):
 @example(n1_max=0, n2_max=3, r_max=3, s_max=2, mode="log2")
 @example(n1_max=9, n2_max=5, r_max=9, s_max=20, mode="log2")
 def test_layers_vanish_outside_the_support(n1_max, n2_max, r_max, s_max, mode):
-    # a cut or log2 plane writes support cells only, and a whole exact plane
-    # writes a zero of D_r as 0, so every entry off the support must be the zero
+    # a plane writes every cell with P + Q <= s_max, a zero of D_r (D_1 off the
+    # axes) as the mode's zero, so every entry off the support must be the zero
     zero = 0 if mode == "exact" else -math.inf
     for table in iter_pair_layers(n1_max, n2_max, r_max, s_max, mode):
         for (n1, n2, s), value in np.ndenumerate(table.entries):
